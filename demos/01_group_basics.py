@@ -15,7 +15,7 @@ w0 = a3.longest_element()
 print("longest element:", word_str(w0.word), "of length", w0.length)
 print("its descents:", sorted(w0.left_descents()))
 
-# words are canonicalized through braid moves; (2,1,2) and (1,2,1) agree
+# (2,1,2) and (1,2,1) spell the same element, named by its lex-first reduced word
 u = a3.element((2, 1, 2))
 v = a3.element((1, 2, 1))
 print("s2s1s2 == s1s2s1:", u == v, "| canonical word:", word_str(u.word))

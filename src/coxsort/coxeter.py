@@ -1,18 +1,29 @@
-"""Finite Coxeter systems with exact word arithmetic.
+"""Finite Coxeter systems, each computed once into a multiplication table.
 
 A system is presented by its matrix of orders ``m(i, j)``: the generators
 are involutions and, for ``i != j``, the product ``s_i s_j`` has order
-``m(i, j)``.  Elements are identified purely by word rewriting:
+``m(i, j)``.  The first time a system needs an element it builds its
+right multiplication table from the matrix alone, one length at a time.
+For ``w`` of length ``L`` and an ascent ``s`` of ``w``:
 
-* a *nil move* deletes an adjacent equal pair of letters;
-* a *braid move* rewrites an alternating run ``s_i s_j s_i ...`` of
-  length ``m(i, j)`` as the run ``s_j s_i s_j ...`` of the same length.
+* ``t != s`` is a right descent of ``ws`` exactly when the ``{s, t}``-part
+  of ``w`` is the alternating word of length ``m(s, t) - 1`` ending in
+  ``t``; it is found by stripping ``t, s, t, ...`` from ``w`` through rows
+  already built.
+* Only the pair whose ``s`` is the smallest right descent of ``ws``
+  creates its row; any other pair reaches that row through the
+  ``{s, t}`` coset of its smallest descent ``t``.
 
-By the word property of Coxeter groups these moves suffice to decide
-equality, so every element can be stored by its lexicographically
-minimal reduced word.  No root-system or matrix arithmetic is involved,
-which keeps the non-crystallographic types (``I2(m)``, ``H3``) on
-exactly the same footing as the classical series.
+This rests only on the parabolic factorisation ``w = w^J w_J`` and the
+word property, with no root-system arithmetic, so ``I2(m)``, ``H3`` and
+``H4`` are as exact as the classical series.  Rows are never merged, so
+``size_cap`` bounds the row count exactly; a larger (in particular an
+infinite) group raises :class:`~coxsort.errors.BudgetExceededError`.
+
+The left table follows from ``t(xs) = (tx)s``, each lexicographically
+minimal reduced word from the smallest left descent, and rows are
+numbered by (length, word).  An :class:`Element` is a system and a row
+index.
 
 Generator indices are 1-based everywhere.
 
@@ -24,15 +35,14 @@ Generator indices are 1-based everywhere.
 >>> CoxeterSystem.type_a(2).element((2, 1, 2))
 <1,2,1>
 
-Systems and elements are immutable after construction.  Internal caches
-only ever gain entries that any caller would recompute identically, so
-instances may be shared between threads or tasks; no result depends on
-a cache hit.
+Systems and elements are immutable after construction.  The table is
+built at most once per system and never changes, so instances may be
+shared between threads or tasks; no result depends on whether it was
+built before.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -72,39 +82,104 @@ def parse_word(text: str) -> Word:
         ) from exc
 
 
-def _nil_sweep(word: Word) -> Word:
-    # One stack pass deletes adjacent equal pairs, including pairs exposed
-    # by earlier deletions.
-    out: list[int] = []
-    for s in word:
-        if out and out[-1] == s:
-            out.pop()
-        else:
-            out.append(s)
-    return tuple(out)
+def _strip(right: list[list[int]], desc: list[int], x: int, a: int, b: int,
+           steps: int) -> tuple[int, int]:
+    # Multiply x on the right by a, b, a, ... while the letter is a descent,
+    # at most ``steps`` times; returns the element reached and the count.
+    k = 0
+    while k < steps and desc[x] >> a & 1:
+        x = right[x][a]
+        a, b = b, a
+        k += 1
+    return x, k
 
 
-def _adjacent_pair(word: Word) -> int:
-    for i in range(len(word) - 1):
-        if word[i] == word[i + 1]:
-            return i
-    return -1
+def _build_table(matrix: tuple[Word, ...], size_cap: int):
+    """Right and left multiplication, inverses and lex-minimal words of
+    every element, rows numbered by (length, word).  Generator columns
+    are 0-based here."""
+    rank = len(matrix)
+    gens = range(rank)
+    right = [[-1] * rank]   # right[x][s]: the row of x*s, -1 until linked
+    desc = [0]              # right descents of each row, as a bitmask
+    length = [0]
+    level = [0]
+    while level:
+        deferred = []
+        first_new = len(right)
+        for w in level:
+            dw = desc[w]
+            for s in gens:
+                if dw >> s & 1:
+                    continue
+                found = 1 << s  # the right descents of ws
+                for t in gens:
+                    steps = matrix[s][t] - 1
+                    if t != s and _strip(right, desc, w, t, s, steps)[1] == steps:
+                        found |= 1 << t
+                smallest = (found & -found).bit_length() - 1
+                if smallest != s:
+                    deferred.append((w, s, smallest))
+                    continue
+                if len(right) >= size_cap:
+                    raise BudgetExceededError(
+                        f"group enumeration exceeded the size cap of {size_cap}")
+                y = len(right)
+                row = [-1] * rank
+                row[s] = w
+                right.append(row)
+                right[w][s] = y
+                desc.append(found)
+                length.append(length[w] + 1)
+        for w, s, t in deferred:
+            steps = matrix[s][t] - 1
+            x = _strip(right, desc, w, t, s, steps)[0]
+            # climb the alternating word of length m(s, t) - 1 ending in s
+            a, b = (s, t) if steps % 2 else (t, s)
+            for _ in range(steps):
+                x = right[x][a]
+                a, b = b, a
+            y = right[x][t]
+            right[w][s] = y
+            right[y][s] = w
+        level = range(first_new, len(right))
+
+    n = len(right)
+    left = [right[0]]
+    words: list[Word] = [()]
+    for y in range(1, n):
+        d = (desc[y] & -desc[y]).bit_length() - 1
+        left.append([right[z][d] for z in left[right[y][d]]])
+        s = next(s for s in gens if length[left[y][s]] < length[y])
+        words.append((s + 1,) + words[left[y][s]])
+
+    order = sorted(range(n), key=lambda i: (length[i], words[i]))
+    pos = [0] * n
+    for new, old in enumerate(order):
+        pos[old] = new
+    right = [tuple(pos[x] for x in right[old]) for old in order]
+    left = [tuple(pos[x] for x in left[old]) for old in order]
+    inverse = [0] * n
+    for y in range(1, n):
+        d = next(s for s in gens if right[y][s] < y)
+        inverse[y] = left[inverse[right[y][d]]][d]
+    return right, left, inverse, tuple(words[old] for old in order)
 
 
 class CoxeterSystem:
-    """A Coxeter presentation of finite rank, with enumeration budgets.
+    """A Coxeter presentation of finite rank, with its group built on demand.
 
-    ``size_cap`` bounds group enumeration and ``braid_budget`` bounds the
-    number of words visited while canonicalizing a single word.  Both are
-    generous for desk-scale groups; exceeding either raises
-    :class:`~coxsort.errors.BudgetExceededError` rather than truncating.
+    Construction only validates the matrix; the first call that needs an
+    element builds the table level by level (see the module docstring).
+    ``size_cap`` bounds its rows exactly: a larger group, in particular an
+    infinite one, raises :class:`~coxsort.errors.BudgetExceededError` on
+    every call rather than being truncated.
 
     Two systems compare equal when their matrices agree, regardless of
-    budgets, and elements of equal systems are interchangeable.
+    caps, and elements of equal systems are interchangeable.
     """
 
-    def __init__(self, matrix: Iterable[Iterable[int]], size_cap: int = 50_000,
-                 braid_budget: int = 1_000_000):
+    def __init__(self, matrix: Iterable[Iterable[int]], size_cap: int = 50_000):
         rows = tuple(tuple(int(x) for x in row) for row in matrix)
         n = len(rows)
         if n == 0:
@@ -122,14 +197,16 @@ class CoxeterSystem:
                 if rows[i][j] < 2:
                     raise ValueError(
                         f"off-diagonal entry m({i + 1},{j + 1}) must be at least 2")
-        if size_cap <= 0 or braid_budget <= 0:
-            raise ValueError("size_cap and braid_budget must be positive")
+        if size_cap <= 0:
+            raise ValueError("size_cap must be positive")
         self.matrix = rows
         self.rank = n
         self.size_cap = int(size_cap)
-        self.braid_budget = int(braid_budget)
-        self._canon: dict[Word, Word] = {}
-        self._closures: dict[Word, frozenset[Word]] = {}
+        # _right[x][s - 1] is the row of x*s, _left[x][s - 1] that of s*x
+        self._right: list[tuple[int, ...]] | None = None
+        self._left: list[tuple[int, ...]] | None = None
+        self._inverse: list[int] | None = None
+        self._words: tuple[Word, ...] | None = None
         self._all_elements: tuple[Element, ...] | None = None
         self._op_cache: dict[str, dict] = {}
 
@@ -195,112 +272,51 @@ class CoxeterSystem:
         """Validate letters and return the word as a tuple."""
         w = tuple(int(s) for s in word)
         for s in w:
-            if not 1 <= s <= self.rank:
-                raise ValueError(f"letter {s} outside generator range 1..{self.rank}")
+            self._column(s)
         return w
 
-    # ------------------------------------------------------------------
-    # canonicalization
+    def _column(self, s: int) -> int:
+        """The table column of generator ``s``, validated."""
+        if not 1 <= s <= self.rank:
+            raise ValueError(f"letter {s} outside generator range 1..{self.rank}")
+        return s - 1
 
-    def _braid_neighbors(self, word: Word) -> list[Word]:
-        matrix = self.matrix
-        out: list[Word] = []
-        L = len(word)
-        for i in range(L - 1):
-            a = word[i]
-            b = word[i + 1]
-            if a == b:
-                continue
-            m = matrix[a - 1][b - 1]
-            end = i + m
-            if end > L:
-                continue
-            ok = True
-            for k in range(2, m):
-                if word[i + k] != (a if k % 2 == 0 else b):
-                    ok = False
-                    break
-            if ok:
-                run = tuple((b if k % 2 == 0 else a) for k in range(m))
-                out.append(word[:i] + run + word[end:])
-        return out
+    # ------------------------------------------------------------------
+    # the table
+
+    def _index_of(self, word: Iterable[int]) -> int:
+        word = self.check_word(word)
+        if self._right is None:
+            self._right, self._left, self._inverse, self._words = _build_table(
+                self.matrix, self.size_cap)
+        right = self._right
+        x = 0
+        for s in word:
+            x = right[x][s - 1]
+        return x
 
     def canonical_word(self, word: Iterable[int]) -> Word:
         """The lexicographically minimal reduced word of the element spelt
-        by ``word``.
-
-        Nil moves strip adjacent equal pairs; between deletions a breadth
-        first search over braid moves either exposes another pair or, by
-        exhausting the braid closure, proves the word reduced.  The
-        minimum of the closure is then the canonical form.
-        """
-        current = _nil_sweep(self.check_word(word))
-        hit = self._canon.get(current)
-        if hit is not None:
-            return hit
-        budget = self.braid_budget
-        spent = 0
-        pending = [current]
-        canon: Word | None = None
-        while canon is None:
-            hit = self._canon.get(current)
-            if hit is not None:
-                canon = hit
-                break
-            seen = {current}
-            queue = deque((current,))
-            shorter: Word | None = None
-            while queue:
-                w = queue.popleft()
-                for nb in self._braid_neighbors(w):
-                    if nb in seen:
-                        continue
-                    pair = _adjacent_pair(nb)
-                    if pair >= 0:
-                        shorter = _nil_sweep(nb[:pair] + nb[pair + 2:])
-                        queue.clear()
-                        break
-                    seen.add(nb)
-                    if spent + len(seen) > budget:
-                        raise BudgetExceededError(
-                            f"braid closure exceeded the node budget of {budget}")
-                    queue.append(nb)
-            spent += len(seen)
-            if shorter is None:
-                canon = min(seen)
-                closure = frozenset(seen)
-                self._closures.setdefault(canon, closure)
-                for member in closure:
-                    self._canon.setdefault(member, canon)
-            else:
-                pending.append(shorter)
-                current = shorter
-        for w in pending:
-            self._canon.setdefault(w, canon)
-        return canon
+        by ``word``."""
+        x = self._index_of(word)
+        return self._words[x]
 
     def reduced_words_of(self, word: Iterable[int]) -> frozenset[Word]:
-        """The braid closure of the element spelt by ``word``: all of its
-        reduced words."""
-        canon = self.canonical_word(word)
-        closure = self._closures.get(canon)
-        if closure is None:
-            # canonical_word stores the closure as a side effect; this
-            # fallback only fires for elements built before a cache clear.
-            seen = {canon}
-            queue = deque((canon,))
-            while queue:
-                w = queue.popleft()
-                for nb in self._braid_neighbors(w):
-                    if nb not in seen:
-                        seen.add(nb)
-                        if len(seen) > self.braid_budget:
-                            raise BudgetExceededError(
-                                f"braid closure exceeded the node budget of {self.braid_budget}")
-                        queue.append(nb)
-            closure = frozenset(seen)
-            self._closures[canon] = closure
-        return closure
+        """All reduced words of the element spelt by ``word``, by a depth
+        first search over right descents."""
+        top = self._index_of(word)
+        right = self._right
+        out = []
+        stack = [(top, ())]
+        while stack:
+            x, suffix = stack.pop()
+            if not x:
+                out.append(suffix)
+                continue
+            for s, xs in enumerate(right[x], start=1):
+                if xs < x:
+                    stack.append((xs, (s,) + suffix))
+        return frozenset(out)
 
     # ------------------------------------------------------------------
     # elements
@@ -314,43 +330,25 @@ class CoxeterSystem:
 
     def element(self, word: Iterable[int]) -> "Element":
         """The group element spelt by ``word`` (any word, reduced or not)."""
-        return Element(self, self.canonical_word(word))
+        return Element(self, self._index_of(word))
 
     def elements(self) -> tuple["Element", ...]:
         """Every group element, sorted by (length, canonical word).
 
-        Breadth-first search over right multiplication; raises
-        :class:`BudgetExceededError` if the group has more than
+        Raises :class:`BudgetExceededError` if the group has more than
         ``size_cap`` elements (in particular for non-finite matrices).
         """
         if self._all_elements is None:
-            seen = {self.identity}
-            frontier = list(seen)
-            while frontier:
-                nxt = []
-                for e in frontier:
-                    for s in range(1, self.rank + 1):
-                        f = e.mult_right(s)
-                        if f.length > e.length and f not in seen:
-                            if len(seen) >= self.size_cap:
-                                raise BudgetExceededError(
-                                    f"group enumeration exceeded the size cap of {self.size_cap}")
-                            seen.add(f)
-                            nxt.append(f)
-                frontier = nxt
-            self._all_elements = tuple(sorted(seen))
+            self._index_of(())
+            self._all_elements = tuple(Element(self, x) for x in range(len(self._words)))
         return self._all_elements
 
     def order(self) -> int:
         return len(self.elements())
 
     def longest_element(self) -> "Element":
-        els = self.elements()
-        top = els[-1]
-        if len(els) > 1 and els[-2].length == top.length:
-            raise RuntimeError("longest element is not unique; "
-                               "the presentation is not a finite Coxeter system")
-        return top
+        # a finite Coxeter group has exactly one element of maximal length
+        return self.elements()[-1]
 
 
 def _chain_matrix(n: int, overrides: dict[tuple[int, int], int]) -> list[list[int]]:
@@ -361,12 +359,13 @@ def _chain_matrix(n: int, overrides: dict[tuple[int, int], int]) -> list[list[in
 
 
 class Element:
-    """A group element, stored by its lexicographically minimal reduced word.
+    """A group element: its system and its row in the system's table.
 
     Instances are created through :class:`CoxeterSystem` methods; the
-    ``word`` attribute is always canonical.  Elements sort by
-    ``(length, word)``, the ground ordering used by every poset in this
-    package.
+    ``word`` attribute is always the lexicographically minimal reduced
+    word.  Rows are numbered by ``(length, word)``, the ground ordering
+    used by every poset in this package, so elements of one system sort
+    by their index.
 
     >>> a2 = CoxeterSystem.type_a(2)
     >>> w = a2.element((1, 2))
@@ -378,63 +377,78 @@ class Element:
     True
     """
 
-    __slots__ = ("system", "word")
+    __slots__ = ("system", "index")
 
-    def __init__(self, system: CoxeterSystem, word: Word):
+    def __init__(self, system: CoxeterSystem, index: int):
         self.system = system
-        self.word = word
+        self.index = index
+
+    @property
+    def word(self) -> Word:
+        return self.system._words[self.index]
 
     @property
     def length(self) -> int:
-        return len(self.word)
+        return len(self.system._words[self.index])
 
     @property
     def is_identity(self) -> bool:
-        return not self.word
+        return not self.index
 
     def mult_right(self, s: int) -> "Element":
-        return Element(self.system, self.system.canonical_word(self.word + (int(s),)))
+        system = self.system
+        return Element(system, system._right[self.index][system._column(s)])
 
     def mult_left(self, s: int) -> "Element":
-        return Element(self.system, self.system.canonical_word((int(s),) + self.word))
+        system = self.system
+        return Element(system, system._left[self.index][system._column(s)])
 
     def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
         if self.system != other.system:
             raise ValueError("cannot multiply elements of different Coxeter systems")
-        return Element(self.system, self.system.canonical_word(self.word + other.word))
+        right = self.system._right
+        x = self.index
+        for s in other.word:
+            x = right[x][s - 1]
+        return Element(self.system, x)
 
     def inverse(self) -> "Element":
-        return Element(self.system, self.system.canonical_word(self.word[::-1]))
+        return Element(self.system, self.system._inverse[self.index])
 
     def is_right_descent(self, s: int) -> bool:
         """Whether right multiplication by generator ``s`` shortens the element."""
-        return self.mult_right(s).length < self.length
+        system = self.system
+        return system._right[self.index][system._column(s)] < self.index
 
     def is_left_descent(self, s: int) -> bool:
-        return self.mult_left(s).length < self.length
+        system = self.system
+        return system._left[self.index][system._column(s)] < self.index
 
     def right_descents(self) -> tuple[int, ...]:
-        return tuple(s for s in range(1, self.system.rank + 1) if self.is_right_descent(s))
+        x = self.index
+        return tuple(s for s, xs in enumerate(self.system._right[x], start=1) if xs < x)
 
     def left_descents(self) -> tuple[int, ...]:
-        return tuple(s for s in range(1, self.system.rank + 1) if self.is_left_descent(s))
+        x = self.index
+        return tuple(s for s, sx in enumerate(self.system._left[x], start=1) if sx < x)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.word == other.word and self.system == other.system
+        return self.index == other.index and (
+            self.system is other.system or self.system == other.system)
 
     def __hash__(self) -> int:
-        return hash((self.system, self.word))
+        return self.index
 
     def __lt__(self, other: "Element") -> bool:
         # ground ordering: by length, then lexicographically by word
-        return (self.length, self.word) < (other.length, other.word)
+        return self.index < other.index
 
     def __le__(self, other: "Element") -> bool:
-        return (self.length, self.word) <= (other.length, other.word)
+        return self.index <= other.index
 
     def __repr__(self) -> str:
         return f"<{word_str(self.word)}>"

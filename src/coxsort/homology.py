@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .posets import Poset
+from .posets import Poset, _bool_product
 
 __all__ = [
     "SimplicialComplex",
@@ -303,8 +303,7 @@ def order_complex(P: Poset) -> SimplicialComplex:
     if n == 0:
         return SimplicialComplex((), [frozenset()])
     strict = P.leq & ~np.eye(n, dtype=bool)
-    two_step = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    cover = strict & ~two_step
+    cover = strict & ~_bool_product(strict, strict)
     uppers = [np.flatnonzero(cover[i]).tolist() for i in range(n)]
     minimal = [i for i in range(n) if not strict[:, i].any()]
     facets: list[frozenset] = []

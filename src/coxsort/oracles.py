@@ -1,31 +1,37 @@
-"""Independent reference models used to cross-check the word machinery.
+"""Independent reference models used to cross-check the group tables.
 
 A :class:`CayleyModel` is a concrete finite group given by explicit
 generator states and a composition function.  Lengths come from a
 breadth-first search of the Cayley graph, so nothing here touches the
-rewriting code in :mod:`coxsort.coxeter`; agreement between the two is a
-genuine consistency check, not a tautology.
+multiplication tables of :mod:`coxsort.coxeter`; agreement between the
+two is a genuine consistency check, not a tautology.
 
 The models provided are the permutation model of type A (one-line
 permutations under composition) and the signed-permutation model of
-type B.
+type B.  :class:`BraidRewriting` decides equality of words of any
+Coxeter matrix by nil and braid moves alone, and the subword scan tries
+every position set; both are slow references for tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "CayleyModel",
+    "BraidRewriting",
     "permutation_model",
     "signed_permutation_model",
     "canonical_word_bruteforce",
     "bruhat_leq_bruteforce",
     "sorting_subword_bruteforce",
     "contains_reduced_word_bruteforce",
+    "subword_facets_bruteforce",
 ]
+
+Word = tuple[int, ...]
 
 
 class CayleyModel:
@@ -174,3 +180,116 @@ def sorting_subword_bruteforce(model: CayleyModel, Q, u_word):
         if model.product(tuple(Q[p - 1] for p in subset)) == u:
             return subset
     return None
+
+
+def subword_facets_bruteforce(system, Q: Sequence[int], target) -> set[frozenset[int]]:
+    """Facets of the subword complex of (Q, target) by trying every set
+    of ``target.length`` positions of Q."""
+    positions = range(1, len(Q) + 1)
+    out = set()
+    for combo in itertools.combinations(positions, target.length):
+        if system.element(tuple(Q[j - 1] for j in combo)) == target:
+            out.add(frozenset(positions) - frozenset(combo))
+    return out
+
+
+def _nil_sweep(word: Word) -> Word:
+    # One stack pass deletes adjacent equal pairs, including pairs exposed
+    # by earlier deletions.
+    out: list[int] = []
+    for s in word:
+        if out and out[-1] == s:
+            out.pop()
+        else:
+            out.append(s)
+    return tuple(out)
+
+
+def _adjacent_pair(word: Word) -> int:
+    for i in range(len(word) - 1):
+        if word[i] == word[i + 1]:
+            return i
+    return -1
+
+
+class BraidRewriting:
+    """Words of a Coxeter matrix, compared by rewriting alone.
+
+    * a *nil move* deletes an adjacent equal pair of letters;
+    * a *braid move* rewrites an alternating run ``s_i s_j s_i ...`` of
+      length ``m(i, j)`` as the run ``s_j s_i s_j ...`` of the same length.
+
+    By the word property these moves decide equality, and the braid
+    closure of a reduced word is the set of all reduced words of its
+    element.  There is no budget: the closure of a long element can be
+    very large, so this is for small groups only.
+    """
+
+    def __init__(self, matrix: Iterable[Iterable[int]]):
+        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self._canon: dict[Word, Word] = {}
+        self._closures: dict[Word, frozenset[Word]] = {}
+
+    def _braid_neighbors(self, word: Word) -> list[Word]:
+        matrix = self.matrix
+        out: list[Word] = []
+        L = len(word)
+        for i in range(L - 1):
+            a = word[i]
+            b = word[i + 1]
+            if a == b:
+                continue
+            m = matrix[a - 1][b - 1]
+            end = i + m
+            if end > L:
+                continue
+            if all(word[i + k] == (a if k % 2 == 0 else b) for k in range(2, m)):
+                run = tuple((b if k % 2 == 0 else a) for k in range(m))
+                out.append(word[:i] + run + word[end:])
+        return out
+
+    def canonical_word(self, word: Iterable[int]) -> Word:
+        """The lexicographically minimal reduced word of the element spelt
+        by ``word``.
+
+        Nil moves strip adjacent equal pairs; between deletions a breadth
+        first search over braid moves either exposes another pair or, by
+        exhausting the braid closure, proves the word reduced.  The
+        minimum of the closure is then the canonical form.
+        """
+        current = _nil_sweep(tuple(word))
+        pending = [current]
+        while True:
+            canon = self._canon.get(current)
+            if canon is not None:
+                break
+            seen = {current}
+            queue = deque((current,))
+            shorter: Word | None = None
+            while queue:
+                w = queue.popleft()
+                for nb in self._braid_neighbors(w):
+                    if nb in seen:
+                        continue
+                    pair = _adjacent_pair(nb)
+                    if pair >= 0:
+                        shorter = _nil_sweep(nb[:pair] + nb[pair + 2:])
+                        queue.clear()
+                        break
+                    seen.add(nb)
+                    queue.append(nb)
+            if shorter is None:
+                canon = min(seen)
+                self._closures[canon] = frozenset(seen)
+                for member in seen:
+                    self._canon[member] = canon
+                break
+            pending.append(shorter)
+            current = shorter
+        for w in pending:
+            self._canon[w] = canon
+        return canon
+
+    def reduced_words(self, word: Iterable[int]) -> frozenset[Word]:
+        """The braid closure of the element spelt by ``word``."""
+        return self._closures[self.canonical_word(word)]

@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Composition of bool relations; computed in bool, it cannot wrap the
+    way a count of witnesses in a narrow integer type does."""
+    return a.astype(bool, copy=False) @ b.astype(bool, copy=False)
+
+
 class Poset:
     """An explicit finite poset: ordered ground tuple plus relation matrix."""
 
@@ -48,8 +54,7 @@ class Poset:
         off = ~np.eye(n, dtype=bool)
         if (matrix & matrix.T & off).any():
             raise ValueError(f"relation of {label!r} is not antisymmetric")
-        composed = (matrix.astype(np.uint8) @ matrix.astype(np.uint8)) > 0
-        if (composed & ~matrix).any():
+        if (_bool_product(matrix, matrix) & ~matrix).any():
             raise ValueError(f"relation of {label!r} is not transitive")
         matrix.setflags(write=False)
         self.ground = ground
@@ -83,8 +88,7 @@ class Poset:
         """Cover pairs (a, b): a < b with nothing strictly between."""
         n = len(self.ground)
         strict = self.leq & ~np.eye(n, dtype=bool)
-        two_step = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-        cov = strict & ~two_step
+        cov = strict & ~_bool_product(strict, strict)
         return [(self.ground[i], self.ground[j]) for i, j in np.argwhere(cov)]
 
     def restrict(self, items: Iterable, label: str | None = None) -> "Poset":
@@ -209,7 +213,6 @@ def relation_union(posets: Sequence[Poset], label: str = "union") -> RelationUni
     matrix = posets[0].leq.copy()
     for p in posets[1:]:
         matrix |= p.leq
-    composed = (matrix.astype(np.uint8) @ matrix.astype(np.uint8)) > 0
-    transitive = not (composed & ~matrix).any()
+    transitive = not (_bool_product(matrix, matrix) & ~matrix).any()
     matrix.setflags(write=False)
     return RelationUnion(ground, matrix, transitive, label)

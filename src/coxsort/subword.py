@@ -12,7 +12,6 @@ sphere case occurs exactly when the Demazure product of Q equals w.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element
@@ -82,17 +81,6 @@ class SubwordComplex:
                 f"facets={len(self.facets)})")
 
 
-def _facets_by_scan(system: CoxeterSystem, Q: tuple[int, ...],
-                    target: Element) -> set[frozenset[int]]:
-    k = target.length
-    positions = range(1, len(Q) + 1)
-    out = set()
-    for combo in itertools.combinations(positions, k):
-        if system.element(tuple(Q[j - 1] for j in combo)) == target:
-            out.add(frozenset(positions) - frozenset(combo))
-    return out
-
-
 def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...],
                          target: Element) -> set[frozenset[int]]:
     # suffix_dem[j] bounds what positions > j can still provide
@@ -109,15 +97,14 @@ def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...],
             return
         s = Q[j - 1]
         if rest.is_left_descent(s):
-            go(j + 1, system.generator(s) * rest, taken + (j,))
+            go(j + 1, rest.mult_left(s), taken + (j,))
         go(j + 1, rest, taken)
 
     go(1, target, ())
     return out
 
 
-def subword_complex(system: CoxeterSystem, Q: Iterable[int], target: Element,
-                    method: str = "auto") -> SubwordComplex:
+def subword_complex(system: CoxeterSystem, Q: Iterable[int], target: Element) -> SubwordComplex:
     """Build the subword complex of (Q, target).
 
     Raises VoidComplexError when Q carries no reduced subword for the
@@ -132,12 +119,4 @@ def subword_complex(system: CoxeterSystem, Q: Iterable[int], target: Element,
     if not bruhat_leq(target, demazure(system, Q)):
         raise VoidComplexError(
             f"the word {Q} carries no reduced subword equal to {target}")
-    if method == "auto":
-        method = "scan" if len(Q) <= 14 else "backtrack"
-    if method == "scan":
-        facets = _facets_by_scan(system, Q, target)
-    elif method == "backtrack":
-        facets = _facets_by_backtrack(system, Q, target)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SubwordComplex(system, Q, target, facets)
+    return SubwordComplex(system, Q, target, _facets_by_backtrack(system, Q, target))

@@ -1,7 +1,8 @@
 import pytest
 
 from coxsort import BudgetExceededError, CoxeterSystem, parse_word, word_str
-from coxsort.coxeter import _nil_sweep
+from coxsort.hecke import reduced_words
+from coxsort.oracles import BraidRewriting, _nil_sweep
 
 
 def test_matrix_validation():
@@ -96,6 +97,16 @@ def test_descent_duality_via_inverse():
             assert e.is_right_descent(s) == inv.is_left_descent(s)
 
 
+def _matrix(n, bonds):
+    return [[1 if i == j else bonds.get((min(i, j), max(i, j)), 2)
+             for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+F4 = _matrix(4, {(1, 2): 3, (2, 3): 4, (3, 4): 3})
+H4 = _matrix(4, {(1, 2): 5, (2, 3): 3, (3, 4): 3})
+E6 = _matrix(6, {(1, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (2, 4): 3})
+
+
 @pytest.mark.parametrize("system,order", [
     (CoxeterSystem.type_a(1), 2),
     (CoxeterSystem.type_a(2), 6),
@@ -107,6 +118,12 @@ def test_descent_duality_via_inverse():
     (CoxeterSystem.dihedral(3), 6),
     (CoxeterSystem.dihedral(10), 20),
     (CoxeterSystem.type_h3(), 120),
+    (CoxeterSystem.type_d(5), 1920),
+    (CoxeterSystem(F4), 1152),
+    (CoxeterSystem.type_b(5), 3840),
+    (CoxeterSystem.type_a(6), 5040),
+    (CoxeterSystem(H4), 14400),
+    (CoxeterSystem(E6, size_cap=51_840), 51_840),
 ])
 def test_group_orders(system, order):
     elements = system.elements()
@@ -131,12 +148,43 @@ def test_size_cap():
     small = CoxeterSystem.type_a(3, size_cap=10)
     with pytest.raises(BudgetExceededError, match="size cap of 10"):
         small.elements()
+    # the cap bounds the table's rows exactly, and raises on every call
+    assert len(CoxeterSystem.type_a(3, size_cap=24).elements()) == 24
+    tight = CoxeterSystem.type_a(3, size_cap=23)
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="size cap of 23"):
+            tight.element((1,))
+    with pytest.raises(ValueError, match="size_cap"):
+        CoxeterSystem.type_a(2, size_cap=0)
 
 
-def test_braid_budget():
-    tight = CoxeterSystem.type_a(3, braid_budget=5)
-    with pytest.raises(BudgetExceededError):
-        tight.canonical_word((1, 2, 3, 1, 2, 1))
+@pytest.mark.parametrize("system", [
+    *(CoxeterSystem.type_a(n) for n in (1, 2, 3, 4)),
+    CoxeterSystem.type_b(2),
+    CoxeterSystem.type_b(3),
+    CoxeterSystem.type_d(4),
+    CoxeterSystem.type_h3(),
+    *(CoxeterSystem.dihedral(m) for m in range(3, 9)),
+], ids=["A1", "A2", "A3", "A4", "B2", "B3", "D4", "H3", *(f"I2({m})" for m in range(3, 9))])
+def test_table_agrees_with_braid_rewriting(system):
+    oracle = BraidRewriting(system.matrix)
+    gens = range(1, system.rank + 1)
+    for e in system.elements():
+        w = e.word
+        assert oracle.canonical_word(w) == w
+        assert system.canonical_word(w[::-1] + (1, 1)) == oracle.canonical_word(w[::-1])
+        for s in gens:
+            assert e.mult_right(s).word == oracle.canonical_word(w + (s,))
+            assert e.mult_left(s).word == oracle.canonical_word((s,) + w)
+        assert e.inverse().word == oracle.canonical_word(w[::-1])
+        assert reduced_words(e) == oracle.reduced_words(w)
+
+
+def test_infinite_group_raises():
+    # construction builds no table, so only the first element hits the cap
+    affine = CoxeterSystem([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+    with pytest.raises(BudgetExceededError, match="size cap of 50000"):
+        affine.element((1, 2))
 
 
 def test_element_ordering_and_repr():

@@ -152,3 +152,23 @@ def test_relation_union_transitivity_flag():
     ok = relation_union([p1, p1])
     assert ok.is_transitive
     assert ok.as_poset() == p1
+
+
+def test_covers_of_a_chain_past_256():
+    # (0, 257) has 256 elements strictly between; a count of witnesses in
+    # uint8 wraps to 0 there and reports a false cover
+    p = Poset(range(258), np.triu(np.ones((258, 258), dtype=bool)))
+    assert p.covers() == [(i, i + 1) for i in range(257)]
+
+
+def test_256_witnesses_do_not_hide_intransitivity():
+    # 0 < k < 257 for 256 middle elements k, but 0 and 257 are unrelated
+    n = 258
+    low = np.eye(n, dtype=bool)
+    low[0, 1:n - 1] = True
+    high = np.eye(n, dtype=bool)
+    high[1:n - 1, n - 1] = True
+    with pytest.raises(ValueError, match="transitive"):
+        Poset(range(n), low | high)
+    union = relation_union([Poset(range(n), low), Poset(range(n), high)])
+    assert not union.is_transitive

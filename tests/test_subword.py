@@ -4,7 +4,8 @@ import pytest
 
 from coxsort import CoxeterSystem, VoidComplexError, subword_complex
 from coxsort.hecke import demazure
-from coxsort.subword import _facets_by_backtrack, _facets_by_scan
+from coxsort.oracles import subword_facets_bruteforce
+from coxsort.subword import _facets_by_backtrack
 
 
 def fs(*items):
@@ -72,8 +73,6 @@ def test_rejects_bad_input():
         subword_complex(b2, (1, 3, 1), b2.identity)
     with pytest.raises(ValueError):
         subword_complex(b2, (1, 2, 1), a2.element((1,)))
-    with pytest.raises(ValueError, match="method"):
-        subword_complex(b2, (1, 2, 1), b2.identity, method="magic")
 
 
 def test_facet_size_identity():
@@ -91,11 +90,11 @@ def test_scan_and_backtrack_agree():
         for Q in itertools.product((1, 2), repeat=n):
             w = demazure(b2, Q)
             for u in b2.elements():
-                scan = _facets_by_scan(b2, Q, u)
+                scan = subword_facets_bruteforce(b2, Q, u)
                 back = _facets_by_backtrack(b2, Q, u)
                 assert set(scan) == set(back), (Q, u)
                 if scan:
-                    got = subword_complex(b2, Q, u, method="backtrack")
+                    got = subword_complex(b2, Q, u)
                     assert got.facets == frozenset(scan)
                     assert got.classify() == ("sphere" if u == w else "ball")
 

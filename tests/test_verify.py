@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import coxsort.hecke
@@ -58,6 +60,12 @@ def test_report_is_deterministic():
     b = report_json(run_verification(SMALL))
     assert a == b
     assert a.endswith("\n")
+
+
+def test_default_report_is_byte_stable():
+    report = report_json(run_verification(RunConfig()))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "3b7486846228cffe6336359042a108c36dbf370123bc91c0a3d24774f9d1f3c2")
 
 
 def test_timing_when_requested():
