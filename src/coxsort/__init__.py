@@ -9,8 +9,8 @@ from .errors import BudgetExceededError, VoidComplexError
 from .fibermap import (FiberReport, IntervalReport, certify_fiber_contractible,
                        certify_interval_sphere, check_order_preserving, fiber_open,
                        fiber_up, sorting_section, subset_image, subset_images)
-from .hecke import (bruhat_leq, contains_reduced_word, demazure, is_reduced,
-                    reduced_words, sorting_subword, weak_leq)
+from .hecke import (bruhat_leq, bruhat_row, contains_reduced_word, demazure,
+                    is_reduced, reduced_words, sorting_subword, weak_leq)
 from .homology import (BettiProfile, ContractibilityEvidence, SimplicialComplex,
                        contractibility_evidence, face_poset, is_contractible_certificate,
                        order_complex, reduced_betti)
@@ -29,7 +29,7 @@ __all__ = [
     "CoxeterSystem", "Element", "parse_word", "word_str",
     "BudgetExceededError", "VoidComplexError",
     "demazure", "is_reduced", "reduced_words", "bruhat_leq", "weak_leq",
-    "contains_reduced_word", "sorting_subword",
+    "bruhat_row", "contains_reduced_word", "sorting_subword",
     "Poset", "RelationUnion", "element_poset", "inclusion_poset",
     "bruhat_interval", "weak_interval", "sorting_order",
     "relation_intersection", "relation_union",

@@ -258,6 +258,8 @@ class CoxeterSystem:
         return self.matrix[i - 1][j - 1]
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, CoxeterSystem):
             return NotImplemented
         return self.matrix == other.matrix

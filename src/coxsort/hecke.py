@@ -18,11 +18,19 @@ subword complexes and the sorting orders.
 ``sorting_subword(system, Q, u)`` is the lexicographically first set of
 positions of ``Q`` whose subword is a reduced word for ``u``; comparing
 these position sets by inclusion defines the sorting order of ``Q``.
+
+The Bruhat order is ``bruhat_row(v)``, the down-set ``[e, v]`` as a bool
+vector over table rows, built by lifting: for the smallest left descent
+``s`` of ``v``, ``[e, v] = [e, sv] | s[e, sv]``, where ``s[e, sv]`` is one
+gather through column ``s`` of the left table.  Rows are memoised only
+along the descent chains of rows asked for, at most ``l(v) + 1`` a query.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .coxeter import CoxeterSystem, Element, word_str
 
@@ -30,16 +38,12 @@ __all__ = [
     "demazure",
     "is_reduced",
     "reduced_words",
+    "bruhat_row",
     "bruhat_leq",
     "weak_leq",
     "contains_reduced_word",
     "sorting_subword",
 ]
-
-
-def _same_system(u: Element, v: Element) -> None:
-    if u.system != v.system:
-        raise ValueError("elements belong to different Coxeter systems")
 
 
 def demazure(system: CoxeterSystem, word: Iterable[int]) -> Element:
@@ -73,40 +77,54 @@ def reduced_words(e: Element) -> frozenset[tuple[int, ...]]:
     return e.system.reduced_words_of(e.word)
 
 
+def _left_column(system: CoxeterSystem, s: int) -> np.ndarray:
+    # column s of the left table: entry x is the row of s*x
+    columns = system._op_cache.setdefault("left_columns", {})
+    if s not in columns:
+        columns[s] = np.array([row[s] for row in system._left], dtype=np.intp)
+    return columns[s]
+
+
+def bruhat_row(v: Element) -> np.ndarray:
+    """The Bruhat down-set [e, v] as a read-only bool vector over table
+    rows: entry x is set iff the element of row x is below ``v``.
+
+    >>> b2 = CoxeterSystem.type_b(2)
+    >>> [u for u in b2.elements() if bruhat_row(b2.element((2, 1)))[u.index]]
+    [<e>, <1>, <2>, <2,1>]
+    """
+    system = v.system
+    rows = system._op_cache.get("bruhat_row")
+    if rows is None:
+        identity = np.arange(len(system._words)) == 0
+        identity.setflags(write=False)
+        rows = system._op_cache["bruhat_row"] = {0: identity}
+    left = system._left
+    chain = []
+    x = v.index
+    while x not in rows:
+        s = next(s for s, sx in enumerate(left[x]) if sx < x)
+        chain.append((x, s))
+        x = left[x][s]
+    for x, s in reversed(chain):
+        below = rows[left[x][s]]
+        row = below | below[_left_column(system, s)]
+        row.setflags(write=False)
+        rows[x] = row
+    return rows[v.index]
+
+
 def bruhat_leq(u: Element, v: Element) -> bool:
     """Bruhat order: u <= v iff u appears as a subword of some (equivalently
-    any) reduced word of v.
-
-    Implemented by walking one fixed reduced word of ``v`` from the left
-    and stripping matching left descents from ``u``; validated elsewhere
-    against the brute-force subword scan.
-    """
-    _same_system(u, v)
-    cache = u.system._op_cache.setdefault("bruhat_leq", {})
-    key = (u.word, v.word)
-    hit = cache.get(key)
-    if hit is None:
-        hit = _bruhat_walk(u, v)
-        cache[key] = hit
-    return hit
-
-
-def _bruhat_walk(u: Element, v: Element) -> bool:
-    if u.length > v.length:
-        return False
-    x = u
-    for s in v.word:
-        if x.is_identity:
-            return True
-        if x.is_left_descent(s):
-            x = x.mult_left(s)
-    return x.is_identity
+    any) reduced word of v; one lookup in :func:`bruhat_row` of ``v``."""
+    if u.system != v.system:
+        raise ValueError("elements belong to different Coxeter systems")
+    return bool(bruhat_row(v)[u.index])
 
 
 def weak_leq(u: Element, v: Element) -> bool:
     """Right weak order: u <= v iff some reduced word of v starts with a
     reduced word of u, i.e. the lengths of u and u^-1 v add up to v's."""
-    _same_system(u, v)
     return u.length + (u.inverse() * v).length == v.length
 
 

@@ -9,8 +9,9 @@ two is a genuine consistency check, not a tautology.
 The models provided are the permutation model of type A (one-line
 permutations under composition) and the signed-permutation model of
 type B.  :class:`BraidRewriting` decides equality of words of any
-Coxeter matrix by nil and braid moves alone, and the subword scan tries
-every position set; both are slow references for tests.
+Coxeter matrix by nil and braid moves alone, the subword scan tries
+every position set, and :func:`bruhat_leq_walk` compares two elements by
+stripping left descents; all are slow references for tests.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "signed_permutation_model",
     "canonical_word_bruteforce",
     "bruhat_leq_bruteforce",
+    "bruhat_leq_walk",
     "sorting_subword_bruteforce",
     "contains_reduced_word_bruteforce",
     "subword_facets_bruteforce",
@@ -159,6 +161,21 @@ def bruhat_leq_bruteforce(model: CayleyModel, u_word, v_word) -> bool:
     if k > len(vword):
         return False
     return any(model.product(sub) == u for sub in itertools.combinations(vword, k))
+
+
+def bruhat_leq_walk(u, v) -> bool:
+    """Bruhat comparison of two table elements without down-set rows: walk
+    the canonical word of ``v`` from the left, stripping each letter that
+    is a left descent of what remains of ``u``."""
+    if u.length > v.length:
+        return False
+    x = u
+    for s in v.word:
+        if x.is_identity:
+            return True
+        if x.is_left_descent(s):
+            x = x.mult_left(s)
+    return x.is_identity
 
 
 def contains_reduced_word_bruteforce(model: CayleyModel, Q, u_word) -> bool:

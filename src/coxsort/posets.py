@@ -139,23 +139,57 @@ def inclusion_poset(sets: Iterable[Iterable], label: str = "inclusion") -> Poset
 
 
 def bruhat_interval(u: Element, w: Element, label: str | None = None) -> Poset:
-    """The Bruhat interval [u, w], enumerated from the full group."""
-    if u.system != w.system:
-        raise ValueError("interval endpoints belong to different Coxeter systems")
+    """The Bruhat interval [u, w], read off the down-set rows of the
+    elements below ``w``."""
     if not hecke.bruhat_leq(u, w):
         raise ValueError(f"{u} is not below {w} in Bruhat order")
-    system = u.system
-    ground = [z for z in system.elements()
-              if hecke.bruhat_leq(u, z) and hecke.bruhat_leq(z, w)]
-    return element_poset(ground, hecke.bruhat_leq,
-                         label or f"bruhat[{u},{w}]")
+    elements = w.system.elements()
+    below = np.flatnonzero(hecke.bruhat_row(w))
+    rows = np.stack([hecke.bruhat_row(elements[z]) for z in below])
+    above_u = rows[:, u.index]
+    ground = below[above_u]
+    return Poset(tuple(elements[z] for z in ground), rows[above_u][:, ground].T,
+                 label or f"bruhat[{u},{w}]")
+
+
+def _weak_matrix(ground: Sequence[Element]) -> np.ndarray:
+    """Right weak order on a lower interval sorted by index: the down-set of
+    v is v joined with the down-sets of the vs < v, s a right descent."""
+    position = {v.index: i for i, v in enumerate(ground)}
+    down = np.eye(len(ground), dtype=bool)
+    for i, v in enumerate(ground):
+        for vs in v.system._right[v.index]:
+            if vs < v.index:
+                down[i] |= down[position[vs]]
+    return down.T
 
 
 def weak_interval(w: Element, label: str | None = None) -> Poset:
-    """The right weak order interval [e, w]."""
-    system = w.system
-    ground = [z for z in system.elements() if hecke.weak_leq(z, w)]
-    return element_poset(ground, hecke.weak_leq, label or f"weak[e,{w}]")
+    """The right weak order interval [e, w]: everything reached from ``w``
+    by walking down right descents."""
+    right = w.system._right
+    seen = {w.index}
+    stack = [w.index]
+    while stack:
+        x = stack.pop()
+        for xs in right[x]:
+            if xs < x and xs not in seen:
+                seen.add(xs)
+                stack.append(xs)
+    elements = w.system.elements()
+    ground = tuple(elements[x] for x in sorted(seen))
+    return Poset(ground, _weak_matrix(ground), label or f"weak[e,{w}]")
+
+
+def _sorting_relation(system: CoxeterSystem, Q: tuple[int, ...],
+                      ground: Sequence[Element]) -> np.ndarray:
+    """The Q-sorting relation on ``ground``: u <= v iff no sorting position
+    of u is missing from those of v.  Bool throughout, so exact for a Q of
+    any length."""
+    taken = np.zeros((len(ground), len(Q)), dtype=bool)
+    for i, u in enumerate(ground):
+        taken[i, [j - 1 for j in hecke.sorting_subword(system, Q, u)]] = True
+    return ~_bool_product(taken, ~taken.T)
 
 
 def sorting_order(system: CoxeterSystem, Q: Iterable[int], label: str | None = None) -> Poset:
@@ -165,11 +199,11 @@ def sorting_order(system: CoxeterSystem, Q: Iterable[int], label: str | None = N
     Q = system.check_word(Q)
     if not hecke.is_reduced(system, Q):
         raise ValueError(f"sorting orders need a reduced word; {word_str(Q)} is not")
+    elements = system.elements()
     w = hecke.demazure(system, Q)
-    base = bruhat_interval(system.identity, w)
-    keys = {u: set(hecke.sorting_subword(system, Q, u)) for u in base.ground}
-    matrix = [[keys[a] <= keys[b] for b in base.ground] for a in base.ground]
-    return Poset(base.ground, matrix, label or f"sorting[{word_str(Q)}]")
+    ground = tuple(elements[x] for x in np.flatnonzero(hecke.bruhat_row(w)))
+    return Poset(ground, _sorting_relation(system, Q, ground),
+                 label or f"sorting[{word_str(Q)}]")
 
 
 def _common_ground(posets: Sequence[Poset]) -> tuple:

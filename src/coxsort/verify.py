@@ -132,12 +132,11 @@ class _Recorder:
 
 
 class Context:
-    """Caches systems and per-group tables across checks in one run."""
+    """Caches systems, with their tables and memoised rows, across checks in one run."""
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
         self._systems: dict[str, CoxeterSystem] = {}
-        self._leq: dict[tuple[str, str], dict] = {}
 
     def system(self, spec: str) -> CoxeterSystem:
         if spec not in self._systems:
@@ -147,35 +146,6 @@ class Context:
     def register(self, label: str, system: CoxeterSystem) -> None:
         """Attach a prebuilt system (e.g. from a matrix file) under a label."""
         self._systems[label] = system
-
-    def leq_table(self, spec: str, order: str) -> dict[tuple[Element, Element], bool]:
-        key = (spec, order)
-        if key not in self._leq:
-            elements = self.system(spec).elements()
-            rel = hecke.bruhat_leq if order == "bruhat" else hecke.weak_leq
-            self._leq[key] = {(u, v): rel(u, v)
-                              for u in elements for v in elements}
-        return self._leq[key]
-
-
-def _sorting_masks(system: CoxeterSystem, Q: tuple[int, ...],
-                   ground) -> dict[Element, int]:
-    masks = {}
-    for u in ground:
-        m = 0
-        for j in hecke.sorting_subword(system, Q, u):
-            m |= 1 << j
-        masks[u] = m
-    return masks
-
-
-def _relation_matrix(ground, table) -> np.ndarray:
-    n = len(ground)
-    out = np.zeros((n, n), dtype=bool)
-    for i, u in enumerate(ground):
-        for j, v in enumerate(ground):
-            out[i, j] = table[(u, v)]
-    return out
 
 
 def _w_repr(w: Element) -> str:
@@ -205,26 +175,20 @@ def check_sorting_sandwich(ctx: Context) -> CheckResult:
     rec = _Recorder()
     for gname in ctx.config.sweep_groups:
         system = ctx.system(gname)
-        bru = ctx.leq_table(gname, "bruhat")
-        weak = ctx.leq_table(gname, "weak")
-        elements = system.elements()
-        for w in elements:
-            ground = [u for u in elements if bru[(u, w)]]
+        for w in system.elements():
+            bru_p = posets.bruhat_interval(system.identity, w)
+            ground = bru_p.ground
+            weak_m = posets._weak_matrix(ground)
             for Q in sorted(hecke.reduced_words(w)):
-                masks = _sorting_masks(system, Q, ground)
-                for u in ground:
-                    mu = masks[u]
-                    for v in ground:
-                        rec.instances += 1
-                        s_leq = mu & ~masks[v] == 0
-                        if weak[(u, v)] and not s_leq:
-                            rec.fail(group=gname, w=_w_repr(w), Q=word_str(Q),
-                                     u=_w_repr(u), v=_w_repr(v),
-                                     detail="weak holds but sorting fails")
-                        if s_leq and not bru[(u, v)]:
-                            rec.fail(group=gname, w=_w_repr(w), Q=word_str(Q),
-                                     u=_w_repr(u), v=_w_repr(v),
-                                     detail="sorting holds but Bruhat fails")
+                sort_m = posets._sorting_relation(system, Q, ground)
+                rec.instances += len(ground) ** 2
+                # a pair fails at most one of the two implications
+                weak_only = weak_m & ~sort_m
+                for i, j in np.argwhere(weak_only | (sort_m & ~bru_p.leq)):
+                    rec.fail(group=gname, w=_w_repr(w), Q=word_str(Q),
+                             u=_w_repr(ground[i]), v=_w_repr(ground[j]),
+                             detail="weak holds but sorting fails" if weak_only[i, j]
+                             else "sorting holds but Bruhat fails")
     return rec.result(
         "sorting_sandwich",
         "For every element w of every sweep group, every reduced word Q of w, "
@@ -233,28 +197,20 @@ def check_sorting_sandwich(ctx: Context) -> CheckResult:
 
 
 def _restricted_orders(ctx: Context, gname: str, w: Element):
-    """Weak/Bruhat matrices and all sorting matrices on the weak interval."""
+    """Weak/Bruhat matrices and the stacked sorting matrices on the weak interval."""
     system = ctx.system(gname)
-    weak = ctx.leq_table(gname, "weak")
-    bru = ctx.leq_table(gname, "bruhat")
-    ground = [u for u in system.elements() if weak[(u, w)]]
-    weak_m = _relation_matrix(ground, weak)
-    bru_m = _relation_matrix(ground, bru)
-    sort_ms = []
-    for Q in sorted(hecke.reduced_words(w)):
-        masks = _sorting_masks(system, Q, ground)
-        n = len(ground)
-        m = np.zeros((n, n), dtype=bool)
-        for i, u in enumerate(ground):
-            for j, v in enumerate(ground):
-                m[i, j] = masks[u] & ~masks[v] == 0
-        sort_ms.append((Q, m))
-    return ground, weak_m, bru_m, sort_ms
+    weak_p = posets.weak_interval(w)
+    ground = weak_p.ground
+    bru_p = posets.bruhat_interval(system.identity, w)
+    idx = [bru_p.index(u) for u in ground]
+    sorts = np.array([posets._sorting_relation(system, Q, ground)
+                      for Q in sorted(hecke.reduced_words(w))])
+    return ground, weak_p.leq, bru_p.leq[np.ix_(idx, idx)], sorts
 
 
-def _report_matrix_mismatch(rec, got, want, ground, gname, w, which):
-    bad = np.argwhere(got != want)
-    for i, j in bad[:3]:
+def _compare_matrices(rec, got, want, ground, gname, w, which):
+    rec.instances += 1
+    for i, j in np.argwhere(got != want)[:3]:
         rec.fail(group=gname, w=_w_repr(w), u=_w_repr(ground[i]), v=_w_repr(ground[j]),
                  detail=f"{which}: computed {bool(got[i, j])}, expected {bool(want[i, j])}")
 
@@ -263,14 +219,9 @@ def check_sorting_intersection(ctx: Context) -> CheckResult:
     rec = _Recorder()
     for gname in ctx.config.sweep_groups:
         for w in ctx.system(gname).elements():
-            ground, weak_m, _, sort_ms = _restricted_orders(ctx, gname, w)
-            inter = np.ones_like(weak_m)
-            for _, m in sort_ms:
-                inter &= m
-            rec.instances += 1
-            if not np.array_equal(inter, weak_m):
-                _report_matrix_mismatch(rec, inter, weak_m, ground, gname, w,
-                                        "intersection of sorting orders vs weak order")
+            ground, weak_m, _, sorts = _restricted_orders(ctx, gname, w)
+            _compare_matrices(rec, sorts.all(axis=0), weak_m, ground, gname, w,
+                              "intersection of sorting orders vs weak order")
     return rec.result(
         "sorting_intersection",
         "For every element w of every sweep group, the intersection over all "
@@ -282,14 +233,9 @@ def check_sorting_union(ctx: Context) -> CheckResult:
     rec = _Recorder()
     for gname in ctx.config.sweep_groups:
         for w in ctx.system(gname).elements():
-            ground, _, bru_m, sort_ms = _restricted_orders(ctx, gname, w)
-            union = np.zeros_like(bru_m)
-            for _, m in sort_ms:
-                union |= m
-            rec.instances += 1
-            if not np.array_equal(union, bru_m):
-                _report_matrix_mismatch(rec, union, bru_m, ground, gname, w,
-                                        "union of sorting orders vs Bruhat order")
+            ground, _, bru_m, sorts = _restricted_orders(ctx, gname, w)
+            _compare_matrices(rec, sorts.any(axis=0), bru_m, ground, gname, w,
+                              "union of sorting orders vs Bruhat order")
     return rec.result(
         "sorting_union",
         "For every element w of every sweep group, the union over all reduced "
@@ -330,15 +276,14 @@ def check_b2_reference_orders(ctx: Context) -> CheckResult:
     sort_w = posets.sorting_order(system, (2, 1, 2))
     ground = sort_w.ground
     bru_w = posets.bruhat_interval(system.identity, w)
-    weak_tbl = ctx.leq_table("B2", "weak")
-    weak_on_bru = posets.Poset(ground, _relation_matrix(ground, weak_tbl),
+    weak_on_bru = posets.Poset(ground, posets._weak_matrix(ground),
                                label="weak relation on [e,212]")
     expect(sort_w != weak_on_bru, "sorting order should differ from the weak "
                                   "relation on the Bruhat interval of 2,1,2", w=_w_repr(w))
     expect(sort_w != bru_w, "sorting order should differ from the Bruhat order "
                             "on the Bruhat interval of 2,1,2", w=_w_repr(w))
 
-    weak_items = [u for u in ground if weak_tbl[(u, w)]]
+    weak_items = posets.weak_interval(w).ground
     expect(len(weak_items) == 4, "weak interval of 2,1,2 should have 4 elements",
            w=_w_repr(w))
     sort_r = sort_w.restrict(weak_items)
@@ -431,14 +376,13 @@ def check_open_interval_spheres(ctx: Context) -> CheckResult:
     plan = (("A3", None), ("B2", None), ("B3", 4))
     for gname, diff_cap in plan:
         system = ctx.system(gname)
-        bru = ctx.leq_table(gname, "bruhat")
         elements = system.elements()
         for u in elements:
             for w in elements:
                 d = w.length - u.length
                 if d < 2 or (diff_cap is not None and d > diff_cap):
                     continue
-                if not bru[(u, w)]:
+                if not hecke.bruhat_leq(u, w):
                     continue
                 rec.instances += 1
                 report = fibermap.certify_interval_sphere(u, w, ctx.config.field)

@@ -1,8 +1,9 @@
 import pytest
 
 from coxsort import BudgetExceededError, CoxeterSystem, parse_word, word_str
-from coxsort.hecke import reduced_words
+from coxsort.hecke import bruhat_leq, reduced_words, sorting_subword, weak_leq
 from coxsort.oracles import BraidRewriting, _nil_sweep
+from coxsort.posets import bruhat_interval
 
 
 def test_matrix_validation():
@@ -185,6 +186,25 @@ def test_infinite_group_raises():
     affine = CoxeterSystem([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
     with pytest.raises(BudgetExceededError, match="size cap of 50000"):
         affine.element((1, 2))
+
+
+def test_system_equality():
+    a, b = CoxeterSystem.type_b(2), CoxeterSystem.type_b(2, size_cap=8)
+    assert a == a and a == b and a is not b and hash(a) == hash(b)
+    u, v = a.element((1, 2)), b.element((2, 1, 2))
+    assert u == b.element((1, 2))
+    assert u * v == a.element((1, 2, 2, 1, 2))
+    assert bruhat_leq(u, v) and not bruhat_leq(v, u)
+    assert sorting_subword(a, (2, 1, 2), b.element((1,))) == (2,)
+    assert len(bruhat_interval(a.identity, v)) == 6
+    other = CoxeterSystem.type_a(2)
+    assert a != other and a != "B2"
+    x = other.element((1, 2))
+    for mixed in (lambda: u * x, lambda: bruhat_leq(x, v), lambda: weak_leq(x, v),
+                  lambda: sorting_subword(a, (1, 2), x),
+                  lambda: bruhat_interval(x, v)):
+        with pytest.raises(ValueError, match="different"):
+            mixed()
 
 
 def test_element_ordering_and_repr():

@@ -1,11 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from coxsort import CoxeterSystem
-from coxsort.hecke import (bruhat_leq, contains_reduced_word, demazure, is_reduced,
-                           reduced_words, sorting_subword, weak_leq)
-from coxsort.oracles import contains_reduced_word_bruteforce, permutation_model
+from coxsort.hecke import (bruhat_leq, bruhat_row, contains_reduced_word, demazure,
+                           is_reduced, reduced_words, sorting_subword, weak_leq)
+from coxsort.oracles import (bruhat_leq_bruteforce, bruhat_leq_walk,
+                             contains_reduced_word_bruteforce, permutation_model,
+                             signed_permutation_model)
 
 
 def test_demazure_examples():
@@ -73,6 +76,46 @@ def test_bruhat_antisymmetry_and_length():
             if bruhat_leq(u, v) and u != v:
                 assert u.length < v.length
                 assert not bruhat_leq(v, u)
+
+
+@pytest.mark.parametrize("system", [
+    CoxeterSystem.type_h3(),
+    *(CoxeterSystem.dihedral(m) for m in range(5, 9)),
+    CoxeterSystem.type_d(4),
+    CoxeterSystem.type_b(3),
+], ids=["H3", *(f"I2({m})" for m in range(5, 9)), "D4", "B3"])
+def test_bruhat_row_agrees_with_walk(system):
+    elements = system.elements()
+    for v in elements:
+        row = bruhat_row(v)
+        assert row.shape == (len(elements),) and not row.flags.writeable
+        assert [bool(row[u.index]) for u in elements] == [
+            bruhat_leq_walk(u, v) for u in elements]
+
+
+@pytest.mark.parametrize("system,model", [
+    (CoxeterSystem.type_a(3), permutation_model(3)),
+    (CoxeterSystem.type_b(3), signed_permutation_model(3)),
+], ids=["A3", "B3"])
+def test_bruhat_row_agrees_with_subword_scan(system, model):
+    elements = system.elements()
+    for v in elements:
+        row = bruhat_row(v)
+        for u in elements:
+            assert bool(row[u.index]) == bruhat_leq_bruteforce(model, u.word, v.word)
+
+
+def test_bruhat_row_memoises_one_descent_chain():
+    bonds = {(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)}
+    e6 = CoxeterSystem([[1 if i == j else 3 if (min(i, j), max(i, j)) in bonds else 2
+                         for j in range(1, 7)] for i in range(1, 7)], size_cap=51_840)
+    w0 = e6.longest_element()
+    assert bruhat_leq(e6.generator(2), w0)
+    rows = e6._op_cache["bruhat_row"]
+    assert len(rows) <= w0.length + 1
+    assert rows[w0.index].all()
+    assert np.flatnonzero(bruhat_row(e6.generator(2))).tolist() == [
+        0, e6.generator(2).index]
 
 
 def test_weak_examples():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from coxsort import CoxeterSystem
-from coxsort.hecke import weak_leq
-from coxsort.posets import (Poset, bruhat_interval, element_poset, inclusion_poset,
-                            relation_intersection, relation_union, sorting_order,
-                            weak_interval)
+from coxsort.hecke import sorting_subword, weak_leq
+from coxsort.oracles import bruhat_leq_walk
+from coxsort.posets import (Poset, _weak_matrix, bruhat_interval, element_poset,
+                            inclusion_poset, relation_intersection, relation_union,
+                            sorting_order, weak_interval)
 
 
 def chain(n):
@@ -93,6 +94,22 @@ def test_bruhat_interval_b2():
         bruhat_interval(b2.element((1, 2, 1)), b2.element((2, 1, 2)))
 
 
+@pytest.mark.parametrize("system", [CoxeterSystem.type_a(3), CoxeterSystem.type_b(3)],
+                         ids=["A3", "B3"])
+def test_intervals_agree_with_pairwise_relations(system):
+    elements = system.elements()
+    for w in elements:
+        for u in elements:
+            if bruhat_leq_walk(u, w):
+                ground = [z for z in elements
+                          if bruhat_leq_walk(u, z) and bruhat_leq_walk(z, w)]
+                assert bruhat_interval(u, w) == element_poset(ground, bruhat_leq_walk)
+        lower = bruhat_interval(system.identity, w).ground
+        assert np.array_equal(_weak_matrix(lower), element_poset(lower, weak_leq).leq)
+        ground = [z for z in elements if weak_leq(z, w)]
+        assert weak_interval(w) == element_poset(ground, weak_leq)
+
+
 def test_weak_interval_is_chain_for_b2_212():
     b2 = CoxeterSystem.type_b(2)
     p = weak_interval(b2.element((2, 1, 2)))
@@ -172,3 +189,13 @@ def test_256_witnesses_do_not_hide_intransitivity():
         Poset(range(n), low | high)
     union = relation_union([Poset(range(n), low), Poset(range(n), high)])
     assert not union.is_transitive
+
+
+def test_sorting_order_past_63_letters():
+    # a 70-letter Q: position sets as machine-word masks would overflow
+    i2 = CoxeterSystem.dihedral(70)
+    Q = (1, 2) * 35
+    p = sorting_order(i2, Q)
+    assert len(p) == 140
+    keys = [set(sorting_subword(i2, Q, u)) for u in p.ground]
+    assert p.leq.tolist() == [[a <= b for b in keys] for a in keys]

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import coxsort.hecke
+import coxsort.posets
 from coxsort.verify import (CHECK_NAMES, Context, RunConfig, named_system,
                             report_json, run_check, run_verification)
 
@@ -81,9 +82,6 @@ def test_context_reuse_and_register():
     other = named_system("A3")
     ctx.register("custom", other)
     assert ctx.system("custom") is other
-    table = ctx.leq_table("B2", "bruhat")
-    assert len(table) == 64
-    assert ctx.leq_table("B2", "bruhat") is table
 
 
 def test_fault_injection_breaks_sandwich(monkeypatch):
@@ -112,3 +110,23 @@ def test_fault_injection_breaks_oracle_agreement(monkeypatch):
     r = run_check("oracle_agreement", SMALL)
     assert not r.passed
     assert any("sorting subword" in f.get("detail", "") for f in r.failures)
+
+
+def test_fault_injection_in_relation_layer(monkeypatch):
+    # drop the Bruhat cover 1 < 1,2 of B2; what is left is still a poset
+    real = coxsort.posets.bruhat_interval
+
+    def dropped_cover(u, w, label=None):
+        p = real(u, w, label)
+        one, one_two = u.system.element((1,)), u.system.element((1, 2))
+        if one not in p.ground or one_two not in p.ground:
+            return p
+        leq = p.leq.copy()
+        leq[p.index(one), p.index(one_two)] = False
+        return coxsort.posets.Poset(p.ground, leq, p.label)
+
+    monkeypatch.setattr(coxsort.posets, "bruhat_interval", dropped_cover)
+    for name in ("sorting_sandwich", "cover_containment"):
+        r = run_check(name, SMALL)
+        assert not r.passed
+        assert any(f.get("u") == "1" and f.get("v") == "1,2" for f in r.failures), name
