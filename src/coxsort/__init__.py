@@ -17,8 +17,8 @@ from .homology import (BettiProfile, ContractibilityEvidence, SimplicialComplex,
 from .posets import (Poset, RelationUnion, bruhat_interval, element_poset,
                      inclusion_poset, relation_intersection, relation_union,
                      sorting_order, weak_interval)
-from .subword import SubwordComplex, subword_complex
-from .totalpos import (RationalMatrix, chevalley, is_totally_nonnegative,
+from .subword import SubwordComplex, SubwordReport, certify_subword_complex, subword_complex
+from .totalpos import (RationalMatrix, chevalley, is_totally_nonnegative, seeded_trials,
                        verify_additive_identity, verify_braid_identity)
 from .verify import (CheckResult, Context, RunConfig, named_system, run_check,
                      run_verification)
@@ -33,7 +33,7 @@ __all__ = [
     "Poset", "RelationUnion", "element_poset", "inclusion_poset",
     "bruhat_interval", "weak_interval", "sorting_order",
     "relation_intersection", "relation_union",
-    "SubwordComplex", "subword_complex",
+    "SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex",
     "SimplicialComplex", "BettiProfile", "ContractibilityEvidence",
     "reduced_betti", "order_complex", "face_poset",
     "contractibility_evidence", "is_contractible_certificate",
@@ -42,7 +42,7 @@ __all__ = [
     "FiberReport", "IntervalReport",
     "certify_fiber_contractible", "certify_interval_sphere",
     "RationalMatrix", "chevalley", "verify_additive_identity",
-    "verify_braid_identity", "is_totally_nonnegative",
+    "verify_braid_identity", "is_totally_nonnegative", "seeded_trials",
     "RunConfig", "CheckResult", "Context", "named_system",
     "run_check", "run_verification",
     "__version__",

@@ -16,9 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import fibermap, hecke, homology, subword, totalpos
+from . import fibermap, hecke, subword, totalpos
 from .coxeter import CoxeterSystem, Element, parse_word, word_str
 from .errors import BudgetExceededError, VoidComplexError
 from .posets import Poset, bruhat_interval, sorting_order, weak_interval
@@ -157,24 +156,18 @@ def cmd_subword(args) -> int:
     Q = system.check_word(parse_word(args.Q))
     w = system.element(parse_word(args.w))
     complex_ = subword.subword_complex(system, Q, w)
-    kind = complex_.classify()
+    report = subword.certify_subword_complex(complex_)
     K = complex_.as_simplicial_complex()
-    top = len(Q) - w.length - 1
-    betti = {}
-    matches = True
-    for coeff in (2, 0):
-        profile = homology.reduced_betti(K, coeff)
-        betti["GF(2)" if coeff == 2 else "Q"] = {str(d): b for d, b in profile.counts}
-        expected = profile.matches_sphere(top) if kind == "sphere" else profile.is_trivial()
-        matches = matches and expected
+    matches = all(report.matches)
     obj = {
         "Q": word_str(Q),
         "w": word_str(w.word),
-        "classification": kind,
+        "classification": report.kind,
         "dim": K.dim,
         "facets": sorted(sorted(f) for f in complex_.facets),
         "num_faces": K.num_faces(),
-        "betti": betti,
+        "betti": {name: {str(d): b for d, b in profile.counts}
+                  for name, profile in zip(("GF(2)", "Q"), report.profiles)},
         "betti_matches_classification": matches,
     }
     if args.format == "json":
@@ -229,40 +222,14 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_totalpos(args) -> int:
-    import random
-
-    rng = random.Random(args.seed)
-
-    def rational(lo: int = -9) -> Fraction:
-        return Fraction(rng.randint(lo, 9), rng.randint(1, 9))
-
-    additive = braid = nonneg = 0
-    for _ in range(args.trials):
-        n = rng.randint(2, 4)
-        if totalpos.verify_additive_identity(n, rng.randint(1, n - 1),
-                                             rational(), rational()):
-            additive += 1
-    for _ in range(args.trials):
-        n = rng.randint(3, 4)
-        t1, t2, t3 = rational(), rational(), rational()
-        while t1 + t3 == 0:
-            t3 = rational()
-        if totalpos.verify_braid_identity(n, rng.randint(1, n - 2), t1, t2, t3):
-            braid += 1
-    tn_trials = max(1, args.trials // 2)
-    for _ in range(tn_trials):
-        M = totalpos.RationalMatrix.identity(4)
-        for _ in range(rng.randint(1, 8)):
-            M = M @ totalpos.chevalley(4, rng.randint(1, 3), rational(lo=0))
-        if totalpos.is_totally_nonnegative(M):
-            nonneg += 1
-    obj = {
-        "seed": args.seed,
-        "additive": {"passed": additive, "trials": args.trials},
-        "exchange": {"passed": braid, "trials": args.trials},
-        "nonnegative_products": {"passed": nonneg, "trials": tn_trials},
-    }
-    ok = additive == args.trials and braid == args.trials and nonneg == tn_trials
+    passed = {"additive": 0, "exchange": 0, "nonnegative_products": 0}
+    trials = dict.fromkeys(passed, 0)
+    for statement, holds, _ in totalpos.seeded_trials(args.seed, args.trials):
+        passed[statement] += holds
+        trials[statement] += 1
+    obj = {"seed": args.seed,
+           **{k: {"passed": passed[k], "trials": trials[k]} for k in passed}}
+    ok = passed == trials
     if args.format == "tsv":
         _print("\n".join(f"{k}\t{v['passed']}/{v['trials']}"
                          for k, v in obj.items() if isinstance(v, dict)))

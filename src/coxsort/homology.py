@@ -3,10 +3,10 @@
 Complexes are presented by facets over an ordered vertex tuple.  Betti
 numbers are reduced: the chain complex is augmented, so a point has all
 zeros and the empty complex ``{frozenset()}`` has a single unit in
-dimension -1.  Ranks are computed by exact elimination -- bitset rows
-over GF(2), sparse modular rows for odd primes, sparse
-:class:`fractions.Fraction` rows for the rationals -- never by floating
-point.
+dimension -1.  Ranks are computed by exact elimination, never by
+floating point: bitset rows over GF(2), fraction-free integer rows for
+odd primes and for the rationals, which read the GF(2) profile instead
+whenever parity forces it (see :func:`reduced_betti`).
 
 >>> triangle = SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 >>> reduced_betti(triangle, 2).numbers
@@ -21,8 +21,8 @@ point.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,7 +67,8 @@ class SimplicialComplex:
                 if v not in index:
                     raise ValueError(f"facet vertex {v!r} is not in the vertex order")
         self.vertices = vertices
-        self.facets = frozenset(f for f in fs if not any(f < g for g in fs))
+        top = max(len(f) for f in fs)  # only a strictly larger facet can contain f
+        self.facets = frozenset(f for f in fs if len(f) == top or not any(f < g for g in fs))
         self._index = index
         self._by_dim: dict[int, list[tuple[int, ...]]] | None = None
 
@@ -193,50 +194,40 @@ def _rank_gf2(rows: list[int]) -> int:
     return len(basis)
 
 
-def _rank_sparse_mod(rows: list[dict[int, int]], p: int) -> int:
+def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
+    """Rank of integer rows ``{column: value}`` over GF(p) for a prime p,
+    or over the rationals for p = 0, by fraction-free elimination: a row
+    meeting a pivot with the same leading column becomes a*row - b*pivot
+    (a, b the two leading entries), then is reduced mod p, or for p = 0
+    divided by the gcd of its entries so the integers stay small."""
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
+        row = _normalised({c: v for c, v in row.items() if v}, p)
         while row:
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                inv = pow(row[c], p - 2, p)
-                pivots[c] = {col: (val * inv) % p for col, val in row.items()}
-                rank += 1
+                pivots[c] = row
                 break
-            coef = row[c]
+            a, b = piv[c], row[c]
+            if a != 1:
+                row = {col: a * val for col, val in row.items()}
             for col, val in piv.items():
-                nv = (row.get(col, 0) - coef * val) % p
+                # an integer -b*val is never 0, so a zero means col was in row
+                nv = row.get(col, 0) - b * val
                 if nv:
                     row[col] = nv
                 else:
-                    row.pop(col, None)
-    return rank
+                    del row[col]
+            row = _normalised(row, p)
+    return len(pivots)
 
 
-def _rank_sparse_rational(rows: list[dict[int, int]]) -> int:
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for row in rows:
-        work: dict[int, Fraction] = {c: Fraction(v) for c, v in row.items() if v}
-        while work:
-            c = min(work)
-            piv = pivots.get(c)
-            if piv is None:
-                lead = work[c]
-                pivots[c] = {col: val / lead for col, val in work.items()}
-                rank += 1
-                break
-            coef = work[c]
-            for col, val in piv.items():
-                nv = work.get(col, 0) - coef * val
-                if nv:
-                    work[col] = nv
-                else:
-                    work.pop(col, None)
-    return rank
+def _normalised(row: dict[int, int], p: int) -> dict[int, int]:
+    if p:
+        return {c: v % p for c, v in row.items() if v % p}
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _boundary_rows_signed(faces_d: list[tuple[int, ...]],
@@ -251,10 +242,48 @@ def _boundary_rows_signed(faces_d: list[tuple[int, ...]],
     return rows
 
 
+def _betti_counts(by_dim: dict[int, list[tuple[int, ...]]],
+                  p: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero reduced Betti numbers over GF(p), or over Q for p = 0, by
+    elimination on every boundary matrix."""
+    top = max(by_dim)
+    counts = {d: len(faces) for d, faces in by_dim.items()}
+    ranks: dict[int, int] = {0: 1 if counts.get(0, 0) else 0}
+    for d in range(1, top + 1):
+        index_dm1 = {f: i for i, f in enumerate(by_dim[d - 1])}
+        faces_d = by_dim[d]
+        if p == 2:
+            rows = []
+            for face in faces_d:
+                mask = 0
+                for i in range(len(face)):
+                    mask |= 1 << index_dm1[face[:i] + face[i + 1:]]
+                rows.append(mask)
+            ranks[d] = _rank_gf2(rows)
+        else:
+            ranks[d] = _rank_sparse(_boundary_rows_signed(faces_d, index_dm1), p)
+    nonzero = []
+    for d in range(-1, top + 1):
+        b = counts.get(d, 0) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        if b:
+            nonzero.append((d, b))
+    return tuple(nonzero)
+
+
 def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2,
                   face_budget: int = DEFAULT_FACE_BUDGET) -> BettiProfile:
     """Reduced Betti numbers of ``K`` over GF(p) (p prime) or, with
     ``coefficient_field=0``, over the rationals.
+
+    The rationals start from the GF(2) profile.  An integer matrix has
+    rank over GF(2) at most its rank over Q, so b~_i(Q) <= b~_i(GF(2))
+    for every i, and the reduced Euler characteristic does not depend on
+    the field.  If the nonzero GF(2) numbers all sit in degrees of one
+    parity, the rational ones of the other parity vanish, and the rest
+    share the GF(2) sum while each is bounded by its GF(2) term: the
+    profiles are equal (spheres, balls, ``{}``, ``{-1: 1}``).  Only mixed
+    parity, as in the projective plane (GF(2) {1: 1, 2: 1}, Q {}), runs
+    integer elimination.
 
     >>> two_points = SimplicialComplex("ab", [{"a"}, {"b"}])
     >>> reduced_betti(two_points).numbers
@@ -266,32 +295,10 @@ def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2,
     if coefficient_field != 0 and not _is_prime(coefficient_field):
         raise ValueError("coefficient field must be 0 (rationals) or a prime")
     by_dim = K._faces_by_dim(face_budget)
-    top = max(by_dim)
-    counts = {d: len(faces) for d, faces in by_dim.items()}
-    ranks: dict[int, int] = {0: 1 if counts.get(0, 0) else 0}
-    for d in range(1, top + 1):
-        index_dm1 = {f: i for i, f in enumerate(by_dim[d - 1])}
-        faces_d = by_dim[d]
-        if coefficient_field == 2:
-            rows = []
-            for face in faces_d:
-                mask = 0
-                for i in range(len(face)):
-                    mask |= 1 << index_dm1[face[:i] + face[i + 1:]]
-                rows.append(mask)
-            ranks[d] = _rank_gf2(rows)
-        else:
-            rows = _boundary_rows_signed(faces_d, index_dm1)
-            if coefficient_field == 0:
-                ranks[d] = _rank_sparse_rational(rows)
-            else:
-                ranks[d] = _rank_sparse_mod(rows, coefficient_field)
-    nonzero = []
-    for d in range(-1, top + 1):
-        b = counts.get(d, 0) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        if b:
-            nonzero.append((d, b))
-    return BettiProfile(coefficient_field, tuple(nonzero))
+    counts = _betti_counts(by_dim, coefficient_field or 2)
+    if coefficient_field == 0 and len({d % 2 for d, _ in counts}) > 1:
+        counts = _betti_counts(by_dim, 0)
+    return BettiProfile(coefficient_field, counts)
 
 
 def order_complex(P: Poset) -> SimplicialComplex:
@@ -352,16 +359,9 @@ def contractibility_evidence(K: SimplicialComplex,
     v = K.cone_vertex()
     if v is not None:
         return ContractibilityEvidence(True, "cone")
-    gf2 = reduced_betti(K, 2, face_budget)
-    if gf2.is_trivial():
-        # rank over GF(2) never exceeds rank over Q for an integer matrix
-        # (a nonzero minor mod 2 is nonzero over Z), so every rational
-        # reduced Betti number is bounded above by the GF(2) one; the
-        # rational profile is therefore forced to zero without running
-        # fraction elimination.
-        rational = BettiProfile(0, ())
-        return ContractibilityEvidence(True, "homology", (gf2, rational))
-    profiles = (gf2, reduced_betti(K, 0, face_budget))
+    profiles = (reduced_betti(K, 2, face_budget), reduced_betti(K, 0, face_budget))
+    if all(p.is_trivial() for p in profiles):
+        return ContractibilityEvidence(True, "homology", profiles)
     return ContractibilityEvidence(False, None, profiles)
 
 

@@ -12,14 +12,15 @@ sphere case occurs exactly when the Demazure product of Q equals w.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element
 from .errors import VoidComplexError
 from .hecke import _suffix_demazure, bruhat_leq, demazure
-from .homology import SimplicialComplex
+from .homology import BettiProfile, SimplicialComplex, reduced_betti
 
-__all__ = ["SubwordComplex", "subword_complex"]
+__all__ = ["SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex"]
 
 
 class SubwordComplex:
@@ -120,3 +121,28 @@ def subword_complex(system: CoxeterSystem, Q: Iterable[int], target: Element) ->
         raise VoidComplexError(
             f"the word {Q} carries no reduced subword equal to {target}")
     return SubwordComplex(system, Q, target, _facets_by_backtrack(system, Q, target))
+
+
+@dataclass(frozen=True)
+class SubwordReport:
+    """Ball/sphere verdict of a subword complex against its reduced
+    Betti numbers over GF(2) and over Q (``profiles``, in that order);
+    ``matches`` says per field whether the profile is the verdict's: one
+    class in dimension ``top`` for a sphere, none for a ball."""
+
+    kind: str
+    top: int
+    profiles: tuple[BettiProfile, ...]
+    matches: tuple[bool, ...]
+
+
+def certify_subword_complex(complex_: SubwordComplex) -> SubwordReport:
+    """Classify ``complex_`` and check the verdict over GF(2) and Q; the
+    sphere would have dimension len(Q) - l(target) - 1."""
+    kind = complex_.classify()
+    top = len(complex_.Q) - complex_.target.length - 1
+    K = complex_.as_simplicial_complex()
+    profiles = tuple(reduced_betti(K, field) for field in (2, 0))
+    matches = tuple(b.matches_sphere(top) if kind == "sphere" else b.is_trivial()
+                    for b in profiles)
+    return SubwordReport(kind, top, profiles, matches)

@@ -23,9 +23,10 @@ False
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "RationalMatrix",
@@ -33,6 +34,7 @@ __all__ = [
     "verify_additive_identity",
     "verify_braid_identity",
     "is_totally_nonnegative",
+    "seeded_trials",
 ]
 
 
@@ -151,6 +153,39 @@ def is_totally_nonnegative(M: RationalMatrix, size_cap: int = 6) -> bool:
                 if M.minor(rows, cols) < 0:
                     return False
     return True
+
+
+def seeded_trials(seed: int, trials: int = 100) -> Iterator[tuple[str, bool, str]]:
+    """Exact trials drawn from ``random.Random(seed)`` in one fixed order:
+    ``trials`` additive identities, ``trials`` adjacent exchanges (t3
+    redrawn off the pole t1 + t3 = 0), then ``max(1, trials // 2)``
+    products of 4x4 generators with nonnegative parameters.  Yields
+    ``(statement, holds, failure)``, failure naming the trial."""
+    rng = random.Random(seed)
+
+    def rational(lo: int = -9) -> Fraction:
+        return Fraction(rng.randint(lo, 9), rng.randint(1, 9))
+
+    for _ in range(trials):
+        n = rng.randint(2, 4)
+        i = rng.randint(1, n - 1)
+        a, b = rational(), rational()
+        yield ("additive", verify_additive_identity(n, i, a, b),
+               f"additive identity failed at n={n}, i={i}, a={a}, b={b}")
+    for _ in range(trials):
+        n = rng.randint(3, 4)
+        i = rng.randint(1, n - 2)
+        t1, t2, t3 = rational(), rational(), rational()
+        while t1 + t3 == 0:
+            t3 = rational()
+        yield ("exchange", verify_braid_identity(n, i, t1, t2, t3),
+               f"exchange identity failed at n={n}, i={i}, t=({t1},{t2},{t3})")
+    for _ in range(max(1, trials // 2)):
+        M = RationalMatrix.identity(4)
+        for _ in range(rng.randint(1, 8)):
+            M = M @ chevalley(4, rng.randint(1, 3), rational(lo=0))
+        yield ("nonnegative_products", is_totally_nonnegative(M),
+               "nonnegative Chevalley product with a negative minor")
 
 
 if __name__ == "__main__":

@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 import re
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import fibermap, hecke, homology, oracles, posets, subword, totalpos
+from . import fibermap, hecke, oracles, posets, subword, totalpos
 from .coxeter import CoxeterSystem, Element, word_str
 
 __all__ = [
@@ -312,15 +310,11 @@ def check_ball_sphere_classification(ctx: Context) -> CheckResult:
                 for u in elements:
                     if not hecke.bruhat_leq(u, w):
                         continue
-                    complex_ = subword.subword_complex(system, Q, u)
-                    kind = complex_.classify()
-                    K = complex_.as_simplicial_complex()
-                    top = length - u.length - 1
+                    report = subword.certify_subword_complex(
+                        subword.subword_complex(system, Q, u))
+                    kind, top = report.kind, report.top
                     rec.instances += 1
-                    for coeff in (2, 0):
-                        profile = homology.reduced_betti(K, coeff)
-                        ok = (profile.matches_sphere(top) if kind == "sphere"
-                              else profile.is_trivial())
+                    for profile, ok in zip(report.profiles, report.matches):
                         if not ok:
                             rec.fail(group=gname, Q=word_str(Q), u=_w_repr(u),
                                      detail=f"classified {kind} but betti {profile} "
@@ -459,44 +453,16 @@ def check_cover_containment(ctx: Context) -> CheckResult:
 
 def check_total_positivity(ctx: Context) -> CheckResult:
     rec = _Recorder()
-    rng = random.Random(ctx.config.seed)
-
-    def rational(lo: int = -9) -> Fraction:
-        return Fraction(rng.randint(lo, 9), rng.randint(1, 9))
-
-    for _ in range(100):
-        n = rng.randint(2, 4)
-        i = rng.randint(1, n - 1)
-        a, b = rational(), rational()
-        rec.instances += 1
-        if not totalpos.verify_additive_identity(n, i, a, b):
-            rec.fail(detail=f"additive identity failed at n={n}, i={i}, a={a}, b={b}")
-
-    for _ in range(100):
-        n = rng.randint(3, 4)
-        i = rng.randint(1, n - 2)
-        t1, t2, t3 = rational(), rational(), rational()
-        while t1 + t3 == 0:
-            t3 = rational()
-        rec.instances += 1
-        if not totalpos.verify_braid_identity(n, i, t1, t2, t3):
-            rec.fail(detail=f"exchange identity failed at n={n}, i={i}, "
-                            f"t=({t1},{t2},{t3})")
-
     rec.instances += 1
     try:
         totalpos.verify_braid_identity(3, 1, 1, 1, -1)
         rec.fail(detail="t1+t3=0 should raise ZeroDivisionError")
     except ZeroDivisionError:
         pass
-
-    for _ in range(50):
-        M = totalpos.RationalMatrix.identity(4)
-        for _ in range(rng.randint(1, 8)):
-            M = M @ totalpos.chevalley(4, rng.randint(1, 3), rational(lo=0))
+    for _, holds, failure in totalpos.seeded_trials(ctx.config.seed):
         rec.instances += 1
-        if not totalpos.is_totally_nonnegative(M):
-            rec.fail(detail="nonnegative Chevalley product with a negative minor")
+        if not holds:
+            rec.fail(detail=failure)
     return rec.result(
         "total_positivity",
         "The additive and adjacent-exchange parameter identities for the "

@@ -1,15 +1,16 @@
-from fractions import Fraction
+import itertools
 
 import pytest
 
+import coxsort.homology
 from coxsort import BudgetExceededError, CoxeterSystem, subword_complex
+from coxsort.hecke import bruhat_leq, demazure
 from coxsort.homology import (BettiProfile, SimplicialComplex,
-                              _boundary_rows_signed, _rank_gf2,
-                              _rank_sparse_mod, _rank_sparse_rational,
+                              _boundary_rows_signed, _rank_gf2, _rank_sparse,
                               contractibility_evidence, face_poset,
                               is_contractible_certificate, order_complex,
                               reduced_betti)
-from coxsort.posets import Poset
+from coxsort.posets import Poset, bruhat_interval
 
 EMPTY = SimplicialComplex((), [frozenset()])
 POINT = SimplicialComplex("a", [{"a"}])
@@ -40,6 +41,12 @@ def test_dominated_facets_are_dropped():
     k = SimplicialComplex((1, 2, 3), [(1, 2, 3), (1, 2), (3,)])
     assert k.facets == {frozenset({1, 2, 3})}
     assert k.is_pure()
+
+
+def test_facets_below_the_top_size_are_still_pruned():
+    k = SimplicialComplex(range(1, 7), [(1, 2, 3), (4, 5), (4,), (6,), (2, 3)])
+    assert k.facets == {frozenset({1, 2, 3}), frozenset({4, 5}), frozenset({6})}
+    assert not k.is_pure()
 
 
 def test_basic_face_counts():
@@ -121,17 +128,72 @@ def test_rank_backends_agree_on_boundary_matrices():
                     m |= 1 << col
                 masks.append(m)
             r2 = _rank_gf2(masks)
-            rq = _rank_sparse_rational(rows)
+            rq = _rank_sparse(rows, 0)
             assert r2 <= rq  # mod-2 rank is a lower bound for integer matrices
             # the only torsion in these fixtures is 2-torsion, so GF(5) agrees with Q
-            assert rq == _rank_sparse_mod(rows, 5)
+            assert rq == _rank_sparse(rows, 5)
 
 
 def test_rank_helpers_small_cases():
     assert _rank_gf2([0b11, 0b01, 0b10]) == 2
     assert _rank_gf2([]) == 0
-    assert _rank_sparse_mod([{0: 2, 1: 4}, {0: 1, 1: 2}], 3) == 1
-    assert _rank_sparse_rational([{0: Fraction(1, 2)}, {0: Fraction(2, 3)}]) == 1
+    assert _rank_sparse([{0: 2, 1: 4}, {0: 1, 1: 2}], 3) == 1
+    # 2*(1,2) and 3*(1,2): the gcd of each row is divided out
+    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 6}], 0) == 1
+    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 5}], 0) == 2
+    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 5}], 2) == 1
+    assert _rank_sparse([{0: 0, 1: 3}, {1: -6}], 0) == 1
+    assert _rank_sparse([], 0) == 0
+
+
+def _eliminated_rational(K):
+    """Reduced rational Betti numbers from integer elimination on every
+    boundary matrix, never from the GF(2) profile."""
+    by_dim = K._faces_by_dim()
+    top = max(by_dim)
+    ranks = {0: 1 if by_dim.get(0) else 0}
+    for d in range(1, top + 1):
+        index = {f: i for i, f in enumerate(by_dim[d - 1])}
+        ranks[d] = _rank_sparse(_boundary_rows_signed(by_dim[d], index), 0)
+    betti = ((d, len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0))
+             for d in range(-1, top + 1))
+    return tuple((d, b) for d, b in betti if b)
+
+
+def test_parity_rule_agrees_with_elimination_on_subword_complexes():
+    checked = 0
+    for system in (CoxeterSystem.type_a(2), CoxeterSystem.type_b(2)):
+        for length in range(6):
+            for Q in itertools.product((1, 2), repeat=length):
+                w = demazure(system, Q)
+                for u in system.elements():
+                    if bruhat_leq(u, w):
+                        K = subword_complex(system, Q, u).as_simplicial_complex()
+                        assert reduced_betti(K, 0).counts == _eliminated_rational(K), (Q, u)
+                        checked += 1
+    assert checked > 500
+
+
+def test_parity_rule_agrees_with_elimination_on_b3_intervals():
+    b3 = CoxeterSystem.type_b(3)
+    e = b3.identity
+    intervals = [w for w in b3.elements() if w.length == 6]
+    for w in intervals:
+        closed = bruhat_interval(e, w)
+        K = order_complex(closed.restrict([x for x in closed.ground if x not in (e, w)]))
+        assert reduced_betti(K, 0).counts == _eliminated_rational(K) == ((4, 1),)
+    assert len(intervals) == 7
+
+
+def test_rational_profile_of_one_parity_skips_elimination(monkeypatch):
+    def refuse(rows, p):
+        raise AssertionError("integer elimination ran")
+
+    monkeypatch.setattr(coxsort.homology, "_rank_sparse", refuse)
+    for k in (EMPTY, POINT, TWO_POINTS, CIRCLE, SOLID, OCTAHEDRON, PATH):
+        assert reduced_betti(k, 0).counts == reduced_betti(k, 2).counts
+    with pytest.raises(AssertionError, match="elimination ran"):
+        reduced_betti(PROJECTIVE_PLANE, 0)
 
 
 def test_order_complex_of_chain_is_simplex():

@@ -5,7 +5,7 @@ import pytest
 from coxsort import CoxeterSystem, VoidComplexError, subword_complex
 from coxsort.hecke import demazure
 from coxsort.oracles import subword_facets_bruteforce
-from coxsort.subword import _facets_by_backtrack
+from coxsort.subword import _facets_by_backtrack, certify_subword_complex
 
 
 def fs(*items):
@@ -119,3 +119,17 @@ def test_simplicial_carrier_has_all_positions_as_ground():
     c = subword_complex(a3, (1, 2, 3, 1, 2, 1), a3.element((1, 2, 1)))
     k = c.as_simplicial_complex()
     assert k.vertices == tuple(range(1, 7))
+
+
+def test_certify_subword_complex():
+    b2 = CoxeterSystem.type_b(2)
+    ball = certify_subword_complex(subword_complex(b2, (1, 2, 1, 2), b2.element((1, 2, 1))))
+    assert (ball.kind, ball.top, ball.matches) == ("ball", 0, (True, True))
+    assert [p.coefficient_field for p in ball.profiles] == [2, 0]
+    assert all(p.is_trivial() for p in ball.profiles)
+    sphere = certify_subword_complex(
+        subword_complex(b2, (1, 2, 1, 2, 1), b2.element((1, 2, 1, 2))))
+    assert (sphere.kind, sphere.top, sphere.matches) == ("sphere", 0, (True, True))
+    assert all(p.counts == ((0, 1),) for p in sphere.profiles)
+    empty = certify_subword_complex(subword_complex(b2, (1, 2, 1, 2), b2.longest_element()))
+    assert (empty.kind, empty.top, empty.matches) == ("sphere", -1, (True, True))

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from coxsort.totalpos import (RationalMatrix, chevalley, is_totally_nonnegative,
-                              verify_additive_identity, verify_braid_identity)
+                              seeded_trials, verify_additive_identity,
+                              verify_braid_identity)
 
 F = Fraction
 
@@ -96,3 +97,20 @@ def test_products_of_nonnegative_generators_are_tn():
 
 def test_negative_parameter_breaks_tn():
     assert not is_totally_nonnegative(chevalley(3, 1, F(-1)))
+
+
+def test_seeded_trials_counts_and_draw_order():
+    trials = list(seeded_trials(3, 6))
+    assert [t[0] for t in trials] == ["additive"] * 6 + ["exchange"] * 6 + [
+        "nonnegative_products"] * 3
+    assert all(holds for _, holds, _ in trials)
+    assert trials == list(seeded_trials(3, 6))
+    assert len(list(seeded_trials(0, 0))) == 1
+    # draw order: n, then i, then the parameters
+    rng = random.Random(5)
+    n = rng.randint(2, 4)
+    i = rng.randint(1, n - 1)
+    a = F(rng.randint(-9, 9), rng.randint(1, 9))
+    b = F(rng.randint(-9, 9), rng.randint(1, 9))
+    first = next(seeded_trials(5))
+    assert first[2] == f"additive identity failed at n={n}, i={i}, a={a}, b={b}"

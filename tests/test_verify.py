@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import coxsort.hecke
+import coxsort.homology
 import coxsort.posets
 from coxsort.verify import (CHECK_NAMES, Context, RunConfig, named_system,
                             report_json, run_check, run_verification)
@@ -130,3 +131,19 @@ def test_fault_injection_in_relation_layer(monkeypatch):
         r = run_check(name, SMALL)
         assert not r.passed
         assert any(f.get("u") == "1" and f.get("v") == "1,2" for f in r.failures), name
+
+
+def test_fault_injection_in_ranks(monkeypatch):
+    # the first GF(2) rank of each check comes out one too high
+    real = coxsort.homology._rank_gf2
+    for name in ("ball_sphere_classification", "open_interval_spheres"):
+        calls = []
+
+        def inflated(rows):
+            calls.append(rows)
+            return real(rows) + (len(calls) == 1)
+
+        monkeypatch.setattr(coxsort.homology, "_rank_gf2", inflated)
+        r = run_check(name, RunConfig())
+        assert not r.passed, name
+        assert any("betti" in f.get("detail", "") for f in r.failures), name
