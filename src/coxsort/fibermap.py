@@ -5,8 +5,10 @@ f(S) = Demazure product of the subword of Q at S.  The map f is
 order-preserving from the boolean lattice onto the interval [e, w] in
 Bruhat order, and its upper fibers f^{-1}([u, w]) behave like the
 subword complex of (Q, u) turned inside out: they are the complements
-of its faces.  This module computes f, its fibers, and the homotopy
-certificates attached to them.
+of its faces.  This module computes f on int masks (bit j is position
+j + 1) as table rows, its fibers as masks filtered through Bruhat down-set
+rows, and the homotopy certificates attached to them; position sets become
+frozensets only where they leave the module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element
 from .errors import BudgetExceededError
-from .hecke import bruhat_leq, demazure, sorting_subword
+from .hecke import bruhat_leq, bruhat_row, demazure, sorting_positions
 from .homology import (BettiProfile, contractibility_evidence, order_complex,
                        reduced_betti)
 from .posets import bruhat_interval, inclusion_poset
@@ -59,29 +61,33 @@ def subset_image(system: CoxeterSystem, Q: Iterable[int],
     return demazure(system, tuple(Q[j - 1] for j in S))
 
 
-def subset_images(system: CoxeterSystem, Q: Iterable[int]) -> dict[frozenset[int], Element]:
-    """f on the whole boolean lattice of position sets, by dynamic
-    programming over bitmasks (each mask extends mask-without-top-bit
-    by one letter)."""
-    Q = tuple(Q)
+def _positions(mask: int, n: int) -> frozenset[int]:
+    return frozenset(j + 1 for j in range(n) if mask >> j & 1)
+
+
+def _mask_images(system: CoxeterSystem, Q: tuple[int, ...]) -> list[int]:
+    """The table row of f(S) for every mask S; each mask extends
+    mask-without-top-bit by one letter, absorbed if it is a right descent."""
     _require_reduced(system, Q)
     n = len(Q)
     if n > _MASK_CAP:
         raise BudgetExceededError(
             f"boolean lattice on {n} positions exceeds the cap of {_MASK_CAP}")
-    cache = system._op_cache.setdefault("subset_images", {})
-    if Q not in cache:
-        imgs: list[Element] = [system.identity] * (1 << n)
-        for mask in range(1, 1 << n):
-            top = mask.bit_length() - 1
-            prev = imgs[mask ^ (1 << top)]
-            s = Q[top]
-            imgs[mask] = prev if prev.is_right_descent(s) else prev.mult_right(s)
-        cache[Q] = {
-            frozenset(j + 1 for j in range(n) if mask >> j & 1): imgs[mask]
-            for mask in range(1 << n)
-        }
-    return cache[Q]
+    right = system._right
+    imgs = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        top = mask.bit_length() - 1
+        prev = imgs[mask ^ (1 << top)]
+        imgs[mask] = max(prev, right[prev][Q[top] - 1])
+    return imgs
+
+
+def subset_images(system: CoxeterSystem, Q: Iterable[int]) -> dict[frozenset[int], Element]:
+    """f on the whole boolean lattice of position sets."""
+    Q = tuple(Q)
+    elements = system.elements()
+    return {_positions(mask, len(Q)): elements[x]
+            for mask, x in enumerate(_mask_images(system, Q))}
 
 
 def check_order_preserving(system: CoxeterSystem, Q: Iterable[int],
@@ -89,40 +95,40 @@ def check_order_preserving(system: CoxeterSystem, Q: Iterable[int],
     """Verify S <= T implies f(S) <= f(T) in Bruhat order: exhaustively
     through 10 positions, by seeded sampling of pairs above that."""
     Q = tuple(Q)
-    imgs = subset_images(system, Q)
+    imgs = _mask_images(system, Q)
+    elements = system.elements()
     n = len(Q)
     if n <= 10:
         for mask in range(1 << n):
-            S = frozenset(j + 1 for j in range(n) if mask >> j & 1)
-            sub = (mask - 1) & mask
-            while True:
-                T = frozenset(j + 1 for j in range(n) if sub >> j & 1)
-                if not bruhat_leq(imgs[T], imgs[S]):
-                    return False
-                if sub == 0:
-                    break
+            below = bruhat_row(elements[imgs[mask]])
+            sub = mask
+            while sub:
                 sub = (sub - 1) & mask
+                if not below[imgs[sub]]:
+                    return False
         return True
     rng = random.Random(seed)
     full = (1 << n) - 1
     for _ in range(samples):
-        a = rng.randint(0, full)
-        b = rng.randint(0, full)
-        small, big = a & b, a | b
-        S = frozenset(j + 1 for j in range(n) if small >> j & 1)
-        T = frozenset(j + 1 for j in range(n) if big >> j & 1)
-        if not bruhat_leq(imgs[S], imgs[T]):
+        a, b = rng.randint(0, full), rng.randint(0, full)
+        if not bruhat_row(elements[imgs[a | b]])[imgs[a & b]]:
             return False
     return True
+
+
+def _fiber(system: CoxeterSystem, Q: tuple[int, ...], u: Element,
+           excluded: tuple[int, ...] = ()) -> set[frozenset[int]]:
+    # the position sets whose image dominates u and is no excluded row
+    elements = system.elements()
+    return {_positions(mask, len(Q)) for mask, x in enumerate(_mask_images(system, Q))
+            if x not in excluded and bruhat_leq(u, elements[x])}
 
 
 def fiber_up(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozenset[int]]:
     """f^{-1} of the upper interval [u, w]: all position sets whose
     image dominates u.  These are exactly the complements of the faces
     of the subword complex of (Q, u)."""
-    Q = tuple(Q)
-    imgs = subset_images(system, Q)
-    return {S for S, g in imgs.items() if bruhat_leq(u, g)}
+    return _fiber(system, tuple(Q), u)
 
 
 def fiber_open(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozenset[int]]:
@@ -131,9 +137,7 @@ def fiber_open(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[froze
     w = _require_reduced(system, Q)
     if u == w or not bruhat_leq(u, w):
         raise ValueError("open-interval fibers need u strictly below the full product")
-    imgs = subset_images(system, Q)
-    return {S for S, g in imgs.items()
-            if g != u and g != w and bruhat_leq(u, g)}
+    return _fiber(system, Q, u, (u.index, w.index))
 
 
 def sorting_section(system: CoxeterSystem, Q: Iterable[int]) -> dict[Element, frozenset[int]]:
@@ -141,9 +145,10 @@ def sorting_section(system: CoxeterSystem, Q: Iterable[int]) -> dict[Element, fr
     sorting subword positions, and f of those positions returns u."""
     Q = tuple(Q)
     w = _require_reduced(system, Q)
+    ground = bruhat_interval(system.identity, w).ground
     out: dict[Element, frozenset[int]] = {}
-    for u in bruhat_interval(system.identity, w).ground:
-        S = frozenset(sorting_subword(system, Q, u))
+    for u, row in zip(ground, sorting_positions(system, Q, ground)):
+        S = frozenset(j + 1 for j, taken in enumerate(row) if taken)
         if subset_image(system, Q, S) != u:
             raise AssertionError(f"section failed at {u!r}: image of {sorted(S)} differs")
         out[u] = S

@@ -15,9 +15,10 @@ subword complexes and the sorting orders.
 >>> demazure(b2, (1, 2, 1, 2, 1))
 <1,2,1,2>
 
-``sorting_subword(system, Q, u)`` is the lexicographically first set of
-positions of ``Q`` whose subword is a reduced word for ``u``; comparing
-these position sets by inclusion defines the sorting order of ``Q``.
+``sorting_positions(system, Q, elements)`` runs one greedy pass over ``Q``
+for all targets: each gets the lexicographically first set of positions of
+``Q`` whose subword is a reduced word for it, and comparing these sets by
+inclusion defines the sorting order of ``Q``.
 
 The Bruhat order is ``bruhat_row(v)``, the down-set ``[e, v]`` as a bool
 vector over table rows, built by lifting: for the smallest left descent
@@ -42,6 +43,7 @@ __all__ = [
     "bruhat_leq",
     "weak_leq",
     "contains_reduced_word",
+    "sorting_positions",
     "sorting_subword",
 ]
 
@@ -53,12 +55,7 @@ def demazure(system: CoxeterSystem, word: Iterable[int]) -> Element:
     >>> demazure(a2, (1, 1, 2))
     <1,2>
     """
-    word = system.check_word(word)
-    e = system.identity
-    for s in word:
-        if not e.is_right_descent(s):
-            e = e.mult_right(s)
-    return e
+    return _suffix_demazure(system, system.check_word(word))[0]
 
 
 def is_reduced(system: CoxeterSystem, word: Iterable[int]) -> bool:
@@ -138,21 +135,53 @@ def contains_reduced_word(system: CoxeterSystem, Q: Iterable[int], u: Element) -
 
 
 def _suffix_demazure(system: CoxeterSystem, Q: tuple[int, ...]) -> list[Element]:
-    cache = system._op_cache.setdefault("suffix_demazure", {})
-    hit = cache.get(Q)
-    if hit is None:
-        hit = [demazure(system, Q[k:]) for k in range(len(Q) + 1)]
-        cache[Q] = hit
-    return hit
+    # suffix[k] is the 0-Hecke product of Q[k:], folded from the right: a
+    # letter is absorbed when it is a left descent of the product after it
+    suffix = [system.identity]
+    for s in reversed(Q):
+        suffix.append(max(suffix[-1], suffix[-1].mult_left(s)))
+    return suffix[::-1]
+
+
+def sorting_positions(system: CoxeterSystem, Q: Iterable[int],
+                      elements: Iterable[Element]) -> np.ndarray:
+    """The sorting subwords of ``elements`` in the reduced word Q, from one
+    greedy pass over Q: a read-only bool matrix whose entry [i, j] is set
+    iff position j + 1 is in the sorting subword of ``elements[i]``.  A
+    position is taken exactly when its letter is a left descent of the
+    remaining target: by the lifting property each target stays below the
+    product of the rest of Q.  Raises ValueError as :func:`sorting_subword`.
+
+    >>> b2 = CoxeterSystem.type_b(2)
+    >>> sorting_positions(b2, (2, 1, 2), b2.elements()[1:3]).astype(int)
+    array([[0, 1, 0],
+           [1, 0, 0]])
+    """
+    Q = system.check_word(Q)
+    w = demazure(system, Q)
+    if w.length != len(Q):
+        raise ValueError(f"sorting subwords need a reduced ambient word; {word_str(Q)} is not")
+    below = bruhat_row(w)
+    elements = tuple(elements)
+    for u in elements:
+        if u.system != system:
+            raise ValueError("element belongs to a different Coxeter system")
+        if not below[u.index]:
+            raise ValueError(f"{u} is not below the product of {word_str(Q)} in Bruhat order")
+    target = np.array([u.index for u in elements], dtype=np.intp)
+    taken = np.zeros((len(elements), len(Q)), dtype=bool)
+    for j, s in enumerate(Q):
+        shorter = _left_column(system, s - 1)[target]
+        taken[:, j] = shorter < target
+        target = np.minimum(shorter, target)
+    taken.setflags(write=False)
+    return taken
 
 
 def sorting_subword(system: CoxeterSystem, Q: Iterable[int], u: Element) -> tuple[int, ...]:
     """The lexicographically first position set of the reduced word Q whose
-    subword is a reduced word for u (1-based positions).
-
-    Greedy left-to-right: position j is taken exactly when its letter is
-    a left descent of the remaining target and the suffix after j still
-    contains a reduced word for the shortened target.
+    subword is a reduced word for u (1-based positions): the row of u in
+    :func:`sorting_positions`.
 
     >>> a3 = CoxeterSystem.type_a(3)
     >>> sorting_subword(a3, (1, 2, 3, 1, 2, 1), a3.element((1, 2, 1)))
@@ -161,32 +190,7 @@ def sorting_subword(system: CoxeterSystem, Q: Iterable[int], u: Element) -> tupl
     Raises ValueError when Q is not reduced or u is not below the
     product of Q in Bruhat order.
     """
-    Q = system.check_word(Q)
-    if u.system != system:
-        raise ValueError("element belongs to a different Coxeter system")
-    cache = system._op_cache.setdefault("sorting_subword", {})
-    key = (Q, u.word)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if not is_reduced(system, Q):
-        raise ValueError(f"sorting subwords need a reduced ambient word; {word_str(Q)} is not")
-    suffix = _suffix_demazure(system, Q)
-    if not bruhat_leq(u, suffix[0]):
-        raise ValueError(f"{u} is not below the product of {word_str(Q)} in Bruhat order")
-    target = u
-    taken: list[int] = []
-    for j, s in enumerate(Q, start=1):
-        if target.is_identity:
-            break
-        if target.is_left_descent(s):
-            shorter = target.mult_left(s)
-            if bruhat_leq(shorter, suffix[j]):
-                taken.append(j)
-                target = shorter
-    result = tuple(taken)
-    cache[key] = result
-    return result
+    return tuple(int(j) + 1 for j in np.flatnonzero(sorting_positions(system, Q, (u,))[0]))
 
 
 if __name__ == "__main__":

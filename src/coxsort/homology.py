@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .posets import Poset, _bool_product
+from .posets import Poset
 
 __all__ = [
     "SimplicialComplex",
@@ -306,13 +306,9 @@ def order_complex(P: Poset) -> SimplicialComplex:
 
     The order complex of the empty poset is the empty complex.
     """
-    n = len(P.ground)
-    if n == 0:
-        return SimplicialComplex((), [frozenset()])
-    strict = P.leq & ~np.eye(n, dtype=bool)
-    cover = strict & ~_bool_product(strict, strict)
-    uppers = [np.flatnonzero(cover[i]).tolist() for i in range(n)]
-    minimal = [i for i in range(n) if not strict[:, i].any()]
+    cover = P._cover_matrix()
+    uppers = [np.flatnonzero(row).tolist() for row in cover]
+    minimal = np.flatnonzero(~cover.any(axis=0)).tolist()
     facets: list[frozenset] = []
     stack = [(i, (i,)) for i in reversed(minimal)]
     while stack:
@@ -323,7 +319,7 @@ def order_complex(P: Poset) -> SimplicialComplex:
         else:
             for j in reversed(ups):
                 stack.append((j, chain + (j,)))
-    return SimplicialComplex(P.ground, facets)
+    return SimplicialComplex(P.ground, facets or [frozenset()])
 
 
 def face_poset(K: SimplicialComplex, include_empty: bool = False,

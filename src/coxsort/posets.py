@@ -84,12 +84,15 @@ class Poset:
     def leq_items(self, a, b) -> bool:
         return bool(self.leq[self.index(a), self.index(b)])
 
+    def _cover_matrix(self) -> np.ndarray:
+        # [i, j] is set iff ground[i] < ground[j] with nothing strictly
+        # between; an empty column is a minimal element, an empty row a maximal one
+        strict = self.leq & ~np.eye(len(self.ground), dtype=bool)
+        return strict & ~_bool_product(strict, strict)
+
     def covers(self) -> list[tuple]:
         """Cover pairs (a, b): a < b with nothing strictly between."""
-        n = len(self.ground)
-        strict = self.leq & ~np.eye(n, dtype=bool)
-        cov = strict & ~_bool_product(strict, strict)
-        return [(self.ground[i], self.ground[j]) for i, j in np.argwhere(cov)]
+        return [(self.ground[i], self.ground[j]) for i, j in np.argwhere(self._cover_matrix())]
 
     def restrict(self, items: Iterable, label: str | None = None) -> "Poset":
         """Induced subposet; keeps the parent's ground order."""
@@ -106,14 +109,10 @@ class Poset:
         return Poset(self.ground, self.leq.T, label or f"{self.label}^op")
 
     def minimal_elements(self) -> list:
-        n = len(self.ground)
-        strict = self.leq & ~np.eye(n, dtype=bool)
-        return [self.ground[i] for i in range(n) if not strict[:, i].any()]
+        return [self.ground[i] for i in np.flatnonzero(~self._cover_matrix().any(axis=0))]
 
     def maximal_elements(self) -> list:
-        n = len(self.ground)
-        strict = self.leq & ~np.eye(n, dtype=bool)
-        return [self.ground[i] for i in range(n) if not strict[i, :].any()]
+        return [self.ground[i] for i in np.flatnonzero(~self._cover_matrix().any(axis=1))]
 
     def is_chain(self) -> bool:
         return bool((self.leq | self.leq.T).all())
@@ -186,9 +185,7 @@ def _sorting_relation(system: CoxeterSystem, Q: tuple[int, ...],
     """The Q-sorting relation on ``ground``: u <= v iff no sorting position
     of u is missing from those of v.  Bool throughout, so exact for a Q of
     any length."""
-    taken = np.zeros((len(ground), len(Q)), dtype=bool)
-    for i, u in enumerate(ground):
-        taken[i, [j - 1 for j in hecke.sorting_subword(system, Q, u)]] = True
+    taken = hecke.sorting_positions(system, Q, ground)
     return ~_bool_product(taken, ~taken.T)
 
 
@@ -197,8 +194,6 @@ def sorting_order(system: CoxeterSystem, Q: Iterable[int], label: str | None = N
     [e, product(Q)]: u <= v iff the sorting subword positions of u are a
     subset of those of v."""
     Q = system.check_word(Q)
-    if not hecke.is_reduced(system, Q):
-        raise ValueError(f"sorting orders need a reduced word; {word_str(Q)} is not")
     elements = system.elements()
     w = hecke.demazure(system, Q)
     ground = tuple(elements[x] for x in np.flatnonzero(hecke.bruhat_row(w)))

@@ -509,12 +509,11 @@ def check_oracle_agreement(ctx: Context) -> CheckResult:
                              detail="bruhat_leq differs from subword oracle")
 
         for w in elements:
+            below = [u for u in elements if hecke.bruhat_leq(u, w)]
             for Q in sorted(hecke.reduced_words(w)):
-                for u in elements:
-                    if not hecke.bruhat_leq(u, w):
-                        continue
+                for u, row in zip(below, hecke.sorting_positions(system, Q, below)):
                     rec.instances += 1
-                    got = hecke.sorting_subword(system, Q, u)
+                    got = tuple(int(j) + 1 for j in np.flatnonzero(row))
                     want = oracles.sorting_subword_bruteforce(model, Q, u.word)
                     if got != want:
                         rec.fail(group=gname, w=_w_repr(w), Q=word_str(Q), u=_w_repr(u),

@@ -173,19 +173,18 @@ def test_verify_unknown_group(capsys):
 
 
 def test_verify_reports_failure_exit_code(monkeypatch, capsys):
-    real = coxsort.hecke.sorting_subword
+    real = coxsort.hecke.sorting_positions
 
-    def swapped(system, Q, u):
-        # misreport the two atoms of rank-2 groups when both fit below Q
-        if system.rank == 2 and u.length == 1:
-            other = system.element((3 - u.word[0],))
-            try:
-                return real(system, Q, other)
-            except ValueError:
-                return real(system, Q, u)
-        return real(system, Q, u)
+    def swapped(system, Q, elements):
+        # misreport the rows of the two atoms of rank-2 groups when both are asked for
+        elements = tuple(elements)
+        taken = real(system, Q, elements).copy()
+        atoms = [i for i, u in enumerate(elements) if u.length == 1]
+        if system.rank == 2 and len(atoms) == 2:
+            taken[atoms] = taken[atoms[::-1]]
+        return taken
 
-    monkeypatch.setattr(coxsort.hecke, "sorting_subword", swapped)
+    monkeypatch.setattr(coxsort.hecke, "sorting_positions", swapped)
     code, out, _ = run(capsys, "verify", "--type", "B2")
     assert code == 1
     report = json.loads(out)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from coxsort import BudgetExceededError, CoxeterSystem
+from coxsort import BudgetExceededError, CoxeterSystem, fibermap
 from coxsort.fibermap import (certify_fiber_contractible, certify_interval_sphere,
                               check_order_preserving, fiber_open, fiber_up,
                               sorting_section, subset_image, subset_images)
@@ -49,6 +49,12 @@ def test_subset_images_budget():
     big = CoxeterSystem.type_a(17)
     with pytest.raises(BudgetExceededError, match="cap"):
         subset_images(big, tuple(range(1, 18)))
+    # a group small enough to build still stops at the mask cap
+    with pytest.raises(BudgetExceededError, match="17 positions exceeds the cap of 16"):
+        subset_images(CoxeterSystem.dihedral(17), (1, 2) * 8 + (1,))
+
+
+A5_PREFIX = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)  # 12 letters: the sampled branch
 
 
 def test_order_preserving():
@@ -56,6 +62,25 @@ def test_order_preserving():
     assert check_order_preserving(a3, (1, 2, 3, 1, 2, 1))
     b2 = CoxeterSystem.type_b(2)
     assert check_order_preserving(b2, (1, 2, 1, 2))
+    a5 = CoxeterSystem.type_a(5)
+    assert a5.element(A5_PREFIX).length == 12
+    assert check_order_preserving(a5, A5_PREFIX)
+
+
+@pytest.mark.parametrize("system, Q", [
+    (CoxeterSystem.type_a(3), (1, 2, 3, 1, 2, 1)),
+    (CoxeterSystem.type_a(5), A5_PREFIX),
+], ids=["exhaustive", "sampled"])
+def test_order_preserving_detects_a_wrong_image(monkeypatch, system, Q):
+    real = fibermap._mask_images
+
+    def empty_set_to_w0(system, Q):
+        imgs = real(system, Q)
+        imgs[0] = system.longest_element().index
+        return imgs
+
+    monkeypatch.setattr(fibermap, "_mask_images", empty_set_to_w0)
+    assert not check_order_preserving(system, Q)
 
 
 def test_fiber_up_partitions_by_image():

@@ -5,7 +5,8 @@ import pytest
 
 from coxsort import CoxeterSystem
 from coxsort.hecke import (bruhat_leq, bruhat_row, contains_reduced_word, demazure,
-                           is_reduced, reduced_words, sorting_subword, weak_leq)
+                           is_reduced, reduced_words, sorting_positions, sorting_subword,
+                           weak_leq)
 from coxsort.oracles import (bruhat_leq_bruteforce, bruhat_leq_walk,
                              contains_reduced_word_bruteforce, permutation_model,
                              signed_permutation_model)
@@ -173,3 +174,44 @@ def test_sorting_subword_errors():
         sorting_subword(b2, (1, 1), b2.identity)
     with pytest.raises(ValueError):
         sorting_subword(b2, (1,), b2.element((2,)))
+
+
+def _lex_first_positions(system, Q, u):
+    # the first set of l(u) positions of Q, in lexicographic order, whose
+    # subword spells u; independent of the greedy and of the Bruhat rows
+    for subset in itertools.combinations(range(len(Q)), u.length):
+        if system.element([Q[j] for j in subset]) == u:
+            return subset
+    return None
+
+
+@pytest.mark.parametrize("system, max_length", [
+    (CoxeterSystem.type_h3(), 7),
+    (CoxeterSystem.type_d(4), 6),
+    (CoxeterSystem.type_b(3), 9),
+] + [(CoxeterSystem.dihedral(m), m) for m in range(5, 9)],
+    ids=["H3", "D4", "B3", "I2(5)", "I2(6)", "I2(7)", "I2(8)"])
+def test_sorting_positions_agree_with_lex_scan(system, max_length):
+    elements = system.elements()
+    for w in elements:
+        if w.length > max_length:
+            continue
+        words = sorted(reduced_words(w))
+        below = [u for u in elements if _lex_first_positions(system, words[0], u) is not None]
+        for Q in words:
+            taken = sorting_positions(system, Q, below)
+            assert taken.shape == (len(below), len(Q)) and not taken.flags.writeable
+            assert ([tuple(np.flatnonzero(row)) for row in taken]
+                    == [_lex_first_positions(system, Q, u) for u in below])
+
+
+def test_sorting_positions_errors():
+    b2 = CoxeterSystem.type_b(2)
+    with pytest.raises(ValueError, match="outside generator range"):
+        sorting_positions(b2, (1, 3), [b2.identity])
+    with pytest.raises(ValueError, match="reduced ambient word; 1,2,2 is not"):
+        sorting_positions(b2, (1, 2, 2), [b2.identity])
+    with pytest.raises(ValueError, match="different Coxeter system"):
+        sorting_positions(b2, (1, 2), [b2.identity, CoxeterSystem.type_a(2).identity])
+    with pytest.raises(ValueError, match=r"2,1 is not below the product of 1,2"):
+        sorting_positions(b2, (1, 2), [b2.element((1,)), b2.element((2, 1))])

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 import coxsort.hecke
@@ -85,13 +86,24 @@ def test_context_reuse_and_register():
     assert ctx.system("custom") is other
 
 
+def _drop_last_position(taken, more_than):
+    # the sorting matrix without the last taken position of each row that
+    # has more than ``more_than`` of them
+    taken = taken.copy()
+    for row in taken:
+        columns = np.flatnonzero(row)
+        if len(columns) > more_than:
+            row[columns[-1]] = False
+    return taken
+
+
 def test_fault_injection_breaks_sandwich(monkeypatch):
-    real = coxsort.hecke.sorting_subword
+    real = coxsort.hecke.sorting_positions
 
-    def truncated(system, Q, u):
-        return real(system, Q, u)[:-1]
+    def truncated(system, Q, elements):
+        return _drop_last_position(real(system, Q, elements), 0)
 
-    monkeypatch.setattr(coxsort.hecke, "sorting_subword", truncated)
+    monkeypatch.setattr(coxsort.hecke, "sorting_positions", truncated)
     r = run_check("sorting_sandwich", SMALL)
     assert not r.passed
     assert r.failures
@@ -101,13 +113,12 @@ def test_fault_injection_breaks_sandwich(monkeypatch):
 
 
 def test_fault_injection_breaks_oracle_agreement(monkeypatch):
-    real = coxsort.hecke.sorting_subword
+    real = coxsort.hecke.sorting_positions
 
-    def shifted(system, Q, u):
-        out = real(system, Q, u)
-        return out[:-1] if len(out) > 1 else out
+    def shifted(system, Q, elements):
+        return _drop_last_position(real(system, Q, elements), 1)
 
-    monkeypatch.setattr(coxsort.hecke, "sorting_subword", shifted)
+    monkeypatch.setattr(coxsort.hecke, "sorting_positions", shifted)
     r = run_check("oracle_agreement", SMALL)
     assert not r.passed
     assert any("sorting subword" in f.get("detail", "") for f in r.failures)
