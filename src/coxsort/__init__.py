@@ -12,8 +12,8 @@ from .fibermap import (FiberReport, IntervalReport, certify_fiber_contractible,
 from .hecke import (bruhat_leq, bruhat_row, contains_reduced_word, demazure,
                     is_reduced, reduced_words, sorting_subword, weak_leq)
 from .homology import (BettiProfile, ContractibilityEvidence, SimplicialComplex,
-                       contractibility_evidence, face_poset, is_contractible_certificate,
-                       order_complex, reduced_betti)
+                       contractibility_evidence, face_poset, order_complex,
+                       reduced_betti)
 from .posets import (Poset, RelationUnion, bruhat_interval, element_poset,
                      inclusion_poset, relation_intersection, relation_union,
                      sorting_order, weak_interval)
@@ -36,7 +36,7 @@ __all__ = [
     "SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex",
     "SimplicialComplex", "BettiProfile", "ContractibilityEvidence",
     "reduced_betti", "order_complex", "face_poset",
-    "contractibility_evidence", "is_contractible_certificate",
+    "contractibility_evidence",
     "subset_image", "subset_images", "check_order_preserving",
     "fiber_up", "fiber_open", "sorting_section",
     "FiberReport", "IntervalReport",

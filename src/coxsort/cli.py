@@ -186,25 +186,21 @@ def cmd_fibers(args) -> int:
     if args.Q is None:
         raise ValueError("fibers needs --Q (a reduced word)")
     Q = system.check_word(parse_word(args.Q))
-    w = system.element(Q)
-    if w.length != len(Q):
-        raise ValueError(f"the word {word_str(Q)} is not reduced")
+    w = hecke._require_reduced(system, Q)
     interval = bruhat_interval(system.identity, w)
     rows = []
     for u in interval.ground:
-        entry = {
-            "u": word_str(u.word),
-            "fiber_up_size": len(fibermap.fiber_up(system, Q, u)),
-            "open_fiber_size": (len(fibermap.fiber_open(system, Q, u))
-                                if u != w else None),
-            "complex": subword.subword_complex(system, Q, u).classify(),
-        }
+        entry = {"u": word_str(u.word),
+                 "open_fiber_size": len(fibermap.fiber_open(system, Q, u)) if u != w else None}
         if u.is_identity:
-            entry["contractible"] = None
+            entry.update(fiber_up_size=len(fibermap.fiber_up(system, Q, u)),
+                         complex=subword.subword_complex(system, Q, u).classify(),
+                         contractible=None)
         else:
+            # the report carries the fiber size and complex type it computed
             report = fibermap.certify_fiber_contractible(system, Q, u)
-            entry["contractible"] = report.contractible
-            entry["method"] = report.method
+            entry.update(fiber_up_size=report.poset_size, complex=report.complex_type,
+                         contractible=report.contractible, method=report.method)
         rows.append(entry)
     if args.format == "json":
         _dump_json({"Q": word_str(Q), "w": word_str(w.word), "fibers": rows})

@@ -20,7 +20,8 @@ from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element
 from .errors import BudgetExceededError
-from .hecke import bruhat_leq, bruhat_row, demazure, sorting_positions
+from .hecke import (_require_reduced, bruhat_leq, bruhat_row, demazure,
+                    sorting_positions)
 from .homology import (BettiProfile, contractibility_evidence, order_complex,
                        reduced_betti)
 from .posets import bruhat_interval, inclusion_poset
@@ -40,13 +41,6 @@ __all__ = [
 ]
 
 _MASK_CAP = 16
-
-
-def _require_reduced(system: CoxeterSystem, Q: tuple[int, ...]) -> Element:
-    w = system.element(Q)
-    if w.length != len(Q):
-        raise ValueError(f"the word {Q} is not reduced")
-    return w
 
 
 def subset_image(system: CoxeterSystem, Q: Iterable[int],

@@ -134,6 +134,14 @@ def contains_reduced_word(system: CoxeterSystem, Q: Iterable[int], u: Element) -
     return bruhat_leq(u, demazure(system, Q))
 
 
+def _require_reduced(system: CoxeterSystem, Q: tuple[int, ...]) -> Element:
+    """The element spelt by Q; raises ValueError unless Q is reduced."""
+    w = system.element(Q)
+    if w.length != len(Q):
+        raise ValueError(f"expected a reduced ambient word; {word_str(Q)} is not reduced")
+    return w
+
+
 def _suffix_demazure(system: CoxeterSystem, Q: tuple[int, ...]) -> list[Element]:
     # suffix[k] is the 0-Hecke product of Q[k:], folded from the right: a
     # letter is absorbed when it is a left descent of the product after it
@@ -158,10 +166,7 @@ def sorting_positions(system: CoxeterSystem, Q: Iterable[int],
            [1, 0, 0]])
     """
     Q = system.check_word(Q)
-    w = demazure(system, Q)
-    if w.length != len(Q):
-        raise ValueError(f"sorting subwords need a reduced ambient word; {word_str(Q)} is not")
-    below = bruhat_row(w)
+    below = bruhat_row(_require_reduced(system, Q))
     elements = tuple(elements)
     for u in elements:
         if u.system != system:

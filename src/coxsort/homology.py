@@ -1,12 +1,12 @@
-"""Exact reduced simplicial homology over GF(p) and over the rationals.
+"""Exact reduced simplicial homology over GF(2) and over the rationals.
 
 Complexes are presented by facets over an ordered vertex tuple.  Betti
 numbers are reduced: the chain complex is augmented, so a point has all
 zeros and the empty complex ``{frozenset()}`` has a single unit in
 dimension -1.  Ranks are computed by exact elimination, never by
 floating point: bitset rows over GF(2), fraction-free integer rows for
-odd primes and for the rationals, which read the GF(2) profile instead
-whenever parity forces it (see :func:`reduced_betti`).
+the rationals, which read the GF(2) profile instead whenever parity
+forces it (see :func:`reduced_betti`).
 
 >>> triangle = SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 >>> reduced_betti(triangle, 2).numbers
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .posets import Poset
+from .posets import Poset, _covers
 
 __all__ = [
     "SimplicialComplex",
@@ -38,7 +38,6 @@ __all__ = [
     "order_complex",
     "face_poset",
     "contractibility_evidence",
-    "is_contractible_certificate",
     "DEFAULT_FACE_BUDGET",
 ]
 
@@ -142,7 +141,7 @@ class SimplicialComplex:
 class BettiProfile:
     """Reduced Betti numbers over one coefficient field.
 
-    ``coefficient_field`` is 0 for the rationals, otherwise a prime.
+    ``coefficient_field`` is 2, or 0 for the rationals.
     ``counts`` holds the nonzero entries as (dimension, rank) pairs.
     """
 
@@ -170,17 +169,6 @@ class BettiProfile:
         return f"[{name}: {body}]"
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _rank_gf2(rows: list[int]) -> int:
     basis: dict[int, int] = {}
     for row in rows:
@@ -194,15 +182,14 @@ def _rank_gf2(rows: list[int]) -> int:
     return len(basis)
 
 
-def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
-    """Rank of integer rows ``{column: value}`` over GF(p) for a prime p,
-    or over the rationals for p = 0, by fraction-free elimination: a row
-    meeting a pivot with the same leading column becomes a*row - b*pivot
-    (a, b the two leading entries), then is reduced mod p, or for p = 0
+def _rank_sparse(rows: list[dict[int, int]]) -> int:
+    """Rank of integer rows ``{column: value}`` over the rationals by
+    fraction-free elimination: a row meeting a pivot with the same leading
+    column becomes a*row - b*pivot (a, b the two leading entries), then is
     divided by the gcd of its entries so the integers stay small."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = _normalised({c: v for c, v in row.items() if v}, p)
+        row = _normalised({c: v for c, v in row.items() if v})
         while row:
             c = min(row)
             piv = pivots.get(c)
@@ -219,13 +206,11 @@ def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
                     row[col] = nv
                 else:
                     del row[col]
-            row = _normalised(row, p)
+            row = _normalised(row)
     return len(pivots)
 
 
-def _normalised(row: dict[int, int], p: int) -> dict[int, int]:
-    if p:
-        return {c: v % p for c, v in row.items() if v % p}
+def _normalised(row: dict[int, int]) -> dict[int, int]:
     g = math.gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
@@ -244,7 +229,7 @@ def _boundary_rows_signed(faces_d: list[tuple[int, ...]],
 
 def _betti_counts(by_dim: dict[int, list[tuple[int, ...]]],
                   p: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero reduced Betti numbers over GF(p), or over Q for p = 0, by
+    """Nonzero reduced Betti numbers over GF(2), or over Q for p = 0, by
     elimination on every boundary matrix."""
     top = max(by_dim)
     counts = {d: len(faces) for d, faces in by_dim.items()}
@@ -261,7 +246,7 @@ def _betti_counts(by_dim: dict[int, list[tuple[int, ...]]],
                 rows.append(mask)
             ranks[d] = _rank_gf2(rows)
         else:
-            ranks[d] = _rank_sparse(_boundary_rows_signed(faces_d, index_dm1), p)
+            ranks[d] = _rank_sparse(_boundary_rows_signed(faces_d, index_dm1))
     nonzero = []
     for d in range(-1, top + 1):
         b = counts.get(d, 0) - ranks.get(d, 0) - ranks.get(d + 1, 0)
@@ -270,9 +255,20 @@ def _betti_counts(by_dim: dict[int, list[tuple[int, ...]]],
     return tuple(nonzero)
 
 
+def _profiles(K: SimplicialComplex,
+              face_budget: int = DEFAULT_FACE_BUDGET) -> tuple[BettiProfile, BettiProfile]:
+    """Reduced Betti numbers of ``K`` over GF(2) and over the rationals,
+    from one GF(2) pass; see :func:`reduced_betti` for when the rational
+    profile is read off it."""
+    by_dim = K._faces_by_dim(face_budget)
+    gf2 = _betti_counts(by_dim, 2)
+    rational = _betti_counts(by_dim, 0) if len({d % 2 for d, _ in gf2}) > 1 else gf2
+    return BettiProfile(2, gf2), BettiProfile(0, rational)
+
+
 def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2,
                   face_budget: int = DEFAULT_FACE_BUDGET) -> BettiProfile:
-    """Reduced Betti numbers of ``K`` over GF(p) (p prime) or, with
+    """Reduced Betti numbers of ``K`` over GF(2) or, with
     ``coefficient_field=0``, over the rationals.
 
     The rationals start from the GF(2) profile.  An integer matrix has
@@ -292,13 +288,11 @@ def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2,
     >>> reduced_betti(empty).numbers
     {-1: 1}
     """
-    if coefficient_field != 0 and not _is_prime(coefficient_field):
-        raise ValueError("coefficient field must be 0 (rationals) or a prime")
-    by_dim = K._faces_by_dim(face_budget)
-    counts = _betti_counts(by_dim, coefficient_field or 2)
-    if coefficient_field == 0 and len({d % 2 for d, _ in counts}) > 1:
-        counts = _betti_counts(by_dim, 0)
-    return BettiProfile(coefficient_field, counts)
+    if coefficient_field == 0:
+        return _profiles(K, face_budget)[1]
+    if coefficient_field != 2:
+        raise ValueError("coefficient field must be 2 or 0 (the rationals)")
+    return BettiProfile(2, _betti_counts(K._faces_by_dim(face_budget), 2))
 
 
 def order_complex(P: Poset) -> SimplicialComplex:
@@ -306,7 +300,7 @@ def order_complex(P: Poset) -> SimplicialComplex:
 
     The order complex of the empty poset is the empty complex.
     """
-    cover = P._cover_matrix()
+    cover = _covers(P.leq)
     uppers = [np.flatnonzero(row).tolist() for row in cover]
     minimal = np.flatnonzero(~cover.any(axis=0)).tolist()
     facets: list[frozenset] = []
@@ -355,16 +349,10 @@ def contractibility_evidence(K: SimplicialComplex,
     v = K.cone_vertex()
     if v is not None:
         return ContractibilityEvidence(True, "cone")
-    profiles = (reduced_betti(K, 2, face_budget), reduced_betti(K, 0, face_budget))
+    profiles = _profiles(K, face_budget)
     if all(p.is_trivial() for p in profiles):
         return ContractibilityEvidence(True, "homology", profiles)
     return ContractibilityEvidence(False, None, profiles)
-
-
-def is_contractible_certificate(K: SimplicialComplex) -> bool:
-    """True when ``K`` has a cone vertex, or failing that when its reduced
-    homology vanishes over GF(2) and the rationals (evidence, not proof)."""
-    return contractibility_evidence(K).contractible
 
 
 if __name__ == "__main__":

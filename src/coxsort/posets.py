@@ -38,6 +38,14 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(bool, copy=False) @ b.astype(bool, copy=False)
 
 
+def _covers(leq: np.ndarray) -> np.ndarray:
+    """Cover matrix of an order relation: [i, j] is set iff i < j with
+    nothing strictly between; an empty column is a minimal element, an
+    empty row a maximal one."""
+    strict = leq & ~np.eye(len(leq), dtype=bool)
+    return strict & ~_bool_product(strict, strict)
+
+
 class Poset:
     """An explicit finite poset: ordered ground tuple plus relation matrix."""
 
@@ -84,15 +92,9 @@ class Poset:
     def leq_items(self, a, b) -> bool:
         return bool(self.leq[self.index(a), self.index(b)])
 
-    def _cover_matrix(self) -> np.ndarray:
-        # [i, j] is set iff ground[i] < ground[j] with nothing strictly
-        # between; an empty column is a minimal element, an empty row a maximal one
-        strict = self.leq & ~np.eye(len(self.ground), dtype=bool)
-        return strict & ~_bool_product(strict, strict)
-
     def covers(self) -> list[tuple]:
         """Cover pairs (a, b): a < b with nothing strictly between."""
-        return [(self.ground[i], self.ground[j]) for i, j in np.argwhere(self._cover_matrix())]
+        return [(self.ground[i], self.ground[j]) for i, j in np.argwhere(_covers(self.leq))]
 
     def restrict(self, items: Iterable, label: str | None = None) -> "Poset":
         """Induced subposet; keeps the parent's ground order."""
@@ -109,10 +111,10 @@ class Poset:
         return Poset(self.ground, self.leq.T, label or f"{self.label}^op")
 
     def minimal_elements(self) -> list:
-        return [self.ground[i] for i in np.flatnonzero(~self._cover_matrix().any(axis=0))]
+        return [self.ground[i] for i in np.flatnonzero(~_covers(self.leq).any(axis=0))]
 
     def maximal_elements(self) -> list:
-        return [self.ground[i] for i in np.flatnonzero(~self._cover_matrix().any(axis=1))]
+        return [self.ground[i] for i in np.flatnonzero(~_covers(self.leq).any(axis=1))]
 
     def is_chain(self) -> bool:
         return bool((self.leq | self.leq.T).all())
@@ -180,12 +182,10 @@ def weak_interval(w: Element, label: str | None = None) -> Poset:
     return Poset(ground, _weak_matrix(ground), label or f"weak[e,{w}]")
 
 
-def _sorting_relation(system: CoxeterSystem, Q: tuple[int, ...],
-                      ground: Sequence[Element]) -> np.ndarray:
-    """The Q-sorting relation on ``ground``: u <= v iff no sorting position
-    of u is missing from those of v.  Bool throughout, so exact for a Q of
-    any length."""
-    taken = hecke.sorting_positions(system, Q, ground)
+def _sorting_relation(taken: np.ndarray) -> np.ndarray:
+    """The sorting relation on the rows of a :func:`hecke.sorting_positions`
+    matrix: u <= v iff no position taken by u is missing from v.  A
+    preorder by construction; bool throughout, so exact for any length."""
     return ~_bool_product(taken, ~taken.T)
 
 
@@ -197,7 +197,7 @@ def sorting_order(system: CoxeterSystem, Q: Iterable[int], label: str | None = N
     elements = system.elements()
     w = hecke.demazure(system, Q)
     ground = tuple(elements[x] for x in np.flatnonzero(hecke.bruhat_row(w)))
-    return Poset(ground, _sorting_relation(system, Q, ground),
+    return Poset(ground, _sorting_relation(hecke.sorting_positions(system, Q, ground)),
                  label or f"sorting[{word_str(Q)}]")
 
 

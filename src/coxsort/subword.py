@@ -18,7 +18,7 @@ from typing import Iterable
 from .coxeter import CoxeterSystem, Element
 from .errors import VoidComplexError
 from .hecke import _suffix_demazure, bruhat_leq, demazure
-from .homology import BettiProfile, SimplicialComplex, reduced_betti
+from .homology import BettiProfile, SimplicialComplex, _profiles
 
 __all__ = ["SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex"]
 
@@ -142,7 +142,7 @@ def certify_subword_complex(complex_: SubwordComplex) -> SubwordReport:
     kind = complex_.classify()
     top = len(complex_.Q) - complex_.target.length - 1
     K = complex_.as_simplicial_complex()
-    profiles = tuple(reduced_betti(K, field) for field in (2, 0))
+    profiles = _profiles(K)
     matches = tuple(b.matches_sphere(top) if kind == "sphere" else b.is_trivial()
                     for b in profiles)
     return SubwordReport(kind, top, profiles, matches)

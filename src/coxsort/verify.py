@@ -17,6 +17,7 @@ runs compare equal).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -150,6 +151,19 @@ def _w_repr(w: Element) -> str:
     return word_str(w.word)
 
 
+def _order_pass(ctx: Context, gname: str):
+    """The one pass of the order checks over a sweep group: for each w, in
+    table order, yields w, the Bruhat interval [e, w] and, lazily and one
+    at a time, each sorted reduced word Q of w with the sorting positions
+    of the interval's ground in Q."""
+    system = ctx.system(gname)
+    for w in system.elements():
+        bru_p = posets.bruhat_interval(system.identity, w)
+        words = ((Q, hecke.sorting_positions(system, Q, bru_p.ground))
+                 for Q in sorted(hecke.reduced_words(w)))
+        yield w, bru_p, words
+
+
 # ---------------------------------------------------------------- checks
 
 def check_boolean_map_worked_example(ctx: Context) -> CheckResult:
@@ -172,13 +186,11 @@ def check_boolean_map_worked_example(ctx: Context) -> CheckResult:
 def check_sorting_sandwich(ctx: Context) -> CheckResult:
     rec = _Recorder()
     for gname in ctx.config.sweep_groups:
-        system = ctx.system(gname)
-        for w in system.elements():
-            bru_p = posets.bruhat_interval(system.identity, w)
+        for w, bru_p, words in _order_pass(ctx, gname):
             ground = bru_p.ground
             weak_m = posets._weak_matrix(ground)
-            for Q in sorted(hecke.reduced_words(w)):
-                sort_m = posets._sorting_relation(system, Q, ground)
+            for Q, taken in words:
+                sort_m = posets._sorting_relation(taken)
                 rec.instances += len(ground) ** 2
                 # a pair fails at most one of the two implications
                 weak_only = weak_m & ~sort_m
@@ -194,16 +206,15 @@ def check_sorting_sandwich(ctx: Context) -> CheckResult:
         "Q-sorting order implies Bruhat order.")
 
 
-def _restricted_orders(ctx: Context, gname: str, w: Element):
-    """Weak/Bruhat matrices and the stacked sorting matrices on the weak interval."""
-    system = ctx.system(gname)
-    weak_p = posets.weak_interval(w)
-    ground = weak_p.ground
-    bru_p = posets.bruhat_interval(system.identity, w)
-    idx = [bru_p.index(u) for u in ground]
-    sorts = np.array([posets._sorting_relation(system, Q, ground)
-                      for Q in sorted(hecke.reduced_words(w))])
-    return ground, weak_p.leq, bru_p.leq[np.ix_(idx, idx)], sorts
+def _folded_orders(ctx: Context, gname: str, fold):
+    """For each w: its weak interval, the Bruhat relation there, and the
+    sorting relations there folded by ``fold``, one reduced word at a time."""
+    for w, bru_p, words in _order_pass(ctx, gname):
+        weak_p = posets.weak_interval(w)
+        rows = [bru_p.index(u) for u in weak_p.ground]
+        folded = functools.reduce(fold, (posets._sorting_relation(taken[rows])
+                                         for _, taken in words))
+        yield w, weak_p, bru_p.leq[np.ix_(rows, rows)], folded
 
 
 def _compare_matrices(rec, got, want, ground, gname, w, which):
@@ -216,9 +227,8 @@ def _compare_matrices(rec, got, want, ground, gname, w, which):
 def check_sorting_intersection(ctx: Context) -> CheckResult:
     rec = _Recorder()
     for gname in ctx.config.sweep_groups:
-        for w in ctx.system(gname).elements():
-            ground, weak_m, _, sorts = _restricted_orders(ctx, gname, w)
-            _compare_matrices(rec, sorts.all(axis=0), weak_m, ground, gname, w,
+        for w, weak_p, _, meet in _folded_orders(ctx, gname, np.logical_and):
+            _compare_matrices(rec, meet, weak_p.leq, weak_p.ground, gname, w,
                               "intersection of sorting orders vs weak order")
     return rec.result(
         "sorting_intersection",
@@ -230,9 +240,8 @@ def check_sorting_intersection(ctx: Context) -> CheckResult:
 def check_sorting_union(ctx: Context) -> CheckResult:
     rec = _Recorder()
     for gname in ctx.config.sweep_groups:
-        for w in ctx.system(gname).elements():
-            ground, _, bru_m, sorts = _restricted_orders(ctx, gname, w)
-            _compare_matrices(rec, sorts.any(axis=0), bru_m, ground, gname, w,
+        for w, weak_p, bru_m, join in _folded_orders(ctx, gname, np.logical_or):
+            _compare_matrices(rec, join, bru_m, weak_p.ground, gname, w,
                               "union of sorting orders vs Bruhat order")
     return rec.result(
         "sorting_union",
@@ -251,45 +260,49 @@ def check_b2_reference_orders(ctx: Context) -> CheckResult:
         if not cond:
             rec.fail(group="B2", detail=detail, **info)
 
-    w0 = system.longest_element()
-    expect(hecke.reduced_words(w0) == frozenset({(1, 2, 1, 2), (2, 1, 2, 1)}),
-           "longest element should have exactly the reduced words "
-           "1,2,1,2 and 2,1,2,1", w=_w_repr(w0))
+    try:
+        sort_1, sort_2, sort_w = (posets.sorting_order(system, Q)
+                                  for Q in ((1, 2, 1, 2), (2, 1, 2, 1), (2, 1, 2)))
+    except ValueError as exc:
+        # a sorting relation that is not a partial order
+        rec.fail(group="B2", detail=str(exc))
+    else:
+        w0 = system.longest_element()
+        expect(hecke.reduced_words(w0) == frozenset({(1, 2, 1, 2), (2, 1, 2, 1)}),
+               "longest element should have exactly the reduced words "
+               "1,2,1,2 and 2,1,2,1", w=_w_repr(w0))
 
-    weak_p = posets.weak_interval(w0)
-    bru_p = posets.bruhat_interval(system.identity, w0)
-    sort_1 = posets.sorting_order(system, (1, 2, 1, 2))
-    sort_2 = posets.sorting_order(system, (2, 1, 2, 1))
-    inter = posets.relation_intersection([sort_1, sort_2])
-    expect(inter == weak_p, "intersection of the two sorting orders should "
-                            "equal the weak order on [e,w0]", w=_w_repr(w0))
-    union = posets.relation_union([sort_1, sort_2])
-    expect(union.is_transitive and union.as_poset() == bru_p,
-           "union of the two sorting orders should equal the Bruhat order on [e,w0]",
-           w=_w_repr(w0))
+        weak_p = posets.weak_interval(w0)
+        bru_p = posets.bruhat_interval(system.identity, w0)
+        inter = posets.relation_intersection([sort_1, sort_2])
+        expect(inter == weak_p, "intersection of the two sorting orders should "
+                                "equal the weak order on [e,w0]", w=_w_repr(w0))
+        union = posets.relation_union([sort_1, sort_2])
+        expect(union.is_transitive and union.as_poset() == bru_p,
+               "union of the two sorting orders should equal the Bruhat order on [e,w0]",
+               w=_w_repr(w0))
 
-    w = system.element((2, 1, 2))
-    expect(hecke.reduced_words(w) == frozenset({(2, 1, 2)}),
-           "element 2,1,2 should have a unique reduced word", w=_w_repr(w))
-    sort_w = posets.sorting_order(system, (2, 1, 2))
-    ground = sort_w.ground
-    bru_w = posets.bruhat_interval(system.identity, w)
-    weak_on_bru = posets.Poset(ground, posets._weak_matrix(ground),
-                               label="weak relation on [e,212]")
-    expect(sort_w != weak_on_bru, "sorting order should differ from the weak "
-                                  "relation on the Bruhat interval of 2,1,2", w=_w_repr(w))
-    expect(sort_w != bru_w, "sorting order should differ from the Bruhat order "
-                            "on the Bruhat interval of 2,1,2", w=_w_repr(w))
+        w = system.element((2, 1, 2))
+        expect(hecke.reduced_words(w) == frozenset({(2, 1, 2)}),
+               "element 2,1,2 should have a unique reduced word", w=_w_repr(w))
+        ground = sort_w.ground
+        bru_w = posets.bruhat_interval(system.identity, w)
+        weak_on_bru = posets.Poset(ground, posets._weak_matrix(ground),
+                                   label="weak relation on [e,212]")
+        expect(sort_w != weak_on_bru, "sorting order should differ from the weak "
+                                      "relation on the Bruhat interval of 2,1,2", w=_w_repr(w))
+        expect(sort_w != bru_w, "sorting order should differ from the Bruhat order "
+                                "on the Bruhat interval of 2,1,2", w=_w_repr(w))
 
-    weak_items = posets.weak_interval(w).ground
-    expect(len(weak_items) == 4, "weak interval of 2,1,2 should have 4 elements",
-           w=_w_repr(w))
-    sort_r = sort_w.restrict(weak_items)
-    bru_r = bru_w.restrict(weak_items)
-    weak_r = weak_on_bru.restrict(weak_items)
-    expect(sort_r == bru_r == weak_r and sort_r.is_chain(),
-           "weak, sorting, and Bruhat orders should coincide in a 4-chain on "
-           "the weak interval of 2,1,2", w=_w_repr(w))
+        weak_items = posets.weak_interval(w).ground
+        expect(len(weak_items) == 4, "weak interval of 2,1,2 should have 4 elements",
+               w=_w_repr(w))
+        sort_r = sort_w.restrict(weak_items)
+        bru_r = bru_w.restrict(weak_items)
+        weak_r = weak_on_bru.restrict(weak_items)
+        expect(sort_r == bru_r == weak_r and sort_r.is_chain(),
+               "weak, sorting, and Bruhat orders should coincide in a 4-chain on "
+               "the weak interval of 2,1,2", w=_w_repr(w))
     return rec.result(
         "b2_reference_orders",
         "In B2: the longest element has exactly two reduced words; the weak "
@@ -421,22 +434,25 @@ def check_contractible_fibers(ctx: Context) -> CheckResult:
 def check_cover_containment(ctx: Context) -> CheckResult:
     rec = _Recorder()
     for gname in ctx.config.sweep_groups:
-        system = ctx.system(gname)
         proper = equal = 0
-        for w in system.elements():
-            bru_p = posets.bruhat_interval(system.identity, w)
-            bru_covers = set(bru_p.covers())
-            for Q in sorted(hecke.reduced_words(w)):
-                sort_p = posets.sorting_order(system, Q)
-                sort_covers = set(sort_p.covers())
+        for w, bru_p, words in _order_pass(ctx, gname):
+            ground = bru_p.ground
+            bru_covers = posets._covers(bru_p.leq)
+            for Q, taken in words:
+                sort_m = posets._sorting_relation(taken)
                 rec.instances += 1
-                extra = sort_covers - bru_covers
-                if extra:
-                    u, v = sorted(extra, key=lambda p: (p[0].word, p[1].word))[0]
+                # a preorder by construction; only antisymmetry can fail
+                tied = np.triu(sort_m & sort_m.T, 1)
+                sort_covers = posets._covers(sort_m)
+                bad = tied if tied.any() else sort_covers & ~bru_covers
+                if bad.any():
+                    u, v = min(((ground[i], ground[j]) for i, j in np.argwhere(bad)),
+                               key=lambda p: (p[0].word, p[1].word))
                     rec.fail(group=gname, w=_w_repr(w), Q=word_str(Q),
                              u=_w_repr(u), v=_w_repr(v),
-                             detail="sorting cover is not a Bruhat cover")
-                elif sort_covers == bru_covers:
+                             detail="sorting relation is not antisymmetric" if tied.any()
+                             else "sorting cover is not a Bruhat cover")
+                elif np.array_equal(sort_covers, bru_covers):
                     equal += 1
                     if w.length >= 3:
                         rec.note(group=gname, w=_w_repr(w), Q=word_str(Q),

@@ -3,7 +3,9 @@ import json
 import pytest
 
 import coxsort.hecke
+from coxsort import CoxeterSystem, subset_images
 from coxsort.cli import main
+from coxsort.hecke import sorting_positions
 
 
 def run(capsys, *argv):
@@ -121,6 +123,19 @@ def test_fibers_rejects_non_reduced(capsys):
     code, _, err = run(capsys, "fibers", "--type", "B2", "--Q", "1,1")
     assert code == 2
     assert "not reduced" in err
+
+
+def test_one_message_for_a_non_reduced_word(capsys):
+    a3 = CoxeterSystem.type_a(3)
+    code, _, err = run(capsys, "fibers", "--type", "A3", "--Q", "1,1")
+    assert code == 2
+    texts = {err.strip().removeprefix("error: ")}
+    for call in (lambda: subset_images(a3, (1, 1)),
+                 lambda: sorting_positions(a3, (1, 1), [a3.identity])):
+        with pytest.raises(ValueError) as info:
+            call()
+        texts.add(str(info.value))
+    assert texts == {"expected a reduced ambient word; 1,1 is not reduced"}
 
 
 def test_totalpos(capsys):

@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 import coxsort.homology
-from coxsort import BudgetExceededError, CoxeterSystem, subword_complex
+from coxsort import (BudgetExceededError, CoxeterSystem, certify_subword_complex,
+                     subword_complex)
 from coxsort.hecke import bruhat_leq, demazure
 from coxsort.homology import (BettiProfile, SimplicialComplex,
                               _boundary_rows_signed, _rank_gf2, _rank_sparse,
                               contractibility_evidence, face_poset,
-                              is_contractible_certificate, order_complex,
-                              reduced_betti)
+                              order_complex, reduced_betti)
 from coxsort.posets import Poset, bruhat_interval
 
 EMPTY = SimplicialComplex((), [frozenset()])
@@ -77,15 +77,13 @@ def test_betti_standard_spaces():
     assert reduced_betti(CIRCLE).numbers == {1: 1}
     assert reduced_betti(SOLID).numbers == {}
     assert reduced_betti(OCTAHEDRON).numbers == {2: 1}
-    for field in (0, 3):
-        assert reduced_betti(OCTAHEDRON, field).numbers == {2: 1}
-        assert reduced_betti(CIRCLE, field).numbers == {1: 1}
+    assert reduced_betti(OCTAHEDRON, 0).numbers == {2: 1}
+    assert reduced_betti(CIRCLE, 0).numbers == {1: 1}
 
 
 def test_betti_depends_on_field_for_projective_plane():
     assert reduced_betti(PROJECTIVE_PLANE, 2).numbers == {1: 1, 2: 1}
     assert reduced_betti(PROJECTIVE_PLANE, 0).numbers == {}
-    assert reduced_betti(PROJECTIVE_PLANE, 3).numbers == {}
     assert PROJECTIVE_PLANE.reduced_euler_characteristic() == 0
 
 
@@ -102,10 +100,9 @@ def test_profile_helpers():
 
 
 def test_field_validation():
-    with pytest.raises(ValueError, match="prime"):
-        reduced_betti(POINT, 4)
-    with pytest.raises(ValueError, match="prime"):
-        reduced_betti(POINT, -1)
+    for field in (3, 4, 5, -1):
+        with pytest.raises(ValueError, match="must be 2 or 0"):
+            reduced_betti(POINT, field)
 
 
 def test_face_budget():
@@ -128,22 +125,21 @@ def test_rank_backends_agree_on_boundary_matrices():
                     m |= 1 << col
                 masks.append(m)
             r2 = _rank_gf2(masks)
-            rq = _rank_sparse(rows, 0)
+            rq = _rank_sparse(rows)
             assert r2 <= rq  # mod-2 rank is a lower bound for integer matrices
-            # the only torsion in these fixtures is 2-torsion, so GF(5) agrees with Q
-            assert rq == _rank_sparse(rows, 5)
 
 
 def test_rank_helpers_small_cases():
     assert _rank_gf2([0b11, 0b01, 0b10]) == 2
     assert _rank_gf2([]) == 0
-    assert _rank_sparse([{0: 2, 1: 4}, {0: 1, 1: 2}], 3) == 1
+    assert _rank_sparse([{0: 2, 1: 4}, {0: 1, 1: 2}]) == 1
     # 2*(1,2) and 3*(1,2): the gcd of each row is divided out
-    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 6}], 0) == 1
-    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 5}], 0) == 2
-    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 5}], 2) == 1
-    assert _rank_sparse([{0: 0, 1: 3}, {1: -6}], 0) == 1
-    assert _rank_sparse([], 0) == 0
+    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
+    # (2,4) and (3,5): rank 2 over Q, but mod 2 they are (0,0) and (1,1)
+    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 5}]) == 2
+    assert _rank_gf2([0b00, 0b11]) == 1
+    assert _rank_sparse([{0: 0, 1: 3}, {1: -6}]) == 1
+    assert _rank_sparse([]) == 0
 
 
 def _eliminated_rational(K):
@@ -154,7 +150,7 @@ def _eliminated_rational(K):
     ranks = {0: 1 if by_dim.get(0) else 0}
     for d in range(1, top + 1):
         index = {f: i for i, f in enumerate(by_dim[d - 1])}
-        ranks[d] = _rank_sparse(_boundary_rows_signed(by_dim[d], index), 0)
+        ranks[d] = _rank_sparse(_boundary_rows_signed(by_dim[d], index))
     betti = ((d, len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0))
              for d in range(-1, top + 1))
     return tuple((d, b) for d, b in betti if b)
@@ -186,7 +182,7 @@ def test_parity_rule_agrees_with_elimination_on_b3_intervals():
 
 
 def test_rational_profile_of_one_parity_skips_elimination(monkeypatch):
-    def refuse(rows, p):
+    def refuse(rows):
         raise AssertionError("integer elimination ran")
 
     monkeypatch.setattr(coxsort.homology, "_rank_sparse", refuse)
@@ -243,8 +239,29 @@ def test_contractibility_evidence():
     assert all(p.is_trivial() for p in path.betti)
     hole = contractibility_evidence(CIRCLE)
     assert not hole.contractible and hole.method is None
-    assert is_contractible_certificate(PATH)
-    assert not is_contractible_certificate(OCTAHEDRON)
+    assert contractibility_evidence(PATH).contractible
+    assert not contractibility_evidence(OCTAHEDRON).contractible
+
+
+def test_both_fields_share_one_gf2_pass(monkeypatch):
+    # one GF(2) elimination per boundary matrix when both profiles are asked for
+    real = coxsort.homology._rank_gf2
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(coxsort.homology, "_rank_gf2", counted)
+    evidence = contractibility_evidence(OCTAHEDRON)
+    assert [p.numbers for p in evidence.betti] == [{2: 1}, {2: 1}]
+    assert len(calls) == 2  # the boundary matrices of dimensions 1 and 2
+    calls.clear()
+    b2 = CoxeterSystem.type_b(2)
+    complex_ = subword_complex(b2, (1, 2, 1, 2, 1), b2.element((1, 2)))
+    report = certify_subword_complex(complex_)
+    assert report.kind == "ball" and all(report.matches)
+    assert len(calls) == complex_.dim == 2
 
 
 def test_euler_characteristic_matches_betti_alternation():

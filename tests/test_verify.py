@@ -112,6 +112,25 @@ def test_fault_injection_breaks_sandwich(monkeypatch):
     assert sample["group"] == "B2"
 
 
+def test_corrupted_sorting_relation_gives_a_red_report(monkeypatch):
+    # equal position rows make some sorting relations non-antisymmetric;
+    # the sweep records that instead of raising
+    real = coxsort.hecke.sorting_positions
+
+    def truncated(system, Q, elements):
+        return _drop_last_position(real(system, Q, elements), 0)
+
+    monkeypatch.setattr(coxsort.hecke, "sorting_positions", truncated)
+    report = run_verification(RunConfig())
+    failed = {r["name"] for r in report["theorem_results"] if not r["passed"]}
+    assert failed == {"sorting_sandwich", "sorting_intersection", "sorting_union",
+                      "b2_reference_orders", "cover_containment", "oracle_agreement"}
+    details = {r["name"]: r["failures"][0]["detail"] for r in report["theorem_results"]
+               if r["failures"]}
+    assert "not antisymmetric" in details["b2_reference_orders"]
+    assert details["cover_containment"] == "sorting relation is not antisymmetric"
+
+
 def test_fault_injection_breaks_oracle_agreement(monkeypatch):
     real = coxsort.hecke.sorting_positions
 
