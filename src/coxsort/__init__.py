@@ -12,11 +12,10 @@ from .fibermap import (FiberReport, IntervalReport, certify_fiber_contractible,
 from .hecke import (bruhat_leq, bruhat_row, contains_reduced_word, demazure,
                     is_reduced, reduced_words, sorting_subword, weak_leq)
 from .homology import (BettiProfile, ContractibilityEvidence, SimplicialComplex,
-                       contractibility_evidence, face_poset, order_complex,
-                       reduced_betti)
+                       contractibility_evidence, order_complex, reduced_betti)
 from .posets import (Poset, RelationUnion, bruhat_interval, element_poset,
-                     inclusion_poset, relation_intersection, relation_union,
-                     sorting_order, weak_interval)
+                     relation_intersection, relation_union, sorting_order,
+                     weak_interval)
 from .subword import SubwordComplex, SubwordReport, certify_subword_complex, subword_complex
 from .totalpos import (RationalMatrix, chevalley, is_totally_nonnegative, seeded_trials,
                        verify_additive_identity, verify_braid_identity)
@@ -30,13 +29,12 @@ __all__ = [
     "BudgetExceededError", "VoidComplexError",
     "demazure", "is_reduced", "reduced_words", "bruhat_leq", "weak_leq",
     "bruhat_row", "contains_reduced_word", "sorting_subword",
-    "Poset", "RelationUnion", "element_poset", "inclusion_poset",
+    "Poset", "RelationUnion", "element_poset",
     "bruhat_interval", "weak_interval", "sorting_order",
     "relation_intersection", "relation_union",
     "SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex",
     "SimplicialComplex", "BettiProfile", "ContractibilityEvidence",
-    "reduced_betti", "order_complex", "face_poset",
-    "contractibility_evidence",
+    "reduced_betti", "order_complex", "contractibility_evidence",
     "subset_image", "subset_images", "check_order_preserving",
     "fiber_up", "fiber_open", "sorting_section",
     "FiberReport", "IntervalReport",

@@ -58,26 +58,14 @@ def _dot_graph(name: str, poset: Poset) -> str:
     lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
     for item in poset.ground:
         lines.append(f'  "{_label(item)}";')
-    covers = sorted(poset.covers(),
-                    key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))
-    for low, high in covers:
+    for low, high in poset.covers():
         lines.append(f'  "{_label(low)}" -> "{_label(high)}";')
     lines.append("}")
     return "\n".join(lines)
 
 
-def _label(item) -> str:
-    if isinstance(item, Element):
-        return word_str(item.word)
-    if isinstance(item, frozenset):
-        return "{" + ",".join(str(x) for x in sorted(item)) + "}"
-    return str(item)
-
-
-def _sort_key(item):
-    if isinstance(item, Element):
-        return (item.length, item.word)
-    return str(item)
+def _label(item: Element) -> str:
+    return word_str(item.word)
 
 
 def _poset_obj(name: str, poset: Poset) -> dict:
@@ -97,9 +85,7 @@ def _emit_posets(named: list[tuple[str, Poset]], fmt: str) -> None:
         chunks = []
         for name, poset in named:
             lines = [f"# {name}"]
-            covers = sorted(poset.covers(),
-                            key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))
-            lines += [f"{_label(a)}\t{_label(b)}" for a, b in covers]
+            lines += [f"{_label(a)}\t{_label(b)}" for a, b in poset.covers()]
             chunks.append("\n".join(lines))
         _print("\n\n".join(chunks))
 
@@ -192,15 +178,13 @@ def cmd_fibers(args) -> int:
     for u in interval.ground:
         entry = {"u": word_str(u.word),
                  "open_fiber_size": len(fibermap.fiber_open(system, Q, u)) if u != w else None}
+        report = fibermap.certify_fiber_contractible(system, Q, u)
+        entry.update(fiber_up_size=report.poset_size, complex=report.complex_type)
         if u.is_identity:
-            entry.update(fiber_up_size=len(fibermap.fiber_up(system, Q, u)),
-                         complex=subword.subword_complex(system, Q, u).classify(),
-                         contractible=None)
+            # the fiber of e is the whole boolean lattice; nothing is claimed
+            entry.update(contractible=None)
         else:
-            # the report carries the fiber size and complex type it computed
-            report = fibermap.certify_fiber_contractible(system, Q, u)
-            entry.update(fiber_up_size=report.poset_size, complex=report.complex_type,
-                         contractible=report.contractible, method=report.method)
+            entry.update(contractible=report.contractible, method=report.method)
         rows.append(entry)
     if args.format == "json":
         _dump_json({"Q": word_str(Q), "w": word_str(w.word), "fibers": rows})

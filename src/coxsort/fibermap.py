@@ -3,12 +3,12 @@
 For a reduced word Q of w, every set S of positions yields an element
 f(S) = Demazure product of the subword of Q at S.  The map f is
 order-preserving from the boolean lattice onto the interval [e, w] in
-Bruhat order, and its upper fibers f^{-1}([u, w]) behave like the
-subword complex of (Q, u) turned inside out: they are the complements
-of its faces.  This module computes f on int masks (bit j is position
-j + 1) as table rows, its fibers as masks filtered through Bruhat down-set
-rows, and the homotopy certificates attached to them; position sets become
-frozensets only where they leave the module.
+Bruhat order, and its upper fibers f^{-1}([u, w]) are the subword
+complex Delta(Q, u) turned inside out: they are the complements of its
+faces.  This module computes f on int masks (bit j is position j + 1) as
+table rows, its fibers as masks filtered through Bruhat down-set rows,
+and the homotopy certificate of each upper fiber, read off Delta(Q, u)
+itself; position sets become frozensets only where they leave the module.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from .coxeter import CoxeterSystem, Element
 from .errors import BudgetExceededError
 from .hecke import (_require_reduced, bruhat_leq, bruhat_row, demazure,
                     sorting_positions)
-from .homology import (BettiProfile, contractibility_evidence, order_complex,
-                       reduced_betti)
-from .posets import bruhat_interval, inclusion_poset
+from .homology import BettiProfile, _profiles, order_complex, reduced_betti
+from .posets import bruhat_interval
 from .subword import subword_complex
 
 __all__ = [
@@ -151,8 +150,18 @@ def sorting_section(system: CoxeterSystem, Q: Iterable[int]) -> dict[Element, fr
 
 @dataclass(frozen=True)
 class FiberReport:
-    """Certificate that an upper fiber carries the homotopy type the
-    accompanying subword complex predicts."""
+    """Certificate that the strict upper fiber at ``target`` is contractible,
+    read off the subword complex Delta(Q, u) of the same target.
+
+    ``poset_size`` counts the upper fiber, one element per face of Delta
+    (the empty face included).  ``method`` is ``"singleton"`` when u is the
+    product of Q and the strict fiber is empty; ``"cone"`` when Delta has
+    one facet, which proves contractibility: the complement of that facet
+    is the least element of the strict fiber, so its order complex is a
+    cone; ``"homology"`` when the claim rests on the vanishing reduced
+    Betti numbers of Delta over GF(2) and the rationals, listed in
+    ``betti``; None when those numbers do not vanish.
+    """
 
     target: tuple[int, ...]
     complex_type: str
@@ -176,26 +185,36 @@ class FiberReport:
 def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
                                u: Element) -> FiberReport:
     """Certify that the strict part of the upper fiber at u (the fiber
-    poset minus its maximum, the full position set) is contractible.
+    poset ordered by inclusion, minus its maximum, the full position set)
+    is contractible, from the one complex Delta = Delta(Q, u).
 
-    The fiber poset ordered by inclusion always has the full set as
-    maximum; its proper part is what carries the geometry, and matches
-    the barycentric subdivision of the subword complex of (Q, u).
+    S is in the fiber iff its complement is a face of Delta, so the strict
+    fiber is the poset of nonempty faces of Delta under reverse inclusion.
+    Its order complex is the barycentric subdivision sd(Delta), which is
+    homeomorphic to Delta: the Betti numbers of Delta are those of the
+    strict fiber.  A cone vertex of an order complex is an element
+    comparable to all others.  A nonempty face comparable to every vertex
+    and to every facet contains all vertices (or is the only one) and lies
+    in every facet, so it exists iff Delta has one facet.  A single facet
+    is therefore exactly the cone case, while a cone vertex of Delta with
+    two facets (B2, Q = 1,2,1,2, u = s1) is left to homology.
     """
     Q = tuple(Q)
     w = _require_reduced(system, Q)
     if not bruhat_leq(u, w):
         raise ValueError("u must lie below the product of Q")
-    up = fiber_up(system, Q, u)
-    full = frozenset(range(1, len(Q) + 1))
-    kind = subword_complex(system, Q, u).classify()
+    delta = subword_complex(system, Q, u)
+    K = delta.as_simplicial_complex()
+    kind, size = delta.classify(), K.num_faces()
     if u == w:
         # the fiber is {full}; its proper part is empty, so nothing to certify
-        return FiberReport(u.word, kind, len(up), True, "singleton")
-    proper = inclusion_poset(up - {full}, label="fiber")
-    K = order_complex(proper)
-    ev = contractibility_evidence(K)
-    return FiberReport(u.word, kind, len(up), ev.contractible, ev.method, ev.betti)
+        return FiberReport(u.word, kind, size, True, "singleton")
+    if len(K.facets) == 1:
+        return FiberReport(u.word, kind, size, True, "cone")
+    profiles = _profiles(K)
+    contractible = all(p.is_trivial() for p in profiles)
+    return FiberReport(u.word, kind, size, contractible,
+                       "homology" if contractible else None, profiles)
 
 
 @dataclass(frozen=True)

@@ -168,12 +168,13 @@ def sorting_positions(system: CoxeterSystem, Q: Iterable[int],
     Q = system.check_word(Q)
     below = bruhat_row(_require_reduced(system, Q))
     elements = tuple(elements)
-    for u in elements:
-        if u.system != system:
-            raise ValueError("element belongs to a different Coxeter system")
-        if not below[u.index]:
-            raise ValueError(f"{u} is not below the product of {word_str(Q)} in Bruhat order")
-    target = np.array([u.index for u in elements], dtype=np.intp)
+    if any(u.system is not system and u.system != system for u in elements):
+        raise ValueError("element belongs to a different Coxeter system")
+    target = np.fromiter((u.index for u in elements), dtype=np.intp, count=len(elements))
+    outside = np.flatnonzero(~below[target])
+    if len(outside):
+        u = elements[outside[0]]
+        raise ValueError(f"{u} is not below the product of {word_str(Q)} in Bruhat order")
     taken = np.zeros((len(elements), len(Q)), dtype=bool)
     for j, s in enumerate(Q):
         shorter = _left_column(system, s - 1)[target]

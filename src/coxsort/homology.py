@@ -36,7 +36,6 @@ __all__ = [
     "ContractibilityEvidence",
     "reduced_betti",
     "order_complex",
-    "face_poset",
     "contractibility_evidence",
     "DEFAULT_FACE_BUDGET",
 ]
@@ -129,8 +128,6 @@ class SimplicialComplex:
             common = set(f) if common is None else common & f
             if not common:
                 return None
-        if not common:
-            return None
         return min(common, key=lambda v: self._index[v])
 
     def __repr__(self) -> str:
@@ -314,19 +311,6 @@ def order_complex(P: Poset) -> SimplicialComplex:
             for j in reversed(ups):
                 stack.append((j, chain + (j,)))
     return SimplicialComplex(P.ground, facets or [frozenset()])
-
-
-def face_poset(K: SimplicialComplex, include_empty: bool = False,
-               budget: int = DEFAULT_FACE_BUDGET) -> Poset:
-    """Faces of ``K`` ordered by inclusion.
-
-    The order complex of the face poset without the empty face is the
-    barycentric subdivision of ``K``.
-    """
-    faces = [f for f in K.faces(budget) if f or include_empty]
-    ground = sorted(faces, key=lambda f: (len(f), tuple(sorted(K._index[v] for v in f))))
-    matrix = [[a <= b for b in ground] for a in ground]
-    return Poset(tuple(ground), matrix, label="face poset")
 
 
 @dataclass(frozen=True)

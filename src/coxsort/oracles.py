@@ -10,8 +10,9 @@ The models provided are the permutation model of type A (one-line
 permutations under composition) and the signed-permutation model of
 type B.  :class:`BraidRewriting` decides equality of words of any
 Coxeter matrix by nil and braid moves alone, the subword scan tries
-every position set, and :func:`bruhat_leq_walk` compares two elements by
-stripping left descents; all are slow references for tests.
+every position set, :func:`bruhat_leq_walk` compares two elements by
+stripping left descents, and :func:`inclusion_poset_bruteforce` orders
+sets by a pairwise scan; all are slow references for tests.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from typing import Callable, Iterable, Sequence
+
+from .posets import Poset
 
 __all__ = [
     "CayleyModel",
@@ -31,6 +34,7 @@ __all__ = [
     "sorting_subword_bruteforce",
     "contains_reduced_word_bruteforce",
     "subword_facets_bruteforce",
+    "inclusion_poset_bruteforce",
 ]
 
 Word = tuple[int, ...]
@@ -208,6 +212,13 @@ def subword_facets_bruteforce(system, Q: Sequence[int], target) -> set[frozenset
         if system.element(tuple(Q[j - 1] for j in combo)) == target:
             out.add(frozenset(positions) - frozenset(combo))
     return out
+
+
+def inclusion_poset_bruteforce(sets: Iterable[Iterable], label: str = "inclusion") -> Poset:
+    """Finite sets under inclusion, compared pair by pair; ground sorted
+    by (size, sorted members)."""
+    ground = sorted({frozenset(s) for s in sets}, key=lambda s: (len(s), sorted(s)))
+    return Poset(ground, [[a <= b for b in ground] for a in ground], label)
 
 
 def _nil_sweep(word: Word) -> Word:

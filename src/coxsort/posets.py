@@ -3,8 +3,8 @@
 Every poset here carries its ground set as an ordered tuple and its
 relation as a read-only numpy matrix, so that two posets on the same
 ground can be compared, intersected, or united entry by entry.  Element
-grounds are always sorted by (length, canonical word); set grounds by
-(size, sorted members).  Construction validates reflexivity,
+grounds are always sorted by (length, canonical word), so ``covers()``
+comes in that order too.  Construction validates reflexivity,
 antisymmetry and transitivity, failing loudly on anything that is not a
 partial order.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "Poset",
     "RelationUnion",
     "element_poset",
-    "inclusion_poset",
     "bruhat_interval",
     "weak_interval",
     "sorting_order",
@@ -125,17 +124,6 @@ def element_poset(elements: Iterable[Element], relation: Callable[[Element, Elem
     """Poset on group elements, ground sorted by (length, word)."""
     ground = tuple(sorted(set(elements)))
     matrix = [[relation(a, b) for b in ground] for a in ground]
-    return Poset(ground, matrix, label)
-
-
-def _set_sort_key(s: frozenset) -> tuple:
-    return (len(s), tuple(sorted(s)))
-
-
-def inclusion_poset(sets: Iterable[Iterable], label: str = "inclusion") -> Poset:
-    """Poset of finite sets under inclusion, ground sorted by (size, members)."""
-    ground = tuple(sorted({frozenset(s) for s in sets}, key=_set_sort_key))
-    matrix = [[a <= b for b in ground] for a in ground]
     return Poset(ground, matrix, label)
 
 

@@ -119,6 +119,19 @@ def test_fibers_table(capsys):
     assert by_u["1,2,1,2"][1:] == ["sphere", "1", "-", "True"]
 
 
+def test_fibers_of_a_long_a4_word(capsys):
+    # order complexes of these fibers would pass the face budget
+    code, out, _ = run(capsys, "fibers", "--type", "A4", "--Q", "1,2,3,4,1,2,3,1,2,1",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["fibers"]
+    assert len(rows) == 120
+    assert rows[0]["u"] == "e" and rows[0]["contractible"] is None
+    assert "method" not in rows[0]
+    assert rows[0]["fiber_up_size"] == 1024
+    assert all(r["contractible"] is True for r in rows[1:])
+
+
 def test_fibers_rejects_non_reduced(capsys):
     code, _, err = run(capsys, "fibers", "--type", "B2", "--Q", "1,1")
     assert code == 2

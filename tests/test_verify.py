@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import coxsort.fibermap
 import coxsort.hecke
 import coxsort.homology
 import coxsort.posets
@@ -110,6 +111,19 @@ def test_fault_injection_breaks_sandwich(monkeypatch):
     sample = r.failures[0]
     assert {"group", "w", "Q", "u", "v", "detail"} <= set(sample)
     assert sample["group"] == "B2"
+
+
+def test_fault_injection_breaks_contractible_fibers(monkeypatch):
+    # a 2-sphere profile for every subword complex that has two facets or more
+    sphere = (coxsort.homology.BettiProfile(2, ((2, 1),)),
+              coxsort.homology.BettiProfile(0, ((2, 1),)))
+    monkeypatch.setattr(coxsort.fibermap, "_profiles", lambda K: sphere)
+    r = run_check("contractible_fibers", SMALL)
+    assert not r.passed
+    assert len(r.failures) == 16  # the homology cases: 10 in A3, 3 per B2 word
+    assert r.failures[0]["detail"].endswith("[GF(2): b~2=1], [Q: b~2=1]")
+    assert [n["cone"] for n in r.notes] == [12, 3, 3]
+    assert [n["homology"] for n in r.notes] == [0, 0, 0]
 
 
 def test_corrupted_sorting_relation_gives_a_red_report(monkeypatch):
