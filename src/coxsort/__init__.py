@@ -11,8 +11,7 @@ from .fibermap import (FiberReport, IntervalReport, certify_fiber_contractible,
                        fiber_up, sorting_section, subset_image, subset_images)
 from .hecke import (bruhat_leq, bruhat_row, contains_reduced_word, demazure,
                     is_reduced, reduced_words, sorting_subword, weak_leq)
-from .homology import (BettiProfile, ContractibilityEvidence, SimplicialComplex,
-                       contractibility_evidence, order_complex, reduced_betti)
+from .homology import BettiProfile, SimplicialComplex, order_complex, reduced_betti
 from .posets import (Poset, RelationUnion, bruhat_interval, element_poset,
                      relation_intersection, relation_union, sorting_order,
                      weak_interval)
@@ -33,8 +32,7 @@ __all__ = [
     "bruhat_interval", "weak_interval", "sorting_order",
     "relation_intersection", "relation_union",
     "SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex",
-    "SimplicialComplex", "BettiProfile", "ContractibilityEvidence",
-    "reduced_betti", "order_complex", "contractibility_evidence",
+    "SimplicialComplex", "BettiProfile", "reduced_betti", "order_complex",
     "subset_image", "subset_images", "check_order_preserving",
     "fiber_up", "fiber_open", "sorting_section",
     "FiberReport", "IntervalReport",

@@ -123,7 +123,8 @@ def _build_table(matrix: tuple[Word, ...], size_cap: int):
                     continue
                 if len(right) >= size_cap:
                     raise BudgetExceededError(
-                        f"group enumeration exceeded the size cap of {size_cap}")
+                        f"group enumeration exceeded the size cap of {size_cap}",
+                        budget="size_cap", limit=size_cap, spent=len(right) + 1)
                 y = len(right)
                 row = [-1] * rank
                 row[s] = w

@@ -7,8 +7,16 @@ class BudgetExceededError(RuntimeError):
     """A configured enumeration or search budget was exceeded.
 
     Raised instead of silently truncating, so a partial computation can
-    never masquerade as an exact one.
+    never masquerade as an exact one.  ``budget`` names the budget
+    (``"size_cap"``, ``"mask_cap"`` or ``"face_budget"``), ``limit`` is
+    its value and ``spent`` the amount reached when it was exceeded.
     """
+
+    def __init__(self, message: str, *, budget: str, limit: int, spent: int):
+        super().__init__(message)
+        self.budget = budget
+        self.limit = limit
+        self.spent = spent
 
 
 class VoidComplexError(ValueError):

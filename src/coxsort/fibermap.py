@@ -65,7 +65,8 @@ def _mask_images(system: CoxeterSystem, Q: tuple[int, ...]) -> list[int]:
     n = len(Q)
     if n > _MASK_CAP:
         raise BudgetExceededError(
-            f"boolean lattice on {n} positions exceeds the cap of {_MASK_CAP}")
+            f"boolean lattice on {n} positions exceeds the cap of {_MASK_CAP}",
+            budget="mask_cap", limit=_MASK_CAP, spent=n)
     right = system._right
     imgs = [0] * (1 << n)
     for mask in range(1, 1 << n):
@@ -111,10 +112,12 @@ def check_order_preserving(system: CoxeterSystem, Q: Iterable[int],
 
 def _fiber(system: CoxeterSystem, Q: tuple[int, ...], u: Element,
            excluded: tuple[int, ...] = ()) -> set[frozenset[int]]:
-    # the position sets whose image dominates u and is no excluded row
+    # the position sets whose image dominates u and is no excluded row;
+    # Bruhat order is asked once per distinct image, not once per mask
     elements = system.elements()
-    return {_positions(mask, len(Q)) for mask, x in enumerate(_mask_images(system, Q))
-            if x not in excluded and bruhat_leq(u, elements[x])}
+    imgs = _mask_images(system, Q)
+    above = {x for x in set(imgs) if x not in excluded and bruhat_leq(u, elements[x])}
+    return {_positions(mask, len(Q)) for mask, x in enumerate(imgs) if x in above}
 
 
 def fiber_up(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozenset[int]]:

@@ -20,9 +20,8 @@ forces it (see :func:`reduced_betti`).
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,10 +32,8 @@ from .posets import Poset, _covers
 __all__ = [
     "SimplicialComplex",
     "BettiProfile",
-    "ContractibilityEvidence",
     "reduced_betti",
     "order_complex",
-    "contractibility_evidence",
     "DEFAULT_FACE_BUDGET",
 ]
 
@@ -50,6 +47,14 @@ class SimplicialComplex:
     Facets contained in other facets are dropped.  At minimum the empty
     face is present, so ``facets == {frozenset()}`` encodes the empty
     complex; a complex with no faces at all is not representable.
+
+    Internally a face is an int vertex mask: bit i is ``vertices[i]``, so
+    the empty face is 0 and a face with k vertices has k set bits.  The
+    faces are enumerated once, top-down from the facets, into one
+    numerically sorted list of masks per size.  In the boundary of a face
+    f, the face ``f ^ low`` (drop the vertex at bit ``low``) carries the
+    sign (-1)^popcount(f & (low - 1)): signs alternate in increasing
+    vertex order.
     """
 
     def __init__(self, vertices: Sequence, facets: Iterable[Iterable]):
@@ -60,15 +65,20 @@ class SimplicialComplex:
         fs = {frozenset(f) for f in facets}
         if not fs:
             raise ValueError("a complex needs at least the empty facet frozenset()")
+        masks = {}
         for f in fs:
+            mask = 0
             for v in f:
-                if v not in index:
+                i = index.get(v)
+                if i is None:
                     raise ValueError(f"facet vertex {v!r} is not in the vertex order")
+                mask |= 1 << i
+            masks[f] = mask
         self.vertices = vertices
         top = max(len(f) for f in fs)  # only a strictly larger facet can contain f
         self.facets = frozenset(f for f in fs if len(f) == top or not any(f < g for g in fs))
-        self._index = index
-        self._by_dim: dict[int, list[tuple[int, ...]]] | None = None
+        self._facet_masks = [masks[f] for f in self.facets]
+        self._levels: list[list[int]] | None = None
 
     @property
     def dim(self) -> int:
@@ -78,60 +88,59 @@ class SimplicialComplex:
         sizes = {len(f) for f in self.facets}
         return len(sizes) == 1
 
-    def _faces_by_dim(self, budget: int = DEFAULT_FACE_BUDGET) -> dict[int, list[tuple[int, ...]]]:
-        if self._by_dim is None:
-            seen: set[tuple[int, ...]] = set()
-            for facet in self.facets:
-                idx = tuple(sorted(self._index[v] for v in facet))
-                for k in range(len(idx) + 1):
-                    for sub in itertools.combinations(idx, k):
-                        if sub not in seen:
-                            seen.add(sub)
-                            if len(seen) > budget:
-                                raise BudgetExceededError(
-                                    f"face enumeration exceeded the budget of {budget} faces")
-            by_dim: dict[int, list[tuple[int, ...]]] = {}
-            for f in seen:
-                by_dim.setdefault(len(f) - 1, []).append(f)
-            for d in by_dim:
-                by_dim[d].sort()
-            self._by_dim = by_dim
-        total = sum(len(v) for v in self._by_dim.values())
+    def _face_levels(self, budget: int = DEFAULT_FACE_BUDGET) -> list[list[int]]:
+        """``levels[k]``: the faces with k vertices (dimension k - 1) as
+        sorted masks.  Level k - 1 is the facets of that size plus every
+        face of level k with one vertex dropped."""
+        if self._levels is None:
+            by_size: dict[int, set[int]] = {}
+            for mask in self._facet_masks:
+                by_size.setdefault(mask.bit_count(), set()).add(mask)
+            top = max(by_size)
+            levels: list[list[int]] = [[]] * (top + 1)
+            total = 0
+            level = by_size[top]
+            for k in range(top, -1, -1):
+                total += len(level)
+                if total > budget:
+                    raise _face_budget_error(budget, total)
+                levels[k] = sorted(level)
+                if k:
+                    level = by_size.get(k - 1, set())
+                    add = level.add
+                    for f in levels[k]:
+                        rest = f
+                        while rest:
+                            low = rest & -rest
+                            add(f ^ low)
+                            rest ^= low
+            self._levels = levels
+        total = sum(map(len, self._levels))
         if total > budget:
-            raise BudgetExceededError(
-                f"face enumeration exceeded the budget of {budget} faces")
-        return self._by_dim
+            raise _face_budget_error(budget, total)
+        return self._levels
 
     def faces(self, budget: int = DEFAULT_FACE_BUDGET) -> set[frozenset]:
         """All faces, including the empty face, as vertex sets."""
-        by_dim = self._faces_by_dim(budget)
-        out = set()
-        for faces in by_dim.values():
-            for f in faces:
-                out.add(frozenset(self.vertices[i] for i in f))
-        return out
+        vertices = self.vertices
+        return {frozenset(vertices[i] for i in range(mask.bit_length()) if mask >> i & 1)
+                for level in self._face_levels(budget) for mask in level}
 
     def num_faces(self, budget: int = DEFAULT_FACE_BUDGET) -> int:
-        return sum(len(v) for v in self._faces_by_dim(budget).values())
+        return sum(map(len, self._face_levels(budget)))
 
     def reduced_euler_characteristic(self, budget: int = DEFAULT_FACE_BUDGET) -> int:
-        by_dim = self._faces_by_dim(budget)
-        # (-1) ** d would be a float for d = -1 (the empty face)
-        return sum(len(faces) if d % 2 == 0 else -len(faces)
-                   for d, faces in by_dim.items())
-
-    def cone_vertex(self):
-        """A vertex lying in every facet, or None.  Such a vertex proves the
-        complex contractible."""
-        common = None
-        for f in self.facets:
-            common = set(f) if common is None else common & f
-            if not common:
-                return None
-        return min(common, key=lambda v: self._index[v])
+        # level k has dimension k - 1; (-1) ** d would be a float for d = -1
+        return sum(-len(level) if k % 2 == 0 else len(level)
+                   for k, level in enumerate(self._face_levels(budget)))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(vertices={len(self.vertices)}, facets={len(self.facets)})"
+
+
+def _face_budget_error(budget: int, spent: int) -> BudgetExceededError:
+    return BudgetExceededError(f"face enumeration exceeded the budget of {budget} faces",
+                               budget="face_budget", limit=budget, spent=spent)
 
 
 @dataclass(frozen=True)
@@ -212,44 +221,42 @@ def _normalised(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _boundary_rows_signed(faces_d: list[tuple[int, ...]],
-                          index_dm1: dict[tuple[int, ...], int]) -> list[dict[int, int]]:
-    rows = []
-    for face in faces_d:
-        row: dict[int, int] = {}
-        for i in range(len(face)):
-            col = index_dm1[face[:i] + face[i + 1:]]
-            row[col] = 1 if i % 2 == 0 else -1
+def _boundary_rows(levels: list[list[int]], k: int, p: int) -> list:
+    """Rows of the boundary map from the k-vertex faces to the (k-1)-vertex
+    faces, whose positions in ``levels[k - 1]`` are the columns: bitmasks of
+    columns over GF(2) (p = 2), ``{column: +-1}`` over Q (p = 0)."""
+    column = {mask: i for i, mask in enumerate(levels[k - 1])}
+    rows: list = []
+    for f in levels[k]:
+        rest = f
+        if p == 2:
+            row = 0
+            while rest:
+                low = rest & -rest
+                row |= 1 << column[f ^ low]
+                rest ^= low
+        else:
+            row, sign = {}, 1
+            while rest:
+                low = rest & -rest
+                row[column[f ^ low]] = sign
+                rest ^= low
+                sign = -sign
         rows.append(row)
     return rows
 
 
-def _betti_counts(by_dim: dict[int, list[tuple[int, ...]]],
-                  p: int) -> tuple[tuple[int, int], ...]:
+def _betti_counts(levels: list[list[int]], p: int) -> tuple[tuple[int, int], ...]:
     """Nonzero reduced Betti numbers over GF(2), or over Q for p = 0, by
-    elimination on every boundary matrix."""
-    top = max(by_dim)
-    counts = {d: len(faces) for d, faces in by_dim.items()}
-    ranks: dict[int, int] = {0: 1 if counts.get(0, 0) else 0}
-    for d in range(1, top + 1):
-        index_dm1 = {f: i for i, f in enumerate(by_dim[d - 1])}
-        faces_d = by_dim[d]
-        if p == 2:
-            rows = []
-            for face in faces_d:
-                mask = 0
-                for i in range(len(face)):
-                    mask |= 1 << index_dm1[face[:i] + face[i + 1:]]
-                rows.append(mask)
-            ranks[d] = _rank_gf2(rows)
-        else:
-            ranks[d] = _rank_sparse(_boundary_rows_signed(faces_d, index_dm1))
-    nonzero = []
-    for d in range(-1, top + 1):
-        b = counts.get(d, 0) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        if b:
-            nonzero.append((d, b))
-    return tuple(nonzero)
+    elimination on every boundary matrix, one dimension at a time."""
+    rank = _rank_gf2 if p == 2 else _rank_sparse
+    # ranks[k]: rank of the boundary out of the k-vertex faces; the
+    # augmentation sends every vertex to the empty face
+    ranks = [0, 1 if len(levels) > 1 else 0]
+    ranks += [rank(_boundary_rows(levels, k, p)) for k in range(2, len(levels))]
+    ranks.append(0)
+    return tuple((k - 1, b) for k, level in enumerate(levels)
+                 if (b := len(level) - ranks[k] - ranks[k + 1]))
 
 
 def _profiles(K: SimplicialComplex,
@@ -257,9 +264,9 @@ def _profiles(K: SimplicialComplex,
     """Reduced Betti numbers of ``K`` over GF(2) and over the rationals,
     from one GF(2) pass; see :func:`reduced_betti` for when the rational
     profile is read off it."""
-    by_dim = K._faces_by_dim(face_budget)
-    gf2 = _betti_counts(by_dim, 2)
-    rational = _betti_counts(by_dim, 0) if len({d % 2 for d, _ in gf2}) > 1 else gf2
+    levels = K._face_levels(face_budget)
+    gf2 = _betti_counts(levels, 2)
+    rational = _betti_counts(levels, 0) if len({d % 2 for d, _ in gf2}) > 1 else gf2
     return BettiProfile(2, gf2), BettiProfile(0, rational)
 
 
@@ -289,7 +296,7 @@ def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2,
         return _profiles(K, face_budget)[1]
     if coefficient_field != 2:
         raise ValueError("coefficient field must be 2 or 0 (the rationals)")
-    return BettiProfile(2, _betti_counts(K._faces_by_dim(face_budget), 2))
+    return BettiProfile(2, _betti_counts(K._face_levels(face_budget), 2))
 
 
 def order_complex(P: Poset) -> SimplicialComplex:
@@ -311,32 +318,6 @@ def order_complex(P: Poset) -> SimplicialComplex:
             for j in reversed(ups):
                 stack.append((j, chain + (j,)))
     return SimplicialComplex(P.ground, facets or [frozenset()])
-
-
-@dataclass(frozen=True)
-class ContractibilityEvidence:
-    """Outcome of a contractibility check.
-
-    ``method`` is ``"cone"`` for a genuine proof (a vertex in every
-    facet), ``"homology"`` when the claim rests on vanishing reduced
-    Betti numbers over GF(2) and the rationals, and None when the
-    complex is provably not contractible.
-    """
-
-    contractible: bool
-    method: str | None
-    betti: tuple[BettiProfile, ...] = field(default=())
-
-
-def contractibility_evidence(K: SimplicialComplex,
-                             face_budget: int = DEFAULT_FACE_BUDGET) -> ContractibilityEvidence:
-    v = K.cone_vertex()
-    if v is not None:
-        return ContractibilityEvidence(True, "cone")
-    profiles = _profiles(K, face_budget)
-    if all(p.is_trivial() for p in profiles):
-        return ContractibilityEvidence(True, "homology", profiles)
-    return ContractibilityEvidence(False, None, profiles)
 
 
 if __name__ == "__main__":

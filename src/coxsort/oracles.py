@@ -11,16 +11,22 @@ permutations under composition) and the signed-permutation model of
 type B.  :class:`BraidRewriting` decides equality of words of any
 Coxeter matrix by nil and braid moves alone, the subword scan tries
 every position set, :func:`bruhat_leq_walk` compares two elements by
-stripping left descents, and :func:`inclusion_poset_bruteforce` orders
-sets by a pairwise scan; all are slow references for tests.
+stripping left descents, :func:`inclusion_poset_bruteforce` orders
+sets by a pairwise scan, and :func:`faces_bruteforce` lists the faces of
+a complex as tuples from every subset of every facet; all are slow
+references for tests.  :func:`contractibility_evidence` (a cone vertex,
+else vanishing homology) is the reference the fiber certificates of
+:mod:`coxsort.fibermap` are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from .homology import DEFAULT_FACE_BUDGET, BettiProfile, SimplicialComplex, _profiles
 from .posets import Poset
 
 __all__ = [
@@ -35,6 +41,10 @@ __all__ = [
     "contains_reduced_word_bruteforce",
     "subword_facets_bruteforce",
     "inclusion_poset_bruteforce",
+    "faces_bruteforce",
+    "cone_vertex",
+    "ContractibilityEvidence",
+    "contractibility_evidence",
 ]
 
 Word = tuple[int, ...]
@@ -219,6 +229,53 @@ def inclusion_poset_bruteforce(sets: Iterable[Iterable], label: str = "inclusion
     by (size, sorted members)."""
     ground = sorted({frozenset(s) for s in sets}, key=lambda s: (len(s), sorted(s)))
     return Poset(ground, [[a <= b for b in ground] for a in ground], label)
+
+
+def faces_bruteforce(K: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:
+    """Faces of ``K`` by dimension, as sorted tuples of vertex indices,
+    from every subset of every facet; each list is sorted."""
+    seen: set[tuple[int, ...]] = set()
+    for facet in K.facets:
+        idx = tuple(sorted(K.vertices.index(v) for v in facet))
+        for k in range(len(idx) + 1):
+            seen.update(itertools.combinations(idx, k))
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for f in sorted(seen):
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    return by_dim
+
+
+def cone_vertex(K: SimplicialComplex):
+    """The first vertex of ``K`` lying in every facet, or None.  Such a
+    vertex proves the complex contractible."""
+    common = frozenset.intersection(*K.facets)
+    return next((v for v in K.vertices if v in common), None)
+
+
+@dataclass(frozen=True)
+class ContractibilityEvidence:
+    """Outcome of a contractibility check.
+
+    ``method`` is ``"cone"`` for a genuine proof (a vertex in every
+    facet), ``"homology"`` when the claim rests on vanishing reduced
+    Betti numbers over GF(2) and the rationals, and None when the
+    complex is provably not contractible.
+    """
+
+    contractible: bool
+    method: str | None
+    betti: tuple[BettiProfile, ...] = field(default=())
+
+
+def contractibility_evidence(K: SimplicialComplex,
+                             face_budget: int = DEFAULT_FACE_BUDGET) -> ContractibilityEvidence:
+    """A cone vertex of ``K``, else both reduced Betti profiles of ``K``."""
+    if cone_vertex(K) is not None:
+        return ContractibilityEvidence(True, "cone")
+    profiles = _profiles(K, face_budget)
+    if all(p.is_trivial() for p in profiles):
+        return ContractibilityEvidence(True, "homology", profiles)
+    return ContractibilityEvidence(False, None, profiles)
 
 
 def _nil_sweep(word: Word) -> Word:

@@ -93,7 +93,8 @@ class Poset:
 
     def covers(self) -> list[tuple]:
         """Cover pairs (a, b): a < b with nothing strictly between."""
-        return [(self.ground[i], self.ground[j]) for i, j in np.argwhere(_covers(self.leq))]
+        return [(self.ground[i], self.ground[j])
+                for i, j in np.argwhere(_covers(self.leq)).tolist()]
 
     def restrict(self, items: Iterable, label: str | None = None) -> "Poset":
         """Induced subposet; keeps the parent's ground order."""

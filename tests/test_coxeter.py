@@ -153,8 +153,9 @@ def test_size_cap():
     assert len(CoxeterSystem.type_a(3, size_cap=24).elements()) == 24
     tight = CoxeterSystem.type_a(3, size_cap=23)
     for _ in range(2):
-        with pytest.raises(BudgetExceededError, match="size cap of 23"):
+        with pytest.raises(BudgetExceededError, match="size cap of 23") as exc:
             tight.element((1,))
+        assert (exc.value.budget, exc.value.limit, exc.value.spent) == ("size_cap", 23, 24)
     with pytest.raises(ValueError, match="size_cap"):
         CoxeterSystem.type_a(2, size_cap=0)
 

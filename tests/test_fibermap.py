@@ -8,8 +8,8 @@ from coxsort.fibermap import (FiberReport, certify_fiber_contractible,
                               certify_interval_sphere, check_order_preserving, fiber_open,
                               fiber_up, sorting_section, subset_image, subset_images)
 from coxsort.hecke import bruhat_leq, demazure
-from coxsort.homology import SimplicialComplex, contractibility_evidence, order_complex
-from coxsort.oracles import inclusion_poset_bruteforce
+from coxsort.homology import SimplicialComplex, order_complex
+from coxsort.oracles import cone_vertex, contractibility_evidence, inclusion_poset_bruteforce
 
 
 def fs(*items):
@@ -52,8 +52,9 @@ def test_subset_images_budget():
     with pytest.raises(BudgetExceededError, match="cap"):
         subset_images(big, tuple(range(1, 18)))
     # a group small enough to build still stops at the mask cap
-    with pytest.raises(BudgetExceededError, match="17 positions exceeds the cap of 16"):
+    with pytest.raises(BudgetExceededError, match="17 positions exceeds the cap of 16") as exc:
         subset_images(CoxeterSystem.dihedral(17), (1, 2) * 8 + (1,))
+    assert (exc.value.budget, exc.value.limit, exc.value.spent) == ("mask_cap", 16, 17)
 
 
 A5_PREFIX = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)  # 12 letters: the sampled branch
@@ -195,7 +196,7 @@ def test_cone_vertex_with_two_facets_is_certified_by_homology(u):
     b2 = CoxeterSystem.type_b(2)
     Q = (1, 2, 1, 2)
     K = subword_complex(b2, Q, b2.element(u)).as_simplicial_complex()
-    assert K.cone_vertex() is not None and len(K.facets) == 2
+    assert cone_vertex(K) is not None and len(K.facets) == 2
     report = certify_fiber_contractible(b2, Q, b2.element(u))
     assert report.contractible and report.method == "homology"
     assert [p.is_trivial() for p in report.betti] == [True, True]

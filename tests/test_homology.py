@@ -6,10 +6,10 @@ import coxsort.homology
 from coxsort import (BudgetExceededError, CoxeterSystem, certify_subword_complex,
                      subword_complex)
 from coxsort.hecke import bruhat_leq, demazure
-from coxsort.homology import (BettiProfile, SimplicialComplex,
-                              _boundary_rows_signed, _rank_gf2, _rank_sparse,
-                              contractibility_evidence, order_complex, reduced_betti)
-from coxsort.oracles import inclusion_poset_bruteforce
+from coxsort.homology import (BettiProfile, SimplicialComplex, _boundary_rows, _rank_gf2,
+                              _rank_sparse, order_complex, reduced_betti)
+from coxsort.oracles import (cone_vertex, contractibility_evidence, faces_bruteforce,
+                             inclusion_poset_bruteforce)
 from coxsort.posets import Poset, bruhat_interval
 
 EMPTY = SimplicialComplex((), [frozenset()])
@@ -26,6 +26,8 @@ PROJECTIVE_PLANE = SimplicialComplex(
     [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
      (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)])
 PATH = SimplicialComplex(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)])
+# a triangle, an edge and an isolated point, over vertices listed out of order
+NON_PURE = SimplicialComplex((6, 3, 1, 5, 2, 4), [(1, 2, 3), (4, 5), (6,)])
 
 
 def test_constructor_validation():
@@ -62,12 +64,12 @@ def test_basic_face_counts():
 
 
 def test_cone_vertex():
-    assert SOLID.cone_vertex() == 1
-    assert CIRCLE.cone_vertex() is None
-    assert EMPTY.cone_vertex() is None
-    assert POINT.cone_vertex() == "a"
+    assert cone_vertex(SOLID) == 1
+    assert cone_vertex(CIRCLE) is None
+    assert cone_vertex(EMPTY) is None
+    assert cone_vertex(POINT) == "a"
     star = SimplicialComplex("zabc", [("z", "a"), ("z", "b"), ("z", "c")])
-    assert star.cone_vertex() == "z"
+    assert cone_vertex(star) == "z"
 
 
 def test_betti_standard_spaces():
@@ -112,18 +114,28 @@ def test_face_budget():
     assert big.num_faces(budget=2 ** 18) == 2 ** 18
 
 
+def test_face_budget_error_names_the_budget_whatever_the_cache_state():
+    big = SimplicialComplex(range(18), [tuple(range(18))])
+    with pytest.raises(BudgetExceededError, match="budget of 100 faces") as exc:
+        big.num_faces(budget=100)
+    assert (exc.value.budget, exc.value.limit) == ("face_budget", 100)
+    assert exc.value.spent > 100
+    assert big.num_faces(budget=2 ** 18) == 2 ** 18  # now cached
+    for ask in (big.num_faces, big.faces, big.reduced_euler_characteristic):
+        with pytest.raises(BudgetExceededError) as exc:
+            ask(2 ** 18 - 1)
+        assert (exc.value.limit, exc.value.spent) == (2 ** 18 - 1, 2 ** 18)
+    with pytest.raises(BudgetExceededError):
+        reduced_betti(big, 2, face_budget=1000)
+
+
 def test_rank_backends_agree_on_boundary_matrices():
     for k in (CIRCLE, OCTAHEDRON, PROJECTIVE_PLANE, SOLID):
-        by_dim = k._faces_by_dim()
-        for d in range(1, max(by_dim) + 1):
-            index = {f: i for i, f in enumerate(by_dim[d - 1])}
-            rows = _boundary_rows_signed(by_dim[d], index)
-            masks = []
-            for row in rows:
-                m = 0
-                for col in row:
-                    m |= 1 << col
-                masks.append(m)
+        levels = k._face_levels()
+        for size in range(2, len(levels)):
+            rows = _boundary_rows(levels, size, 0)
+            masks = _boundary_rows(levels, size, 2)
+            assert masks == [sum(1 << col for col in row) for row in rows]
             r2 = _rank_gf2(masks)
             rq = _rank_sparse(rows)
             assert r2 <= rq  # mod-2 rank is a lower bound for integer matrices
@@ -142,43 +154,85 @@ def test_rank_helpers_small_cases():
     assert _rank_sparse([]) == 0
 
 
-def _eliminated_rational(K):
-    """Reduced rational Betti numbers from integer elimination on every
-    boundary matrix, never from the GF(2) profile."""
-    by_dim = K._faces_by_dim()
+def _bruteforce_betti(K, p):
+    """Reduced Betti numbers over GF(2) (p = 2) or Q (p = 0) from the tuple
+    faces of the oracle, with the sign of a deleted vertex read off its
+    position in the tuple; over Q integer elimination always runs, never
+    the GF(2) profile."""
+    by_dim = faces_bruteforce(K)
     top = max(by_dim)
     ranks = {0: 1 if by_dim.get(0) else 0}
     for d in range(1, top + 1):
         index = {f: i for i, f in enumerate(by_dim[d - 1])}
-        ranks[d] = _rank_sparse(_boundary_rows_signed(by_dim[d], index))
+        rows = [{index[f[:i] + f[i + 1:]]: (-1) ** i for i in range(len(f))}
+                for f in by_dim[d]]
+        ranks[d] = (_rank_gf2([sum(1 << col for col in row) for row in rows]) if p == 2
+                    else _rank_sparse(rows))
     betti = ((d, len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0))
              for d in range(-1, top + 1))
     return tuple((d, b) for d, b in betti if b)
 
 
+def _assert_matches_bruteforce(K):
+    """Faces, per-dimension counts, face total, Euler characteristic and both
+    Betti profiles of ``K`` equal those of the tuple-combination oracle."""
+    by_dim = faces_bruteforce(K)
+    levels = K._face_levels()
+    as_tuples = {k - 1: [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in level]
+                 for k, level in enumerate(levels)}
+    assert {d: sorted(f) for d, f in as_tuples.items()} == by_dim
+    assert all(level == sorted(level) for level in levels)
+    assert K.faces() == {frozenset(K.vertices[i] for i in f)
+                         for faces in by_dim.values() for f in faces}
+    assert K.num_faces() == sum(map(len, by_dim.values()))
+    assert K.reduced_euler_characteristic() == sum(
+        len(f) if d % 2 == 0 else -len(f) for d, f in by_dim.items())
+    assert reduced_betti(K, 2).counts == _bruteforce_betti(K, 2)
+    assert reduced_betti(K, 0).counts == _bruteforce_betti(K, 0)
+
+
+def test_faces_match_the_bruteforce_enumeration():
+    for k in (EMPTY, POINT, TWO_POINTS, CIRCLE, SOLID, OCTAHEDRON, PROJECTIVE_PLANE, PATH,
+              NON_PURE):
+        _assert_matches_bruteforce(k)
+    assert reduced_betti(NON_PURE).numbers == {0: 2}
+    assert NON_PURE.num_faces() == 1 + 6 + 4 + 1
+
+
 def test_parity_rule_agrees_with_elimination_on_subword_complexes():
+    # the A2/B2 complexes of check 06 (words of length <= 6), and A3 words
+    # of length <= 5; the rational profile is checked against elimination
     checked = 0
-    for system in (CoxeterSystem.type_a(2), CoxeterSystem.type_b(2)):
-        for length in range(6):
-            for Q in itertools.product((1, 2), repeat=length):
+    for system, length_cap in ((CoxeterSystem.type_a(2), 6), (CoxeterSystem.type_b(2), 6),
+                               (CoxeterSystem.type_a(3), 5)):
+        gens = range(1, system.rank + 1)
+        for length in range(length_cap + 1):
+            for Q in itertools.product(gens, repeat=length):
                 w = demazure(system, Q)
                 for u in system.elements():
                     if bruhat_leq(u, w):
-                        K = subword_complex(system, Q, u).as_simplicial_complex()
-                        assert reduced_betti(K, 0).counts == _eliminated_rational(K), (Q, u)
+                        _assert_matches_bruteforce(
+                            subword_complex(system, Q, u).as_simplicial_complex())
                         checked += 1
-    assert checked > 500
+    assert checked == 649 + 737 + 2883
 
 
 def test_parity_rule_agrees_with_elimination_on_b3_intervals():
+    # every open interval (u, w) of B3 with l(w) - l(u) <= 6
     b3 = CoxeterSystem.type_b(3)
     e = b3.identity
-    intervals = [w for w in b3.elements() if w.length == 6]
-    for w in intervals:
-        closed = bruhat_interval(e, w)
-        K = order_complex(closed.restrict([x for x in closed.ground if x not in (e, w)]))
-        assert reduced_betti(K, 0).counts == _eliminated_rational(K) == ((4, 1),)
-    assert len(intervals) == 7
+    checked = 0
+    for w in b3.elements():
+        for u in b3.elements():
+            if 2 <= w.length - u.length <= 6 and bruhat_leq(u, w):
+                closed = bruhat_interval(u, w)
+                K = order_complex(closed.restrict([x for x in closed.ground
+                                                   if x not in (u, w)]))
+                _assert_matches_bruteforce(K)
+                checked += 1
+                if u == e and w.length == 6:
+                    assert reduced_betti(K, 0).counts == ((4, 1),)
+    assert checked == 635
 
 
 def test_rational_profile_of_one_parity_skips_elimination(monkeypatch):
