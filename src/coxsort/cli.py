@@ -125,6 +125,8 @@ def cmd_orders(args) -> int:
         if args.Q is None:
             raise ValueError("orders sorting needs --Q")
         Q = system.check_word(parse_word(args.Q))
+        if system.element(Q) != w:
+            raise ValueError(f"--Q {word_str(Q)} does not spell --w {word_str(w.word)}")
         named.append((f"sorting {word_str(Q)}", sorting_order(system, Q)))
     if want == "all":
         for Q in sorted(hecke.reduced_words(w)):
@@ -248,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=_FORMATS, default=fmt_default)
         p.add_argument("--cap", type=int, default=50_000,
                        help="group enumeration cap (default 50000)")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("group", help="list the elements of a finite group")
     add_common(p, "tsv")

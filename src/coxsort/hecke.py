@@ -55,7 +55,7 @@ def demazure(system: CoxeterSystem, word: Iterable[int]) -> Element:
     >>> demazure(a2, (1, 1, 2))
     <1,2>
     """
-    return _suffix_demazure(system, system.check_word(word))[0]
+    return system.elements()[_suffix_demazure(system, system.check_word(word))[0]]
 
 
 def is_reduced(system: CoxeterSystem, word: Iterable[int]) -> bool:
@@ -142,12 +142,14 @@ def _require_reduced(system: CoxeterSystem, Q: tuple[int, ...]) -> Element:
     return w
 
 
-def _suffix_demazure(system: CoxeterSystem, Q: tuple[int, ...]) -> list[Element]:
-    # suffix[k] is the 0-Hecke product of Q[k:], folded from the right: a
-    # letter is absorbed when it is a left descent of the product after it
-    suffix = [system.identity]
+def _suffix_demazure(system: CoxeterSystem, Q: tuple[int, ...]) -> list[int]:
+    # suffix[k] is the table row of the 0-Hecke product of Q[k:], folded from
+    # the right: a letter is absorbed when it is a left descent of the rest
+    system.elements()  # builds the table
+    left = system._left
+    suffix = [0]
     for s in reversed(Q):
-        suffix.append(max(suffix[-1], suffix[-1].mult_left(s)))
+        suffix.append(max(suffix[-1], left[suffix[-1]][s - 1]))
     return suffix[::-1]
 
 

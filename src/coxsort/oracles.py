@@ -11,12 +11,13 @@ permutations under composition) and the signed-permutation model of
 type B.  :class:`BraidRewriting` decides equality of words of any
 Coxeter matrix by nil and braid moves alone, the subword scan tries
 every position set, :func:`bruhat_leq_walk` compares two elements by
-stripping left descents, :func:`inclusion_poset_bruteforce` orders
-sets by a pairwise scan, and :func:`faces_bruteforce` lists the faces of
-a complex as tuples from every subset of every facet; all are slow
-references for tests.  :func:`contractibility_evidence` (a cone vertex,
-else vanishing homology) is the reference the fiber certificates of
-:mod:`coxsort.fibermap` are tested against.
+stripping left descents, :func:`element_poset` and
+:func:`inclusion_poset_bruteforce` order elements and sets by a pairwise
+scan, and :func:`faces_bruteforce` lists the faces of a complex as tuples
+from every subset of every facet; all are slow references for tests.
+:func:`contractibility_evidence` (a cone vertex, else vanishing homology)
+is the reference the fiber certificates of :mod:`coxsort.fibermap` are
+tested against.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "sorting_subword_bruteforce",
     "contains_reduced_word_bruteforce",
     "subword_facets_bruteforce",
+    "element_poset",
     "inclusion_poset_bruteforce",
     "faces_bruteforce",
     "cone_vertex",
@@ -222,6 +224,13 @@ def subword_facets_bruteforce(system, Q: Sequence[int], target) -> set[frozenset
         if system.element(tuple(Q[j - 1] for j in combo)) == target:
             out.add(frozenset(positions) - frozenset(combo))
     return out
+
+
+def element_poset(elements: Iterable, relation: Callable, label: str = "poset") -> Poset:
+    """Poset on group elements, ground sorted by (length, word), with the
+    relation asked pair by pair."""
+    ground = tuple(sorted(set(elements)))
+    return Poset(ground, [[relation(a, b) for b in ground] for a in ground], label)
 
 
 def inclusion_poset_bruteforce(sets: Iterable[Iterable], label: str = "inclusion") -> Poset:

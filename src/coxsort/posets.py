@@ -12,7 +12,7 @@ partial order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .coxeter import CoxeterSystem, Element, word_str
 __all__ = [
     "Poset",
     "RelationUnion",
-    "element_poset",
     "bruhat_interval",
     "weak_interval",
     "sorting_order",
@@ -118,14 +117,6 @@ class Poset:
 
     def is_chain(self) -> bool:
         return bool((self.leq | self.leq.T).all())
-
-
-def element_poset(elements: Iterable[Element], relation: Callable[[Element, Element], bool],
-                  label: str = "poset") -> Poset:
-    """Poset on group elements, ground sorted by (length, word)."""
-    ground = tuple(sorted(set(elements)))
-    matrix = [[relation(a, b) for b in ground] for a in ground]
-    return Poset(ground, matrix, label)
 
 
 def bruhat_interval(u: Element, w: Element, label: str | None = None) -> Poset:

@@ -4,7 +4,8 @@ Given a word Q in the generators and a group element w, the faces are
 the sets of positions one can delete from Q so that the remaining
 subword still contains a reduced word for w; equivalently the facets
 are the complements of the position sets carrying reduced subwords
-equal to w.  Position indices are 1-based.
+equal to w.  Position indices are 1-based; inside the facet search a set
+of positions is an int mask, bit j for position j + 1.
 
 Every such complex is homeomorphic to a ball or to a sphere, and the
 sphere case occurs exactly when the Demazure product of Q equals w.
@@ -17,7 +18,7 @@ from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element
 from .errors import VoidComplexError
-from .hecke import _suffix_demazure, bruhat_leq, demazure
+from .hecke import _suffix_demazure, bruhat_row, demazure
 from .homology import BettiProfile, SimplicialComplex, _profiles
 
 __all__ = ["SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex"]
@@ -42,6 +43,7 @@ class SubwordComplex:
             raise VoidComplexError(
                 f"the word {Q} carries no reduced subword equal to {target}")
         self._complex: SimplicialComplex | None = None
+        self._product: int | None = None  # table row of the Demazure product of Q
         self._interior: frozenset[frozenset[int]] | None = None
 
     def as_simplicial_complex(self) -> SimplicialComplex:
@@ -59,7 +61,9 @@ class SubwordComplex:
     def classify(self) -> str:
         """"sphere" when the Demazure product of Q equals the target,
         "ball" otherwise."""
-        return "sphere" if demazure(self.system, self.Q) == self.target else "ball"
+        if self._product is None:
+            self._product = _suffix_demazure(self.system, self.Q)[0]
+        return "sphere" if self._product == self.target.index else "ball"
 
     def _subword_at_complement(self, face: frozenset[int]) -> tuple[int, ...]:
         return tuple(s for j, s in enumerate(self.Q, start=1) if j not in face)
@@ -82,26 +86,31 @@ class SubwordComplex:
                 f"facets={len(self.facets)})")
 
 
-def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...],
-                         target: Element) -> set[frozenset[int]]:
-    # suffix_dem[j] bounds what positions > j can still provide
-    suffix_dem = _suffix_demazure(system, Q)
-    n = len(Q)
+def _positions(mask: int) -> frozenset[int]:
+    """The 1-based position set of a mask: bit j is position j + 1."""
+    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...], target: Element, *,
+                         suffix: list[int] | None = None) -> set[frozenset[int]]:
+    # depth first over (position j, row still to spell, mask of positions
+    # taken); suffix[j], the row of the Demazure product of Q[j:], bounds
+    # what the positions from j on can still spell
+    if suffix is None:
+        suffix = _suffix_demazure(system, Q)
+    elements, left = system.elements(), system._left
+    full = (1 << len(Q)) - 1
     out: set[frozenset[int]] = set()
-    all_positions = frozenset(range(1, n + 1))
-
-    def go(j: int, rest: Element, taken: tuple[int, ...]) -> None:
-        if rest.is_identity:
-            out.add(all_positions - frozenset(taken))
-            return
-        if j > n or not bruhat_leq(rest, suffix_dem[j - 1]):
-            return
-        s = Q[j - 1]
-        if rest.is_left_descent(s):
-            go(j + 1, rest.mult_left(s), taken + (j,))
-        go(j + 1, rest, taken)
-
-    go(1, target, ())
+    stack = [(0, target.index, 0)]
+    while stack:
+        j, rest, taken = stack.pop()
+        if not rest:
+            out.add(_positions(full ^ taken))
+        elif j < len(Q) and bruhat_row(elements[suffix[j]])[rest]:
+            stack.append((j + 1, rest, taken))
+            shorter = left[rest][Q[j] - 1]
+            if shorter < rest:
+                stack.append((j + 1, shorter, taken | 1 << j))
     return out
 
 
@@ -111,16 +120,19 @@ def subword_complex(system: CoxeterSystem, Q: Iterable[int], target: Element) ->
     Raises VoidComplexError when Q carries no reduced subword for the
     target.  When the target is the identity the complex is the full
     simplex on all positions (the boundary of nothing to delete), which
-    for the empty word degenerates to the empty complex.
+    for the empty word degenerates to the empty complex.  Q is folded
+    once and ``classify`` reads that fold, as the facet search does; the
+    search prunes a target not below the whole product at its root, so a
+    void complex fails in the constructor.
     """
-    Q = tuple(Q)
-    system.check_word(Q)
+    Q = system.check_word(Q)
     if target.system != system:
         raise ValueError("target element belongs to a different system")
-    if not bruhat_leq(target, demazure(system, Q)):
-        raise VoidComplexError(
-            f"the word {Q} carries no reduced subword equal to {target}")
-    return SubwordComplex(system, Q, target, _facets_by_backtrack(system, Q, target))
+    suffix = _suffix_demazure(system, Q)
+    complex_ = SubwordComplex(system, Q, target,
+                              _facets_by_backtrack(system, Q, target, suffix=suffix))
+    complex_._product = suffix[0]
+    return complex_
 
 
 @dataclass(frozen=True)

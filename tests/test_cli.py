@@ -71,6 +71,22 @@ def test_orders_sorting_needs_q(capsys):
     assert "--Q" in err
 
 
+def test_orders_sorting_rejects_q_of_another_element(capsys):
+    code, out, err = run(capsys, "orders", "sorting", "--type", "B2",
+                         "--w", "1", "--Q", "1,2,1,2")
+    assert code == 2 and out == ""
+    assert err == "error: --Q 1,2,1,2 does not spell --w 1\n"
+
+
+@pytest.mark.parametrize("command", [["group"], ["orders", "all"], ["subword"], ["fibers"]],
+                         ids=["group", "orders", "subword", "fibers"])
+def test_seed_is_not_an_option_of_exact_commands(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--type", "B2", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_orders_json_roundtrip(capsys):
     code, out, _ = run(capsys, "orders", "weak", "--type", "A2",
                        "--w", "1,2,1", "--format", "json")

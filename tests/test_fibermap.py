@@ -57,7 +57,7 @@ def test_subset_images_budget():
     assert (exc.value.budget, exc.value.limit, exc.value.spent) == ("mask_cap", 16, 17)
 
 
-A5_PREFIX = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)  # 12 letters: the sampled branch
+A5_PREFIX = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)  # 12 letters, 4,096 masks
 
 
 def test_order_preserving():
@@ -68,12 +68,16 @@ def test_order_preserving():
     a5 = CoxeterSystem.type_a(5)
     assert a5.element(A5_PREFIX).length == 12
     assert check_order_preserving(a5, A5_PREFIX)
+    b4 = CoxeterSystem.type_b(4)
+    w0 = b4.longest_element()
+    assert w0.length == 16  # the mask cap
+    assert check_order_preserving(b4, w0.word)
 
 
 @pytest.mark.parametrize("system, Q", [
     (CoxeterSystem.type_a(3), (1, 2, 3, 1, 2, 1)),
     (CoxeterSystem.type_a(5), A5_PREFIX),
-], ids=["exhaustive", "sampled"])
+], ids=["A3_6_letters", "A5_12_letters"])
 def test_order_preserving_detects_a_wrong_image(monkeypatch, system, Q):
     real = fibermap._mask_images
 
@@ -84,6 +88,36 @@ def test_order_preserving_detects_a_wrong_image(monkeypatch, system, Q):
 
     monkeypatch.setattr(fibermap, "_mask_images", empty_set_to_w0)
     assert not check_order_preserving(system, Q)
+
+
+def test_order_preserving_detects_one_wrong_image_among_4096(monkeypatch):
+    a5 = CoxeterSystem.type_a(5)
+    real = fibermap._mask_images
+
+    def one_mask_to_e(system, Q):
+        imgs = real(system, Q)
+        imgs[0b101010101010] = system.identity.index
+        return imgs
+
+    monkeypatch.setattr(fibermap, "_mask_images", one_mask_to_e)
+    assert not check_order_preserving(a5, A5_PREFIX)
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_order_preserving_reads_the_cover_at_every_position(monkeypatch, j):
+    # f({i, j}) := s_Q[j] with Q[i] != Q[j]: only the cover {i} < {i, j} breaks
+    b2 = CoxeterSystem.type_b(2)
+    Q = (1, 2, 1, 2)
+    i = (j + 1) % 4
+    real = fibermap._mask_images
+
+    def pair_to_one_letter(system, Q):
+        imgs = real(system, Q)
+        imgs[1 << i | 1 << j] = imgs[1 << j]
+        return imgs
+
+    monkeypatch.setattr(fibermap, "_mask_images", pair_to_one_letter)
+    assert not check_order_preserving(b2, Q)
 
 
 def test_fiber_up_partitions_by_image():

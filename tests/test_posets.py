@@ -3,8 +3,8 @@ import pytest
 
 from coxsort import CoxeterSystem
 from coxsort.hecke import sorting_subword, weak_leq
-from coxsort.oracles import bruhat_leq_walk, inclusion_poset_bruteforce
-from coxsort.posets import (Poset, _weak_matrix, bruhat_interval, element_poset,
+from coxsort.oracles import bruhat_leq_walk, element_poset, inclusion_poset_bruteforce
+from coxsort.posets import (Poset, _weak_matrix, bruhat_interval,
                             relation_intersection, relation_union, sorting_order,
                             weak_interval)
 

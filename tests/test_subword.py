@@ -1,9 +1,11 @@
+import gc
 import itertools
 
 import pytest
 
-from coxsort import CoxeterSystem, VoidComplexError, subword_complex
-from coxsort.hecke import demazure
+from coxsort import CoxeterSystem, VoidComplexError, subword, subword_complex
+from coxsort.fibermap import certify_fiber_contractible
+from coxsort.hecke import bruhat_leq, demazure
 from coxsort.oracles import subword_facets_bruteforce
 from coxsort.subword import _facets_by_backtrack, certify_subword_complex
 
@@ -108,7 +110,6 @@ def test_classification_matches_demazure_rule():
                 try:
                     c = subword_complex(a2, Q, u)
                 except VoidComplexError:
-                    from coxsort.hecke import bruhat_leq
                     assert not bruhat_leq(u, top)
                     continue
                 assert c.classify() == ("sphere" if u == top else "ball")
@@ -133,3 +134,45 @@ def test_certify_subword_complex():
     assert all(p.counts == ((0, 1),) for p in sphere.profiles)
     empty = certify_subword_complex(subword_complex(b2, (1, 2, 1, 2), b2.longest_element()))
     assert (empty.kind, empty.top, empty.matches) == ("sphere", -1, (True, True))
+
+
+def test_one_fold_per_complex(monkeypatch):
+    folds = []
+    real = subword._suffix_demazure
+
+    def counted(system, Q):
+        folds.append(Q)
+        return real(system, Q)
+
+    monkeypatch.setattr(subword, "_suffix_demazure", counted)
+    b2 = CoxeterSystem.type_b(2)
+    Q = (1, 2, 1, 2, 1)
+    for u, kind in (((1, 2, 1, 2), "sphere"), ((2,), "ball")):
+        folds.clear()
+        c = subword_complex(b2, Q, b2.element(u))
+        assert c.classify() == kind and c.classify() == kind
+        assert folds == [Q]
+    folds.clear()
+    with pytest.raises(VoidComplexError):
+        subword_complex(b2, (1, 2, 1), b2.longest_element())
+    assert folds == [(1, 2, 1)]
+
+
+def test_complexes_leave_no_cyclic_garbage():
+    b2, a3 = CoxeterSystem.type_b(2), CoxeterSystem.type_a(3)
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(7):
+            for Q in itertools.product((1, 2), repeat=n):
+                w = demazure(b2, Q)
+                for u in b2.elements():
+                    if bruhat_leq(u, w):
+                        c = subword_complex(b2, Q, u)
+                        certify_subword_complex(c)
+                        c.boundary_faces()
+        for u in a3.elements():
+            certify_fiber_contractible(a3, (1, 2, 3, 1, 2, 1), u)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
