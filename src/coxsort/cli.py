@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import fibermap, hecke, subword, totalpos
-from .coxeter import CoxeterSystem, Element, parse_word, word_str
+from .coxeter import DEFAULT_SIZE_CAP, CoxeterSystem, Element, parse_word, word_str
 from .errors import BudgetExceededError, VoidComplexError
 from .posets import Poset, bruhat_interval, sorting_order, weak_interval
 from .verify import Context, RunConfig, named_system, report_json, run_verification
@@ -145,15 +145,14 @@ def cmd_subword(args) -> int:
     w = system.element(parse_word(args.w))
     complex_ = subword.subword_complex(system, Q, w)
     report = subword.certify_subword_complex(complex_)
-    K = complex_.as_simplicial_complex()
     matches = all(report.matches)
     obj = {
         "Q": word_str(Q),
         "w": word_str(w.word),
         "classification": report.kind,
-        "dim": K.dim,
+        "dim": complex_.dim,
         "facets": sorted(sorted(f) for f in complex_.facets),
-        "num_faces": K.num_faces(),
+        "num_faces": complex_.num_faces(),
         "betti": {name: {str(d): b for d, b in profile.counts}
                   for name, profile in zip(("GF(2)", "Q"), report.profiles)},
         "betti_matches_classification": matches,
@@ -175,9 +174,9 @@ def cmd_fibers(args) -> int:
         raise ValueError("fibers needs --Q (a reduced word)")
     Q = system.check_word(parse_word(args.Q))
     w = hecke._require_reduced(system, Q)
-    interval = bruhat_interval(system.identity, w)
+    below = hecke.bruhat_row(w)
     rows = []
-    for u in interval.ground:
+    for u in (u for u in system.elements() if below[u.index]):
         entry = {"u": word_str(u.word),
                  "open_fiber_size": len(fibermap.fiber_open(system, Q, u)) if u != w else None}
         report = fibermap.certify_fiber_contractible(system, Q, u)
@@ -248,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", help="named group: A<n>, B<n>, D<n>, I2:<m>, H3")
         p.add_argument("--matrix", help="Coxeter matrix file: first line n, then n rows")
         p.add_argument("--format", choices=_FORMATS, default=fmt_default)
-        p.add_argument("--cap", type=int, default=50_000,
-                       help="group enumeration cap (default 50000)")
+        p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,
+                       help=f"group enumeration cap (default {DEFAULT_SIZE_CAP})")
 
     p = sub.add_parser("group", help="list the elements of a finite group")
     add_common(p, "tsv")
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra sweep group from a Coxeter matrix file (repeatable)")
     p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--field", type=int, choices=(2, 0), default=2)
-    p.add_argument("--cap", type=int, default=50_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 

@@ -47,8 +47,9 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
 
-__all__ = ["CoxeterSystem", "Element", "word_str", "parse_word"]
+__all__ = ["CoxeterSystem", "Element", "word_str", "parse_word", "DEFAULT_SIZE_CAP"]
 
+DEFAULT_SIZE_CAP = 50_000
 Word = tuple[int, ...]
 
 
@@ -180,7 +181,7 @@ class CoxeterSystem:
     caps, and elements of equal systems are interchangeable.
     """
 
-    def __init__(self, matrix: Iterable[Iterable[int]], size_cap: int = 50_000):
+    def __init__(self, matrix: Iterable[Iterable[int]], size_cap: int = DEFAULT_SIZE_CAP):
         rows = tuple(tuple(int(x) for x in row) for row in matrix)
         n = len(rows)
         if n == 0:

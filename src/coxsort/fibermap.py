@@ -135,7 +135,7 @@ def sorting_section(system: CoxeterSystem, Q: Iterable[int]) -> dict[Element, fr
     sorting subword positions, and f of those positions returns u."""
     Q = tuple(Q)
     w = _require_reduced(system, Q)
-    ground = bruhat_interval(system.identity, w).ground
+    ground = [u for u, below in zip(system.elements(), bruhat_row(w)) if below]
     out: dict[Element, frozenset[int]] = {}
     for u, row in zip(ground, sorting_positions(system, Q, ground)):
         S = frozenset(j + 1 for j, taken in enumerate(row) if taken)
@@ -201,14 +201,13 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
     if not bruhat_leq(u, w):
         raise ValueError("u must lie below the product of Q")
     delta = subword_complex(system, Q, u)
-    K = delta.as_simplicial_complex()
-    kind, size = delta.classify(), K.num_faces()
+    kind, size = delta.classify(), delta.num_faces()
     if u == w:
         # the fiber is {full}; its proper part is empty, so nothing to certify
         return FiberReport(u.word, kind, size, True, "singleton")
-    if len(K.facets) == 1:
+    if len(delta.facets) == 1:
         return FiberReport(u.word, kind, size, True, "cone")
-    profiles = _profiles(K)
+    profiles = _profiles(delta)
     contractible = all(p.is_trivial() for p in profiles)
     return FiberReport(u.word, kind, size, contractible,
                        "homology" if contractible else None, profiles)

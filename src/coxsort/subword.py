@@ -4,8 +4,9 @@ Given a word Q in the generators and a group element w, the faces are
 the sets of positions one can delete from Q so that the remaining
 subword still contains a reduced word for w; equivalently the facets
 are the complements of the position sets carrying reduced subwords
-equal to w.  Position indices are 1-based; inside the facet search a set
-of positions is an int mask, bit j for position j + 1.
+equal to w.  A :class:`SubwordComplex` is the simplicial complex on the
+positions 1..len(Q).  Positions are 1-based; inside the facet search and
+the complex a set of positions is an int mask, bit j for position j + 1.
 
 Every such complex is homeomorphic to a ball or to a sphere, and the
 sphere case occurs exactly when the Demazure product of Q equals w.
@@ -18,45 +19,36 @@ from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element
 from .errors import VoidComplexError
-from .hecke import _suffix_demazure, bruhat_row, demazure
+from .hecke import _suffix_demazure, bruhat_row
 from .homology import BettiProfile, SimplicialComplex, _profiles
 
 __all__ = ["SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex"]
 
 
-class SubwordComplex:
-    """Faces-of-deletable-positions complex for (Q, target).
+class SubwordComplex(SimplicialComplex):
+    """The subword complex Delta(Q, target), a simplicial complex on the
+    positions 1..len(Q) of Q.
 
-    ``facets`` are frozensets of 1-based positions of Q.  Vertices of
-    the underlying simplicial complex are all positions 1..len(Q); a
-    position lying in every facet is a cone point and certifies
-    contractibility.
+    ``facets`` are frozensets of 1-based positions, validated at
+    construction.  A position lying in every facet is a cone point and
+    certifies contractibility.
     """
 
     def __init__(self, system: CoxeterSystem, Q: tuple[int, ...], target: Element,
                  facets: Iterable[frozenset[int]]):
+        facets = frozenset(frozenset(f) for f in facets)
+        if not facets:
+            raise VoidComplexError(
+                f"the word {Q} carries no reduced subword equal to {target}")
+        super().__init__(range(1, len(Q) + 1), facets)
         self.system = system
         self.Q = tuple(Q)
         self.target = target
-        self.facets = frozenset(frozenset(f) for f in facets)
-        if not self.facets:
-            raise VoidComplexError(
-                f"the word {Q} carries no reduced subword equal to {target}")
-        self._complex: SimplicialComplex | None = None
         self._product: int | None = None  # table row of the Demazure product of Q
         self._interior: frozenset[frozenset[int]] | None = None
 
     def as_simplicial_complex(self) -> SimplicialComplex:
-        if self._complex is None:
-            self._complex = SimplicialComplex(range(1, len(self.Q) + 1), self.facets)
-        return self._complex
-
-    def faces(self) -> set[frozenset[int]]:
-        return self.as_simplicial_complex().faces()
-
-    @property
-    def dim(self) -> int:
-        return self.as_simplicial_complex().dim
+        return self
 
     def classify(self) -> str:
         """"sphere" when the Demazure product of Q equals the target,
@@ -65,17 +57,16 @@ class SubwordComplex:
             self._product = _suffix_demazure(self.system, self.Q)[0]
         return "sphere" if self._product == self.target.index else "ball"
 
-    def _subword_at_complement(self, face: frozenset[int]) -> tuple[int, ...]:
-        return tuple(s for j, s in enumerate(self.Q, start=1) if j not in face)
-
     def interior_faces(self) -> frozenset[frozenset[int]]:
         """Faces whose complementary subword still has Demazure product
         equal to the target.  For a sphere every face qualifies; for a
         ball these are the faces off the boundary sphere."""
         if self._interior is None:
+            Q, system, target = self.Q, self.system, self.target.index
             self._interior = frozenset(
-                F for F in self.faces()
-                if demazure(self.system, self._subword_at_complement(F)) == self.target)
+                _positions(F) for level in self._face_levels() for F in level
+                if _suffix_demazure(system, tuple(
+                    s for j, s in enumerate(Q) if not F >> j & 1))[0] == target)
         return self._interior
 
     def boundary_faces(self) -> frozenset[frozenset[int]]:
@@ -153,8 +144,7 @@ def certify_subword_complex(complex_: SubwordComplex) -> SubwordReport:
     sphere would have dimension len(Q) - l(target) - 1."""
     kind = complex_.classify()
     top = len(complex_.Q) - complex_.target.length - 1
-    K = complex_.as_simplicial_complex()
-    profiles = _profiles(K)
+    profiles = _profiles(complex_)
     matches = tuple(b.matches_sphere(top) if kind == "sphere" else b.is_trivial()
                     for b in profiles)
     return SubwordReport(kind, top, profiles, matches)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fibermap, hecke, oracles, posets, subword, totalpos
-from .coxeter import CoxeterSystem, Element, word_str
+from .coxeter import DEFAULT_SIZE_CAP, CoxeterSystem, Element, word_str
 
 __all__ = [
     "DEFAULT_ORDER_GROUPS",
@@ -46,7 +46,7 @@ _FAILURE_CAP = 25
 _NOTE_CAP = 40
 
 
-def named_system(spec: str, size_cap: int = 50_000) -> CoxeterSystem:
+def named_system(spec: str, size_cap: int = DEFAULT_SIZE_CAP) -> CoxeterSystem:
     """Build a system from a short name: A3, B2, D4, I2:7, H3."""
     text = spec.strip().upper()
     m = re.fullmatch(r"([ABD])(\d+)", text)
@@ -75,7 +75,7 @@ class RunConfig:
     groups: tuple[str, ...] | None = None
     field: int = 2
     seed: int = 0
-    size_cap: int = 50_000
+    size_cap: int = DEFAULT_SIZE_CAP
     measure_time: bool = False
 
     @property
@@ -104,30 +104,36 @@ class CheckResult:
 
 
 class _Recorder:
-    """Collects failures/notes with caps so reports stay bounded."""
+    """Collects failures and notes with caps so reports stay bounded, each
+    list closed by a marker counting what its cap dropped.  Only notes with
+    a ``detail`` (one per instance) are capped; per-group summaries are not."""
 
     def __init__(self):
         self.instances = 0
         self.failures: list[dict] = []
         self.notes: list[dict] = []
-        self._dropped = 0
+        self._dropped_failures = self._dropped_notes = 0
 
     def fail(self, **info) -> None:
         if len(self.failures) < _FAILURE_CAP:
             self.failures.append(info)
         else:
-            self._dropped += 1
+            self._dropped_failures += 1
 
     def note(self, **info) -> None:
-        if len(self.notes) < _NOTE_CAP:
+        if len(self.notes) < _NOTE_CAP or "detail" not in info:
             self.notes.append(info)
+        else:
+            self._dropped_notes += 1
 
     def result(self, name: str, statement: str) -> CheckResult:
-        failures = list(self.failures)
-        if self._dropped:
-            failures.append({"detail": f"{self._dropped} further failures truncated"})
-        return CheckResult(name, statement, self.instances,
-                           not failures, failures, self.notes)
+        failures = self.failures + _truncated(self._dropped_failures, "failures")
+        return CheckResult(name, statement, self.instances, not failures, failures,
+                           self.notes + _truncated(self._dropped_notes, "notes"))
+
+
+def _truncated(dropped: int, what: str) -> list[dict]:
+    return [{"detail": f"{dropped} further {what} truncated"}] if dropped else []
 
 
 class Context:
@@ -207,14 +213,16 @@ def check_sorting_sandwich(ctx: Context) -> CheckResult:
 
 
 def _folded_orders(ctx: Context, gname: str, fold):
-    """For each w: its weak interval, the Bruhat relation there, and the
-    sorting relations there folded by ``fold``, one reduced word at a time."""
+    """For each w: its weak interval (the column of w in the weak relation on
+    [e, w]), the weak and Bruhat relations there, and the sorting relations
+    there folded by ``fold``, one reduced word at a time."""
     for w, bru_p, words in _order_pass(ctx, gname):
-        weak_p = posets.weak_interval(w)
-        rows = [bru_p.index(u) for u in weak_p.ground]
+        weak_m = posets._weak_matrix(bru_p.ground)
+        rows = np.flatnonzero(weak_m[:, -1])
         folded = functools.reduce(fold, (posets._sorting_relation(taken[rows])
                                          for _, taken in words))
-        yield w, weak_p, bru_p.leq[np.ix_(rows, rows)], folded
+        yield (w, [bru_p.ground[i] for i in rows], weak_m[np.ix_(rows, rows)],
+               bru_p.leq[np.ix_(rows, rows)], folded)
 
 
 def _compare_matrices(rec, got, want, ground, gname, w, which):
@@ -227,8 +235,8 @@ def _compare_matrices(rec, got, want, ground, gname, w, which):
 def check_sorting_intersection(ctx: Context) -> CheckResult:
     rec = _Recorder()
     for gname in ctx.config.sweep_groups:
-        for w, weak_p, _, meet in _folded_orders(ctx, gname, np.logical_and):
-            _compare_matrices(rec, meet, weak_p.leq, weak_p.ground, gname, w,
+        for w, ground, weak_m, _, meet in _folded_orders(ctx, gname, np.logical_and):
+            _compare_matrices(rec, meet, weak_m, ground, gname, w,
                               "intersection of sorting orders vs weak order")
     return rec.result(
         "sorting_intersection",
@@ -240,8 +248,8 @@ def check_sorting_intersection(ctx: Context) -> CheckResult:
 def check_sorting_union(ctx: Context) -> CheckResult:
     rec = _Recorder()
     for gname in ctx.config.sweep_groups:
-        for w, weak_p, bru_m, join in _folded_orders(ctx, gname, np.logical_or):
-            _compare_matrices(rec, join, bru_m, weak_p.ground, gname, w,
+        for w, ground, _, bru_m, join in _folded_orders(ctx, gname, np.logical_or):
+            _compare_matrices(rec, join, bru_m, ground, gname, w,
                               "union of sorting orders vs Bruhat order")
     return rec.result(
         "sorting_union",

@@ -4,8 +4,10 @@ import pytest
 
 import coxsort.hecke
 from coxsort import CoxeterSystem, subset_images
-from coxsort.cli import main
+from coxsort.cli import build_parser, main
+from coxsort.coxeter import DEFAULT_SIZE_CAP
 from coxsort.hecke import sorting_positions
+from coxsort.verify import RunConfig, named_system
 
 
 def run(capsys, *argv):
@@ -238,3 +240,13 @@ def test_verify_reports_failure_exit_code(monkeypatch, capsys):
                     if r["name"] == "sorting_sandwich")
     assert sandwich["failures"]
     assert {"group", "w", "Q", "u", "v", "detail"} <= set(sandwich["failures"][0])
+
+
+def test_every_default_size_cap_is_the_one_constant():
+    parser = build_parser()
+    caps = [parser.parse_args(argv).cap
+            for argv in (["group"], ["orders", "all"], ["subword"], ["fibers"], ["verify"])]
+    caps += [RunConfig().size_cap, CoxeterSystem.type_a(2).size_cap,
+             named_system("B2").size_cap]
+    assert caps == [DEFAULT_SIZE_CAP] * 8
+    assert DEFAULT_SIZE_CAP == 50_000

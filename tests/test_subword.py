@@ -5,9 +5,10 @@ import pytest
 
 from coxsort import CoxeterSystem, VoidComplexError, subword, subword_complex
 from coxsort.fibermap import certify_fiber_contractible
+from coxsort.homology import SimplicialComplex
 from coxsort.hecke import bruhat_leq, demazure
 from coxsort.oracles import subword_facets_bruteforce
-from coxsort.subword import _facets_by_backtrack, certify_subword_complex
+from coxsort.subword import SubwordComplex, _facets_by_backtrack, certify_subword_complex
 
 
 def fs(*items):
@@ -176,3 +177,38 @@ def test_complexes_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_subword_complex_is_its_own_simplicial_complex():
+    b2 = CoxeterSystem.type_b(2)
+    c = subword_complex(b2, (1, 2, 1, 2, 1), b2.element((1, 2)))
+    assert isinstance(c, SimplicialComplex)
+    assert c.as_simplicial_complex() is c
+    assert c.vertices == (1, 2, 3, 4, 5)
+
+
+def test_facet_outside_the_positions_fails_at_construction():
+    b2 = CoxeterSystem.type_b(2)
+    with pytest.raises(ValueError, match="not in the vertex order"):
+        SubwordComplex(b2, (1, 2, 1), b2.element((1,)), [fs(2, 3), fs(1, 4)])
+    with pytest.raises(VoidComplexError):
+        SubwordComplex(b2, (1, 2, 1), b2.element((1,)), [])
+
+
+def test_interior_faces_match_the_definition():
+    # spheres and non-reduced words included, which no verification check reaches
+    b2 = CoxeterSystem.type_b(2)
+    kinds = set()
+    for n in range(7):
+        for Q in itertools.product((1, 2), repeat=n):
+            w = demazure(b2, Q)
+            for u in b2.elements():
+                if not bruhat_leq(u, w):
+                    continue
+                c = subword_complex(b2, Q, u)
+                want = {F for F in c.faces()
+                        if demazure(b2, [s for j, s in enumerate(Q, 1) if j not in F]) == u}
+                assert c.interior_faces() == want
+                assert c.boundary_faces() == c.faces() - want
+                kinds.add(c.classify())
+    assert kinds == {"ball", "sphere"}

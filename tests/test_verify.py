@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import coxsort.fibermap
 import coxsort.hecke
 import coxsort.homology
 import coxsort.posets
+import coxsort.verify
 from coxsort.verify import (CHECK_NAMES, Context, RunConfig, named_system,
                             report_json, run_check, run_verification)
 
@@ -191,3 +193,22 @@ def test_fault_injection_in_ranks(monkeypatch):
         r = run_check(name, RunConfig())
         assert not r.passed, name
         assert any("betti" in f.get("detail", "") for f in r.failures), name
+
+
+def test_notes_past_the_cap_leave_a_marker_and_keep_every_summary(monkeypatch):
+    monkeypatch.setattr(coxsort.verify, "_NOTE_CAP", 3)
+    notes = run_check("cover_containment", RunConfig(groups=("A3", "B2"))).notes
+    assert [n["group"] for n in notes if "proper" in n] == ["A3", "B2"]
+    assert [n["group"] for n in notes if "w" in n] == ["A3"] * 3
+    assert re.fullmatch(r"[1-9]\d* further notes truncated", notes[-1]["detail"])
+    assert len(notes) == 6
+
+
+def test_folded_orders_read_the_weak_interval_off_the_weak_relation():
+    ctx = Context()
+    for w, ground, weak_m, bru_m, _ in coxsort.verify._folded_orders(ctx, "B3", np.logical_or):
+        weak = coxsort.posets.weak_interval(w)
+        assert tuple(ground) == weak.ground
+        assert np.array_equal(weak_m, weak.leq)
+        bruhat = coxsort.posets.bruhat_interval(w.system.identity, w)
+        assert np.array_equal(bru_m, bruhat.restrict(ground).leq)
