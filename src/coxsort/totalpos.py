@@ -1,8 +1,12 @@
 """Exact total-positivity arithmetic for the elementary Jacobi matrices.
 
-Everything runs over ``fractions.Fraction`` so the parameter identities
-below are checked as equalities of rational matrices, not up to
-floating-point error.
+A rational matrix is kept as integer numerators over one positive common
+denominator, so products are integer products and every minor comes from
+one fraction-free integer determinant (Bareiss).  ``Fraction`` appears only
+where values enter or leave: parameters, ``from_rows``, entries, minors
+and printing.  Floats are refused, because they arrive already rounded.
+The parameter identities below are therefore checked as equalities of
+rational matrices, not up to floating-point error.
 
 The generators are x_i(t) = I + t E_{i,i+1}.  Two identities drive the
 checks:
@@ -23,6 +27,7 @@ False
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,87 +42,123 @@ __all__ = [
     "seeded_trials",
 ]
 
+# is_totally_nonnegative reads all C(2n, n) - 1 minors, exponentially many
+MINOR_SWEEP_CAP = 6
+
+
+def _exact(x) -> Fraction:
+    """``Fraction(x)`` for an int, a Fraction or a string such as "1/3".
+    A float raises TypeError: it was rounded before it got here."""
+    if isinstance(x, float):
+        raise TypeError("exact arithmetic takes ints, Fractions or strings, "
+                        f"not the float {x!r}")
+    return Fraction(x)
+
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable square matrix of Fractions with exact @-multiplication."""
+    """Immutable square rational matrix: integer ``numerators`` over one
+    positive ``denominator``, kept in lowest terms so that equal matrices
+    have equal fields and equal hashes.  Rational entries enter through
+    ``from_rows``; ``[i, j]`` and ``minor`` return Fractions."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int = 1
 
     def __post_init__(self):
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
+        n = len(self.numerators)
+        if any(len(r) != n for r in self.numerators):
             raise ValueError("matrix must be square")
+        if self.denominator <= 0:
+            raise ValueError(f"denominator must be positive, got {self.denominator}")
+        g = math.gcd(self.denominator, *itertools.chain.from_iterable(self.numerators))
+        if g != 1:
+            object.__setattr__(self, "numerators", tuple(
+                tuple(x // g for x in row) for row in self.numerators))
+            object.__setattr__(self, "denominator", self.denominator // g)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                         for i in range(n)))
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        entries = [[_exact(x) for x in row] for row in rows]
+        d = math.lcm(*(x.denominator for row in entries for x in row))
+        return cls(tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                         for row in entries), d)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.numerators)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        cols = tuple(zip(*other.rows))
+        cols = tuple(zip(*other.numerators))
         return RationalMatrix(tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows))
+            for row in self.numerators), self.denominator * other.denominator)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.numerators[i][j], self.denominator)
 
     def minor(self, row_idx: tuple[int, ...], col_idx: tuple[int, ...]) -> Fraction:
-        sub = [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        return _det(sub)
+        if len(row_idx) != len(col_idx):
+            raise ValueError("a minor needs as many rows as columns, got "
+                             f"{len(row_idx)} and {len(col_idx)}")
+        return Fraction(self._integer_minor(row_idx, col_idx),
+                        self.denominator ** len(row_idx))
+
+    def _integer_minor(self, row_idx: tuple[int, ...], col_idx: tuple[int, ...]) -> int:
+        """The minor of the numerator matrix: denominator**k times the k-minor."""
+        N = self.numerators
+        return _det([[N[i][j] for j in col_idx] for i in row_idx])
 
     def __str__(self) -> str:
-        return "\n".join("  ".join(str(x) for x in row) for row in self.rows)
+        return "\n".join("  ".join(str(Fraction(x, self.denominator)) for x in row)
+                         for row in self.numerators)
 
 
-def _det(m: list[list[Fraction]]) -> Fraction:
-    # fraction-free would be overkill at these sizes; plain expansion by
-    # elimination with exact arithmetic
-    m = [row[:] for row in m]
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination.  After step c every entry below and right of the pivot is
+    a (c+2)-minor of the input, so each division by the previous pivot is
+    exact and the entries stay bounded by Hadamard's bound."""
+    m = [list(row) for row in m]
     n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if m[c][c] == 0:
+            piv = next((r for r in range(c + 1, n) if m[r][c] != 0), None)
+            if piv is None:
+                return 0
             m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
+            sign = -sign
+        p, top = m[c][c], m[c]
         for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return det
+            row, a = m[r], m[r][c]
+            for k in range(c + 1, n):
+                row[k] = (row[k] * p - a * top[k]) // prev
+        prev = p
+    return sign * m[-1][-1] if n else 1
 
 
 def chevalley(n: int, i: int, t) -> RationalMatrix:
     """x_i(t) = identity plus t in entry (i, i+1), 1-based i <= n-1."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"need 1 <= i <= {n - 1}, got {i}")
-    t = Fraction(t)
-    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    rows[i - 1][i] = t
-    return RationalMatrix(tuple(tuple(r) for r in rows))
+    t = _exact(t)
+    d = t.denominator
+    rows = [[d * (r == c) for c in range(n)] for r in range(n)]
+    rows[i - 1][i] = t.numerator
+    return RationalMatrix(tuple(map(tuple, rows)), d)
 
 
 def verify_additive_identity(n: int, i: int, a, b) -> bool:
     """x_i(a) x_i(b) == x_i(a+b), exactly."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _exact(a), _exact(b)
     return chevalley(n, i, a) @ chevalley(n, i, b) == chevalley(n, i, a + b)
 
 
@@ -132,7 +173,7 @@ def verify_braid_identity(n: int, i: int, t1, t2, t3, j: int | None = None) -> b
         j = i + 1
     if abs(i - j) != 1:
         raise ValueError("the three-term exchange applies to adjacent indices only")
-    t1, t2, t3 = Fraction(t1), Fraction(t2), Fraction(t3)
+    t1, t2, t3 = _exact(t1), _exact(t2), _exact(t3)
     p1 = t2 * t3 / (t1 + t3)
     p2 = t1 + t3
     p3 = t1 * t2 / (t1 + t3)
@@ -141,16 +182,17 @@ def verify_braid_identity(n: int, i: int, t1, t2, t3, j: int | None = None) -> b
     return lhs == rhs
 
 
-def is_totally_nonnegative(M: RationalMatrix, size_cap: int = 6) -> bool:
-    """Every minor of M is >= 0, checked exhaustively (exponentially many
-    minors, hence the size cap)."""
-    if M.n > size_cap:
-        raise ValueError(f"minor sweep capped at n={size_cap}; got n={M.n}")
+def is_totally_nonnegative(M: RationalMatrix) -> bool:
+    """Every minor of M is >= 0, checked exhaustively up to n =
+    MINOR_SWEEP_CAP.  A k-minor of M is the integer minor of its numerators
+    divided by denominator**k > 0, so the two have the same sign."""
+    if M.n > MINOR_SWEEP_CAP:
+        raise ValueError(f"minor sweep capped at n={MINOR_SWEEP_CAP}; got n={M.n}")
     idx = range(M.n)
     for k in range(1, M.n + 1):
         for rows in itertools.combinations(idx, k):
             for cols in itertools.combinations(idx, k):
-                if M.minor(rows, cols) < 0:
+                if M._integer_minor(rows, cols) < 0:
                     return False
     return True
 
@@ -160,9 +202,14 @@ def seeded_trials(seed: int, trials: int = 100) -> Iterator[tuple[str, bool, str
     ``trials`` additive identities, ``trials`` adjacent exchanges (t3
     redrawn off the pole t1 + t3 = 0), then ``max(1, trials // 2)``
     products of 4x4 generators with nonnegative parameters.  Yields
-    ``(statement, holds, failure)``, failure naming the trial."""
-    rng = random.Random(seed)
+    ``(statement, holds, failure)``, failure naming the trial.  A negative
+    ``trials`` raises ValueError before anything is drawn."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    return _trials(random.Random(seed), trials)
 
+
+def _trials(rng: random.Random, trials: int) -> Iterator[tuple[str, bool, str]]:
     def rational(lo: int = -9) -> Fraction:
         return Fraction(rng.randint(lo, 9), rng.randint(1, 9))
 
@@ -181,11 +228,13 @@ def seeded_trials(seed: int, trials: int = 100) -> Iterator[tuple[str, bool, str
         yield ("exchange", verify_braid_identity(n, i, t1, t2, t3),
                f"exchange identity failed at n={n}, i={i}, t=({t1},{t2},{t3})")
     for _ in range(max(1, trials // 2)):
+        factors = [(rng.randint(1, 3), rational(lo=0)) for _ in range(rng.randint(1, 8))]
         M = RationalMatrix.identity(4)
-        for _ in range(rng.randint(1, 8)):
-            M = M @ chevalley(4, rng.randint(1, 3), rational(lo=0))
+        for i, t in factors:
+            M = M @ chevalley(4, i, t)
         yield ("nonnegative_products", is_totally_nonnegative(M),
-               "nonnegative Chevalley product with a negative minor")
+               "nonnegative Chevalley product with a negative minor, factors (i, t) = "
+               + ", ".join(f"({i}, {t})" for i, t in factors))
 
 
 if __name__ == "__main__":

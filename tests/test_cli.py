@@ -178,6 +178,15 @@ def test_totalpos(capsys):
     assert payload["nonnegative_products"] == {"passed": 3, "trials": 3}
 
 
+def test_totalpos_rejects_a_negative_trial_count(capsys):
+    code, out, err = run(capsys, "totalpos", "--trials", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: trials must be >= 0, got -3\n"
+    code, out, _ = run(capsys, "totalpos", "--trials", "0", "--format", "tsv")
+    assert code == 0
+    assert out == "additive\t0/0\nexchange\t0/0\nnonnegative_products\t1/1\n"
+
+
 def test_matrix_file(tmp_path, capsys):
     path = tmp_path / "b2.txt"
     path.write_text("2\n1 4\n4 1\n")

@@ -8,6 +8,7 @@ import coxsort.fibermap
 import coxsort.hecke
 import coxsort.homology
 import coxsort.posets
+import coxsort.totalpos
 import coxsort.verify
 from coxsort.verify import (CHECK_NAMES, Context, RunConfig, named_system,
                             report_json, run_check, run_verification)
@@ -193,6 +194,22 @@ def test_fault_injection_in_ranks(monkeypatch):
         r = run_check(name, RunConfig())
         assert not r.passed, name
         assert any("betti" in f.get("detail", "") for f in r.failures), name
+
+
+def test_fault_injection_breaks_total_positivity(monkeypatch):
+    # every 2x2 minor changes sign, so each nonnegative product shows a
+    # negative one; the identities compare matrices and stay green
+    real = coxsort.totalpos._det
+    monkeypatch.setattr(coxsort.totalpos, "_det",
+                        lambda m: -real(m) if len(m) == 2 else real(m))
+    r = run_check("total_positivity", SMALL)
+    assert not r.passed
+    assert len(r.failures) == 26
+    assert r.failures[-1] == {"detail": "25 further failures truncated"}
+    details = [f["detail"] for f in r.failures[:-1]]
+    assert all(re.search(r"negative minor, factors \(i, t\) = \([1-3], \d+(/\d+)?\)", d)
+               for d in details)
+    assert len(set(details)) == len(details)
 
 
 def test_notes_past_the_cap_leave_a_marker_and_keep_every_summary(monkeypatch):
