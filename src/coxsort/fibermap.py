@@ -241,9 +241,9 @@ def certify_interval_sphere(u: Element, w: Element,
     """Check that the order complex of the open Bruhat interval (u, w)
     has the reduced homology of a sphere of dimension l(w)-l(u)-2.
 
-    Needs l(w)-l(u) >= 2 so the open interval is nonempty-or-empty in a
-    meaningful way; for length difference exactly 2 the open interval
-    is two incomparable points, the 0-sphere.
+    Needs u <= w with l(w)-l(u) >= 2, so that the open interval is
+    nonempty and the sphere has dimension at least 0; for length difference
+    exactly 2 the open interval is two incomparable points, the 0-sphere.
     """
     if u.system != w.system:
         raise ValueError("elements belong to different systems")

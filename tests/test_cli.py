@@ -227,6 +227,12 @@ def test_verify_unknown_group(capsys):
     assert "unknown group" in err
 
 
+def test_verify_repeated_group(capsys):
+    code, out, err = run(capsys, "verify", "--type", "B2", "--type", "B2")
+    assert code == 2 and out == ""
+    assert "without repeats" in err
+
+
 def test_verify_reports_failure_exit_code(monkeypatch, capsys):
     real = coxsort.hecke.sorting_positions
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import coxsort.errors
 import coxsort.fibermap
 import coxsort.hecke
 import coxsort.homology
@@ -221,11 +222,65 @@ def test_notes_past_the_cap_leave_a_marker_and_keep_every_summary(monkeypatch):
     assert len(notes) == 6
 
 
-def test_folded_orders_read_the_weak_interval_off_the_weak_relation():
-    ctx = Context()
-    for w, ground, weak_m, bru_m, _ in coxsort.verify._folded_orders(ctx, "B3", np.logical_or):
+def test_folded_orders_read_the_weak_interval_off_the_weak_relation(monkeypatch):
+    real = coxsort.verify._compare_matrices
+    calls = []
+
+    def spy(rec, got, want, ground, gname, w, which):
+        calls.append((want, ground, w, which))
+        return real(rec, got, want, ground, gname, w, which)
+
+    monkeypatch.setattr(coxsort.verify, "_compare_matrices", spy)
+    assert run_check("sorting_union", RunConfig(groups=("B3",))).passed
+    assert len(calls) == 2 * 48
+    for want, ground, w, which in calls:
         weak = coxsort.posets.weak_interval(w)
         assert tuple(ground) == weak.ground
-        assert np.array_equal(weak_m, weak.leq)
-        bruhat = coxsort.posets.bruhat_interval(w.system.identity, w)
-        assert np.array_equal(bru_m, bruhat.restrict(ground).leq)
+        if which.startswith("intersection"):
+            assert np.array_equal(want, weak.leq)
+        else:
+            bruhat = coxsort.posets.bruhat_interval(w.system.identity, w)
+            assert np.array_equal(want, bruhat.restrict(ground).leq)
+
+
+ORDER_CHECKS = ("sorting_sandwich", "sorting_intersection", "sorting_union",
+                "cover_containment")
+
+
+def test_order_checks_sort_each_word_once(monkeypatch):
+    real = coxsort.hecke.sorting_positions
+    calls = []
+
+    def counted(system, Q, elements):
+        calls.append(Q)
+        return real(system, Q, elements)
+
+    monkeypatch.setattr(coxsort.hecke, "sorting_positions", counted)
+    ctx = Context(SMALL)
+    for name in ORDER_CHECKS:
+        assert run_check(name, ctx=ctx).passed
+    # B2 has 8 elements and the longest one has two reduced words
+    assert len(calls) == len(set(calls)) == 9
+
+
+def test_order_checks_do_not_depend_on_their_order():
+    config = RunConfig(groups=("A3", "B2"))
+    ctx = Context(config)
+    shared = {name: run_check(name, ctx=ctx).to_obj() for name in reversed(ORDER_CHECKS)}
+    for name in ORDER_CHECKS:
+        assert shared[name] == run_check(name, config).to_obj(), name
+
+
+def test_a_failed_order_pass_is_run_again():
+    ctx = Context(RunConfig(groups=("A3",), size_cap=10))
+    for name in ("sorting_sandwich", "cover_containment"):
+        with pytest.raises(coxsort.errors.BudgetExceededError):
+            run_check(name, ctx=ctx)
+    assert ctx._order_records is None
+
+
+@pytest.mark.parametrize("kwargs", [dict(groups=()), dict(groups=("B2", "B2")),
+                                    dict(field=3), dict(field=1)])
+def test_run_config_rejects_vacuous_repeated_or_unknown_settings(kwargs):
+    with pytest.raises(ValueError, match="groups must|field must"):
+        RunConfig(**kwargs)
