@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import fibermap, hecke, subword, totalpos
 from .coxeter import DEFAULT_SIZE_CAP, CoxeterSystem, Element, parse_word, word_str
@@ -174,11 +175,12 @@ def cmd_fibers(args) -> int:
         raise ValueError("fibers needs --Q (a reduced word)")
     Q = system.check_word(parse_word(args.Q))
     w = hecke._require_reduced(system, Q)
-    below = hecke.bruhat_row(w)
+    images = Counter(fibermap.subset_images(system, Q).values())
     rows = []
-    for u in (u for u in system.elements() if below[u.index]):
-        entry = {"u": word_str(u.word),
-                 "open_fiber_size": len(fibermap.fiber_open(system, Q, u)) if u != w else None}
+    for u in hecke._below(w):
+        open_size = None if u == w else sum(n for x, n in images.items()
+                                            if x not in (u, w) and hecke.bruhat_leq(u, x))
+        entry = {"u": word_str(u.word), "open_fiber_size": open_size}
         report = fibermap.certify_fiber_contractible(system, Q, u)
         entry.update(fiber_up_size=report.poset_size, complex=report.complex_type)
         if u.is_identity:

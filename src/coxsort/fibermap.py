@@ -21,10 +21,10 @@ import numpy as np
 
 from .coxeter import CoxeterSystem, Element
 from .errors import BudgetExceededError
-from .hecke import (_require_reduced, bruhat_leq, bruhat_row, demazure,
+from .hecke import (_below, _require_reduced, bruhat_leq, bruhat_row, demazure,
                     sorting_positions)
 from .homology import BettiProfile, _profiles, order_complex, reduced_betti
-from .posets import bruhat_interval
+from .posets import Poset, bruhat_interval
 from .subword import _positions, subword_complex
 
 __all__ = [
@@ -135,7 +135,7 @@ def sorting_section(system: CoxeterSystem, Q: Iterable[int]) -> dict[Element, fr
     sorting subword positions, and f of those positions returns u."""
     Q = tuple(Q)
     w = _require_reduced(system, Q)
-    ground = [u for u, below in zip(system.elements(), bruhat_row(w)) if below]
+    ground = _below(w)
     out: dict[Element, frozenset[int]] = {}
     for u, row in zip(ground, sorting_positions(system, Q, ground)):
         S = frozenset(j + 1 for j, taken in enumerate(row) if taken)
@@ -247,16 +247,13 @@ def certify_interval_sphere(u: Element, w: Element,
     """
     if u.system != w.system:
         raise ValueError("elements belong to different systems")
-    if not bruhat_leq(u, w):
-        raise ValueError("u must lie below w in Bruhat order")
+    closed = bruhat_interval(u, w)  # raises ValueError unless u <= w
     d = w.length - u.length
     if d < 2:
         raise ValueError("open-interval homology needs length difference at least 2")
-    closed = bruhat_interval(u, w)
-    inner = [x for x in closed.ground if x != u and x != w]
-    open_poset = closed.restrict(inner, label=f"({u}, {w})")
-    K = order_complex(open_poset)
-    profile = reduced_betti(K, coefficient_field)
+    # the ground is sorted by table row, so u comes first and w last
+    inner = Poset(closed.ground[1:-1], closed.leq[1:-1, 1:-1], label=f"({u}, {w})")
+    profile = reduced_betti(order_complex(inner), coefficient_field)
     expected = d - 2
     return IntervalReport(u.word, w.word, expected, profile,
                           profile.matches_sphere(expected), len(inner))

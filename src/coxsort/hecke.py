@@ -111,6 +111,12 @@ def bruhat_row(v: Element) -> np.ndarray:
     return rows[v.index]
 
 
+def _below(w: Element) -> list[Element]:
+    """The elements of [e, w] in table order, read off one Bruhat row."""
+    elements = w.system.elements()
+    return [elements[x] for x in np.flatnonzero(bruhat_row(w))]
+
+
 def bruhat_leq(u: Element, v: Element) -> bool:
     """Bruhat order: u <= v iff u appears as a subword of some (equivalently
     any) reduced word of v; one lookup in :func:`bruhat_row` of ``v``."""

@@ -5,8 +5,9 @@ the sets of positions one can delete from Q so that the remaining
 subword still contains a reduced word for w; equivalently the facets
 are the complements of the position sets carrying reduced subwords
 equal to w.  A :class:`SubwordComplex` is the simplicial complex on the
-positions 1..len(Q).  Positions are 1-based; inside the facet search and
-the complex a set of positions is an int mask, bit j for position j + 1.
+positions 1..len(Q), its facets derived from (Q, w), never given.
+Positions are 1-based; inside the facet search and the complex a set of
+positions is an int mask, bit j for position j + 1.
 
 Every such complex is homeomorphic to a ball or to a sphere, and the
 sphere case occurs exactly when the Demazure product of Q equals w.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coxeter import CoxeterSystem, Element
+from .coxeter import CoxeterSystem, Element, word_str
 from .errors import VoidComplexError
 from .hecke import _suffix_demazure, bruhat_row
 from .homology import BettiProfile, SimplicialComplex, _profiles
@@ -29,22 +30,29 @@ class SubwordComplex(SimplicialComplex):
     """The subword complex Delta(Q, target), a simplicial complex on the
     positions 1..len(Q) of Q.
 
-    ``facets`` are frozensets of 1-based positions, validated at
-    construction.  A position lying in every facet is a cone point and
-    certifies contractibility.
+    The facets, frozensets of 1-based positions, are derived from (Q,
+    target), never given; Q is folded once, for the facet search and for
+    ``classify``.  Raises VoidComplexError when Q carries no reduced
+    subword for the target.  For the identity target the complex is the
+    full simplex on all positions, for the empty word the empty complex.
+    A position lying in every facet is a cone point and certifies
+    contractibility.
     """
 
-    def __init__(self, system: CoxeterSystem, Q: tuple[int, ...], target: Element,
-                 facets: Iterable[frozenset[int]]):
-        facets = frozenset(frozenset(f) for f in facets)
+    def __init__(self, system: CoxeterSystem, Q: Iterable[int], target: Element):
+        Q = system.check_word(Q)
+        if target.system != system:
+            raise ValueError("target element belongs to a different system")
+        suffix = _suffix_demazure(system, Q)
+        facets = _facets_by_backtrack(system, Q, target, suffix=suffix)
         if not facets:
             raise VoidComplexError(
-                f"the word {Q} carries no reduced subword equal to {target}")
+                f"the word {word_str(Q)} carries no reduced subword equal to {target}")
         super().__init__(range(1, len(Q) + 1), facets)
         self.system = system
-        self.Q = tuple(Q)
+        self.Q = Q
         self.target = target
-        self._product: int | None = None  # table row of the Demazure product of Q
+        self._product = suffix[0]  # table row of the Demazure product of Q
         self._interior: frozenset[frozenset[int]] | None = None
 
     def as_simplicial_complex(self) -> SimplicialComplex:
@@ -53,8 +61,6 @@ class SubwordComplex(SimplicialComplex):
     def classify(self) -> str:
         """"sphere" when the Demazure product of Q equals the target,
         "ball" otherwise."""
-        if self._product is None:
-            self._product = _suffix_demazure(self.system, self.Q)[0]
         return "sphere" if self._product == self.target.index else "ball"
 
     def interior_faces(self) -> frozenset[frozenset[int]]:
@@ -106,24 +112,9 @@ def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...], target: Elem
 
 
 def subword_complex(system: CoxeterSystem, Q: Iterable[int], target: Element) -> SubwordComplex:
-    """Build the subword complex of (Q, target).
-
-    Raises VoidComplexError when Q carries no reduced subword for the
-    target.  When the target is the identity the complex is the full
-    simplex on all positions (the boundary of nothing to delete), which
-    for the empty word degenerates to the empty complex.  Q is folded
-    once and ``classify`` reads that fold, as the facet search does; the
-    search prunes a target not below the whole product at its root, so a
-    void complex fails in the constructor.
-    """
-    Q = system.check_word(Q)
-    if target.system != system:
-        raise ValueError("target element belongs to a different system")
-    suffix = _suffix_demazure(system, Q)
-    complex_ = SubwordComplex(system, Q, target,
-                              _facets_by_backtrack(system, Q, target, suffix=suffix))
-    complex_._product = suffix[0]
-    return complex_
+    """The subword complex of (Q, target), its facets derived from Q:
+    ``SubwordComplex(system, Q, target)``."""
+    return SubwordComplex(system, Q, target)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+import coxsort.fibermap
 import coxsort.hecke
 from coxsort import CoxeterSystem, subset_images
 from coxsort.cli import build_parser, main
-from coxsort.coxeter import DEFAULT_SIZE_CAP
+from coxsort.coxeter import DEFAULT_SIZE_CAP, word_str
+from coxsort.fibermap import fiber_open, fiber_up
 from coxsort.hecke import sorting_positions
 from coxsort.verify import RunConfig, named_system
 
@@ -126,9 +128,18 @@ def test_subword_void(capsys):
     assert "error:" in err
 
 
-def test_fibers_table(capsys):
+def test_fibers_table(monkeypatch, capsys):
+    tables = []
+    real = coxsort.fibermap._mask_images
+
+    def counted(system, Q):
+        tables.append(Q)
+        return real(system, Q)
+
+    monkeypatch.setattr(coxsort.fibermap, "_mask_images", counted)
     code, out, _ = run(capsys, "fibers", "--type", "B2", "--Q", "1,2,1,2")
     assert code == 0
+    assert tables == [(1, 2, 1, 2)]  # one table of f for all eight u
     lines = out.strip().split("\n")
     assert lines[0] == "u\tcomplex\tfiber_up\topen_fiber\tcontractible"
     assert len(lines) == 9
@@ -148,6 +159,21 @@ def test_fibers_of_a_long_a4_word(capsys):
     assert "method" not in rows[0]
     assert rows[0]["fiber_up_size"] == 1024
     assert all(r["contractible"] is True for r in rows[1:])
+
+
+def test_fiber_sizes_match_the_library(capsys):
+    b3 = CoxeterSystem.type_b(3)
+    Q = b3.longest_element().word
+    code, out, _ = run(capsys, "fibers", "--type", "B3", "--Q", ",".join(map(str, Q)),
+                       "--format", "json")
+    assert code == 0
+    rows = {r["u"]: r for r in json.loads(out)["fibers"]}
+    assert len(rows) == 48
+    for u in b3.elements():
+        row = rows[word_str(u.word)]
+        assert row["fiber_up_size"] == len(fiber_up(b3, Q, u))
+        assert row["open_fiber_size"] == (None if u.length == len(Q)
+                                          else len(fiber_open(b3, Q, u)))
 
 
 def test_fibers_rejects_non_reduced(capsys):
@@ -228,9 +254,10 @@ def test_verify_unknown_group(capsys):
 
 
 def test_verify_repeated_group(capsys):
-    code, out, err = run(capsys, "verify", "--type", "B2", "--type", "B2")
-    assert code == 2 and out == ""
-    assert "without repeats" in err
+    for spelling in ("B2", "b2"):
+        code, out, err = run(capsys, "verify", "--type", spelling, "--type", "B2")
+        assert code == 2 and out == ""
+        assert "without repeats" in err
 
 
 def test_verify_reports_failure_exit_code(monkeypatch, capsys):

@@ -88,6 +88,7 @@ def test_facet_size_identity():
 
 
 def test_scan_and_backtrack_agree():
+    # the constructor derives the facets from (Q, u) alone
     b2 = CoxeterSystem.type_b(2)
     for n in range(0, 7):
         for Q in itertools.product((1, 2), repeat=n):
@@ -97,9 +98,12 @@ def test_scan_and_backtrack_agree():
                 back = _facets_by_backtrack(b2, Q, u)
                 assert set(scan) == set(back), (Q, u)
                 if scan:
-                    got = subword_complex(b2, Q, u)
+                    got = SubwordComplex(b2, Q, u)
                     assert got.facets == frozenset(scan)
                     assert got.classify() == ("sphere" if u == w else "ball")
+                else:
+                    with pytest.raises(VoidComplexError):
+                        SubwordComplex(b2, Q, u)
 
 
 def test_classification_matches_demazure_rule():
@@ -187,12 +191,10 @@ def test_subword_complex_is_its_own_simplicial_complex():
     assert c.vertices == (1, 2, 3, 4, 5)
 
 
-def test_facet_outside_the_positions_fails_at_construction():
+def test_void_constructor_names_the_word():
     b2 = CoxeterSystem.type_b(2)
-    with pytest.raises(ValueError, match="not in the vertex order"):
-        SubwordComplex(b2, (1, 2, 1), b2.element((1,)), [fs(2, 3), fs(1, 4)])
-    with pytest.raises(VoidComplexError):
-        SubwordComplex(b2, (1, 2, 1), b2.element((1,)), [])
+    with pytest.raises(VoidComplexError, match="^the word 1,2,1 carries no reduced subword"):
+        SubwordComplex(b2, (1, 2, 1), b2.longest_element())
 
 
 def test_interior_faces_match_the_definition():

@@ -24,6 +24,10 @@ def test_named_system():
     assert len(named_system("i2.5").elements()) == 10
     assert named_system("H3").m(1, 2) == 5
     assert named_system("D4").rank == 4
+    assert named_system(" h3").m(1, 2) == 5 and named_system("I2.04").m(1, 2) == 4
+    # equal matrices under two names are no repeat; the spellings are kept
+    groups = ("I2:4", " b2", "matrix:b2")
+    assert RunConfig(groups=groups).sweep_groups == groups
     for bad in ("X5", "I3:4", "", "A", "I2:x"):
         with pytest.raises(ValueError, match="unknown group"):
             named_system(bad)
@@ -280,7 +284,9 @@ def test_a_failed_order_pass_is_run_again():
 
 
 @pytest.mark.parametrize("kwargs", [dict(groups=()), dict(groups=("B2", "B2")),
-                                    dict(field=3), dict(field=1)])
+                                    dict(field=3), dict(field=1),
+                                    dict(groups=("b2", "B2")), dict(groups=("I2:4", "i2.4")),
+                                    dict(groups=(" A3", "A3"))])
 def test_run_config_rejects_vacuous_repeated_or_unknown_settings(kwargs):
     with pytest.raises(ValueError, match="groups must|field must"):
         RunConfig(**kwargs)
