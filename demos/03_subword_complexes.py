@@ -20,11 +20,10 @@ b2 = CoxeterSystem.type_b(2)
 for Q, w_word in (((1, 2, 1, 2), (1, 2, 1)), ((1, 2, 1, 2, 1), (1, 2, 1, 2))):
     w = b2.element(w_word)
     c = subword_complex(b2, Q, w)
-    K = c.as_simplicial_complex()
     print(f"Q = {word_str(Q)}, w = {word_str(w.word)}")
     print("  facets:", sorted(sorted(f) for f in c.facets))
     print("  classification:", c.classify(), "| dim", c.dim)
-    print("  GF(2) betti:", reduced_betti(K, 2).numbers or "all zero")
+    print("  GF(2) betti:", reduced_betti(c, 2).numbers or "all zero")
     print("  boundary faces:", sorted(sorted(f) for f in c.boundary_faces()))
     print()
 

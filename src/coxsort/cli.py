@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: group (element listing), orders (weak/Bruhat/sorting poset
-export), subword (ball/sphere classification with homology cross-check),
-fibers (subset-image fiber survey for a reduced word), totalpos (exact
-parameter-identity trials), verify (the full twelve-check suite with a
-JSON report).
+Subcommands, each with the ``--format`` values it prints, the first the
+default: group (element listing; tsv, json), orders (weak/Bruhat/sorting
+poset export; dot, json, tsv), subword (ball/sphere classification with
+homology cross-check; json, tsv), fibers (subset-image fiber survey for a
+reduced word; tsv, json), totalpos (exact parameter-identity trials;
+json, tsv), verify (the full twelve-check suite with a JSON report;
+json).  Any other format is a usage error.
 
 Exit codes: 0 success, 1 failed verification or exceeded resource
 budget, 2 bad usage or invalid input.  All output is UTF-8 with LF line
@@ -23,8 +25,6 @@ from .coxeter import DEFAULT_SIZE_CAP, CoxeterSystem, Element, parse_word, word_
 from .errors import BudgetExceededError, VoidComplexError
 from .posets import Poset, bruhat_interval, sorting_order, weak_interval
 from .verify import Context, RunConfig, named_system, report_json, run_verification
-
-_FORMATS = ("json", "dot", "tsv")
 
 
 def _read_matrix(path: str) -> list[list[int]]:
@@ -101,15 +101,13 @@ def cmd_group(args) -> int:
     } for e in system.elements()]
     if args.format == "json":
         _dump_json({"order": len(rows), "elements": rows})
-    elif args.format == "tsv":
+    else:
         lines = ["word\tlength\tleft_descents\tright_descents"]
         lines += ["{}\t{}\t{}\t{}".format(
             r["word"], r["length"],
             ",".join(map(str, r["left_descents"])) or "-",
             ",".join(map(str, r["right_descents"])) or "-") for r in rows]
         _print("\n".join(lines))
-    else:
-        raise ValueError("group listing supports json or tsv output")
     return 0
 
 
@@ -160,12 +158,10 @@ def cmd_subword(args) -> int:
     }
     if args.format == "json":
         _dump_json(obj)
-    elif args.format == "tsv":
+    else:
         lines = [f"{k}\t{json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}"
                  for k, v in obj.items()]
         _print("\n".join(lines))
-    else:
-        raise ValueError("subword supports json or tsv output")
     return 0 if matches else 1
 
 
@@ -175,11 +171,13 @@ def cmd_fibers(args) -> int:
         raise ValueError("fibers needs --Q (a reduced word)")
     Q = system.check_word(parse_word(args.Q))
     w = hecke._require_reduced(system, Q)
-    images = Counter(fibermap.subset_images(system, Q).values())
+    images = Counter(fibermap._mask_images(system, Q))  # table row -> masks sent there
+    elements = system.elements()
     rows = []
     for u in hecke._below(w):
-        open_size = None if u == w else sum(n for x, n in images.items()
-                                            if x not in (u, w) and hecke.bruhat_leq(u, x))
+        open_size = None if u == w else sum(
+            n for x, n in images.items()
+            if x not in (u.index, w.index) and hecke.bruhat_row(elements[x])[u.index])
         entry = {"u": word_str(u.word), "open_fiber_size": open_size}
         report = fibermap.certify_fiber_contractible(system, Q, u)
         entry.update(fiber_up_size=report.poset_size, complex=report.complex_type)
@@ -191,7 +189,7 @@ def cmd_fibers(args) -> int:
         rows.append(entry)
     if args.format == "json":
         _dump_json({"Q": word_str(Q), "w": word_str(w.word), "fibers": rows})
-    elif args.format == "tsv":
+    else:
         lines = ["u\tcomplex\tfiber_up\topen_fiber\tcontractible"]
         for r in rows:
             lines.append("{}\t{}\t{}\t{}\t{}".format(
@@ -199,8 +197,6 @@ def cmd_fibers(args) -> int:
                 "-" if r["open_fiber_size"] is None else r["open_fiber_size"],
                 "-" if r["contractible"] is None else r["contractible"]))
         _print("\n".join(lines))
-    else:
-        raise ValueError("fibers supports json or tsv output")
     return 0
 
 
@@ -245,32 +241,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "homotopy checks for finite Coxeter groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_default: str):
+    def add_common(p, formats: tuple[str, ...]):
         p.add_argument("--type", help="named group: A<n>, B<n>, D<n>, I2:<m>, H3")
         p.add_argument("--matrix", help="Coxeter matrix file: first line n, then n rows")
-        p.add_argument("--format", choices=_FORMATS, default=fmt_default)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,
                        help=f"group enumeration cap (default {DEFAULT_SIZE_CAP})")
 
     p = sub.add_parser("group", help="list the elements of a finite group")
-    add_common(p, "tsv")
+    add_common(p, ("tsv", "json"))
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("orders", help="export weak/Bruhat/sorting posets for --w")
     p.add_argument("which", choices=("weak", "bruhat", "sorting", "all"))
-    add_common(p, "dot")
+    add_common(p, ("dot", "json", "tsv"))
     p.add_argument("--w", help="target element as a comma-separated word")
     p.add_argument("--Q", help="reduced word for sorting order")
     p.set_defaults(fn=cmd_orders)
 
     p = sub.add_parser("subword", help="classify the subword complex of (Q, w)")
-    add_common(p, "json")
+    add_common(p, ("json", "tsv"))
     p.add_argument("--w", help="target element word")
     p.add_argument("--Q", help="ambient word")
     p.set_defaults(fn=cmd_subword)
 
     p = sub.add_parser("fibers", help="survey subset-image fibers over a reduced word")
-    add_common(p, "tsv")
+    add_common(p, ("tsv", "json"))
     p.add_argument("--Q", help="reduced word")
     p.set_defaults(fn=cmd_fibers)
 

@@ -252,7 +252,7 @@ def certify_interval_sphere(u: Element, w: Element,
     if d < 2:
         raise ValueError("open-interval homology needs length difference at least 2")
     # the ground is sorted by table row, so u comes first and w last
-    inner = Poset(closed.ground[1:-1], closed.leq[1:-1, 1:-1], label=f"({u}, {w})")
+    inner = Poset(closed.ground[1:-1], closed.leq[1:-1, 1:-1])
     profile = reduced_betti(order_complex(inner), coefficient_field)
     expected = d - 2
     return IntervalReport(u.word, w.word, expected, profile,

@@ -226,18 +226,18 @@ def subword_facets_bruteforce(system, Q: Sequence[int], target) -> set[frozenset
     return out
 
 
-def element_poset(elements: Iterable, relation: Callable, label: str = "poset") -> Poset:
+def element_poset(elements: Iterable, relation: Callable) -> Poset:
     """Poset on group elements, ground sorted by (length, word), with the
     relation asked pair by pair."""
     ground = tuple(sorted(set(elements)))
-    return Poset(ground, [[relation(a, b) for b in ground] for a in ground], label)
+    return Poset(ground, [[relation(a, b) for b in ground] for a in ground])
 
 
-def inclusion_poset_bruteforce(sets: Iterable[Iterable], label: str = "inclusion") -> Poset:
+def inclusion_poset_bruteforce(sets: Iterable[Iterable]) -> Poset:
     """Finite sets under inclusion, compared pair by pair; ground sorted
     by (size, sorted members)."""
     ground = sorted({frozenset(s) for s in sets}, key=lambda s: (len(s), sorted(s)))
-    return Poset(ground, [[a <= b for b in ground] for a in ground], label)
+    return Poset(ground, [[a <= b for b in ground] for a in ground])
 
 
 def faces_bruteforce(K: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:

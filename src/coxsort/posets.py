@@ -1,12 +1,12 @@
 """Finite posets with explicit boolean relation matrices.
 
-Every poset here carries its ground set as an ordered tuple and its
-relation as a read-only numpy matrix, so that two posets on the same
+A poset is its ground set, an ordered tuple, and its relation, a
+read-only numpy matrix; it carries no name.  Two posets on the same
 ground can be compared, intersected, or united entry by entry.  Element
 grounds are always sorted by (length, canonical word), so ``covers()``
 comes in that order too.  Construction validates reflexivity,
 antisymmetry and transitivity, failing loudly on anything that is not a
-partial order.
+partial order; a caller that must say which order failed names it itself.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import hecke
-from .coxeter import CoxeterSystem, Element, word_str
+from .coxeter import CoxeterSystem, Element
 
 __all__ = [
     "Poset",
@@ -45,27 +45,28 @@ def _covers(leq: np.ndarray) -> np.ndarray:
 
 
 class Poset:
-    """An explicit finite poset: ordered ground tuple plus relation matrix."""
+    """An explicit finite poset: an ordered ground tuple plus its relation
+    matrix, ``leq[i, j]`` set iff ``ground[i] <= ground[j]``; equal grounds
+    and relations make equal posets."""
 
-    def __init__(self, ground: Sequence, leq, label: str = "poset"):
+    def __init__(self, ground: Sequence, leq):
         ground = tuple(ground)
         if len(set(ground)) != len(ground):
-            raise ValueError(f"ground set of {label!r} contains duplicates")
+            raise ValueError("ground set contains duplicates")
         matrix = np.array(leq, dtype=bool)
         n = len(ground)
         if matrix.shape != (n, n):
-            raise ValueError(f"relation matrix of {label!r} must be {n}x{n}")
+            raise ValueError(f"relation matrix must be {n}x{n}")
         if n and not matrix.diagonal().all():
-            raise ValueError(f"relation of {label!r} is not reflexive")
+            raise ValueError("relation is not reflexive")
         off = ~np.eye(n, dtype=bool)
         if (matrix & matrix.T & off).any():
-            raise ValueError(f"relation of {label!r} is not antisymmetric")
+            raise ValueError("relation is not antisymmetric")
         if (_bool_product(matrix, matrix) & ~matrix).any():
-            raise ValueError(f"relation of {label!r} is not transitive")
+            raise ValueError("relation is not transitive")
         matrix.setflags(write=False)
         self.ground = ground
         self.leq = matrix
-        self.label = label
         self._index = {g: i for i, g in enumerate(ground)}
 
     def __len__(self) -> int:
@@ -79,13 +80,13 @@ class Poset:
     __hash__ = None  # mutable-by-convention container semantics
 
     def __repr__(self) -> str:
-        return f"Poset({self.label!r}, n={len(self.ground)})"
+        return f"Poset(n={len(self.ground)})"
 
     def index(self, item) -> int:
         try:
             return self._index[item]
         except KeyError:
-            raise ValueError(f"{item!r} is not in the ground set of {self.label!r}") from None
+            raise ValueError(f"{item!r} is not in the ground set") from None
 
     def leq_items(self, a, b) -> bool:
         return bool(self.leq[self.index(a), self.index(b)])
@@ -95,7 +96,7 @@ class Poset:
         return [(self.ground[i], self.ground[j])
                 for i, j in np.argwhere(_covers(self.leq)).tolist()]
 
-    def restrict(self, items: Iterable, label: str | None = None) -> "Poset":
+    def restrict(self, items: Iterable) -> "Poset":
         """Induced subposet; keeps the parent's ground order."""
         wanted = set()
         for item in items:
@@ -103,11 +104,10 @@ class Poset:
             wanted.add(item)
         idx = [i for i, g in enumerate(self.ground) if g in wanted]
         sub = self.leq[np.ix_(idx, idx)]
-        return Poset(tuple(self.ground[i] for i in idx), sub,
-                     label or f"{self.label}|restricted")
+        return Poset(tuple(self.ground[i] for i in idx), sub)
 
-    def dual(self, label: str | None = None) -> "Poset":
-        return Poset(self.ground, self.leq.T, label or f"{self.label}^op")
+    def dual(self) -> "Poset":
+        return Poset(self.ground, self.leq.T)
 
     def minimal_elements(self) -> list:
         return [self.ground[i] for i in np.flatnonzero(~_covers(self.leq).any(axis=0))]
@@ -119,7 +119,7 @@ class Poset:
         return bool((self.leq | self.leq.T).all())
 
 
-def bruhat_interval(u: Element, w: Element, label: str | None = None) -> Poset:
+def bruhat_interval(u: Element, w: Element) -> Poset:
     """The Bruhat interval [u, w], read off the down-set rows of the
     elements below ``w``."""
     if not hecke.bruhat_leq(u, w):
@@ -129,8 +129,7 @@ def bruhat_interval(u: Element, w: Element, label: str | None = None) -> Poset:
     rows = np.stack([hecke.bruhat_row(elements[z]) for z in below])
     above_u = rows[:, u.index]
     ground = below[above_u]
-    return Poset(tuple(elements[z] for z in ground), rows[above_u][:, ground].T,
-                 label or f"bruhat[{u},{w}]")
+    return Poset(tuple(elements[z] for z in ground), rows[above_u][:, ground].T)
 
 
 def _weak_matrix(ground: Sequence[Element]) -> np.ndarray:
@@ -145,7 +144,7 @@ def _weak_matrix(ground: Sequence[Element]) -> np.ndarray:
     return down.T
 
 
-def weak_interval(w: Element, label: str | None = None) -> Poset:
+def weak_interval(w: Element) -> Poset:
     """The right weak order interval [e, w]: everything reached from ``w``
     by walking down right descents."""
     right = w.system._right
@@ -159,7 +158,7 @@ def weak_interval(w: Element, label: str | None = None) -> Poset:
                 stack.append(xs)
     elements = w.system.elements()
     ground = tuple(elements[x] for x in sorted(seen))
-    return Poset(ground, _weak_matrix(ground), label or f"weak[e,{w}]")
+    return Poset(ground, _weak_matrix(ground))
 
 
 def _sorting_relation(taken: np.ndarray) -> np.ndarray:
@@ -169,16 +168,13 @@ def _sorting_relation(taken: np.ndarray) -> np.ndarray:
     return ~_bool_product(taken, ~taken.T)
 
 
-def sorting_order(system: CoxeterSystem, Q: Iterable[int], label: str | None = None) -> Poset:
+def sorting_order(system: CoxeterSystem, Q: Iterable[int]) -> Poset:
     """The sorting order of the reduced word Q on the Bruhat interval
     [e, product(Q)]: u <= v iff the sorting subword positions of u are a
     subset of those of v."""
     Q = system.check_word(Q)
-    elements = system.elements()
-    w = hecke.demazure(system, Q)
-    ground = tuple(elements[x] for x in np.flatnonzero(hecke.bruhat_row(w)))
-    return Poset(ground, _sorting_relation(hecke.sorting_positions(system, Q, ground)),
-                 label or f"sorting[{word_str(Q)}]")
+    ground = hecke._below(hecke.demazure(system, Q))
+    return Poset(ground, _sorting_relation(hecke.sorting_positions(system, Q, ground)))
 
 
 def _common_ground(posets: Sequence[Poset]) -> tuple:
@@ -191,13 +187,13 @@ def _common_ground(posets: Sequence[Poset]) -> tuple:
     return ground
 
 
-def relation_intersection(posets: Sequence[Poset], label: str = "intersection") -> Poset:
+def relation_intersection(posets: Sequence[Poset]) -> Poset:
     """Entrywise AND of the relations; always a partial order."""
     ground = _common_ground(posets)
     matrix = posets[0].leq.copy()
     for p in posets[1:]:
         matrix &= p.leq
-    return Poset(ground, matrix, label)
+    return Poset(ground, matrix)
 
 
 @dataclass
@@ -211,17 +207,16 @@ class RelationUnion:
     ground: tuple
     matrix: np.ndarray
     is_transitive: bool
-    label: str = "union"
 
     def as_poset(self) -> Poset:
-        return Poset(self.ground, self.matrix, self.label)
+        return Poset(self.ground, self.matrix)
 
 
-def relation_union(posets: Sequence[Poset], label: str = "union") -> RelationUnion:
+def relation_union(posets: Sequence[Poset]) -> RelationUnion:
     ground = _common_ground(posets)
     matrix = posets[0].leq.copy()
     for p in posets[1:]:
         matrix |= p.leq
     transitive = not (_bool_product(matrix, matrix) & ~matrix).any()
     matrix.setflags(write=False)
-    return RelationUnion(ground, matrix, transitive, label)
+    return RelationUnion(ground, matrix, transitive)

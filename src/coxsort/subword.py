@@ -44,7 +44,7 @@ class SubwordComplex(SimplicialComplex):
         if target.system != system:
             raise ValueError("target element belongs to a different system")
         suffix = _suffix_demazure(system, Q)
-        facets = _facets_by_backtrack(system, Q, target, suffix=suffix)
+        facets = _facets_by_backtrack(system, Q, target, suffix)
         if not facets:
             raise VoidComplexError(
                 f"the word {word_str(Q)} carries no reduced subword equal to {target}")
@@ -54,9 +54,6 @@ class SubwordComplex(SimplicialComplex):
         self.target = target
         self._product = suffix[0]  # table row of the Demazure product of Q
         self._interior: frozenset[frozenset[int]] | None = None
-
-    def as_simplicial_complex(self) -> SimplicialComplex:
-        return self
 
     def classify(self) -> str:
         """"sphere" when the Demazure product of Q equals the target,
@@ -88,13 +85,11 @@ def _positions(mask: int) -> frozenset[int]:
     return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...], target: Element, *,
-                         suffix: list[int] | None = None) -> set[frozenset[int]]:
+def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...], target: Element,
+                         suffix: list[int]) -> set[frozenset[int]]:
     # depth first over (position j, row still to spell, mask of positions
     # taken); suffix[j], the row of the Demazure product of Q[j:], bounds
     # what the positions from j on can still spell
-    if suffix is None:
-        suffix = _suffix_demazure(system, Q)
     elements, left = system.elements(), system._left
     full = (1 << len(Q)) - 1
     out: set[frozenset[int]] = set()

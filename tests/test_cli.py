@@ -36,10 +36,12 @@ def test_group_json(capsys):
     assert words == ["e", "1"]
 
 
-def test_group_rejects_dot(capsys):
-    code, _, err = run(capsys, "group", "--type", "B2", "--format", "dot")
-    assert code == 2
-    assert "error:" in err
+@pytest.mark.parametrize("command", ["group", "subword", "fibers"])
+def test_only_orders_offers_dot(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--type", "B2", "--format", "dot"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
 
 
 def test_orders_dot_blocks(capsys):

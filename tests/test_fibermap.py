@@ -229,7 +229,7 @@ def test_certificate_agrees_with_the_order_complex_of_the_fiber():
 def test_cone_vertex_with_two_facets_is_certified_by_homology(u):
     b2 = CoxeterSystem.type_b(2)
     Q = (1, 2, 1, 2)
-    K = subword_complex(b2, Q, b2.element(u)).as_simplicial_complex()
+    K = subword_complex(b2, Q, b2.element(u))
     assert cone_vertex(K) is not None and len(K.facets) == 2
     report = certify_fiber_contractible(b2, Q, b2.element(u))
     assert report.contractible and report.method == "homology"

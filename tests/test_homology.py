@@ -211,8 +211,7 @@ def test_parity_rule_agrees_with_elimination_on_subword_complexes():
                 w = demazure(system, Q)
                 for u in system.elements():
                     if bruhat_leq(u, w):
-                        _assert_matches_bruteforce(
-                            subword_complex(system, Q, u).as_simplicial_complex())
+                        _assert_matches_bruteforce(subword_complex(system, Q, u))
                         checked += 1
     assert checked == 649 + 737 + 2883
 
@@ -280,7 +279,7 @@ def test_face_poset_roundtrip():
 def test_barycentric_invariance_for_subword_complexes():
     b2 = CoxeterSystem.type_b(2)
     for Q, word in (((1, 2, 1, 2), (1, 2, 1)), ((1, 2, 1, 2, 1), (1, 2, 1, 2))):
-        k = subword_complex(b2, Q, b2.element(word)).as_simplicial_complex()
+        k = subword_complex(b2, Q, b2.element(word))
         subdivided = order_complex(face_poset(k))
         for field in (2, 0):
             assert (reduced_betti(k, field).numbers

@@ -10,11 +10,11 @@ from coxsort.posets import (Poset, _weak_matrix, bruhat_interval,
 
 
 def chain(n):
-    return Poset(range(n), [[i <= j for j in range(n)] for i in range(n)], "chain")
+    return Poset(range(n), [[i <= j for j in range(n)] for i in range(n)])
 
 
 def antichain(n):
-    return Poset(range(n), np.eye(n, dtype=bool), "antichain")
+    return Poset(range(n), np.eye(n, dtype=bool))
 
 
 def test_validation_errors():

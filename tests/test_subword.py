@@ -6,7 +6,7 @@ import pytest
 from coxsort import CoxeterSystem, VoidComplexError, subword, subword_complex
 from coxsort.fibermap import certify_fiber_contractible
 from coxsort.homology import SimplicialComplex
-from coxsort.hecke import bruhat_leq, demazure
+from coxsort.hecke import _suffix_demazure, bruhat_leq, demazure
 from coxsort.oracles import subword_facets_bruteforce
 from coxsort.subword import SubwordComplex, _facets_by_backtrack, certify_subword_complex
 
@@ -95,7 +95,7 @@ def test_scan_and_backtrack_agree():
             w = demazure(b2, Q)
             for u in b2.elements():
                 scan = subword_facets_bruteforce(b2, Q, u)
-                back = _facets_by_backtrack(b2, Q, u)
+                back = _facets_by_backtrack(b2, Q, u, _suffix_demazure(b2, Q))
                 assert set(scan) == set(back), (Q, u)
                 if scan:
                     got = SubwordComplex(b2, Q, u)
@@ -123,8 +123,7 @@ def test_classification_matches_demazure_rule():
 def test_simplicial_carrier_has_all_positions_as_ground():
     a3 = CoxeterSystem.type_a(3)
     c = subword_complex(a3, (1, 2, 3, 1, 2, 1), a3.element((1, 2, 1)))
-    k = c.as_simplicial_complex()
-    assert k.vertices == tuple(range(1, 7))
+    assert c.vertices == tuple(range(1, 7))
 
 
 def test_certify_subword_complex():
@@ -187,7 +186,6 @@ def test_subword_complex_is_its_own_simplicial_complex():
     b2 = CoxeterSystem.type_b(2)
     c = subword_complex(b2, (1, 2, 1, 2, 1), b2.element((1, 2)))
     assert isinstance(c, SimplicialComplex)
-    assert c.as_simplicial_complex() is c
     assert c.vertices == (1, 2, 3, 4, 5)
 
 

@@ -95,6 +95,19 @@ def test_context_reuse_and_register():
     assert ctx.system("custom") is other
 
 
+def test_a_config_that_differs_from_the_context_is_refused():
+    ctx = Context(SMALL)
+    for config in (RunConfig(seed=5, groups=("A3",)), RunConfig(groups=("B2",), seed=1)):
+        with pytest.raises(ValueError, match="config differs"):
+            run_verification(config, ctx)
+        with pytest.raises(ValueError, match="config differs"):
+            run_check("boolean_map_worked_example", config, ctx)
+    # an equal config is the same config
+    assert run_check("boolean_map_worked_example", RunConfig(groups=("B2",)), ctx).passed
+    report = run_verification(ctx=Context(RunConfig(groups=("B2",))))
+    assert report["system"]["groups"] == ["B2"]
+
+
 def _drop_last_position(taken, more_than):
     # the sorting matrix without the last taken position of each row that
     # has more than ``more_than`` of them
@@ -150,6 +163,9 @@ def test_corrupted_sorting_relation_gives_a_red_report(monkeypatch):
     details = {r["name"]: r["failures"][0]["detail"] for r in report["theorem_results"]
                if r["failures"]}
     assert "not antisymmetric" in details["b2_reference_orders"]
+    b2_failure = next(r for r in report["theorem_results"]
+                      if r["name"] == "b2_reference_orders")["failures"][0]
+    assert b2_failure["Q"] == "1,2,1,2"  # the failing sorting order names its word
     assert details["cover_containment"] == "sorting relation is not antisymmetric"
 
 
@@ -169,14 +185,14 @@ def test_fault_injection_in_relation_layer(monkeypatch):
     # drop the Bruhat cover 1 < 1,2 of B2; what is left is still a poset
     real = coxsort.posets.bruhat_interval
 
-    def dropped_cover(u, w, label=None):
-        p = real(u, w, label)
+    def dropped_cover(u, w):
+        p = real(u, w)
         one, one_two = u.system.element((1,)), u.system.element((1, 2))
         if one not in p.ground or one_two not in p.ground:
             return p
         leq = p.leq.copy()
         leq[p.index(one), p.index(one_two)] = False
-        return coxsort.posets.Poset(p.ground, leq, p.label)
+        return coxsort.posets.Poset(p.ground, leq)
 
     monkeypatch.setattr(coxsort.posets, "bruhat_interval", dropped_cover)
     for name in ("sorting_sandwich", "cover_containment"):
