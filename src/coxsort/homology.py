@@ -1,12 +1,27 @@
 """Exact reduced simplicial homology over GF(2) and over the rationals.
 
-Complexes are presented by facets over an ordered vertex tuple.  Betti
-numbers are reduced: the chain complex is augmented, so a point has all
-zeros and the empty complex ``{frozenset()}`` has a single unit in
-dimension -1.  Ranks are computed by exact elimination, never by
-floating point: bitset rows over GF(2), fraction-free integer rows for
-the rationals, which read the GF(2) profile instead whenever parity
-forces it (see :func:`reduced_betti`).
+Complexes are presented by facets over an ordered vertex tuple, or, for
+the order complex of a poset, by the poset itself, whose chains are
+walked once each.  Betti numbers are reduced: the chain complex is
+augmented, so a point has all zeros and the empty complex
+``{frozenset()}`` has a single unit in dimension -1.  Ranks are computed
+by exact elimination, never by floating point: bitset rows over GF(2),
+fraction-free integer rows for the rationals, which read the GF(2)
+profile instead whenever parity forces it (see :func:`reduced_betti`).
+
+The boundary matrices are eliminated from the top dimension down, with
+*clearing* (Chen and Kerber, "Persistent homology computation with a
+twist", EuroCG 2011): a face that leads a reduced row of the boundary out
+of the faces one size up is skipped in the boundary out of its own size.
+This is exact.  A reduced row is a sum of boundaries, so it is a cycle
+z, and z[s] != 0 at its leading face s; the leading face is the largest
+column over GF(2) and the smallest over Q, so every other face of z lies
+on one side of s.  Then the boundary of s is a combination of the
+boundaries of the other faces of z, and taking the leading faces in turn
+from that side inwards puts the boundary of every skipped face in the
+span of the rows kept: the rank does not change.  Only rows that would
+have reduced to zero are lost, so the rows eliminated out of the k-vertex
+faces number f_k - rank(boundary out of the (k+1)-vertex faces).
 
 >>> triangle = SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 >>> reduced_betti(triangle, 2).numbers
@@ -22,7 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -90,35 +107,43 @@ class SimplicialComplex:
 
     def _face_levels(self, budget: int = DEFAULT_FACE_BUDGET) -> list[list[int]]:
         """``levels[k]``: the faces with k vertices (dimension k - 1) as
-        sorted masks.  Level k - 1 is the facets of that size plus every
-        face of level k with one vertex dropped."""
+        sorted masks, enumerated once and then kept; every call compares
+        their number with ``budget``."""
         if self._levels is None:
-            by_size: dict[int, set[int]] = {}
-            for mask in self._facet_masks:
-                by_size.setdefault(mask.bit_count(), set()).add(mask)
-            top = max(by_size)
-            levels: list[list[int]] = [[]] * (top + 1)
-            total = 0
-            level = by_size[top]
-            for k in range(top, -1, -1):
-                total += len(level)
-                if total > budget:
-                    raise _face_budget_error(budget, total)
-                levels[k] = sorted(level)
-                if k:
-                    level = by_size.get(k - 1, set())
-                    add = level.add
-                    for f in levels[k]:
-                        rest = f
-                        while rest:
-                            low = rest & -rest
-                            add(f ^ low)
-                            rest ^= low
-            self._levels = levels
+            self._levels = self._enumerate(budget)
         total = sum(map(len, self._levels))
         if total > budget:
             raise _face_budget_error(budget, total)
         return self._levels
+
+    def _enumerate(self, budget: int) -> list[list[int]]:
+        """Level k - 1 is the facets of that size plus every face of level
+        k with one vertex dropped; the budget is checked face by face while
+        a level is built."""
+        by_size: dict[int, set[int]] = {}
+        for mask in self._facet_masks:
+            by_size.setdefault(mask.bit_count(), set()).add(mask)
+        top = max(by_size)
+        levels: list[list[int]] = [[]] * (top + 1)
+        total = 0
+        level = by_size[top]
+        for k in range(top, -1, -1):
+            total += len(level)
+            if total > budget:
+                raise _face_budget_error(budget, total)
+            levels[k] = sorted(level)
+            if k:
+                level = by_size.get(k - 1, set())
+                add = level.add
+                for f in levels[k]:
+                    rest = f
+                    while rest:
+                        low = rest & -rest
+                        add(f ^ low)
+                        rest ^= low
+                    if total + len(level) > budget:
+                        raise _face_budget_error(budget, total + len(level))
+        return levels
 
     def faces(self, budget: int = DEFAULT_FACE_BUDGET) -> set[frozenset]:
         """All faces, including the empty face, as vertex sets."""
@@ -175,7 +200,9 @@ class BettiProfile:
         return f"[{name}: {body}]"
 
 
-def _rank_gf2(rows: list[int]) -> int:
+def _pivots_gf2(rows: list[int]) -> set[int]:
+    """Pivot columns of bitset rows over GF(2), one per unit of rank: a
+    row is reduced until its top bit leads no stored row."""
     basis: dict[int, int] = {}
     for row in rows:
         while row:
@@ -185,13 +212,14 @@ def _rank_gf2(rows: list[int]) -> int:
                 basis[pivot] = row
                 break
             row ^= other
-    return len(basis)
+    return set(basis)
 
 
-def _rank_sparse(rows: list[dict[int, int]]) -> int:
-    """Rank of integer rows ``{column: value}`` over the rationals by
-    fraction-free elimination: a row meeting a pivot with the same leading
-    column becomes a*row - b*pivot (a, b the two leading entries), then is
+def _pivots_q(rows: list[dict[int, int]]) -> set[int]:
+    """Pivot columns of integer rows ``{column: value}`` over the
+    rationals, one per unit of rank, by fraction-free elimination on the
+    smallest column: a row meeting a pivot with the same leading column
+    becomes a*row - b*pivot (a, b the two leading entries), then is
     divided by the gcd of its entries so the integers stay small."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -213,7 +241,7 @@ def _rank_sparse(rows: list[dict[int, int]]) -> int:
                 else:
                     del row[col]
             row = _normalised(row)
-    return len(pivots)
+    return set(pivots)
 
 
 def _normalised(row: dict[int, int]) -> dict[int, int]:
@@ -221,13 +249,16 @@ def _normalised(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _boundary_rows(levels: list[list[int]], k: int, p: int) -> list:
-    """Rows of the boundary map from the k-vertex faces to the (k-1)-vertex
-    faces, whose positions in ``levels[k - 1]`` are the columns: bitmasks of
-    columns over GF(2) (p = 2), ``{column: +-1}`` over Q (p = 0)."""
+def _boundary_rows(levels: list[list[int]], k: int, p: int, skip: Container[int]) -> list:
+    """Rows of the boundary map from the k-vertex faces, except those at
+    the positions ``skip``, to the (k-1)-vertex faces, whose positions in
+    ``levels[k - 1]`` are the columns: bitmasks of columns over GF(2)
+    (p = 2), ``{column: +-1}`` over Q (p = 0)."""
     column = {mask: i for i, mask in enumerate(levels[k - 1])}
     rows: list = []
-    for f in levels[k]:
+    for i, f in enumerate(levels[k]):
+        if i in skip:
+            continue
         rest = f
         if p == 2:
             row = 0
@@ -248,13 +279,18 @@ def _boundary_rows(levels: list[list[int]], k: int, p: int) -> list:
 
 def _betti_counts(levels: list[list[int]], p: int) -> tuple[tuple[int, int], ...]:
     """Nonzero reduced Betti numbers over GF(2), or over Q for p = 0, by
-    elimination on every boundary matrix, one dimension at a time."""
-    rank = _rank_gf2 if p == 2 else _rank_sparse
+    elimination on every boundary matrix from the top dimension down; the
+    pivot columns of one matrix are the faces cleared from the next (see
+    the module docstring)."""
+    eliminate = _pivots_gf2 if p == 2 else _pivots_q
     # ranks[k]: rank of the boundary out of the k-vertex faces; the
     # augmentation sends every vertex to the empty face
-    ranks = [0, 1 if len(levels) > 1 else 0]
-    ranks += [rank(_boundary_rows(levels, k, p)) for k in range(2, len(levels))]
-    ranks.append(0)
+    ranks = [0] * (len(levels) + 1)
+    ranks[1] = 1 if len(levels) > 1 else 0
+    cleared: set[int] = set()
+    for k in range(len(levels) - 1, 1, -1):
+        cleared = eliminate(_boundary_rows(levels, k, p, cleared))
+        ranks[k] = len(cleared)
     return tuple((k - 1, b) for k, level in enumerate(levels)
                  if (b := len(level) - ranks[k] - ranks[k + 1]))
 
@@ -299,25 +335,76 @@ def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2,
     return BettiProfile(2, _betti_counts(K._face_levels(face_budget), 2))
 
 
+class _OrderComplex(SimplicialComplex):
+    """The order complex of the order ``leq`` on ``ground``, a relation
+    already known to be a partial order.  A face is a chain, as a vertex
+    mask over ``ground``; each chain is made once, by extending a shorter
+    one by a strict upper bound of its top element.  The facets, the
+    maximal chains, are built only when read."""
+
+    def __init__(self, ground: tuple, leq: np.ndarray):
+        self.vertices = ground
+        self._leq = leq
+        self._levels = None
+
+    @cached_property
+    def facets(self) -> frozenset[frozenset]:
+        cover = _covers(self._leq)
+        uppers = [np.flatnonzero(row).tolist() for row in cover]
+        minimal = np.flatnonzero(~cover.any(axis=0)).tolist()
+        facets: list[frozenset] = []
+        stack = [(i, (i,)) for i in minimal]
+        while stack:
+            i, path = stack.pop()
+            ups = uppers[i]
+            if not ups:
+                facets.append(frozenset(self.vertices[j] for j in path))
+            else:
+                stack.extend((j, path + (j,)) for j in ups)
+        return frozenset(facets or [frozenset()])
+
+    def _enumerate(self, budget: int) -> list[list[int]]:
+        """The chains by size.  The size of each level is counted from the
+        one below before the level is built, so no level over the budget is
+        ever made."""
+        n = len(self.vertices)
+        strict = self._leq & ~np.eye(n, dtype=bool)
+        # ups[t]: the strict upper bounds of t; the empty chain has the
+        # virtual top n, below every element
+        ups = [np.flatnonzero(row).tolist() for row in strict] + [list(range(n))]
+        # groups[t]: the chains of the last level built whose top is t
+        groups: list[list[int]] = [[] for _ in range(n)] + [[0]]
+        levels, total = [[0]], 1
+        while size := sum(len(g) * len(u) for g, u in zip(groups, ups)):
+            total += size
+            if total > budget:
+                raise _face_budget_error(budget, total)
+            longer: list[list[int]] = [[] for _ in range(n + 1)]
+            for g, u in zip(groups, ups):
+                if g:
+                    for j in u:
+                        bit = 1 << j
+                        longer[j] += [m | bit for m in g]
+            groups = longer
+            levels.append(sorted(chain.from_iterable(groups)))
+        return levels
+
+    def __repr__(self) -> str:
+        # the facet count would walk every maximal chain
+        return f"SimplicialComplex(order complex on {len(self.vertices)} vertices)"
+
+
 def order_complex(P: Poset) -> SimplicialComplex:
     """The complex of chains of ``P``; facets are the maximal chains.
 
-    The order complex of the empty poset is the empty complex.
+    Faces are enumerated straight from the order, each chain once, and
+    counted against the face budget of the call that first asks for them
+    (:func:`reduced_betti`, ``num_faces``, ...), which raises
+    :class:`BudgetExceededError` before a level over the budget is built.
+    The maximal chains are built only when ``facets`` is read.  The order
+    complex of the empty poset is the empty complex.
     """
-    cover = _covers(P.leq)
-    uppers = [np.flatnonzero(row).tolist() for row in cover]
-    minimal = np.flatnonzero(~cover.any(axis=0)).tolist()
-    facets: list[frozenset] = []
-    stack = [(i, (i,)) for i in reversed(minimal)]
-    while stack:
-        i, chain = stack.pop()
-        ups = uppers[i]
-        if not ups:
-            facets.append(frozenset(P.ground[j] for j in chain))
-        else:
-            for j in reversed(ups):
-                stack.append((j, chain + (j,)))
-    return SimplicialComplex(P.ground, facets or [frozenset()])
+    return _OrderComplex(P.ground, P.leq)
 
 
 if __name__ == "__main__":

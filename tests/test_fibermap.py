@@ -8,7 +8,7 @@ from coxsort.fibermap import (FiberReport, certify_fiber_contractible,
                               certify_interval_sphere, check_order_preserving, fiber_open,
                               fiber_up, sorting_section, subset_image, subset_images)
 from coxsort.hecke import bruhat_leq, demazure
-from coxsort.homology import SimplicialComplex, order_complex
+from coxsort.homology import DEFAULT_FACE_BUDGET, SimplicialComplex, order_complex
 from coxsort.oracles import cone_vertex, contractibility_evidence, inclusion_poset_bruteforce
 
 
@@ -288,3 +288,15 @@ def test_certify_interval_sphere_errors():
         certify_interval_sphere(a3.element((1, 2, 1)), a3.element((2, 3)))
     with pytest.raises(ValueError, match="length difference"):
         certify_interval_sphere(a3.identity, a3.element((1,)))
+
+
+def test_certify_interval_sphere_raises_on_the_face_budget():
+    # (e, w0) in H3: 118 middle elements and far more chains than the face
+    # budget; the walk stops on the first level over it, before building it.
+    # The second field runs with the Bruhat rows already cached.
+    h3 = CoxeterSystem.type_h3()
+    for field in (2, 0):
+        with pytest.raises(BudgetExceededError, match="face enumeration") as exc:
+            certify_interval_sphere(h3.identity, h3.longest_element(), field)
+        assert (exc.value.budget, exc.value.limit) == ("face_budget", DEFAULT_FACE_BUDGET)
+        assert exc.value.spent > DEFAULT_FACE_BUDGET

@@ -1,13 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import coxsort.homology
 from coxsort import (BudgetExceededError, CoxeterSystem, certify_subword_complex,
                      subword_complex)
 from coxsort.hecke import bruhat_leq, demazure
-from coxsort.homology import (BettiProfile, SimplicialComplex, _boundary_rows, _rank_gf2,
-                              _rank_sparse, order_complex, reduced_betti)
+from coxsort.homology import (DEFAULT_FACE_BUDGET, BettiProfile, SimplicialComplex,
+                              _boundary_rows, _pivots_gf2, _pivots_q, order_complex,
+                              reduced_betti)
 from coxsort.oracles import (cone_vertex, contractibility_evidence, faces_bruteforce,
                              inclusion_poset_bruteforce)
 from coxsort.posets import Poset, bruhat_interval
@@ -119,7 +121,9 @@ def test_face_budget_error_names_the_budget_whatever_the_cache_state():
     with pytest.raises(BudgetExceededError, match="budget of 100 faces") as exc:
         big.num_faces(budget=100)
     assert (exc.value.budget, exc.value.limit) == ("face_budget", 100)
-    assert exc.value.spent > 100
+    # level 16 alone holds 153 faces, but the budget is checked face by face
+    # while a level is built, so the walk stops within one boundary of it
+    assert 100 < exc.value.spent <= 100 + 17
     assert big.num_faces(budget=2 ** 18) == 2 ** 18  # now cached
     for ask in (big.num_faces, big.faces, big.reduced_euler_characteristic):
         with pytest.raises(BudgetExceededError) as exc:
@@ -133,25 +137,26 @@ def test_rank_backends_agree_on_boundary_matrices():
     for k in (CIRCLE, OCTAHEDRON, PROJECTIVE_PLANE, SOLID):
         levels = k._face_levels()
         for size in range(2, len(levels)):
-            rows = _boundary_rows(levels, size, 0)
-            masks = _boundary_rows(levels, size, 2)
+            rows = _boundary_rows(levels, size, 0, ())
+            masks = _boundary_rows(levels, size, 2, ())
             assert masks == [sum(1 << col for col in row) for row in rows]
-            r2 = _rank_gf2(masks)
-            rq = _rank_sparse(rows)
+            r2 = len(_pivots_gf2(masks))
+            rq = len(_pivots_q(rows))
             assert r2 <= rq  # mod-2 rank is a lower bound for integer matrices
 
 
 def test_rank_helpers_small_cases():
-    assert _rank_gf2([0b11, 0b01, 0b10]) == 2
-    assert _rank_gf2([]) == 0
-    assert _rank_sparse([{0: 2, 1: 4}, {0: 1, 1: 2}]) == 1
+    # the pivot column of a GF(2) row is its top bit, of a Q row its least column
+    assert _pivots_gf2([0b11, 0b01, 0b10]) == {0, 1}
+    assert _pivots_gf2([]) == set()
+    assert _pivots_q([{0: 2, 1: 4}, {0: 1, 1: 2}]) == {0}
     # 2*(1,2) and 3*(1,2): the gcd of each row is divided out
-    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
+    assert _pivots_q([{0: 2, 1: 4}, {0: 3, 1: 6}]) == {0}
     # (2,4) and (3,5): rank 2 over Q, but mod 2 they are (0,0) and (1,1)
-    assert _rank_sparse([{0: 2, 1: 4}, {0: 3, 1: 5}]) == 2
-    assert _rank_gf2([0b00, 0b11]) == 1
-    assert _rank_sparse([{0: 0, 1: 3}, {1: -6}]) == 1
-    assert _rank_sparse([]) == 0
+    assert _pivots_q([{0: 2, 1: 4}, {0: 3, 1: 5}]) == {0, 1}
+    assert _pivots_gf2([0b00, 0b11]) == {1}
+    assert _pivots_q([{0: 0, 1: 3}, {1: -6}]) == {1}
+    assert _pivots_q([]) == set()
 
 
 def _bruteforce_betti(K, p):
@@ -166,8 +171,8 @@ def _bruteforce_betti(K, p):
         index = {f: i for i, f in enumerate(by_dim[d - 1])}
         rows = [{index[f[:i] + f[i + 1:]]: (-1) ** i for i in range(len(f))}
                 for f in by_dim[d]]
-        ranks[d] = (_rank_gf2([sum(1 << col for col in row) for row in rows]) if p == 2
-                    else _rank_sparse(rows))
+        ranks[d] = len(_pivots_gf2([sum(1 << col for col in row) for row in rows]) if p == 2
+                       else _pivots_q(rows))
     betti = ((d, len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0))
              for d in range(-1, top + 1))
     return tuple((d, b) for d, b in betti if b)
@@ -216,29 +221,105 @@ def test_parity_rule_agrees_with_elimination_on_subword_complexes():
     assert checked == 649 + 737 + 2883
 
 
-def test_parity_rule_agrees_with_elimination_on_b3_intervals():
-    # every open interval (u, w) of B3 with l(w) - l(u) <= 6
+def _b3_open_intervals():
+    """(u, w, open interval) for every u < w of B3 with l(w) - l(u) <= 6."""
     b3 = CoxeterSystem.type_b(3)
-    e = b3.identity
-    checked = 0
     for w in b3.elements():
         for u in b3.elements():
             if 2 <= w.length - u.length <= 6 and bruhat_leq(u, w):
                 closed = bruhat_interval(u, w)
-                K = order_complex(closed.restrict([x for x in closed.ground
-                                                   if x not in (u, w)]))
-                _assert_matches_bruteforce(K)
-                checked += 1
-                if u == e and w.length == 6:
-                    assert reduced_betti(K, 0).counts == ((4, 1),)
+                yield u, w, closed.restrict([x for x in closed.ground if x not in (u, w)])
+
+
+def test_parity_rule_agrees_with_elimination_on_b3_intervals():
+    checked = 0
+    for u, w, inner in _b3_open_intervals():
+        K = order_complex(inner)
+        _assert_matches_bruteforce(K)
+        checked += 1
+        if u == u.system.identity and w.length == 6:
+            assert reduced_betti(K, 0).counts == ((4, 1),)
     assert checked == 635
+
+
+def _assert_chain_walk_matches_facets(P):
+    """The chain levels of ``order_complex(P)`` are the face levels of the
+    complex on its facets, and the facets are the chains that no element
+    of ``P`` extends."""
+    K = order_complex(P)
+    levels = K._face_levels()
+    assert levels == SimplicialComplex(P.ground, K.facets)._face_levels()
+    n = len(P)
+    comparable = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in P.leq | P.leq.T]
+    maximal = [m for level in levels for m in level
+               if all(m & ~comparable[x] for x in range(n) if not m >> x & 1)]
+    assert K.facets == {frozenset(P.ground[i] for i in range(n) if m >> i & 1)
+                        for m in maximal}
+
+
+def test_chain_walk_matches_the_facets():
+    checked = 0
+    for _, _, inner in _b3_open_intervals():
+        _assert_chain_walk_matches_facets(inner)
+        checked += 1
+    assert checked == 635
+    for K in (CIRCLE, OCTAHEDRON, PROJECTIVE_PLANE, NON_PURE):
+        _assert_chain_walk_matches_facets(face_poset(K))
+    _assert_chain_walk_matches_facets(Poset([], np.zeros((0, 0), dtype=bool)))
+
+
+def _open_interval_complex(system, w):
+    """The order complex of the open Bruhat interval (e, w)."""
+    closed = bruhat_interval(system.identity, w)
+    return order_complex(closed.restrict(closed.ground[1:-1]))
+
+
+def test_clearing_eliminates_only_rows_that_can_lead(monkeypatch):
+    # top down, the rows eliminated out of the k-vertex faces number
+    # f_k - rank(boundary out of the (k+1)-vertex faces): the cleared faces
+    # are exactly the pivots of the matrix above
+    b3 = CoxeterSystem.type_b(3)
+    interval = _open_interval_complex(b3, next(w for w in b3.elements() if w.length == 6))
+    for K, field, name in ((OCTAHEDRON, 2, "_pivots_gf2"), (interval, 2, "_pivots_gf2"),
+                           (PROJECTIVE_PLANE, 0, "_pivots_q")):
+        levels = K._face_levels()
+        real = getattr(coxsort.homology, name)
+        full = {k: len(real(_boundary_rows(levels, k, field, ()))) for k in range(2, len(levels))}
+        full[len(levels)] = 0
+        eliminated = []
+        monkeypatch.setattr(coxsort.homology, name,
+                            lambda rows: eliminated.append(len(rows)) or real(rows))
+        reduced_betti(K, field)
+        top = len(levels) - 1
+        assert eliminated == [len(levels[k]) - full[k + 1] for k in range(top, 1, -1)]
+        assert sum(eliminated) < sum(map(len, levels[2:]))
+        monkeypatch.undo()
+
+
+def test_order_complex_face_budget_whatever_the_cache_state():
+    b3 = CoxeterSystem.type_b(3)
+    warm = _open_interval_complex(b3, next(w for w in b3.elements() if w.length == 6))
+    n = warm.num_faces()
+    for field in (2, 0):
+        with pytest.raises(BudgetExceededError) as exc:
+            reduced_betti(warm, field, face_budget=n - 1)
+        assert (exc.value.limit, exc.value.spent) == (n - 1, n)
+    # (e, w0) in H3: the walk raises on the first level over the budget,
+    # and a complex that raised keeps no faces, so it raises again
+    h3 = CoxeterSystem.type_h3()
+    cold = _open_interval_complex(h3, h3.longest_element())
+    for field in (2, 0, 2):
+        with pytest.raises(BudgetExceededError) as exc:
+            reduced_betti(cold, field)
+        assert exc.value.limit == DEFAULT_FACE_BUDGET < exc.value.spent
+        assert cold._levels is None
 
 
 def test_rational_profile_of_one_parity_skips_elimination(monkeypatch):
     def refuse(rows):
         raise AssertionError("integer elimination ran")
 
-    monkeypatch.setattr(coxsort.homology, "_rank_sparse", refuse)
+    monkeypatch.setattr(coxsort.homology, "_pivots_q", refuse)
     for k in (EMPTY, POINT, TWO_POINTS, CIRCLE, SOLID, OCTAHEDRON, PATH):
         assert reduced_betti(k, 0).counts == reduced_betti(k, 2).counts
     with pytest.raises(AssertionError, match="elimination ran"):
@@ -303,14 +384,14 @@ def test_contractibility_evidence():
 
 def test_both_fields_share_one_gf2_pass(monkeypatch):
     # one GF(2) elimination per boundary matrix when both profiles are asked for
-    real = coxsort.homology._rank_gf2
+    real = coxsort.homology._pivots_gf2
     calls = []
 
     def counted(rows):
         calls.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(coxsort.homology, "_rank_gf2", counted)
+    monkeypatch.setattr(coxsort.homology, "_pivots_gf2", counted)
     evidence = contractibility_evidence(OCTAHEDRON)
     assert [p.numbers for p in evidence.betti] == [{2: 1}, {2: 1}]
     assert len(calls) == 2  # the boundary matrices of dimensions 1 and 2

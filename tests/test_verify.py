@@ -163,9 +163,9 @@ def test_corrupted_sorting_relation_gives_a_red_report(monkeypatch):
     details = {r["name"]: r["failures"][0]["detail"] for r in report["theorem_results"]
                if r["failures"]}
     assert "not antisymmetric" in details["b2_reference_orders"]
-    b2_failure = next(r for r in report["theorem_results"]
-                      if r["name"] == "b2_reference_orders")["failures"][0]
-    assert b2_failure["Q"] == "1,2,1,2"  # the failing sorting order names its word
+    b2 = next(r for r in report["theorem_results"] if r["name"] == "b2_reference_orders")
+    assert b2["failures"][0]["Q"] == "1,2,1,2"  # the failing sorting order names its word
+    assert b2["instances"] >= len(b2["failures"]) > 0  # each failed order is an instance
     assert details["cover_containment"] == "sorting relation is not antisymmetric"
 
 
@@ -202,16 +202,17 @@ def test_fault_injection_in_relation_layer(monkeypatch):
 
 
 def test_fault_injection_in_ranks(monkeypatch):
-    # the first GF(2) rank of each check comes out one too high
-    real = coxsort.homology._rank_gf2
+    # the first GF(2) rank of each check comes out one too high: a phantom
+    # pivot column -1, which no face can be cleared by
+    real = coxsort.homology._pivots_gf2
     for name in ("ball_sphere_classification", "open_interval_spheres"):
         calls = []
 
         def inflated(rows):
             calls.append(rows)
-            return real(rows) + (len(calls) == 1)
+            return real(rows) | ({-1} if len(calls) == 1 else set())
 
-        monkeypatch.setattr(coxsort.homology, "_rank_gf2", inflated)
+        monkeypatch.setattr(coxsort.homology, "_pivots_gf2", inflated)
         r = run_check(name, RunConfig())
         assert not r.passed, name
         assert any("betti" in f.get("detail", "") for f in r.failures), name
