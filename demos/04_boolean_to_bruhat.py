@@ -10,10 +10,11 @@ their homotopy types computable: upper fibers are contractible and open
 intervals (u, w) carry spheres.
 """
 
+from itertools import combinations
+
 from coxsort import CoxeterSystem, word_str
 from coxsort.fibermap import (certify_fiber_contractible, certify_interval_sphere,
-                              check_order_preserving, fiber_up, subset_image,
-                              subset_images)
+                              check_order_preserving, fiber_up, subset_image)
 from coxsort.posets import bruhat_interval
 
 a3 = CoxeterSystem.type_a(3)
@@ -26,12 +27,11 @@ print("f({1,2,4,5}) =", word_str(img.word))
 
 print("f is order preserving:", check_order_preserving(a3, Q))
 
-# how large each upper fiber is, element by element
-sizes = {}
-for S, g in subset_images(a3, Q).items():
-    sizes[g] = sizes.get(g, 0) + 1
-print("2^6 =", sum(sizes.values()), "position sets cover",
-      len(sizes), "group elements")
+# f is onto: the images of all position sets are the whole interval
+images = [subset_image(a3, Q, S)
+          for k in range(len(Q) + 1) for S in combinations(range(1, len(Q) + 1), k)]
+print("2^6 =", len(images), "position sets cover",
+      len(set(images)), "group elements")
 
 interval = bruhat_interval(a3.identity, w)
 print(f"\n{'u':>8}  |fiber over [u,w]|  contractible?")

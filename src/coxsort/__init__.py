@@ -8,7 +8,7 @@ from .coxeter import CoxeterSystem, Element, parse_word, word_str
 from .errors import BudgetExceededError, VoidComplexError
 from .fibermap import (FiberReport, IntervalReport, certify_fiber_contractible,
                        certify_interval_sphere, check_order_preserving, fiber_open,
-                       fiber_up, sorting_section, subset_image, subset_images)
+                       fiber_up, subset_image)
 from .hecke import (bruhat_leq, bruhat_row, contains_reduced_word, demazure,
                     is_reduced, reduced_words, sorting_subword, weak_leq)
 from .homology import BettiProfile, SimplicialComplex, order_complex, reduced_betti
@@ -32,8 +32,7 @@ __all__ = [
     "relation_intersection", "relation_union",
     "SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex",
     "SimplicialComplex", "BettiProfile", "reduced_betti", "order_complex",
-    "subset_image", "subset_images", "check_order_preserving",
-    "fiber_up", "fiber_open", "sorting_section",
+    "subset_image", "check_order_preserving", "fiber_up", "fiber_open",
     "FiberReport", "IntervalReport",
     "certify_fiber_contractible", "certify_interval_sphere",
     "RationalMatrix", "chevalley", "verify_additive_identity",

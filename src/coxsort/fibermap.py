@@ -21,19 +21,16 @@ import numpy as np
 
 from .coxeter import CoxeterSystem, Element
 from .errors import BudgetExceededError
-from .hecke import (_below, _require_reduced, bruhat_leq, bruhat_row, demazure,
-                    sorting_positions)
+from .hecke import _require_reduced, bruhat_leq, bruhat_row, demazure
 from .homology import BettiProfile, _OrderComplex, _profiles, reduced_betti
 from .posets import bruhat_interval
 from .subword import _positions, subword_complex
 
 __all__ = [
     "subset_image",
-    "subset_images",
     "check_order_preserving",
     "fiber_up",
     "fiber_open",
-    "sorting_section",
     "FiberReport",
     "certify_fiber_contractible",
     "IntervalReport",
@@ -71,14 +68,6 @@ def _mask_images(system: CoxeterSystem, Q: tuple[int, ...]) -> list[int]:
         prev = imgs[mask ^ (1 << top)]
         imgs[mask] = max(prev, right[prev][Q[top] - 1])
     return imgs
-
-
-def subset_images(system: CoxeterSystem, Q: Iterable[int]) -> dict[frozenset[int], Element]:
-    """f on the whole boolean lattice of position sets."""
-    Q = tuple(Q)
-    elements = system.elements()
-    return {_positions(mask): elements[x]
-            for mask, x in enumerate(_mask_images(system, Q))}
 
 
 def check_order_preserving(system: CoxeterSystem, Q: Iterable[int]) -> bool:
@@ -128,21 +117,6 @@ def fiber_open(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[froze
     if u == w or not bruhat_leq(u, w):
         raise ValueError("open-interval fibers need u strictly below the full product")
     return _fiber(system, Q, u, (u.index, w.index))
-
-
-def sorting_section(system: CoxeterSystem, Q: Iterable[int]) -> dict[Element, frozenset[int]]:
-    """The canonical section of f: each u in [e, w] is sent to its
-    sorting subword positions, and f of those positions returns u."""
-    Q = tuple(Q)
-    w = _require_reduced(system, Q)
-    ground = _below(w)
-    out: dict[Element, frozenset[int]] = {}
-    for u, row in zip(ground, sorting_positions(system, Q, ground)):
-        S = frozenset(j + 1 for j, taken in enumerate(row) if taken)
-        if subset_image(system, Q, S) != u:
-            raise AssertionError(f"section failed at {u!r}: image of {sorted(S)} differs")
-        out[u] = S
-    return out
 
 
 @dataclass(frozen=True)

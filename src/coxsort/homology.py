@@ -44,7 +44,7 @@ from typing import Container, Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .posets import Poset, _covers
+from .posets import Poset
 
 __all__ = [
     "SimplicialComplex",
@@ -101,10 +101,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
-    def is_pure(self) -> bool:
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) == 1
-
     def _face_levels(self, budget: int = DEFAULT_FACE_BUDGET) -> list[list[int]]:
         """``levels[k]``: the faces with k vertices (dimension k - 1) as
         sorted masks, enumerated once and then kept; every call compares
@@ -145,11 +141,12 @@ class SimplicialComplex:
                         raise _face_budget_error(budget, total + len(level))
         return levels
 
+    def _face(self, mask: int) -> frozenset:
+        return frozenset(self.vertices[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
     def faces(self, budget: int = DEFAULT_FACE_BUDGET) -> set[frozenset]:
         """All faces, including the empty face, as vertex sets."""
-        vertices = self.vertices
-        return {frozenset(vertices[i] for i in range(mask.bit_length()) if mask >> i & 1)
-                for level in self._face_levels(budget) for mask in level}
+        return {self._face(mask) for level in self._face_levels(budget) for mask in level}
 
     def num_faces(self, budget: int = DEFAULT_FACE_BUDGET) -> int:
         return sum(map(len, self._face_levels(budget)))
@@ -340,7 +337,8 @@ class _OrderComplex(SimplicialComplex):
     already known to be a partial order.  A face is a chain, as a vertex
     mask over ``ground``; each chain is made once, by extending a shorter
     one by a strict upper bound of its top element.  The facets, the
-    maximal chains, are built only when read."""
+    maximal chains, are read off those chains, so reading them counts
+    against the default face budget."""
 
     def __init__(self, ground: tuple, leq: np.ndarray):
         self.vertices = ground
@@ -349,19 +347,20 @@ class _OrderComplex(SimplicialComplex):
 
     @cached_property
     def facets(self) -> frozenset[frozenset]:
-        cover = _covers(self._leq)
-        uppers = [np.flatnonzero(row).tolist() for row in cover]
-        minimal = np.flatnonzero(~cover.any(axis=0)).tolist()
-        facets: list[frozenset] = []
-        stack = [(i, (i,)) for i in minimal]
-        while stack:
-            i, path = stack.pop()
-            ups = uppers[i]
-            if not ups:
-                facets.append(frozenset(self.vertices[j] for j in path))
-            else:
-                stack.extend((j, path + (j,)) for j in ups)
-        return frozenset(facets or [frozenset()])
+        """The maximal chains: the chains of each level that are no chain
+        of the next level with one vertex dropped."""
+        levels = self._face_levels()
+        facets = []
+        for level, longer in zip(levels, levels[1:] + [[]]):
+            extended = set()
+            for g in longer:
+                rest = g
+                while rest:
+                    low = rest & -rest
+                    extended.add(g ^ low)
+                    rest ^= low
+            facets += [self._face(m) for m in level if m not in extended]
+        return frozenset(facets)
 
     def _enumerate(self, budget: int) -> list[list[int]]:
         """The chains by size.  The size of each level is counted from the
@@ -390,7 +389,7 @@ class _OrderComplex(SimplicialComplex):
         return levels
 
     def __repr__(self) -> str:
-        # the facet count would walk every maximal chain
+        # the facet count would enumerate every chain
         return f"SimplicialComplex(order complex on {len(self.vertices)} vertices)"
 
 
@@ -401,8 +400,8 @@ def order_complex(P: Poset) -> SimplicialComplex:
     counted against the face budget of the call that first asks for them
     (:func:`reduced_betti`, ``num_faces``, ...), which raises
     :class:`BudgetExceededError` before a level over the budget is built.
-    The maximal chains are built only when ``facets`` is read.  The order
-    complex of the empty poset is the empty complex.
+    Reading ``facets`` or ``dim`` enumerates the chains under the default
+    face budget.  The order complex of the empty poset is the empty complex.
     """
     return _OrderComplex(P.ground, P.leq)
 

@@ -38,8 +38,7 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _covers(leq: np.ndarray) -> np.ndarray:
     """Cover matrix of an order relation: [i, j] is set iff i < j with
-    nothing strictly between; an empty column is a minimal element, an
-    empty row a maximal one."""
+    nothing strictly between."""
     strict = leq & ~np.eye(len(leq), dtype=bool)
     return strict & ~_bool_product(strict, strict)
 
@@ -88,9 +87,6 @@ class Poset:
         except KeyError:
             raise ValueError(f"{item!r} is not in the ground set") from None
 
-    def leq_items(self, a, b) -> bool:
-        return bool(self.leq[self.index(a), self.index(b)])
-
     def covers(self) -> list[tuple]:
         """Cover pairs (a, b): a < b with nothing strictly between."""
         return [(self.ground[i], self.ground[j])
@@ -105,15 +101,6 @@ class Poset:
         idx = [i for i, g in enumerate(self.ground) if g in wanted]
         sub = self.leq[np.ix_(idx, idx)]
         return Poset(tuple(self.ground[i] for i in idx), sub)
-
-    def dual(self) -> "Poset":
-        return Poset(self.ground, self.leq.T)
-
-    def minimal_elements(self) -> list:
-        return [self.ground[i] for i in np.flatnonzero(~_covers(self.leq).any(axis=0))]
-
-    def maximal_elements(self) -> list:
-        return [self.ground[i] for i in np.flatnonzero(~_covers(self.leq).any(axis=1))]
 
     def is_chain(self) -> bool:
         return bool((self.leq | self.leq.T).all())

@@ -92,7 +92,7 @@ class RunConfig:
         names = {_group_name(g) for g in self.groups or ()}
         if self.groups is not None and not 0 < len(names) == len(self.groups):
             raise ValueError(f"groups must be nonempty without repeats, got {self.groups!r}")
-        if self.field not in (2, 0):
+        if type(self.field) is not int or self.field not in (2, 0):
             raise ValueError(f"field must be 2 or 0, got {self.field!r}")
 
     @property

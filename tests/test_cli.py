@@ -4,7 +4,7 @@ import pytest
 
 import coxsort.fibermap
 import coxsort.hecke
-from coxsort import CoxeterSystem, subset_images
+from coxsort import CoxeterSystem, fiber_up
 from coxsort.cli import build_parser, main
 from coxsort.coxeter import DEFAULT_SIZE_CAP, word_str
 from coxsort.fibermap import fiber_open, fiber_up
@@ -189,7 +189,7 @@ def test_one_message_for_a_non_reduced_word(capsys):
     code, _, err = run(capsys, "fibers", "--type", "A3", "--Q", "1,1")
     assert code == 2
     texts = {err.strip().removeprefix("error: ")}
-    for call in (lambda: subset_images(a3, (1, 1)),
+    for call in (lambda: fiber_up(a3, (1, 1), a3.identity),
                  lambda: sorting_positions(a3, (1, 1), [a3.identity])):
         with pytest.raises(ValueError) as info:
             call()

@@ -6,8 +6,8 @@ import pytest
 from coxsort import BudgetExceededError, CoxeterSystem, fibermap, subword_complex
 from coxsort.fibermap import (FiberReport, certify_fiber_contractible,
                               certify_interval_sphere, check_order_preserving, fiber_open,
-                              fiber_up, sorting_section, subset_image, subset_images)
-from coxsort.hecke import bruhat_leq, demazure
+                              fiber_up, subset_image)
+from coxsort.hecke import bruhat_leq, demazure, sorting_positions
 from coxsort.homology import DEFAULT_FACE_BUDGET, SimplicialComplex, order_complex
 from coxsort.oracles import cone_vertex, contractibility_evidence, inclusion_poset_bruteforce
 
@@ -37,23 +37,33 @@ def test_subset_image_errors():
         subset_image(a3, (1, 1), ())
 
 
-def test_subset_images_matches_pointwise():
+def images(system, Q):
+    """f on every position set, one subset at a time."""
+    positions = range(1, len(Q) + 1)
+    return {fs(*S): subset_image(system, Q, S)
+            for r in range(len(Q) + 1) for S in itertools.combinations(positions, r)}
+
+
+def test_mask_images_match_pointwise():
     b2 = CoxeterSystem.type_b(2)
     Q = (2, 1, 2, 1)
-    imgs = subset_images(b2, Q)
+    elements = b2.elements()
+    imgs = {fibermap._positions(mask): elements[x]
+            for mask, x in enumerate(fibermap._mask_images(b2, Q))}
     assert len(imgs) == 16
-    for r in range(len(Q) + 1):
-        for combo in itertools.combinations(range(1, len(Q) + 1), r):
-            assert imgs[fs(*combo)] == subset_image(b2, Q, combo)
+    assert imgs == images(b2, Q)
 
 
-def test_subset_images_budget():
-    big = CoxeterSystem.type_a(17)
+@pytest.mark.parametrize("call", [
+    lambda system, Q: fiber_up(system, Q, system.identity),
+    check_order_preserving,
+], ids=["fiber_up", "check_order_preserving"])
+def test_mask_cap_budget(call):
     with pytest.raises(BudgetExceededError, match="cap"):
-        subset_images(big, tuple(range(1, 18)))
+        call(CoxeterSystem.type_a(17), tuple(range(1, 18)))
     # a group small enough to build still stops at the mask cap
     with pytest.raises(BudgetExceededError, match="17 positions exceeds the cap of 16") as exc:
-        subset_images(CoxeterSystem.dihedral(17), (1, 2) * 8 + (1,))
+        call(CoxeterSystem.dihedral(17), (1, 2) * 8 + (1,))
     assert (exc.value.budget, exc.value.limit, exc.value.spent) == ("mask_cap", 16, 17)
 
 
@@ -123,7 +133,7 @@ def test_order_preserving_reads_the_cover_at_every_position(monkeypatch, j):
 def test_fiber_up_partitions_by_image():
     a3 = CoxeterSystem.type_a(3)
     Q = (1, 2, 3, 1, 2, 1)
-    imgs = subset_images(a3, Q)
+    imgs = images(a3, Q)
     w = demazure(a3, Q)
     for u in (a3.identity, a3.element((1, 2, 1)), w):
         up = fiber_up(a3, Q, u)
@@ -139,7 +149,7 @@ def test_fiber_open():
     u = b2.element((1, 2, 1))
     open_fiber = fiber_open(b2, Q, u)
     up = fiber_up(b2, Q, u)
-    imgs = subset_images(b2, Q)
+    imgs = images(b2, Q)
     assert open_fiber == {S for S in up if imgs[S] not in (u, w)}
     with pytest.raises(ValueError, match="strictly below"):
         fiber_open(b2, Q, w)
@@ -157,10 +167,13 @@ def test_fiber_duality_with_subword_complex():
 
 
 def test_sorting_section():
+    # the sorting positions of u are a section of f: f sends them back to u
     a3 = CoxeterSystem.type_a(3)
     Q = (1, 2, 3, 1, 2, 1)
-    section = sorting_section(a3, Q)
-    assert len(section) == 24
+    ground = a3.elements()
+    assert len(ground) == 24
+    section = {u: fs(*(j + 1 for j in row.nonzero()[0].tolist()))
+               for u, row in zip(ground, sorting_positions(a3, Q, ground))}
     assert section[a3.identity] == fs()
     assert section[a3.element((1, 2, 1))] == fs(1, 2, 4)
     for u, S in section.items():

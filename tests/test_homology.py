@@ -44,13 +44,11 @@ def test_constructor_validation():
 def test_dominated_facets_are_dropped():
     k = SimplicialComplex((1, 2, 3), [(1, 2, 3), (1, 2), (3,)])
     assert k.facets == {frozenset({1, 2, 3})}
-    assert k.is_pure()
 
 
 def test_facets_below_the_top_size_are_still_pruned():
     k = SimplicialComplex(range(1, 7), [(1, 2, 3), (4, 5), (4,), (6,), (2, 3)])
     assert k.facets == {frozenset({1, 2, 3}), frozenset({4, 5}), frozenset({6})}
-    assert not k.is_pure()
 
 
 def test_basic_face_counts():
@@ -266,6 +264,58 @@ def test_chain_walk_matches_the_facets():
     for K in (CIRCLE, OCTAHEDRON, PROJECTIVE_PLANE, NON_PURE):
         _assert_chain_walk_matches_facets(face_poset(K))
     _assert_chain_walk_matches_facets(Poset([], np.zeros((0, 0), dtype=bool)))
+
+
+def _maximal_chain_count(P):
+    """Maximal chains of ``P`` as paths in its cover graph from a minimal
+    to a maximal element."""
+    covers = P.covers()
+    up = {}
+    for a, b in covers:
+        up.setdefault(a, []).append(b)
+    paths = {}
+    for x in reversed(P.ground):  # the ground is a linear extension
+        paths[x] = sum(paths[y] for y in up[x]) if x in up else 1
+    has_lower = {b for _, b in covers}
+    # the empty poset has one maximal chain, the empty one
+    return sum(paths[x] for x in P.ground if x not in has_lower) or 1
+
+
+@pytest.mark.parametrize("system", [CoxeterSystem.type_a(3), CoxeterSystem.type_b(3)],
+                         ids=["A3", "B3"])
+def test_order_complex_facets_are_the_maximal_chains(system):
+    # every maximal chain of a Bruhat interval has l(w) - l(u) + 1 elements
+    for w in system.elements():
+        for u in system.elements():
+            if not bruhat_leq(u, w):
+                continue
+            closed = bruhat_interval(u, w)
+            d = w.length - u.length
+            intervals = [(closed, d + 1)]
+            if d:
+                intervals.append((closed.restrict(closed.ground[1:-1]), d - 1))
+            for P, size in intervals:
+                try:
+                    facets = order_complex(P).facets
+                except BudgetExceededError:
+                    # only [e, w0] of B3: it has 4 times the chains of (e, w0)
+                    assert P is closed and (u, w) == (system.identity,
+                                                      system.longest_element())
+                    continue
+                assert {len(f) for f in facets} == {size}
+                assert len(facets) == _maximal_chain_count(P)
+
+
+def test_order_complex_facets_and_dim_raise_over_the_face_budget():
+    # [e, w0] in H3 has 19,405,824 maximal chains, which reading the facets
+    # used to build one by one with no budget
+    h3 = CoxeterSystem.type_h3()
+    interval = bruhat_interval(h3.identity, h3.longest_element())
+    for attribute in ("facets", "dim"):
+        with pytest.raises(BudgetExceededError) as exc:
+            getattr(order_complex(interval), attribute)
+        assert exc.value.budget == "face_budget"
+        assert exc.value.limit == DEFAULT_FACE_BUDGET < exc.value.spent
 
 
 def _open_interval_complex(system, w):

@@ -41,14 +41,12 @@ def test_empty_poset():
 
 def test_basic_accessors():
     p = chain(4)
-    assert p.leq_items(0, 3)
-    assert not p.leq_items(3, 0)
+    assert p.leq[p.index(0), p.index(3)]
+    assert not p.leq[p.index(3), p.index(0)]
     assert p.index(2) == 2
     with pytest.raises(ValueError):
         p.index(99)
     assert p.covers() == [(0, 1), (1, 2), (2, 3)]
-    assert p.minimal_elements() == [0]
-    assert p.maximal_elements() == [3]
     assert p.is_chain()
     assert antichain(3).covers() == []
     assert not antichain(3).is_chain()
@@ -60,15 +58,11 @@ def test_matrix_is_read_only():
         p.leq[0, 2] = False
 
 
-def test_restrict_and_dual():
+def test_restrict():
     p = chain(5)
     q = p.restrict([4, 1, 3])
     assert q.ground == (1, 3, 4)  # parent order is kept
     assert q.is_chain()
-    d = p.dual()
-    assert d.minimal_elements() == [4]
-    assert d.maximal_elements() == [0]
-    assert d.covers() == [(1, 0), (2, 1), (3, 2), (4, 3)]
     with pytest.raises(ValueError):
         p.restrict([0, 99])
 
@@ -79,7 +73,6 @@ def test_inclusion_poset():
     assert p.ground[0] == frozenset()
     assert p.ground[-1] == frozenset({1, 2})
     assert len(p.covers()) == 4
-    assert p.minimal_elements() == [frozenset()]
 
 
 def test_bruhat_interval_b2():
@@ -131,10 +124,11 @@ def test_sorting_order_b2():
                                (s2, s21), (s12, top), (s21, top)}
     # s1 <= s2 s1 in the sorting order but not in the right weak order
     weak = element_poset(p.ground, weak_leq)
-    assert p.leq_items(s1, s21) and not weak.leq_items(s1, s21)
+    assert p.leq[p.index(s1), p.index(s21)] and not weak.leq[weak.index(s1), weak.index(s21)]
     # s2 <= s1 s2 in Bruhat order but not in the sorting order
     bruhat = bruhat_interval(e, top)
-    assert bruhat.leq_items(s2, s12) and not p.leq_items(s2, s12)
+    assert (bruhat.leq[bruhat.index(s2), bruhat.index(s12)]
+            and not p.leq[p.index(s2), p.index(s12)])
 
 
 def test_sorting_order_rejects_non_reduced():

@@ -303,7 +303,8 @@ def test_a_failed_order_pass_is_run_again():
 @pytest.mark.parametrize("kwargs", [dict(groups=()), dict(groups=("B2", "B2")),
                                     dict(field=3), dict(field=1),
                                     dict(groups=("b2", "B2")), dict(groups=("I2:4", "i2.4")),
-                                    dict(groups=(" A3", "A3"))])
+                                    dict(groups=(" A3", "A3")), dict(field=2.0),
+                                    dict(field=0.0), dict(field=False)])
 def test_run_config_rejects_vacuous_repeated_or_unknown_settings(kwargs):
     with pytest.raises(ValueError, match="groups must|field must"):
         RunConfig(**kwargs)
