@@ -101,6 +101,11 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
+    def _facets(self, budget: int) -> frozenset[frozenset]:
+        """``facets``; a complex that derives them from its faces reads
+        those faces under ``budget``."""
+        return self.facets
+
     def _face_levels(self, budget: int = DEFAULT_FACE_BUDGET) -> list[list[int]]:
         """``levels[k]``: the faces with k vertices (dimension k - 1) as
         sorted masks, enumerated once and then kept; every call compares
@@ -337,8 +342,8 @@ class _OrderComplex(SimplicialComplex):
     already known to be a partial order.  A face is a chain, as a vertex
     mask over ``ground``; each chain is made once, by extending a shorter
     one by a strict upper bound of its top element.  The facets, the
-    maximal chains, are read off those chains, so reading them counts
-    against the default face budget."""
+    maximal chains, are read off those chains, so ``facets`` counts them
+    against the default face budget and ``_facets`` against the one given."""
 
     def __init__(self, ground: tuple, leq: np.ndarray):
         self.vertices = ground
@@ -347,9 +352,12 @@ class _OrderComplex(SimplicialComplex):
 
     @cached_property
     def facets(self) -> frozenset[frozenset]:
+        return self._facets(DEFAULT_FACE_BUDGET)
+
+    def _facets(self, budget: int) -> frozenset[frozenset]:
         """The maximal chains: the chains of each level that are no chain
         of the next level with one vertex dropped."""
-        levels = self._face_levels()
+        levels = self._face_levels(budget)
         facets = []
         for level, longer in zip(levels, levels[1:] + [[]]):
             extended = set()

@@ -257,7 +257,12 @@ def faces_bruteforce(K: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:
 def cone_vertex(K: SimplicialComplex):
     """The first vertex of ``K`` lying in every facet, or None.  Such a
     vertex proves the complex contractible."""
-    common = frozenset.intersection(*K.facets)
+    return _cone_vertex(K, DEFAULT_FACE_BUDGET)
+
+
+def _cone_vertex(K: SimplicialComplex, face_budget: int):
+    # an order complex reads its facets off its faces, under face_budget
+    common = frozenset.intersection(*K._facets(face_budget))
     return next((v for v in K.vertices if v in common), None)
 
 
@@ -279,7 +284,7 @@ class ContractibilityEvidence:
 def contractibility_evidence(K: SimplicialComplex,
                              face_budget: int = DEFAULT_FACE_BUDGET) -> ContractibilityEvidence:
     """A cone vertex of ``K``, else both reduced Betti profiles of ``K``."""
-    if cone_vertex(K) is not None:
+    if _cone_vertex(K, face_budget) is not None:
         return ContractibilityEvidence(True, "cone")
     profiles = _profiles(K, face_budget)
     if all(p.is_trivial() for p in profiles):

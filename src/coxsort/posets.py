@@ -7,6 +7,12 @@ grounds are always sorted by (length, canonical word), so ``covers()``
 comes in that order too.  Construction validates reflexivity,
 antisymmetry and transitivity, failing loudly on anything that is not a
 partial order; a caller that must say which order failed names it itself.
+
+Relations compose through one product, :func:`_bool_product`, under the
+transitivity check, the cover matrix and the sorting relation.  Past
+32**3 cell-witness steps it packs rows and columns 64 to a uint64 word and
+ANDs them word by word; below that numpy's bool matmul is faster.  Both
+are bitwise, so no witness count can wrap and no float enters.
 """
 
 from __future__ import annotations
@@ -30,10 +36,53 @@ __all__ = [
 ]
 
 
+# Below this many cell-witness steps (m * k * n) numpy's bool matmul is
+# faster than packing: the packed path costs about 15 µs before any work.
+_PACKED_MIN_STEPS = 32 ** 3
+# Bytes of the packed path's accumulator; a block of rows of the product is
+# taken at a time so that it stays this small.
+_BLOCK_BYTES = 16 * 1024
+
+
+def _packed_rows(x: np.ndarray, words: int) -> np.ndarray:
+    """The rows of bool ``x`` packed 64 to a word and zero-padded to
+    ``words`` words, word-major: ``[w, i]`` is word w of row i."""
+    packed = np.zeros((len(x), words * 8), dtype=np.uint8)
+    packed[:, :(x.shape[1] + 7) // 8] = np.packbits(x, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view(np.uint64).T)
+
+
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Composition of bool relations; computed in bool, it cannot wrap the
-    way a count of witnesses in a narrow integer type does."""
-    return a.astype(bool, copy=False) @ b.astype(bool, copy=False)
+    """Composition of bool relations: ``[i, j]`` is set iff some t has
+    ``a[i, t]`` and ``b[t, j]``.
+
+    Small operands (fewer than ``_PACKED_MIN_STEPS`` steps m * k * n) use
+    numpy's bool matmul.  Larger ones pack the rows of ``a`` and the
+    columns of ``b`` 64 to a uint64 word; ``[i, j]`` is set iff some word
+    of row i AND-ed with the matching word of column j is nonzero, ORed
+    into a ``_BLOCK_BYTES`` scratch a block of rows at a time.  Both paths
+    are bitwise throughout, so the result is exact: no witness is counted
+    in a type that could wrap, and no float is involved."""
+    a = a.astype(bool, copy=False)
+    b = b.astype(bool, copy=False)
+    (m, k), n = a.shape, b.shape[1]
+    if m * k * n < _PACKED_MIN_STEPS:
+        return a @ b
+    words = -(-k // 64)
+    rows_a, cols_b = _packed_rows(a, words), _packed_rows(b.T, words)
+    out = np.empty((m, n), dtype=bool)
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    acc = np.empty((block, n), dtype=np.uint64)
+    hit = np.empty_like(acc)
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        acc_rows, hit_rows = acc[:stop - start], hit[:stop - start]
+        np.bitwise_and(rows_a[0, start:stop, None], cols_b[0], out=acc_rows)
+        for w in range(1, words):
+            np.bitwise_and(rows_a[w, start:stop, None], cols_b[w], out=hit_rows)
+            acc_rows |= hit_rows
+        np.not_equal(acc_rows, 0, out=out[start:stop])
+    return out
 
 
 def _covers(leq: np.ndarray) -> np.ndarray:

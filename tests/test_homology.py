@@ -432,6 +432,23 @@ def test_contractibility_evidence():
     assert not contractibility_evidence(OCTAHEDRON).contractible
 
 
+def test_contractibility_evidence_reads_the_cone_under_its_budget():
+    # [e, w0] in B3 has 552,884 chains: over the default budget, so reading
+    # its facets raises, but a cone by its bottom element within 10**7
+    b3 = CoxeterSystem.type_b(3)
+    interval = bruhat_interval(b3.identity, b3.longest_element())
+    K = order_complex(interval)
+    evidence = contractibility_evidence(K, face_budget=10**7)
+    assert evidence.contractible and evidence.method == "cone"
+    # the default budget still raises, on a cold complex and on K, whose
+    # chains are now enumerated
+    for complex_ in (order_complex(interval), K):
+        with pytest.raises(BudgetExceededError) as exc:
+            contractibility_evidence(complex_)
+        assert exc.value.budget == "face_budget"
+        assert exc.value.limit == DEFAULT_FACE_BUDGET < exc.value.spent
+
+
 def test_both_fields_share_one_gf2_pass(monkeypatch):
     # one GF(2) elimination per boundary matrix when both profiles are asked for
     real = coxsort.homology._pivots_gf2

@@ -4,9 +4,9 @@ import pytest
 from coxsort import CoxeterSystem
 from coxsort.hecke import sorting_subword, weak_leq
 from coxsort.oracles import bruhat_leq_walk, element_poset, inclusion_poset_bruteforce
-from coxsort.posets import (Poset, _weak_matrix, bruhat_interval,
-                            relation_intersection, relation_union, sorting_order,
-                            weak_interval)
+from coxsort.posets import (_PACKED_MIN_STEPS, Poset, _bool_product, _weak_matrix,
+                            bruhat_interval, relation_intersection, relation_union,
+                            sorting_order, weak_interval)
 
 
 def chain(n):
@@ -183,6 +183,71 @@ def test_256_witnesses_do_not_hide_intransitivity():
         Poset(range(n), low | high)
     union = relation_union([Poset(range(n), low), Poset(range(n), high)])
     assert not union.is_transitive
+
+
+# (m, k, n): inner sizes 0, 1, 63, 64, 65 and 128, empty operands, and
+# shapes on both sides of the packed path's threshold
+PRODUCT_SHAPES = [(m, k, n) for k in (0, 1, 63, 64, 65, 128) for m, n in
+                  ((0, 5), (5, 0), (3, 4), (40, 40), (90, 90), (1, 700), (130, 70))]
+
+
+def _witness_count_product(a, b):
+    # an independent reference: count witnesses in int64, which cannot wrap
+    # below 2**63 witnesses
+    return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+
+
+@pytest.mark.parametrize("density", [0.02, 0.1, 0.5])
+def test_bool_product_equals_a_witness_count(density):
+    rng = np.random.default_rng(int(density * 100))
+    steps = [m * k * n for m, k, n in PRODUCT_SHAPES]
+    assert min(steps) < _PACKED_MIN_STEPS <= max(steps)
+    for m, k, n in PRODUCT_SHAPES:
+        a = rng.random((m, k)) < density
+        b = rng.random((k, n)) < density
+        want = _witness_count_product(a, b)
+        got = _bool_product(a, b)
+        assert got.dtype == bool and got.shape == (m, n)
+        assert np.array_equal(got, want), (m, k, n)
+        # the same operands as views: transposed, Fortran-order, read-only
+        locked_b = b.copy()
+        locked_b.setflags(write=False)
+        for x, y in ((np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T),
+                     (np.asfortranarray(a), np.asfortranarray(b)),
+                     (a.astype(np.uint8), locked_b)):
+            assert np.array_equal(_bool_product(x, y), want), (m, k, n)
+
+
+def test_bool_product_finds_a_witness_in_every_word():
+    # one witness t per product, placed in each 64-bit word and at its edges
+    k = 200
+    for t in (0, 62, 63, 64, 65, 127, 128, 199):
+        a = np.zeros((70, k), dtype=bool)
+        b = np.zeros((k, 70), dtype=bool)
+        a[3, t] = b[t, 69] = True
+        want = np.zeros((70, 70), dtype=bool)
+        want[3, 69] = True
+        assert np.array_equal(_bool_product(a, b), want), t
+
+
+@pytest.mark.parametrize("n", [100, 130, 200])
+def test_one_missing_pair_is_intransitive_on_the_packed_path(n):
+    # a chain on 0..n-2 and one on 1..n-1: their union relates every i < j
+    # except 0 and n-1, with n-2 witnesses spread over several words
+    assert n ** 3 >= _PACKED_MIN_STEPS
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    low, high = upper.copy(), upper.copy()
+    low[:, n - 1] = False
+    low[n - 1, n - 1] = True
+    high[0, :] = False
+    high[0, 0] = True
+    union = relation_union([Poset(range(n), low), Poset(range(n), high)])
+    missing = upper & ~union.matrix
+    assert missing.sum() == 1 and missing[0, n - 1]
+    assert not union.is_transitive
+    with pytest.raises(ValueError, match="transitive"):
+        Poset(range(n), union.matrix)
+    assert relation_union([Poset(range(n), upper)]).is_transitive
 
 
 def test_sorting_order_past_63_letters():
