@@ -210,7 +210,8 @@ class CoxeterSystem:
         self._inverse: list[int] | None = None
         self._words: tuple[Word, ...] | None = None
         self._all_elements: tuple[Element, ...] | None = None
-        self._op_cache: dict[str, dict] = {}
+        # memo buckets of hecke and posets, by name
+        self._op_cache: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # named presentations

@@ -116,6 +116,7 @@ class Poset:
         self.ground = ground
         self.leq = matrix
         self._index = {g: i for i, g in enumerate(ground)}
+        self._cover_pairs: tuple[tuple, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.ground)
@@ -137,9 +138,13 @@ class Poset:
             raise ValueError(f"{item!r} is not in the ground set") from None
 
     def covers(self) -> list[tuple]:
-        """Cover pairs (a, b): a < b with nothing strictly between."""
-        return [(self.ground[i], self.ground[j])
-                for i, j in np.argwhere(_covers(self.leq)).tolist()]
+        """Cover pairs (a, b): a < b with nothing strictly between, as a
+        new list on every call; the relation is read-only, so the pairs are
+        computed once."""
+        if self._cover_pairs is None:
+            self._cover_pairs = tuple((self.ground[i], self.ground[j])
+                                      for i, j in np.argwhere(_covers(self.leq)).tolist())
+        return list(self._cover_pairs)
 
     def restrict(self, items: Iterable) -> "Poset":
         """Induced subposet; keeps the parent's ground order."""
@@ -204,13 +209,46 @@ def _sorting_relation(taken: np.ndarray) -> np.ndarray:
     return ~_bool_product(taken, ~taken.T)
 
 
+def _class_key(system: CoxeterSystem, Q: tuple[int, ...]) -> tuple:
+    """The commutation class of the word Q: its projections onto every pair
+    {s, t} with m(s, t) != 2, s = t included.  Two words have equal keys
+    iff they are related by swaps of adjacent commuting letters (the
+    projection lemma for trace monoids; Diekert & Rozenberg, *The Book of
+    Traces*, 1995)."""
+    r = system.rank
+    pairs = [(s, t) for s in range(1, r + 1) for t in range(s, r + 1) if system.m(s, t) != 2]
+    return tuple(tuple(x for x in Q if x == s or x == t) for s, t in pairs)
+
+
 def sorting_order(system: CoxeterSystem, Q: Iterable[int]) -> Poset:
     """The sorting order of the reduced word Q on the Bruhat interval
     [e, product(Q)]: u <= v iff the sorting subword positions of u are a
-    subset of those of v."""
+    subset of those of v.
+
+    It depends only on the commutation class of Q.  Let Q' swap adjacent
+    letters s = Q[j] and t = Q[j + 1] with m(s, t) = 2.  Write the target
+    x left at position j as x = y * z, y in the Klein four-group <s, t> and
+    z minimal in its coset; a letter of {s, t} is a left descent of x iff
+    it is a factor of y, and removing s from y leaves t's membership alone.
+    So positions j and j + 1 are taken in Q' exactly when j + 1 and j are
+    in Q, the remaining target after both is the same, and every sorting
+    subword of Q' is that of Q with the two positions swapped; inclusion
+    is unchanged.  Words of one class (equal :func:`_class_key`) therefore
+    share one validated Poset, kept in ``system._op_cache["sorting_order"]``
+    as ``(product row, {key: Poset})``; a word with another product
+    replaces the bucket, so it never holds more than one element's classes.
+    """
     Q = system.check_word(Q)
-    ground = hecke._below(hecke.demazure(system, Q))
-    return Poset(ground, _sorting_relation(hecke.sorting_positions(system, Q, ground)))
+    w = hecke.demazure(system, Q)
+    row, classes = system._op_cache.get("sorting_order", (None, {}))
+    if row != w.index:
+        classes = {}
+    key = _class_key(system, Q)
+    if key not in classes:
+        ground = hecke._below(w)
+        classes[key] = Poset(ground, _sorting_relation(hecke.sorting_positions(system, Q, ground)))
+        system._op_cache["sorting_order"] = (w.index, classes)
+    return classes[key]
 
 
 def _common_ground(posets: Sequence[Poset]) -> tuple:

@@ -184,13 +184,39 @@ def _compare_matrices(rec, got, want, ground, gname, w, which):
                  detail=f"{which}: computed {bool(got[i, j])}, expected {bool(want[i, j])}")
 
 
+def _class_outcomes(sort_m, ground, weak_m, bru_m, bru_covers):
+    """What checks 02 and 10 record for one sorting relation on [e, w],
+    apart from its word: the sandwich failure cells, the cover failure or
+    None, and whether the sorting covers equal the Bruhat covers."""
+    # a pair fails at most one of the two implications
+    weak_only = weak_m & ~sort_m
+    cells = [dict(u=_w_repr(ground[i]), v=_w_repr(ground[j]),
+                  detail="weak holds but sorting fails" if weak_only[i, j]
+                  else "sorting holds but Bruhat fails")
+             for i, j in np.argwhere(weak_only | (sort_m & ~bru_m))]
+    # a preorder by construction; only antisymmetry can fail
+    tied = np.triu(sort_m & sort_m.T, 1)
+    sort_covers = posets._covers(sort_m)
+    bad = tied if tied.any() else sort_covers & ~bru_covers
+    if bad.any():
+        u, v = min(((ground[i], ground[j]) for i, j in np.argwhere(bad)),
+                   key=lambda p: (p[0].word, p[1].word))
+        return cells, dict(u=_w_repr(u), v=_w_repr(v),
+                           detail="sorting relation is not antisymmetric" if tied.any()
+                           else "sorting cover is not a Bruhat cover"), False
+    return cells, None, np.array_equal(sort_covers, bru_covers)
+
+
 def _order_records(ctx: Context) -> dict[str, _Recorder]:
     """The records of checks 02, 03, 04 and 10, from one pass per Context:
     for each sweep group, w in table order and sorted reduced word Q of w,
     one sorting relation on [e, w] is compared with the weak and Bruhat
     relations (02), folded by AND and OR on the weak interval of w, the
     column of w in the weak relation (03, 04), and read for antisymmetry
-    and covers (10).  A pass that raises stores nothing."""
+    and covers (10).  The relation depends only on the commutation class
+    of Q (see :func:`posets.sorting_order`), so the first word of each
+    class computes it and its outcomes, and every word of the class
+    replays them under its own Q.  A pass that raises stores nothing."""
     if ctx._order_records is not None:
         return ctx._order_records
     sandwich, meet_rec, join_rec, cover_rec = (_Recorder() for _ in range(4))
@@ -206,32 +232,27 @@ def _order_records(ctx: Context) -> dict[str, _Recorder]:
             on_weak = np.ix_(rows, rows)
             meet = np.ones((len(rows),) * 2, dtype=bool)
             join = np.zeros_like(meet)
+            # class key -> _class_outcomes of the first word of the class
+            outcomes: dict[tuple, tuple[list[dict], dict | None, bool]] = {}
+            w_repr = _w_repr(w)
             for Q in sorted(hecke.reduced_words(w)):
-                sort_m = posets._sorting_relation(
-                    hecke.sorting_positions(system, Q, ground))
-                where = dict(group=gname, w=_w_repr(w), Q=word_str(Q))
+                key = posets._class_key(system, Q)
+                if key not in outcomes:
+                    sort_m = posets._sorting_relation(
+                        hecke.sorting_positions(system, Q, ground))
+                    on_weak_m = sort_m[on_weak]
+                    meet &= on_weak_m
+                    join |= on_weak_m
+                    outcomes[key] = _class_outcomes(sort_m, ground, weak_m, bru_m, bru_covers)
+                cells, cover_failure, covers_equal = outcomes[key]
+                where = dict(group=gname, w=w_repr, Q=word_str(Q))
                 sandwich.instances += len(ground) ** 2
-                # a pair fails at most one of the two implications
-                weak_only = weak_m & ~sort_m
-                for i, j in np.argwhere(weak_only | (sort_m & ~bru_m)):
-                    sandwich.fail(**where, u=_w_repr(ground[i]), v=_w_repr(ground[j]),
-                                  detail="weak holds but sorting fails" if weak_only[i, j]
-                                  else "sorting holds but Bruhat fails")
-                on_weak_m = sort_m[on_weak]
-                meet &= on_weak_m
-                join |= on_weak_m
+                for cell in cells:
+                    sandwich.fail(**where, **cell)
                 cover_rec.instances += 1
-                # a preorder by construction; only antisymmetry can fail
-                tied = np.triu(sort_m & sort_m.T, 1)
-                sort_covers = posets._covers(sort_m)
-                bad = tied if tied.any() else sort_covers & ~bru_covers
-                if bad.any():
-                    u, v = min(((ground[i], ground[j]) for i, j in np.argwhere(bad)),
-                               key=lambda p: (p[0].word, p[1].word))
-                    cover_rec.fail(**where, u=_w_repr(u), v=_w_repr(v),
-                                   detail="sorting relation is not antisymmetric" if tied.any()
-                                   else "sorting cover is not a Bruhat cover")
-                elif np.array_equal(sort_covers, bru_covers):
+                if cover_failure is not None:
+                    cover_rec.fail(**where, **cover_failure)
+                elif covers_equal:
                     equal += 1
                     if w.length >= 3:
                         cover_rec.note(**where, detail="sorting covers equal Bruhat covers")

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from coxsort import CoxeterSystem
-from coxsort.hecke import sorting_subword, weak_leq
+from coxsort.hecke import _below, reduced_words, sorting_positions, sorting_subword, weak_leq
 from coxsort.oracles import bruhat_leq_walk, element_poset, inclusion_poset_bruteforce
-from coxsort.posets import (_PACKED_MIN_STEPS, Poset, _bool_product, _weak_matrix,
-                            bruhat_interval, relation_intersection, relation_union,
-                            sorting_order, weak_interval)
+from coxsort.posets import (_PACKED_MIN_STEPS, Poset, _bool_product, _class_key,
+                            _sorting_relation, _weak_matrix, bruhat_interval,
+                            relation_intersection, relation_union, sorting_order,
+                            weak_interval)
+from coxsort.verify import named_system
 
 
 def chain(n):
@@ -258,3 +260,121 @@ def test_sorting_order_past_63_letters():
     assert len(p) == 140
     keys = [set(sorting_subword(i2, Q, u)) for u in p.ground]
     assert p.leq.tolist() == [[a <= b for b in keys] for a in keys]
+
+
+# ---------------------------------------------------- commutation classes
+
+def _classes(system, w):
+    """The reduced words of w, in sorted order, grouped by class key."""
+    classes = {}
+    for Q in sorted(reduced_words(w)):
+        classes.setdefault(_class_key(system, Q), []).append(Q)
+    return classes
+
+
+def _relation(system, Q):
+    """The sorting relation of Q built directly, with no cache."""
+    return _sorting_relation(sorting_positions(system, Q, _below(system.element(Q))))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4"])
+def test_words_of_one_class_have_one_sorting_relation(name):
+    system = named_system(name)
+    for w in system.elements():
+        for words in _classes(system, w).values():
+            first = _relation(system, words[0])
+            for Q in words[1:]:
+                assert np.array_equal(_relation(system, Q), first), Q
+
+
+def test_a_braid_move_changes_the_sorting_relation():
+    # negative control: m(s, t) >= 3 moves leave the class and the relation
+    b2, a3 = CoxeterSystem.type_b(2), CoxeterSystem.type_a(3)
+    for system, Q, braided in ((b2, (1, 2, 1, 2), (2, 1, 2, 1)), (a3, (1, 2, 1), (2, 1, 2))):
+        assert _class_key(system, Q) != _class_key(system, braided)
+        assert not np.array_equal(_relation(system, Q), _relation(system, braided))
+
+
+@pytest.mark.parametrize("name, classes, w0_classes",
+                         [("A3", 42, 8), ("B3", 102, 14), ("H3", 427, 44), ("A4", 475, 62)])
+def test_class_counts(name, classes, w0_classes):
+    system = named_system(name)
+    assert sum(len(_classes(system, w)) for w in system.elements()[1:]) == classes
+    assert len(_classes(system, system.longest_element())) == w0_classes
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_equal_keys_are_exactly_the_commuting_swap_classes(name):
+    system = named_system(name)
+    words = sorted(reduced_words(system.longest_element()))
+    root = {}
+    for start in words:
+        if start in root:
+            continue
+        root[start] = start
+        queue = [start]
+        while queue:
+            Q = queue.pop()
+            for j in range(len(Q) - 1):
+                if system.m(Q[j], Q[j + 1]) == 2:
+                    swapped = Q[:j] + (Q[j + 1], Q[j]) + Q[j + 2:]
+                    if swapped not in root:
+                        root[swapped] = start
+                        queue.append(swapped)
+    components = {}
+    for Q in words:
+        components.setdefault(root[Q], []).append(Q)
+    assert sorted(_classes(system, system.longest_element()).values()) == sorted(
+        components.values())
+
+
+def test_the_key_is_canonical_where_bubbling_commuting_letters_is_not():
+    # 2 commutes with 1 and 3, which braid: 3,1,2 and 2,3,1 are one class,
+    # though neither has an adjacent commuting pair out of increasing order
+    system = CoxeterSystem([[1, 2, 3], [2, 1, 2], [3, 2, 1]])
+    assert _class_key(system, (3, 1, 2)) == _class_key(system, (2, 3, 1))
+    assert _class_key(system, (3, 1, 2)) != _class_key(system, (1, 3, 2))
+
+
+def test_sorting_order_shares_one_poset_per_class_and_keeps_one_product():
+    a3 = CoxeterSystem.type_a(3)
+    w0 = a3.longest_element()
+    classes = _classes(a3, w0)
+    for words in classes.values():
+        first = sorting_order(a3, words[0])
+        assert all(sorting_order(a3, Q) is first for Q in words)
+        assert np.array_equal(first.leq, _relation(a3, words[0]))
+    row, bucket = a3._op_cache["sorting_order"]
+    assert row == w0.index and len(bucket) == len(classes) == 8
+    sorting_order(a3, (3, 1))
+    row, bucket = a3._op_cache["sorting_order"]
+    assert row == a3.element((1, 3)).index
+    assert list(bucket) == [_class_key(a3, (1, 3))]
+
+
+def test_warm_and_cold_sorting_orders_agree():
+    h3 = CoxeterSystem.type_h3()
+    w = h3.element((1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 3, 2))
+    for Q in sorted(reduced_words(w)):
+        warm = sorting_order(h3, Q)
+        cold = sorting_order(CoxeterSystem.type_h3(), Q)
+        assert warm == cold and warm.covers() == cold.covers(), Q
+
+
+def test_a_warm_cache_still_refuses_a_non_reduced_word():
+    b2 = CoxeterSystem.type_b(2)
+    for warm in ((1,), (1, 2, 1, 2)):  # the same product as (1, 1), then another
+        sorting_order(b2, warm)
+        with pytest.raises(ValueError, match="reduced"):
+            sorting_order(b2, (1, 1))
+        assert sorting_order(b2, warm) is sorting_order(b2, warm)
+
+
+def test_covers_is_a_new_list_on_every_call():
+    b2 = CoxeterSystem.type_b(2)
+    p = sorting_order(b2, (1, 2, 1, 2))
+    first = p.covers()
+    expected = list(first)
+    first.clear()
+    assert p.covers() == expected and p.covers() is not p.covers()
+    assert sorting_order(b2, (1, 2, 1, 2)).covers() == expected

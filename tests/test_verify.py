@@ -284,6 +284,57 @@ def test_order_checks_sort_each_word_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 9
 
 
+def test_order_checks_sort_each_commutation_class_once(monkeypatch):
+    real = coxsort.hecke.sorting_positions
+    calls = []
+
+    def counted(system, Q, elements):
+        calls.append(Q)
+        return real(system, Q, elements)
+
+    monkeypatch.setattr(coxsort.hecke, "sorting_positions", counted)
+    ctx = Context(RunConfig(groups=("A3",)))
+    for name in ORDER_CHECKS:
+        assert run_check(name, ctx=ctx).passed
+    # 42 classes of reduced words of the w != e, and the empty word of e
+    a3 = ctx.system("A3")
+    assert len(calls) == len({coxsort.posets._class_key(a3, Q) for Q in calls}) == 43
+
+
+def test_a_corrupted_class_fails_under_each_of_its_words(monkeypatch):
+    a3 = named_system("A3")
+    key = coxsort.posets._class_key(a3, (1, 3, 2, 1, 3))
+    w = a3.element((1, 3, 2, 1, 3))
+    words = sorted(Q for Q in coxsort.hecke.reduced_words(w)
+                   if coxsort.posets._class_key(a3, Q) == key)
+    assert len(words) == 4 < len(coxsort.hecke.reduced_words(w))
+    real = coxsort.hecke.sorting_positions
+
+    def corrupted(system, Q, elements):
+        # the row of w, the last element, loses its last position
+        taken = real(system, Q, elements)
+        if coxsort.posets._class_key(system, Q) != key:
+            return taken
+        taken = taken.copy()
+        taken[-1, np.flatnonzero(taken[-1])[-1]] = False
+        return taken
+
+    monkeypatch.setattr(coxsort.hecke, "sorting_positions", corrupted)
+    ctx = Context(RunConfig(groups=("A3",)))
+    sandwich = run_check("sorting_sandwich", ctx=ctx)
+    covers = run_check("cover_containment", ctx=ctx)
+    names = [",".join(map(str, Q)) for Q in words]
+    for r in (sandwich, covers):
+        assert not r.passed
+        assert {f["w"] for f in r.failures} == {"1,2,3,2,1"}
+        assert sorted({f["Q"] for f in r.failures}) == names
+    assert [f["Q"] for f in covers.failures] == names
+    cells = [sorted((f["u"], f["v"], f["detail"]) for f in sandwich.failures if f["Q"] == Q)
+             for Q in names]
+    assert len(sandwich.failures) == 3 * len(names)
+    assert all(c == cells[0] for c in cells)
+
+
 def test_order_checks_do_not_depend_on_their_order():
     config = RunConfig(groups=("A3", "B2"))
     ctx = Context(config)
