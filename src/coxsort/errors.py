@@ -10,13 +10,27 @@ class BudgetExceededError(RuntimeError):
     never masquerade as an exact one.  ``budget`` names the budget
     (``"size_cap"``, ``"mask_cap"`` or ``"face_budget"``), ``limit`` is
     its value and ``spent`` the amount reached when it was exceeded.
+    ``subject`` names what was being certified, such as an interval or a
+    word and target, or is "" when the raiser did not know; a non-empty
+    one ends the message.
     """
 
-    def __init__(self, message: str, *, budget: str, limit: int, spent: int):
+    def __init__(self, message: str, *, budget: str, limit: int, spent: int,
+                 subject: str = ""):
         super().__init__(message)
         self.budget = budget
         self.limit = limit
         self.spent = spent
+        self.subject = subject
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return f"{message} ({self.subject})" if self.subject else message
+
+    def about(self, subject: str) -> "BudgetExceededError":
+        """The same error, naming ``subject``."""
+        return BudgetExceededError(self.args[0], budget=self.budget, limit=self.limit,
+                                   spent=self.spent, subject=subject)
 
 
 class VoidComplexError(ValueError):

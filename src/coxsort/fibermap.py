@@ -168,18 +168,26 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
     and to every facet contains all vertices (or is the only one) and lies
     in every facet, so it exists iff Delta has one facet.  A single facet
     is therefore exactly the cone case, while a cone vertex of Delta with
-    two facets (B2, Q = 1,2,1,2, u = s1) is left to homology.
+    two facets (B2, Q = 1,2,1,2, u = s1) is left to homology, whose
+    trivial profiles the cone vertex of Delta itself then proves.  A face
+    budget exceeded on the way raises :class:`BudgetExceededError` naming Q
+    and u.
     """
     Q = tuple(Q)
     w = _require_reduced(system, Q)
     if not bruhat_leq(u, w):
         raise ValueError("u must lie below the product of Q")
     delta = subword_complex(system, Q, u)
-    kind, size = delta.classify(), delta.num_faces()
+    kind = delta.classify()
+    try:
+        # enumerates the faces under the default budget, which _profiles reuses
+        size = delta.num_faces()
+    except BudgetExceededError as exc:
+        raise exc.about(delta._subject()) from exc
     if u == w:
         # the fiber is {full}; its proper part is empty, so nothing to certify
         return FiberReport(u.word, kind, size, True, "singleton")
-    if len(delta.facets) == 1:
+    if len(delta._facet_masks) == 1:
         return FiberReport(u.word, kind, size, True, "cone")
     profiles = _profiles(delta)
     contractible = all(p.is_trivial() for p in profiles)
@@ -218,6 +226,8 @@ def certify_interval_sphere(u: Element, w: Element,
     Needs u <= w with l(w)-l(u) >= 2, so that the open interval is
     nonempty and the sphere has dimension at least 0; for length difference
     exactly 2 the open interval is two incomparable points, the 0-sphere.
+    A face budget exceeded on the way raises :class:`BudgetExceededError`
+    naming the interval (u, w).
     """
     if u.system != w.system:
         raise ValueError("elements belong to different systems")
@@ -228,7 +238,10 @@ def certify_interval_sphere(u: Element, w: Element,
     # the ground is sorted by table row, so u comes first and w last; the
     # inner block of an order is an order, so it is not validated again
     inner = _OrderComplex(closed.ground[1:-1], closed.leq[1:-1, 1:-1])
-    profile = reduced_betti(inner, coefficient_field)
+    try:
+        profile = reduced_betti(inner, coefficient_field)
+    except BudgetExceededError as exc:
+        raise exc.about(f"interval ({u!r}, {w!r})") from exc
     expected = d - 2
     return IntervalReport(u.word, w.word, expected, profile,
                           profile.matches_sphere(expected), len(inner.vertices))

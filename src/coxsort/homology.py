@@ -23,6 +23,13 @@ span of the rows kept: the rank does not change.  Only rows that would
 have reduced to zero are lost, so the rows eliminated out of the k-vertex
 faces number f_k - rank(boundary out of the (k+1)-vertex faces).
 
+A cone needs no elimination.  When some vertex lies in every facet (in an
+order complex: some element is comparable to every element), the complex
+is a cone over that vertex and so contractible, and both profiles are
+trivial; this is a proof, and no boundary matrix is built.  The faces are
+still enumerated and counted against the face budget first, so a budget
+raises whether or not the complex is a cone.
+
 >>> triangle = SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 >>> reduced_betti(triangle, 2).numbers
 {1: 1}
@@ -37,8 +44,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import and_
 from typing import Container, Iterable, Sequence
 
 import numpy as np
@@ -67,11 +75,13 @@ class SimplicialComplex:
 
     Internally a face is an int vertex mask: bit i is ``vertices[i]``, so
     the empty face is 0 and a face with k vertices has k set bits.  The
-    faces are enumerated once, top-down from the facets, into one
-    numerically sorted list of masks per size.  In the boundary of a face
-    f, the face ``f ^ low`` (drop the vertex at bit ``low``) carries the
-    sign (-1)^popcount(f & (low - 1)): signs alternate in increasing
-    vertex order.
+    facets are kept as masks, and ``facets`` is read off them when first
+    asked for; a subclass that derives its facets as masks hands them to
+    the same setup, ``_init_facets``.  The faces are enumerated once,
+    top-down from the facets, into one numerically sorted list of masks
+    per size.  In the boundary of a face f, the face ``f ^ low`` (drop the
+    vertex at bit ``low``) carries the sign (-1)^popcount(f & (low - 1)):
+    signs alternate in increasing vertex order.
     """
 
     def __init__(self, vertices: Sequence, facets: Iterable[Iterable]):
@@ -79,27 +89,40 @@ class SimplicialComplex:
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex order contains duplicates")
         index = {v: i for i, v in enumerate(vertices)}
-        fs = {frozenset(f) for f in facets}
-        if not fs:
-            raise ValueError("a complex needs at least the empty facet frozenset()")
-        masks = {}
-        for f in fs:
+        masks = set()
+        for f in facets:
             mask = 0
             for v in f:
                 i = index.get(v)
                 if i is None:
                     raise ValueError(f"facet vertex {v!r} is not in the vertex order")
                 mask |= 1 << i
-            masks[f] = mask
+            masks.add(mask)
+        self._init_facets(vertices, masks)
+
+    def _init_facets(self, vertices: tuple, masks: set[int]) -> None:
+        """The one facet setup: keep the masks no other mask contains, as
+        ``_facet_masks``; ``facets`` is read off them when first asked for."""
+        if not masks:
+            raise ValueError("a complex needs at least the empty facet frozenset()")
+        top = max(m.bit_count() for m in masks)  # only a larger mask can contain m
         self.vertices = vertices
-        top = max(len(f) for f in fs)  # only a strictly larger facet can contain f
-        self.facets = frozenset(f for f in fs if len(f) == top or not any(f < g for g in fs))
-        self._facet_masks = [masks[f] for f in self.facets]
+        self._facet_masks = [m for m in masks if m.bit_count() == top
+                             or not any(m & g == m != g for g in masks)]
         self._levels: list[list[int]] | None = None
+
+    @cached_property
+    def facets(self) -> frozenset[frozenset]:
+        return frozenset(map(self._face, self._facet_masks))
 
     @property
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
+
+    def _is_cone(self) -> bool:
+        """Whether some vertex lies in every facet, which makes the complex
+        contractible."""
+        return bool(reduce(and_, self._facet_masks))
 
     def _facets(self, budget: int) -> frozenset[frozenset]:
         """``facets``; a complex that derives them from its faces reads
@@ -301,8 +324,11 @@ def _profiles(K: SimplicialComplex,
               face_budget: int = DEFAULT_FACE_BUDGET) -> tuple[BettiProfile, BettiProfile]:
     """Reduced Betti numbers of ``K`` over GF(2) and over the rationals,
     from one GF(2) pass; see :func:`reduced_betti` for when the rational
-    profile is read off it."""
+    profile is read off it.  A cone, once its faces are counted against the
+    budget, gets the trivial profiles with no pass at all."""
     levels = K._face_levels(face_budget)
+    if K._is_cone():
+        return BettiProfile(2, ()), BettiProfile(0, ())
     gf2 = _betti_counts(levels, 2)
     rational = _betti_counts(levels, 0) if len({d % 2 for d, _ in gf2}) > 1 else gf2
     return BettiProfile(2, gf2), BettiProfile(0, rational)
@@ -334,7 +360,8 @@ def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2,
         return _profiles(K, face_budget)[1]
     if coefficient_field != 2:
         raise ValueError("coefficient field must be 2 or 0 (the rationals)")
-    return BettiProfile(2, _betti_counts(K._face_levels(face_budget), 2))
+    levels = K._face_levels(face_budget)
+    return BettiProfile(2, () if K._is_cone() else _betti_counts(levels, 2))
 
 
 class _OrderComplex(SimplicialComplex):
@@ -353,6 +380,11 @@ class _OrderComplex(SimplicialComplex):
     @cached_property
     def facets(self) -> frozenset[frozenset]:
         return self._facets(DEFAULT_FACE_BUDGET)
+
+    def _is_cone(self) -> bool:
+        """Whether some element is comparable to every element; it then lies
+        in every maximal chain."""
+        return bool((self._leq | self._leq.T).all(axis=1).any())
 
     def _facets(self, budget: int) -> frozenset[frozenset]:
         """The maximal chains: the chains of each level that are no chain
@@ -378,7 +410,10 @@ class _OrderComplex(SimplicialComplex):
         strict = self._leq & ~np.eye(n, dtype=bool)
         # ups[t]: the strict upper bounds of t; the empty chain has the
         # virtual top n, below every element
-        ups = [np.flatnonzero(row).tolist() for row in strict] + [list(range(n))]
+        rows, cols = np.nonzero(strict)
+        cols = cols.tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+        ups = [cols[start:end] for start, end in zip([0] + ends, ends)] + [list(range(n))]
         # groups[t]: the chains of the last level built whose top is t
         groups: list[list[int]] = [[] for _ in range(n)] + [[0]]
         levels, total = [[0]], 1

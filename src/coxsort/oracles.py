@@ -7,9 +7,10 @@ multiplication tables of :mod:`coxsort.coxeter`; agreement between the
 two is a genuine consistency check, not a tautology.
 
 The models provided are the permutation model of type A (one-line
-permutations under composition) and the signed-permutation model of
-type B.  :class:`BraidRewriting` decides equality of words of any
-Coxeter matrix by nil and braid moves alone, the subword scan tries
+permutations under composition), the signed-permutation model of type B,
+the even-signed-permutation model of type D and an affine model of the
+dihedral groups I2(m).  :class:`BraidRewriting` decides equality of words
+of any Coxeter matrix by nil and braid moves alone, the subword scan tries
 every position set, :func:`bruhat_leq_walk` compares two elements by
 stripping left descents, :func:`element_poset` and
 :func:`inclusion_poset_bruteforce` order elements and sets by a pairwise
@@ -35,6 +36,8 @@ __all__ = [
     "BraidRewriting",
     "permutation_model",
     "signed_permutation_model",
+    "even_signed_permutation_model",
+    "dihedral_model",
     "canonical_word_bruteforce",
     "bruhat_leq_bruteforce",
     "bruhat_leq_walk",
@@ -162,6 +165,39 @@ def signed_permutation_model(rank: int) -> CayleyModel:
     last[-1] = -last[-1]
     gens.append(tuple(last))
     return CayleyModel(gens, compose, identity)
+
+
+def even_signed_permutation_model(rank: int) -> CayleyModel:
+    """Type D_rank as the even signed permutations in window notation, in
+    the generator order of ``CoxeterSystem.type_d``: generator 1 swaps the
+    first two window entries, generator 2 swaps and negates them, and
+    generator k >= 3 swaps entries k - 1 and k, so 1 and 2 both braid with
+    3 and the rest form a chain."""
+    if rank < 2:
+        raise ValueError("type D needs rank >= 2")
+    signed = signed_permutation_model(rank)
+
+    def swap(i: int, sign: int) -> tuple:
+        g = list(signed.identity)
+        g[i - 1], g[i] = sign * g[i], sign * g[i - 1]
+        return tuple(g)
+
+    gens = [swap(1, 1), swap(1, -1)] + [swap(k - 1, 1) for k in range(3, rank + 1)]
+    return CayleyModel(gens, signed.compose, signed.identity)
+
+
+def dihedral_model(m: int) -> CayleyModel:
+    """I2(m) as the maps x -> a*x + b of Z/m with a = +-1, stored as pairs
+    (a, b) and composed as maps, so that m = 2 gives the Klein four-group;
+    the generators are the reflections x -> -x and x -> 1 - x, whose
+    product is a rotation by one step, of order m."""
+    if m < 2:
+        raise ValueError("a dihedral group needs m >= 2")
+
+    def compose(p, q):
+        return p[0] * q[0], (p[0] * q[1] + p[1]) % m
+
+    return CayleyModel(((-1, 0), (-1, 1)), compose, (1, 0))
 
 
 def canonical_word_bruteforce(model: CayleyModel, word: Sequence[int]) -> tuple[int, ...]:

@@ -161,16 +161,28 @@ class Poset:
 
 
 def bruhat_interval(u: Element, w: Element) -> Poset:
-    """The Bruhat interval [u, w], read off the down-set rows of the
-    elements below ``w``."""
+    """The Bruhat interval [u, w], a sub-block of the relation on [e, w].
+
+    The block is read off the down-set rows of the elements below ``w``
+    once and kept in ``system._op_cache["bruhat_interval"]`` as
+    ``(w row, below, block)``: ``below`` the table rows of [e, w] in
+    order, ``block[i, j]`` set iff ``below[j] <= below[i]``.  A call for
+    another w replaces the bucket, so it never holds more than one square
+    [e, w] x [e, w] block, no larger than the rows a call stacks to build
+    it.  Every call still builds and validates its own Poset.
+    """
     if not hecke.bruhat_leq(u, w):
         raise ValueError(f"{u} is not below {w} in Bruhat order")
-    elements = w.system.elements()
-    below = np.flatnonzero(hecke.bruhat_row(w))
-    rows = np.stack([hecke.bruhat_row(elements[z]) for z in below])
-    above_u = rows[:, u.index]
-    ground = below[above_u]
-    return Poset(tuple(elements[z] for z in ground), rows[above_u][:, ground].T)
+    system = w.system
+    elements = system.elements()
+    row, below, block = system._op_cache.get("bruhat_interval", (None, None, None))
+    if row != w.index:
+        below = np.flatnonzero(hecke.bruhat_row(w))
+        block = np.stack([hecke.bruhat_row(elements[z]) for z in below])[:, below]
+        block.setflags(write=False)
+        system._op_cache["bruhat_interval"] = (w.index, below, block)
+    above_u = block[:, np.searchsorted(below, u.index)]
+    return Poset(tuple(elements[z] for z in below[above_u]), block[above_u][:, above_u].T)
 
 
 def _weak_matrix(ground: Sequence[Element]) -> np.ndarray:

@@ -7,7 +7,11 @@ are the complements of the position sets carrying reduced subwords
 equal to w.  A :class:`SubwordComplex` is the simplicial complex on the
 positions 1..len(Q), its facets derived from (Q, w), never given.
 Positions are 1-based; inside the facet search and the complex a set of
-positions is an int mask, bit j for position j + 1.
+positions is an int mask, bit j for position j + 1.  Masks go end to end:
+the facet search returns them, the complex keeps them through the facet
+setup of :class:`SimplicialComplex`, and faces, homology and the cone test
+run on them.  Frozensets of positions are made only where they leave the
+module, ``facets`` once when first read.
 
 Every such complex is homeomorphic to a ball or to a sphere, and the
 sphere case occurs exactly when the Demazure product of Q equals w.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element, word_str
-from .errors import VoidComplexError
+from .errors import BudgetExceededError, VoidComplexError
 from .hecke import _suffix_demazure, bruhat_row
 from .homology import BettiProfile, SimplicialComplex, _profiles
 
@@ -30,8 +34,9 @@ class SubwordComplex(SimplicialComplex):
     """The subword complex Delta(Q, target), a simplicial complex on the
     positions 1..len(Q) of Q.
 
-    The facets, frozensets of 1-based positions, are derived from (Q,
-    target), never given; Q is folded once, for the facet search and for
+    The facets are derived from (Q, target), never given, and kept as
+    masks; ``facets``, frozensets of 1-based positions, is built from them
+    once, when first read.  Q is folded once, for the facet search and for
     ``classify``.  Raises VoidComplexError when Q carries no reduced
     subword for the target.  For the identity target the complex is the
     full simplex on all positions, for the empty word the empty complex.
@@ -48,7 +53,7 @@ class SubwordComplex(SimplicialComplex):
         if not facets:
             raise VoidComplexError(
                 f"the word {word_str(Q)} carries no reduced subword equal to {target}")
-        super().__init__(range(1, len(Q) + 1), facets)
+        self._init_facets(tuple(range(1, len(Q) + 1)), facets)
         self.system = system
         self.Q = Q
         self.target = target
@@ -75,9 +80,13 @@ class SubwordComplex(SimplicialComplex):
     def boundary_faces(self) -> frozenset[frozenset[int]]:
         return frozenset(self.faces() - self.interior_faces())
 
+    def _subject(self) -> str:
+        """Q and the target, as a :class:`BudgetExceededError` names them."""
+        return f"Q={word_str(self.Q)}, target={self.target!r}"
+
     def __repr__(self) -> str:
         return (f"SubwordComplex(Q={self.Q}, target={self.target!r}, "
-                f"facets={len(self.facets)})")
+                f"facets={len(self._facet_masks)})")
 
 
 def _positions(mask: int) -> frozenset[int]:
@@ -86,19 +95,23 @@ def _positions(mask: int) -> frozenset[int]:
 
 
 def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...], target: Element,
-                         suffix: list[int]) -> set[frozenset[int]]:
+                         suffix: list[int]) -> set[int]:
+    """The facets of Delta(Q, target) as masks: the complements of the
+    position sets spelling a reduced word for the target."""
     # depth first over (position j, row still to spell, mask of positions
-    # taken); suffix[j], the row of the Demazure product of Q[j:], bounds
-    # what the positions from j on can still spell
+    # taken); the Bruhat row of suffix[j], the Demazure product of Q[j:],
+    # bounds what the positions from j on can still spell
     elements, left = system.elements(), system._left
+    rows = {x: bruhat_row(elements[x]) for x in set(suffix)}
+    bounds = [rows[x] for x in suffix]
     full = (1 << len(Q)) - 1
-    out: set[frozenset[int]] = set()
+    out: set[int] = set()
     stack = [(0, target.index, 0)]
     while stack:
         j, rest, taken = stack.pop()
         if not rest:
-            out.add(_positions(full ^ taken))
-        elif j < len(Q) and bruhat_row(elements[suffix[j]])[rest]:
+            out.add(full ^ taken)
+        elif j < len(Q) and bounds[j][rest]:
             stack.append((j + 1, rest, taken))
             shorter = left[rest][Q[j] - 1]
             if shorter < rest:
@@ -127,10 +140,15 @@ class SubwordReport:
 
 def certify_subword_complex(complex_: SubwordComplex) -> SubwordReport:
     """Classify ``complex_`` and check the verdict over GF(2) and Q; the
-    sphere would have dimension len(Q) - l(target) - 1."""
+    sphere would have dimension len(Q) - l(target) - 1.  A face budget
+    exceeded on the way raises :class:`BudgetExceededError` naming Q and
+    the target."""
     kind = complex_.classify()
     top = len(complex_.Q) - complex_.target.length - 1
-    profiles = _profiles(complex_)
+    try:
+        profiles = _profiles(complex_)
+    except BudgetExceededError as exc:
+        raise exc.about(complex_._subject()) from exc
     matches = tuple(b.matches_sphere(top) if kind == "sphere" else b.is_trivial()
                     for b in profiles)
     return SubwordReport(kind, top, profiles, matches)

@@ -10,6 +10,7 @@ from coxsort.fibermap import (FiberReport, certify_fiber_contractible,
 from coxsort.hecke import bruhat_leq, demazure, sorting_positions
 from coxsort.homology import DEFAULT_FACE_BUDGET, SimplicialComplex, order_complex
 from coxsort.oracles import cone_vertex, contractibility_evidence, inclusion_poset_bruteforce
+from coxsort.subword import certify_subword_complex
 
 
 def fs(*items):
@@ -251,14 +252,16 @@ def test_cone_vertex_with_two_facets_is_certified_by_homology(u):
 
 
 def test_one_complex_per_certificate(monkeypatch):
+    # every complex, given by facets or derived as masks, passes the one
+    # facet setup
     built = []
-    real = SimplicialComplex.__init__
+    real = SimplicialComplex._init_facets
 
     def counted(self, *args, **kwargs):
         built.append(self)
         real(self, *args, **kwargs)
 
-    monkeypatch.setattr(SimplicialComplex, "__init__", counted)
+    monkeypatch.setattr(SimplicialComplex, "_init_facets", counted)
     a3 = CoxeterSystem.type_a(3)
     Q = (1, 2, 3, 1, 2, 1)
     for word, method in (((), "cone"), ((2,), "homology"), (Q, "singleton")):
@@ -313,3 +316,34 @@ def test_certify_interval_sphere_raises_on_the_face_budget():
             certify_interval_sphere(h3.identity, h3.longest_element(), field)
         assert (exc.value.budget, exc.value.limit) == ("face_budget", DEFAULT_FACE_BUDGET)
         assert exc.value.spent > DEFAULT_FACE_BUDGET
+
+
+def test_face_budget_errors_name_what_was_certified(monkeypatch):
+    h3 = CoxeterSystem.type_h3()
+    e, w0 = h3.identity, h3.longest_element()
+    with pytest.raises(BudgetExceededError) as exc:
+        certify_interval_sphere(e, w0)
+    err = exc.value
+    assert err.subject == f"interval ({e!r}, {w0!r})"
+    assert str(err).endswith(f"({err.subject})")
+    assert (err.budget, err.limit) == ("face_budget", DEFAULT_FACE_BUDGET)
+    assert err.spent > err.limit
+    # Delta(Q, e) of a reduced word of w0 is the 14-simplex, 2**15 faces: a
+    # budget of 1,000 faces, patched in under the certificates, is exceeded
+    Q = w0.word
+    with pytest.raises(BudgetExceededError) as bare:
+        subword_complex(h3, Q, e).num_faces(1000)
+    assert bare.value.subject == ""
+    real = SimplicialComplex._face_levels
+    monkeypatch.setattr(SimplicialComplex, "_face_levels",
+                        lambda self, budget=DEFAULT_FACE_BUDGET: real(self, min(budget, 1000)))
+    subject = f"Q={','.join(map(str, Q))}, target=<e>"
+    for certify in (lambda: certify_subword_complex(subword_complex(h3, Q, e)),
+                    lambda: certify_fiber_contractible(h3, Q, e)):
+        with pytest.raises(BudgetExceededError) as exc:
+            certify()
+        err = exc.value
+        assert err.subject == subject
+        assert str(err) == f"{bare.value} ({subject})"
+        assert (err.budget, err.limit, err.spent) == (
+            bare.value.budget, bare.value.limit, bare.value.spent)

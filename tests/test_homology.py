@@ -8,8 +8,8 @@ from coxsort import (BudgetExceededError, CoxeterSystem, certify_subword_complex
                      subword_complex)
 from coxsort.hecke import bruhat_leq, demazure
 from coxsort.homology import (DEFAULT_FACE_BUDGET, BettiProfile, SimplicialComplex,
-                              _boundary_rows, _pivots_gf2, _pivots_q, order_complex,
-                              reduced_betti)
+                              _betti_counts, _boundary_rows, _pivots_gf2, _pivots_q,
+                              _profiles, order_complex, reduced_betti)
 from coxsort.oracles import (cone_vertex, contractibility_evidence, faces_bruteforce,
                              inclusion_poset_bruteforce)
 from coxsort.posets import Poset, bruhat_interval
@@ -463,11 +463,20 @@ def test_both_fields_share_one_gf2_pass(monkeypatch):
     assert [p.numbers for p in evidence.betti] == [{2: 1}, {2: 1}]
     assert len(calls) == 2  # the boundary matrices of dimensions 1 and 2
     calls.clear()
+    # a ball of check 06 with no cone vertex, so it is eliminated
     b2 = CoxeterSystem.type_b(2)
-    complex_ = subword_complex(b2, (1, 2, 1, 2, 1), b2.element((1, 2)))
+    complex_ = subword_complex(b2, (1, 2, 1, 1, 2), b2.element((1, 2)))
+    assert cone_vertex(complex_) is None
     report = certify_subword_complex(complex_)
     assert report.kind == "ball" and all(report.matches)
     assert len(calls) == complex_.dim == 2
+    # a cone is proved trivial with no elimination at all
+    calls.clear()
+    cone = subword_complex(b2, (1, 2, 1, 2, 1), b2.element((1, 2)))
+    assert cone_vertex(cone) is not None
+    report = certify_subword_complex(cone)
+    assert report.kind == "ball" and all(report.matches)
+    assert calls == []
 
 
 def test_euler_characteristic_matches_betti_alternation():
@@ -475,3 +484,72 @@ def test_euler_characteristic_matches_betti_alternation():
         profile = reduced_betti(k, 0)
         total = sum((1 if d % 2 == 0 else -1) * b for d, b in profile.counts)
         assert total == k.reduced_euler_characteristic()
+
+
+def _ball_sphere_complexes():
+    """Every subword complex of check 06: the words of length at most 6
+    over A2 and B2, and every u below their Demazure product."""
+    for system in (CoxeterSystem.type_a(2), CoxeterSystem.type_b(2)):
+        for n in range(7):
+            for Q in itertools.product((1, 2), repeat=n):
+                w = demazure(system, Q)
+                for u in system.elements():
+                    if bruhat_leq(u, w):
+                        yield subword_complex(system, Q, u)
+
+
+def test_cone_flag_is_a_vertex_in_every_facet():
+    cones = 0
+    for K in _ball_sphere_complexes():
+        assert K._is_cone() == (cone_vertex(K) is not None), K
+        cones += K._is_cone()
+    assert cones == 1056  # of 1,386 complexes
+
+
+def test_elimination_agrees_with_the_cone_proof():
+    # the elimination the cone proof skips still finds nothing on each cone
+    faces = 0
+    for K in _ball_sphere_complexes():
+        if K._is_cone():
+            levels = K._face_levels()
+            assert _betti_counts(levels, 2) == _betti_counts(levels, 0) == (), K
+            assert all(p.is_trivial() for p in _profiles(K))
+            faces += sum(map(len, levels))
+    assert faces == 34_776
+
+
+def test_closed_intervals_are_order_complex_cones():
+    b3 = CoxeterSystem.type_b(3)
+    elements = b3.elements()
+    for w in elements[::5]:
+        for u in elements:
+            if bruhat_leq(u, w):
+                P = bruhat_interval(u, w)
+                closed = order_complex(P)
+                assert closed._is_cone()  # u and w are comparable to everything
+                assert cone_vertex(closed) is not None
+                if w.length - u.length >= 2:
+                    open_ = order_complex(P.restrict(P.ground[1:-1]))
+                    assert not open_._is_cone()
+                    assert cone_vertex(open_) is None
+    # a cone over a single element, and the empty poset, which is no cone
+    assert order_complex(Poset("a", [[True]]))._is_cone()
+    empty = order_complex(Poset((), np.zeros((0, 0), dtype=bool)))
+    assert not empty._is_cone()
+    assert reduced_betti(empty).numbers == {-1: 1}
+
+
+def test_a_cone_still_counts_its_faces_against_the_budget():
+    # the 17-simplex is a cone; the budget is checked before the cone is
+    big = SimplicialComplex(range(17), [tuple(range(17))])
+    assert big._is_cone()
+    for ask in (lambda: reduced_betti(big, 2, face_budget=1000),
+                lambda: reduced_betti(big, 0, face_budget=1000),
+                lambda: _profiles(big, 1000)):
+        with pytest.raises(BudgetExceededError):
+            ask()
+    assert reduced_betti(big, 2, face_budget=2 ** 17).is_trivial()
+    for ask in (lambda: reduced_betti(big, 2, face_budget=2 ** 17 - 1),
+                lambda: _profiles(big, 2 ** 17 - 1)):
+        with pytest.raises(BudgetExceededError):  # warm cache, same verdict
+            ask()

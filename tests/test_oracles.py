@@ -3,9 +3,13 @@ they share no code with it, so any agreement is meaningful evidence."""
 
 import itertools
 
+import pytest
+
 from coxsort import CoxeterSystem
+from coxsort.hecke import bruhat_leq
 from coxsort.oracles import (bruhat_leq_bruteforce, canonical_word_bruteforce,
-                             contains_reduced_word_bruteforce, permutation_model,
+                             contains_reduced_word_bruteforce, dihedral_model,
+                             even_signed_permutation_model, permutation_model,
                              signed_permutation_model, sorting_subword_bruteforce)
 
 
@@ -65,3 +69,38 @@ def test_contains_and_sorting_bruteforce():
     assert sorting_subword_bruteforce(model, (2, 1, 2), (1,)) == (2,)
     assert sorting_subword_bruteforce(model, (2, 1, 2), (2, 1)) == (1, 2)
     assert sorting_subword_bruteforce(model, (1, 1), (2,)) is None
+
+
+@pytest.mark.parametrize("system, model", [
+    (CoxeterSystem.type_d(4), even_signed_permutation_model(4)),
+    *((CoxeterSystem.dihedral(m), dihedral_model(m)) for m in range(3, 9)),
+], ids=["D4", *(f"I2({m})" for m in range(3, 9))])
+def test_d4_and_dihedral_systems_match_their_models(system, model):
+    # the default sweep's I2 groups, which the oracle check never models
+    rank = system.rank
+    assert tuple(tuple(1 if i == j else model.artin_order(i, j) for j in range(1, rank + 1))
+                 for i in range(1, rank + 1)) == system.matrix
+    elements = system.elements()
+    assert model.order() == len(elements)
+    assert sorted(model.lexmin_word(g) for g in model.elements()) == sorted(
+        e.word for e in elements)
+    for e in elements:
+        assert model.lexmin_word(model.product(e.word)) == e.word
+    for u in elements:
+        for v in elements:
+            assert bruhat_leq(u, v) == bruhat_leq_bruteforce(model, u.word, v.word), (u, v)
+
+
+def test_small_d_and_dihedral_models():
+    # D2 is A1 x A1 and D3 is A3; I2(2) is the Klein four-group
+    for n, order in ((2, 4), (3, 24), (5, 1920)):
+        model = even_signed_permutation_model(n)
+        assert model.order() == order
+        assert model.rank == n
+        system = CoxeterSystem.type_d(n)
+        assert all(model.artin_order(i, j) == system.m(i, j)
+                   for i, j in itertools.combinations(range(1, n + 1), 2))
+    assert dihedral_model(2).order() == 4 and dihedral_model(2).artin_order(1, 2) == 2
+    for bad, make in ((1, even_signed_permutation_model), (1, dihedral_model)):
+        with pytest.raises(ValueError):
+            make(bad)

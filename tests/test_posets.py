@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from coxsort import CoxeterSystem
-from coxsort.hecke import _below, reduced_words, sorting_positions, sorting_subword, weak_leq
-from coxsort.oracles import bruhat_leq_walk, element_poset, inclusion_poset_bruteforce
+from coxsort.hecke import (_below, bruhat_row, reduced_words, sorting_positions,
+                           sorting_subword, weak_leq)
+from coxsort.oracles import (bruhat_leq_bruteforce, bruhat_leq_walk, element_poset,
+                             inclusion_poset_bruteforce, permutation_model)
 from coxsort.posets import (_PACKED_MIN_STEPS, Poset, _bool_product, _class_key,
                             _sorting_relation, _weak_matrix, bruhat_interval,
                             relation_intersection, relation_union, sorting_order,
@@ -87,6 +89,41 @@ def test_bruhat_interval_b2():
     assert len(sub) == 6
     with pytest.raises(ValueError, match="not below"):
         bruhat_interval(b2.element((1, 2, 1)), b2.element((2, 1, 2)))
+
+
+def test_interval_bucket_agrees_with_the_subword_oracle_warm_and_cold():
+    a3, model = CoxeterSystem.type_a(3), permutation_model(3)
+    elements = a3.elements()
+    below = {(u, w): bruhat_leq_bruteforce(model, u.word, w.word)
+             for u in elements for w in elements}
+    for w in elements:
+        for u in elements:
+            if not below[u, w]:
+                continue
+            want = element_poset([z for z in elements if below[u, z] and below[z, w]],
+                                 lambda a, b: below[a, b])
+            assert bruhat_interval(u, w) == want  # warm from the previous u
+            a3._op_cache.pop("bruhat_interval")
+            assert bruhat_interval(u, w) == want  # cold
+            assert bruhat_interval(u, w) == want  # warm from the same u
+
+
+def test_interval_bucket_holds_one_w():
+    b3 = CoxeterSystem.type_b(3)
+    e, w0 = b3.identity, b3.longest_element()
+    for w in (w0, b3.element((1, 2, 3)), w0):
+        bruhat_interval(e, w)
+        row, below, block = b3._op_cache["bruhat_interval"]
+        assert row == w.index
+        assert below.tolist() == np.flatnonzero(bruhat_row(w)).tolist()
+        assert block.shape == (len(below), len(below))
+        assert not block.flags.writeable
+    # a warm bucket still refuses a u that is not below w
+    a, b = b3.element((2, 3, 2)), b3.element((3, 2, 3))
+    bruhat_interval(e, b)
+    with pytest.raises(ValueError, match="not below"):
+        bruhat_interval(a, b)
+    assert b3._op_cache["bruhat_interval"][0] == b.index
 
 
 @pytest.mark.parametrize("system", [CoxeterSystem.type_a(3), CoxeterSystem.type_b(3)],
