@@ -9,8 +9,8 @@ from .errors import BudgetExceededError, VoidComplexError
 from .fibermap import (FiberReport, IntervalReport, certify_fiber_contractible,
                        certify_interval_sphere, check_order_preserving, fiber_open,
                        fiber_up, subset_image)
-from .hecke import (bruhat_leq, bruhat_row, contains_reduced_word, demazure,
-                    is_reduced, reduced_words, sorting_subword, weak_leq)
+from .hecke import (bruhat_leq, bruhat_row, demazure, reduced_words, sorting_subword,
+                    weak_leq)
 from .homology import BettiProfile, SimplicialComplex, order_complex, reduced_betti
 from .posets import (Poset, RelationUnion, bruhat_interval, relation_intersection,
                      relation_union, sorting_order, weak_interval)
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CoxeterSystem", "Element", "parse_word", "word_str",
     "BudgetExceededError", "VoidComplexError",
-    "demazure", "is_reduced", "reduced_words", "bruhat_leq", "weak_leq",
-    "bruhat_row", "contains_reduced_word", "sorting_subword",
+    "demazure", "reduced_words", "bruhat_leq", "weak_leq", "bruhat_row",
+    "sorting_subword",
     "Poset", "RelationUnion",
     "bruhat_interval", "weak_interval", "sorting_order",
     "relation_intersection", "relation_union",

@@ -141,17 +141,6 @@ class FiberReport:
     method: str | None
     betti: tuple[BettiProfile, ...] = field(default=())
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "target": list(self.target),
-            "complex_type": self.complex_type,
-            "poset_size": self.poset_size,
-            "contractible": self.contractible,
-            "method": self.method,
-            "betti": [{"field": p.coefficient_field, "numbers": dict(p.counts)}
-                      for p in self.betti],
-        }, sort_keys=True)
-
 
 def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
                                u: Element) -> FiberReport:

@@ -37,12 +37,10 @@ from .coxeter import CoxeterSystem, Element, word_str
 
 __all__ = [
     "demazure",
-    "is_reduced",
     "reduced_words",
     "bruhat_row",
     "bruhat_leq",
     "weak_leq",
-    "contains_reduced_word",
     "sorting_positions",
     "sorting_subword",
 ]
@@ -56,12 +54,6 @@ def demazure(system: CoxeterSystem, word: Iterable[int]) -> Element:
     <1,2>
     """
     return system.elements()[_suffix_demazure(system, system.check_word(word))[0]]
-
-
-def is_reduced(system: CoxeterSystem, word: Iterable[int]) -> bool:
-    """Whether the word has minimal length among spellings of its element."""
-    word = system.check_word(word)
-    return system.element(word).length == len(word)
 
 
 def reduced_words(e: Element) -> frozenset[tuple[int, ...]]:
@@ -129,15 +121,6 @@ def weak_leq(u: Element, v: Element) -> bool:
     """Right weak order: u <= v iff some reduced word of v starts with a
     reduced word of u, i.e. the lengths of u and u^-1 v add up to v's."""
     return u.length + (u.inverse() * v).length == v.length
-
-
-def contains_reduced_word(system: CoxeterSystem, Q: Iterable[int], u: Element) -> bool:
-    """Whether some subword of Q is a reduced word for u.
-
-    Q need not be reduced; the test reduces to a Bruhat comparison with
-    the 0-Hecke product of Q.
-    """
-    return bruhat_leq(u, demazure(system, Q))
 
 
 def _require_reduced(system: CoxeterSystem, Q: tuple[int, ...]) -> Element:

@@ -26,9 +26,12 @@ faces number f_k - rank(boundary out of the (k+1)-vertex faces).
 A cone needs no elimination.  When some vertex lies in every facet (in an
 order complex: some element is comparable to every element), the complex
 is a cone over that vertex and so contractible, and both profiles are
-trivial; this is a proof, and no boundary matrix is built.  The faces are
-still enumerated and counted against the face budget first, so a budget
-raises whether or not the complex is a cone.
+trivial; this is a proof, and no boundary matrix is built.
+
+There is one face budget, :data:`DEFAULT_FACE_BUDGET`, read at each call.
+Every reading of the faces counts them against it first, cone or not,
+cached or not, and a complex that raised keeps no faces.  Only
+``num_faces(budget)`` takes another bound, kept for the benchmark tracer.
 
 >>> triangle = SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 >>> reduced_betti(triangle, 2).numbers
@@ -124,15 +127,11 @@ class SimplicialComplex:
         contractible."""
         return bool(reduce(and_, self._facet_masks))
 
-    def _facets(self, budget: int) -> frozenset[frozenset]:
-        """``facets``; a complex that derives them from its faces reads
-        those faces under ``budget``."""
-        return self.facets
-
-    def _face_levels(self, budget: int = DEFAULT_FACE_BUDGET) -> list[list[int]]:
+    def _face_levels(self, budget: int | None = None) -> list[list[int]]:
         """``levels[k]``: the faces with k vertices (dimension k - 1) as
         sorted masks, enumerated once and then kept; every call compares
-        their number with ``budget``."""
+        their number with ``budget``, by default the face budget."""
+        budget = DEFAULT_FACE_BUDGET if budget is None else budget
         if self._levels is None:
             self._levels = self._enumerate(budget)
         total = sum(map(len, self._levels))
@@ -172,17 +171,12 @@ class SimplicialComplex:
     def _face(self, mask: int) -> frozenset:
         return frozenset(self.vertices[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
-    def faces(self, budget: int = DEFAULT_FACE_BUDGET) -> set[frozenset]:
+    def faces(self) -> set[frozenset]:
         """All faces, including the empty face, as vertex sets."""
-        return {self._face(mask) for level in self._face_levels(budget) for mask in level}
+        return {self._face(mask) for level in self._face_levels() for mask in level}
 
-    def num_faces(self, budget: int = DEFAULT_FACE_BUDGET) -> int:
+    def num_faces(self, budget: int | None = None) -> int:
         return sum(map(len, self._face_levels(budget)))
-
-    def reduced_euler_characteristic(self, budget: int = DEFAULT_FACE_BUDGET) -> int:
-        # level k has dimension k - 1; (-1) ** d would be a float for d = -1
-        return sum(-len(level) if k % 2 == 0 else len(level)
-                   for k, level in enumerate(self._face_levels(budget)))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(vertices={len(self.vertices)}, facets={len(self.facets)})"
@@ -207,9 +201,6 @@ class BettiProfile:
     @property
     def numbers(self) -> dict[int, int]:
         return dict(self.counts)
-
-    def get(self, d: int) -> int:
-        return dict(self.counts).get(d, 0)
 
     def is_trivial(self) -> bool:
         return not self.counts
@@ -320,13 +311,12 @@ def _betti_counts(levels: list[list[int]], p: int) -> tuple[tuple[int, int], ...
                  if (b := len(level) - ranks[k] - ranks[k + 1]))
 
 
-def _profiles(K: SimplicialComplex,
-              face_budget: int = DEFAULT_FACE_BUDGET) -> tuple[BettiProfile, BettiProfile]:
+def _profiles(K: SimplicialComplex) -> tuple[BettiProfile, BettiProfile]:
     """Reduced Betti numbers of ``K`` over GF(2) and over the rationals,
     from one GF(2) pass; see :func:`reduced_betti` for when the rational
     profile is read off it.  A cone, once its faces are counted against the
-    budget, gets the trivial profiles with no pass at all."""
-    levels = K._face_levels(face_budget)
+    face budget, gets the trivial profiles with no pass at all."""
+    levels = K._face_levels()
     if K._is_cone():
         return BettiProfile(2, ()), BettiProfile(0, ())
     gf2 = _betti_counts(levels, 2)
@@ -334,8 +324,7 @@ def _profiles(K: SimplicialComplex,
     return BettiProfile(2, gf2), BettiProfile(0, rational)
 
 
-def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2,
-                  face_budget: int = DEFAULT_FACE_BUDGET) -> BettiProfile:
+def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2) -> BettiProfile:
     """Reduced Betti numbers of ``K`` over GF(2) or, with
     ``coefficient_field=0``, over the rationals.
 
@@ -356,12 +345,9 @@ def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2,
     >>> reduced_betti(empty).numbers
     {-1: 1}
     """
-    if coefficient_field == 0:
-        return _profiles(K, face_budget)[1]
-    if coefficient_field != 2:
+    if coefficient_field not in (2, 0):
         raise ValueError("coefficient field must be 2 or 0 (the rationals)")
-    levels = K._face_levels(face_budget)
-    return BettiProfile(2, () if K._is_cone() else _betti_counts(levels, 2))
+    return _profiles(K)[coefficient_field == 0]
 
 
 class _OrderComplex(SimplicialComplex):
@@ -369,38 +355,32 @@ class _OrderComplex(SimplicialComplex):
     already known to be a partial order.  A face is a chain, as a vertex
     mask over ``ground``; each chain is made once, by extending a shorter
     one by a strict upper bound of its top element.  The facets, the
-    maximal chains, are read off those chains, so ``facets`` counts them
-    against the default face budget and ``_facets`` against the one given."""
+    maximal chains, are read off those chains, so every reading of
+    ``facets`` counts them against the face budget."""
 
     def __init__(self, ground: tuple, leq: np.ndarray):
         self.vertices = ground
         self._leq = leq
         self._levels = None
 
-    @cached_property
+    @property
     def facets(self) -> frozenset[frozenset]:
-        return self._facets(DEFAULT_FACE_BUDGET)
+        """The maximal chains: the chains that are no longer chain with one
+        vertex dropped."""
+        levels = self._face_levels()
+        extended = set()
+        for g in chain.from_iterable(levels):
+            rest = g
+            while rest:
+                low = rest & -rest
+                extended.add(g ^ low)
+                rest ^= low
+        return frozenset(self._face(m) for m in chain.from_iterable(levels) if m not in extended)
 
     def _is_cone(self) -> bool:
         """Whether some element is comparable to every element; it then lies
         in every maximal chain."""
         return bool((self._leq | self._leq.T).all(axis=1).any())
-
-    def _facets(self, budget: int) -> frozenset[frozenset]:
-        """The maximal chains: the chains of each level that are no chain
-        of the next level with one vertex dropped."""
-        levels = self._face_levels(budget)
-        facets = []
-        for level, longer in zip(levels, levels[1:] + [[]]):
-            extended = set()
-            for g in longer:
-                rest = g
-                while rest:
-                    low = rest & -rest
-                    extended.add(g ^ low)
-                    rest ^= low
-            facets += [self._face(m) for m in level if m not in extended]
-        return frozenset(facets)
 
     def _enumerate(self, budget: int) -> list[list[int]]:
         """The chains by size.  The size of each level is counted from the
@@ -439,12 +419,11 @@ class _OrderComplex(SimplicialComplex):
 def order_complex(P: Poset) -> SimplicialComplex:
     """The complex of chains of ``P``; facets are the maximal chains.
 
-    Faces are enumerated straight from the order, each chain once, and
-    counted against the face budget of the call that first asks for them
-    (:func:`reduced_betti`, ``num_faces``, ...), which raises
+    Faces are enumerated straight from the order, each chain once, when
+    first asked for (:func:`reduced_betti`, ``num_faces``, ``facets``,
+    ``dim``, ...), and counted against the face budget, which raises
     :class:`BudgetExceededError` before a level over the budget is built.
-    Reading ``facets`` or ``dim`` enumerates the chains under the default
-    face budget.  The order complex of the empty poset is the empty complex.
+    The order complex of the empty poset is the empty complex.
     """
     return _OrderComplex(P.ground, P.leq)
 

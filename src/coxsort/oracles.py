@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .homology import DEFAULT_FACE_BUDGET, BettiProfile, SimplicialComplex, _profiles
+from .homology import BettiProfile, SimplicialComplex, _profiles
 from .posets import Poset
 
 __all__ = [
@@ -293,12 +293,7 @@ def faces_bruteforce(K: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:
 def cone_vertex(K: SimplicialComplex):
     """The first vertex of ``K`` lying in every facet, or None.  Such a
     vertex proves the complex contractible."""
-    return _cone_vertex(K, DEFAULT_FACE_BUDGET)
-
-
-def _cone_vertex(K: SimplicialComplex, face_budget: int):
-    # an order complex reads its facets off its faces, under face_budget
-    common = frozenset.intersection(*K._facets(face_budget))
+    common = frozenset.intersection(*K.facets)
     return next((v for v in K.vertices if v in common), None)
 
 
@@ -317,12 +312,11 @@ class ContractibilityEvidence:
     betti: tuple[BettiProfile, ...] = field(default=())
 
 
-def contractibility_evidence(K: SimplicialComplex,
-                             face_budget: int = DEFAULT_FACE_BUDGET) -> ContractibilityEvidence:
+def contractibility_evidence(K: SimplicialComplex) -> ContractibilityEvidence:
     """A cone vertex of ``K``, else both reduced Betti profiles of ``K``."""
-    if _cone_vertex(K, face_budget) is not None:
+    if cone_vertex(K) is not None:
         return ContractibilityEvidence(True, "cone")
-    profiles = _profiles(K, face_budget)
+    profiles = _profiles(K)
     if all(p.is_trivial() for p in profiles):
         return ContractibilityEvidence(True, "homology", profiles)
     return ContractibilityEvidence(False, None, profiles)

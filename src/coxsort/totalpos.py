@@ -93,6 +93,8 @@ class RationalMatrix:
         return len(self.numerators)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("size mismatch")
         cols = tuple(zip(*other.numerators))

@@ -74,12 +74,13 @@ class RunConfig:
     """Configuration shared by all checks.
 
     groups limits the order-theorem sweeps (None = the default list, else
-    nonempty without repeats: b2 and B2, or I2:4 and I2.4, repeat a name,
-    though the report keeps the spellings given; equal matrices under two
-    names, such as I2:4 and B2, are allowed); field is the homology
-    coefficient field for the interval check (2 or 0); seed drives the total-positivity trials;
-    measure_time False keeps reports byte-identical across runs, True
-    times the first order check to run for the pass 02, 03, 04 and 10 share.
+    a nonempty tuple of names without repeats: b2 and B2, or I2:4 and
+    I2.4, repeat a name, though the report keeps the spellings given;
+    equal matrices under two names, such as I2:4 and B2, are allowed);
+    field is the homology coefficient field for the interval check (2 or
+    0); seed drives the total-positivity trials; measure_time False keeps
+    reports byte-identical across runs, True times the first order check
+    to run for the pass 02, 03, 04 and 10 share.
     """
 
     groups: tuple[str, ...] | None = None
@@ -89,6 +90,9 @@ class RunConfig:
     measure_time: bool = False
 
     def __post_init__(self):
+        if self.groups is not None and not (
+                isinstance(self.groups, tuple) and all(isinstance(g, str) for g in self.groups)):
+            raise ValueError(f"groups must be None or a tuple of names, got {self.groups!r}")
         names = {_group_name(g) for g in self.groups or ()}
         if self.groups is not None and not 0 < len(names) == len(self.groups):
             raise ValueError(f"groups must be nonempty without repeats, got {self.groups!r}")

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import coxsort.homology
 from coxsort import BudgetExceededError, CoxeterSystem, fibermap, subword_complex
 from coxsort.fibermap import (FiberReport, certify_fiber_contractible,
                               certify_interval_sphere, check_order_preserving, fiber_open,
@@ -191,9 +192,6 @@ def test_certify_fiber_contractible():
     top = certify_fiber_contractible(b2, Q, demazure(b2, Q))
     assert top.contractible and top.method == "singleton"
     assert top.poset_size == 1
-    payload = json.loads(r.to_json())
-    assert payload["contractible"] is True
-    assert payload["target"] == [1, 2, 1]
     with pytest.raises(ValueError, match="below"):
         certify_fiber_contractible(b2, (1, 2), b2.element((1, 2, 1)))
 
@@ -334,9 +332,7 @@ def test_face_budget_errors_name_what_was_certified(monkeypatch):
     with pytest.raises(BudgetExceededError) as bare:
         subword_complex(h3, Q, e).num_faces(1000)
     assert bare.value.subject == ""
-    real = SimplicialComplex._face_levels
-    monkeypatch.setattr(SimplicialComplex, "_face_levels",
-                        lambda self, budget=DEFAULT_FACE_BUDGET: real(self, min(budget, 1000)))
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 1000)
     subject = f"Q={','.join(map(str, Q))}, target=<e>"
     for certify in (lambda: certify_subword_complex(subword_complex(h3, Q, e)),
                     lambda: certify_fiber_contractible(h3, Q, e)):

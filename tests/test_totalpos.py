@@ -56,6 +56,8 @@ def test_matrix_basics():
         RationalMatrix(((1, 2), (3, 4)), -2)
     with pytest.raises(ValueError, match="size mismatch"):
         I3 @ RationalMatrix.identity(2)
+    with pytest.raises(TypeError):
+        RationalMatrix.identity(2) @ 3
 
 
 def test_chevalley_shape():

@@ -80,6 +80,14 @@ def test_default_report_is_byte_stable():
         "3b7486846228cffe6336359042a108c36dbf370123bc91c0a3d24774f9d1f3c2")
 
 
+def test_rational_report_is_byte_stable():
+    # every interval of check 08 over Q; the report is the default one but
+    # for "field": 0
+    report = report_json(run_verification(RunConfig(field=0)))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "4911fb83bf5686fb5dd5e8c3579988112fafd1eabb2cac1abca6013c08241ee0")
+
+
 def test_timing_when_requested():
     cfg = RunConfig(groups=("I2:3",), measure_time=True)
     report = run_verification(cfg)
@@ -355,7 +363,9 @@ def test_a_failed_order_pass_is_run_again():
                                     dict(field=3), dict(field=1),
                                     dict(groups=("b2", "B2")), dict(groups=("I2:4", "i2.4")),
                                     dict(groups=(" A3", "A3")), dict(field=2.0),
-                                    dict(field=0.0), dict(field=False)])
+                                    dict(field=0.0), dict(field=False),
+                                    dict(groups="B2"), dict(groups="I2:5"),
+                                    dict(groups=["B2"])])
 def test_run_config_rejects_vacuous_repeated_or_unknown_settings(kwargs):
     with pytest.raises(ValueError, match="groups must|field must"):
         RunConfig(**kwargs)
