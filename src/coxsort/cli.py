@@ -21,8 +21,8 @@ import sys
 from collections import Counter
 
 from . import fibermap, hecke, subword, totalpos
-from .coxeter import DEFAULT_SIZE_CAP, CoxeterSystem, Element, parse_word, word_str
-from .errors import BudgetExceededError, VoidComplexError
+from .coxeter import DEFAULT_SIZE_CAP, CoxeterSystem, parse_word, word_str
+from .errors import BudgetExceededError
 from .posets import Poset, bruhat_interval, sorting_order, weak_interval
 from .verify import Context, RunConfig, named_system, report_json, run_verification
 
@@ -58,21 +58,17 @@ def _dump_json(obj) -> None:
 def _dot_graph(name: str, poset: Poset) -> str:
     lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
     for item in poset.ground:
-        lines.append(f'  "{_label(item)}";')
+        lines.append(f'  "{item}";')
     for low, high in poset.covers():
-        lines.append(f'  "{_label(low)}" -> "{_label(high)}";')
+        lines.append(f'  "{low}" -> "{high}";')
     lines.append("}")
     return "\n".join(lines)
-
-
-def _label(item: Element) -> str:
-    return word_str(item.word)
 
 
 def _poset_obj(name: str, poset: Poset) -> dict:
     return {
         "label": name,
-        "ground": [_label(x) for x in poset.ground],
+        "ground": [str(x) for x in poset.ground],
         "leq": [[bool(v) for v in row] for row in poset.leq],
     }
 
@@ -86,7 +82,7 @@ def _emit_posets(named: list[tuple[str, Poset]], fmt: str) -> None:
         chunks = []
         for name, poset in named:
             lines = [f"# {name}"]
-            lines += [f"{_label(a)}\t{_label(b)}" for a, b in poset.covers()]
+            lines += [f"{a}\t{b}" for a, b in poset.covers()]
             chunks.append("\n".join(lines))
         _print("\n\n".join(chunks))
 
@@ -94,7 +90,7 @@ def _emit_posets(named: list[tuple[str, Poset]], fmt: str) -> None:
 def cmd_group(args) -> int:
     system = _resolve_system(args)
     rows = [{
-        "word": word_str(e.word),
+        "word": str(e),
         "length": e.length,
         "left_descents": list(e.left_descents()),
         "right_descents": list(e.right_descents()),
@@ -125,7 +121,7 @@ def cmd_orders(args) -> int:
             raise ValueError("orders sorting needs --Q")
         Q = system.check_word(parse_word(args.Q))
         if system.element(Q) != w:
-            raise ValueError(f"--Q {word_str(Q)} does not spell --w {word_str(w.word)}")
+            raise ValueError(f"--Q {word_str(Q)} does not spell --w {w}")
         named.append((f"sorting {word_str(Q)}", sorting_order(system, Q)))
     if want == "all":
         for Q in sorted(hecke.reduced_words(w)):
@@ -147,7 +143,7 @@ def cmd_subword(args) -> int:
     matches = all(report.matches)
     obj = {
         "Q": word_str(Q),
-        "w": word_str(w.word),
+        "w": str(w),
         "classification": report.kind,
         "dim": complex_.dim,
         "facets": sorted(sorted(f) for f in complex_.facets),
@@ -170,17 +166,17 @@ def cmd_fibers(args) -> int:
     if args.Q is None:
         raise ValueError("fibers needs --Q (a reduced word)")
     Q = system.check_word(parse_word(args.Q))
-    w = hecke._require_reduced(system, Q)
-    images = Counter(fibermap._mask_images(system, Q))  # table row -> masks sent there
-    elements = system.elements()
+    # table row -> masks sent there; raises ValueError unless Q is reduced
+    images = Counter(fibermap._mask_images(system, Q))
+    w = system.element(Q)
     rows = []
     for u in hecke._below(w):
-        open_size = None if u == w else sum(
-            n for x, n in images.items()
-            if x not in (u.index, w.index) and hecke.bruhat_row(elements[x])[u.index])
-        entry = {"u": word_str(u.word), "open_fiber_size": open_size}
         report = fibermap.certify_fiber_contractible(system, Q, u)
-        entry.update(fiber_up_size=report.poset_size, complex=report.complex_type)
+        # the open fiber is the upper fiber less the masks sent to u and the
+        # full set, the one mask a reduced Q sends to w
+        open_size = None if u == w else report.poset_size - images[u.index] - 1
+        entry = {"u": str(u), "open_fiber_size": open_size,
+                 "fiber_up_size": report.poset_size, "complex": report.complex_type}
         if u.is_identity:
             # the fiber of e is the whole boolean lattice; nothing is claimed
             entry.update(contractible=None)
@@ -188,7 +184,7 @@ def cmd_fibers(args) -> int:
             entry.update(contractible=report.contractible, method=report.method)
         rows.append(entry)
     if args.format == "json":
-        _dump_json({"Q": word_str(Q), "w": word_str(w.word), "fibers": rows})
+        _dump_json({"Q": word_str(Q), "w": str(w), "fibers": rows})
     else:
         lines = ["u\tcomplex\tfiber_up\topen_fiber\tcontractible"]
         for r in rows:
@@ -298,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, VoidComplexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -235,13 +235,8 @@ class CoxeterSystem:
         """Index-two subgroup of type B; generators 1 and 2 both braid with 3."""
         if n < 2:
             raise ValueError("type D needs rank >= 2")
-        bonds = {(i, i + 1): 3 for i in range(3, n)}
-        if n >= 3:
-            bonds[(1, 3)] = 3
-            bonds[(2, 3)] = 3
-        matrix = [[1 if i == j else bonds.get((min(i, j), max(i, j)), 2)
-                   for j in range(1, n + 1)] for i in range(1, n + 1)]
-        return cls(matrix, **kwargs)
+        # the chain with 1 moved from 2 to 3
+        return cls(_chain_matrix(n, {(1, 2): 2, (1, 3): 3}), **kwargs)
 
     @classmethod
     def dihedral(cls, m: int, **kwargs) -> "CoxeterSystem":
@@ -357,6 +352,9 @@ class CoxeterSystem:
 
 
 def _chain_matrix(n: int, overrides: dict[tuple[int, int], int]) -> list[list[int]]:
+    """The Coxeter matrix of types A, B and D: the chain 1 - 2 - ... - n
+    (m = 3 on each link, 2 off it) with the bonds (i, j), i < j, of
+    ``overrides`` set on top; a bond past n is never read."""
     bonds = {(i, i + 1): 3 for i in range(1, n)}
     bonds.update(overrides)
     return [[1 if i == j else bonds.get((min(i, j), max(i, j)), 2)

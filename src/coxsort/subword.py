@@ -58,7 +58,6 @@ class SubwordComplex(SimplicialComplex):
         self.Q = Q
         self.target = target
         self._product = suffix[0]  # table row of the Demazure product of Q
-        self._interior: frozenset[frozenset[int]] | None = None
 
     def classify(self) -> str:
         """"sphere" when the Demazure product of Q equals the target,
@@ -69,13 +68,11 @@ class SubwordComplex(SimplicialComplex):
         """Faces whose complementary subword still has Demazure product
         equal to the target.  For a sphere every face qualifies; for a
         ball these are the faces off the boundary sphere."""
-        if self._interior is None:
-            Q, system, target = self.Q, self.system, self.target.index
-            self._interior = frozenset(
-                _positions(F) for level in self._face_levels() for F in level
-                if _suffix_demazure(system, tuple(
-                    s for j, s in enumerate(Q) if not F >> j & 1))[0] == target)
-        return self._interior
+        Q, system, target = self.Q, self.system, self.target.index
+        return frozenset(
+            _positions(F) for level in self._face_levels() for F in level
+            if _suffix_demazure(system, tuple(
+                s for j, s in enumerate(Q) if not F >> j & 1))[0] == target)
 
     def boundary_faces(self) -> frozenset[frozenset[int]]:
         return frozenset(self.faces() - self.interior_faces())

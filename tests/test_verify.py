@@ -9,6 +9,7 @@ import coxsort.fibermap
 import coxsort.hecke
 import coxsort.homology
 import coxsort.posets
+import coxsort.subword
 import coxsort.totalpos
 import coxsort.verify
 from coxsort.verify import (CHECK_NAMES, Context, RunConfig, named_system,
@@ -88,13 +89,6 @@ def test_rational_report_is_byte_stable():
         "4911fb83bf5686fb5dd5e8c3579988112fafd1eabb2cac1abca6013c08241ee0")
 
 
-def test_timing_when_requested():
-    cfg = RunConfig(groups=("I2:3",), measure_time=True)
-    report = run_verification(cfg)
-    assert set(report["timing"]) == set(CHECK_NAMES)
-    assert all(isinstance(v, float) for v in report["timing"].values())
-
-
 def test_context_reuse_and_register():
     ctx = Context(SMALL)
     assert ctx.system("B2") is ctx.system("B2")
@@ -153,6 +147,19 @@ def test_fault_injection_breaks_contractible_fibers(monkeypatch):
     assert r.failures[0]["detail"].endswith("[GF(2): b~2=1], [Q: b~2=1]")
     assert [n["cone"] for n in r.notes] == [12, 3, 3]
     assert [n["homology"] for n in r.notes] == [0, 0, 0]
+
+
+def test_fault_injection_breaks_ball_sphere_classification(monkeypatch):
+    # every complex called a sphere: the homology of the balls refutes it
+    monkeypatch.setattr(coxsort.subword.SubwordComplex, "classify", lambda self: "sphere")
+    r = run_check("ball_sphere_classification", SMALL)
+    assert not r.passed
+    assert r.failures[0] == {"group": "A2", "Q": "1", "u": "e", "detail":
+                             "classified sphere but betti [GF(2): all zero] (expected S^0)"}
+    # one failure per field for each of the 1,132 balls among the 1,386
+    # complexes, 2,264 in all: 25 kept, the rest counted
+    assert len(r.failures) == 26
+    assert r.failures[-1] == {"detail": "2239 further failures truncated"}
 
 
 def test_corrupted_sorting_relation_gives_a_red_report(monkeypatch):
