@@ -22,7 +22,8 @@ import numpy as np
 from .coxeter import CoxeterSystem, Element
 from .errors import BudgetExceededError
 from .hecke import _require_reduced, bruhat_leq, bruhat_row, demazure
-from .homology import BettiProfile, _OrderComplex, _profiles, reduced_betti
+from .homology import (BettiProfile, _OrderComplex, _field_index, _profiles,
+                       _shared_profiles)
 from .posets import bruhat_interval
 from .subword import _positions, subword_complex
 
@@ -35,6 +36,7 @@ __all__ = [
     "certify_fiber_contractible",
     "IntervalReport",
     "certify_interval_sphere",
+    "certify_interval_spheres",
 ]
 
 _MASK_CAP = 16
@@ -216,21 +218,48 @@ def certify_interval_sphere(u: Element, w: Element,
     nonempty and the sphere has dimension at least 0; for length difference
     exactly 2 the open interval is two incomparable points, the 0-sphere.
     A face budget exceeded on the way raises :class:`BudgetExceededError`
-    naming the interval (u, w).
+    naming the interval (u, w) and the group.  The same code as a
+    one-pair :func:`certify_interval_spheres`.
     """
-    if u.system != w.system:
-        raise ValueError("elements belong to different systems")
-    closed = bruhat_interval(u, w)  # raises ValueError unless u <= w
-    d = w.length - u.length
-    if d < 2:
-        raise ValueError("open-interval homology needs length difference at least 2")
-    # the ground is sorted by table row, so u comes first and w last; the
-    # inner block of an order is an order, so it is not validated again
-    inner = _OrderComplex(closed.ground[1:-1], closed.leq[1:-1, 1:-1])
-    try:
-        profile = reduced_betti(inner, coefficient_field)
-    except BudgetExceededError as exc:
-        raise exc.about(f"interval ({u!r}, {w!r})") from exc
-    expected = d - 2
-    return IntervalReport(u.word, w.word, expected, profile,
-                          profile.matches_sphere(expected), len(inner.vertices))
+    return certify_interval_spheres([(u, w)], coefficient_field)[0]
+
+
+def certify_interval_spheres(pairs: Iterable[tuple[Element, Element]],
+                             coefficient_field: int = 2) -> list[IntervalReport]:
+    """``certify_interval_sphere(u, w, coefficient_field)`` for every pair
+    (u, w) of ``pairs``, in order; the pairs may come from several groups.
+
+    Open intervals with the same relation matrix on their inner block have
+    the same order complex on the same ordered vertices, so within one call
+    they share one homology computation, exact over both fields; nothing is
+    kept once the call returns.  A face budget exceeded raises
+    :class:`BudgetExceededError` at the first pair over it, naming that
+    interval as the one-pair call does.
+
+    >>> b2 = CoxeterSystem.type_b(2)
+    >>> e, w0 = b2.identity, b2.longest_element()
+    >>> [(r.expected_dim, r.size, r.matches)
+    ...  for r in certify_interval_spheres([(e, w0), (b2.element((1,)), w0)])]
+    [(2, 6, True), (1, 4, True)]
+    """
+    index = _field_index(coefficient_field)
+    shared: dict = {}
+    reports = []
+    for u, w in pairs:
+        if u.system != w.system:
+            raise ValueError("elements belong to different systems")
+        closed = bruhat_interval(u, w)  # raises ValueError unless u <= w
+        d = w.length - u.length
+        if d < 2:
+            raise ValueError("open-interval homology needs length difference at least 2")
+        # the ground is sorted by table row, so u comes first and w last; the
+        # inner block of an order is an order, so it is not validated again
+        inner = _OrderComplex(closed.ground[1:-1], closed.leq[1:-1, 1:-1])
+        try:
+            profile = _shared_profiles(inner, shared)[index]
+        except BudgetExceededError as exc:
+            raise exc.about(f"interval ({u!r}, {w!r}) in {w.system!r}") from exc
+        expected = d - 2
+        reports.append(IntervalReport(u.word, w.word, expected, profile,
+                                      profile.matches_sphere(expected), len(inner.vertices)))
+    return reports

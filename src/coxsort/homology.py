@@ -127,6 +127,11 @@ class SimplicialComplex:
         contractible."""
         return bool(reduce(and_, self._facet_masks))
 
+    def _key(self) -> tuple:
+        """Equal keys make the same complex on the same ordered vertices:
+        the vertex count and the sorted facet masks."""
+        return len(self.vertices), tuple(sorted(self._facet_masks))
+
     def _face_levels(self, budget: int | None = None) -> list[list[int]]:
         """``levels[k]``: the faces with k vertices (dimension k - 1) as
         sorted masks, enumerated once and then kept; every call compares
@@ -345,9 +350,33 @@ def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2) -> BettiProf
     >>> reduced_betti(empty).numbers
     {-1: 1}
     """
+    index = _field_index(coefficient_field)
+    return _profiles(K)[index]
+
+
+def _field_index(coefficient_field: int) -> int:
+    """Where the profile over ``coefficient_field`` sits in a
+    :func:`_profiles` pair; ValueError for a field other than 2 or 0."""
     if coefficient_field not in (2, 0):
         raise ValueError("coefficient field must be 2 or 0 (the rationals)")
-    return _profiles(K)[coefficient_field == 0]
+    return int(coefficient_field == 0)
+
+
+def _shared_profiles(K: SimplicialComplex, shared: dict) -> tuple[BettiProfile, BettiProfile]:
+    """``_profiles(K)`` through ``shared``, a dict that one batch call owns
+    and drops when it returns.  Complexes with equal ``K._key()`` are the
+    same complex on the same ordered vertices, so one result serves them
+    all, exactly, over both fields.  An entry is ``(face count, profiles)``,
+    and a hit re-checks the count against the face budget; over it, the
+    faces of K are enumerated after all, so K raises just as a cold call
+    would."""
+    key = K._key()
+    hit = shared.get(key)
+    if hit is not None and hit[0] <= DEFAULT_FACE_BUDGET:
+        return hit[1]
+    profiles = _profiles(K)
+    shared[key] = (sum(map(len, K._levels)), profiles)
+    return profiles
 
 
 class _OrderComplex(SimplicialComplex):
@@ -381,6 +410,11 @@ class _OrderComplex(SimplicialComplex):
         """Whether some element is comparable to every element; it then lies
         in every maximal chain."""
         return bool((self._leq | self._leq.T).all(axis=1).any())
+
+    def _key(self) -> tuple:
+        """Equal keys make the same order, so the same chains, on the same
+        ordered vertices: the vertex count and the packed relation."""
+        return len(self.vertices), np.packbits(self._leq).tobytes()
 
     def _enumerate(self, budget: int) -> list[list[int]]:
         """The chains by size.  The size of each level is counted from the

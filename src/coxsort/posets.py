@@ -18,6 +18,7 @@ are bitwise, so no witness count can wrap and no float enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -92,6 +93,18 @@ def _covers(leq: np.ndarray) -> np.ndarray:
     return strict & ~_bool_product(strict, strict)
 
 
+def _check_order(matrix: np.ndarray) -> None:
+    """Raise ValueError unless the square bool ``matrix`` is reflexive,
+    antisymmetric and transitive."""
+    n = len(matrix)
+    if n and not matrix.diagonal().all():
+        raise ValueError("relation is not reflexive")
+    if (matrix & matrix.T & ~np.eye(n, dtype=bool)).any():
+        raise ValueError("relation is not antisymmetric")
+    if (_bool_product(matrix, matrix) & ~matrix).any():
+        raise ValueError("relation is not transitive")
+
+
 class Poset:
     """An explicit finite poset: an ordered ground tuple plus its relation
     matrix, ``leq[i, j]`` set iff ``ground[i] <= ground[j]``; equal grounds
@@ -105,17 +118,22 @@ class Poset:
         n = len(ground)
         if matrix.shape != (n, n):
             raise ValueError(f"relation matrix must be {n}x{n}")
-        if n and not matrix.diagonal().all():
-            raise ValueError("relation is not reflexive")
-        off = ~np.eye(n, dtype=bool)
-        if (matrix & matrix.T & off).any():
-            raise ValueError("relation is not antisymmetric")
-        if (_bool_product(matrix, matrix) & ~matrix).any():
-            raise ValueError("relation is not transitive")
+        _check_order(matrix)
+        self._init(ground, matrix)
+
+    @classmethod
+    def _induced(cls, ground: tuple, matrix: np.ndarray) -> "Poset":
+        """The poset on ``matrix``, an induced block of a relation already
+        validated as a partial order, which it is again: nothing is checked.
+        ``matrix`` must be a fresh array no one else writes to."""
+        poset = cls.__new__(cls)
+        poset._init(ground, matrix)
+        return poset
+
+    def _init(self, ground: tuple, matrix: np.ndarray) -> None:
         matrix.setflags(write=False)
         self.ground = ground
         self.leq = matrix
-        self._index = {g: i for i, g in enumerate(ground)}
         self._cover_pairs: tuple[tuple, ...] | None = None
 
     def __len__(self) -> int:
@@ -130,6 +148,11 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(n={len(self.ground)})"
+
+    @cached_property
+    def _index(self) -> dict:
+        """Ground item to its position, built when first asked for."""
+        return {g: i for i, g in enumerate(self.ground)}
 
     def index(self, item) -> int:
         try:
@@ -147,14 +170,14 @@ class Poset:
         return list(self._cover_pairs)
 
     def restrict(self, items: Iterable) -> "Poset":
-        """Induced subposet; keeps the parent's ground order."""
+        """Induced subposet; keeps the parent's ground order.  An induced
+        subrelation of a partial order is one, so it is not validated again."""
         wanted = set()
         for item in items:
             self.index(item)
             wanted.add(item)
         idx = [i for i, g in enumerate(self.ground) if g in wanted]
-        sub = self.leq[np.ix_(idx, idx)]
-        return Poset(tuple(self.ground[i] for i in idx), sub)
+        return Poset._induced(tuple(self.ground[i] for i in idx), self.leq[np.ix_(idx, idx)])
 
     def is_chain(self) -> bool:
         return bool((self.leq | self.leq.T).all())
@@ -164,12 +187,15 @@ def bruhat_interval(u: Element, w: Element) -> Poset:
     """The Bruhat interval [u, w], a sub-block of the relation on [e, w].
 
     The block is read off the down-set rows of the elements below ``w``
-    once and kept in ``system._op_cache["bruhat_interval"]`` as
-    ``(w row, below, block)``: ``below`` the table rows of [e, w] in
-    order, ``block[i, j]`` set iff ``below[j] <= below[i]``.  A call for
-    another w replaces the bucket, so it never holds more than one square
-    [e, w] x [e, w] block, no larger than the rows a call stacks to build
-    it.  Every call still builds and validates its own Poset.
+    once, validated as a partial order, and kept in
+    ``system._op_cache["bruhat_interval"]`` as ``(w row, below, block)``:
+    ``below`` the table rows of [e, w] in order, ``block[i, j]`` set iff
+    ``below[j] <= below[i]``.  A block that is not a partial order raises
+    ValueError and is not kept.  A call for another w replaces the bucket,
+    so it never holds more than one square [e, w] x [e, w] block, no larger
+    than the rows a call stacks to build it.  Each [u, w] is the induced
+    sub-block on the elements above u, which is a partial order again, so
+    it is not validated a second time.
     """
     if not hecke.bruhat_leq(u, w):
         raise ValueError(f"{u} is not below {w} in Bruhat order")
@@ -179,10 +205,12 @@ def bruhat_interval(u: Element, w: Element) -> Poset:
     if row != w.index:
         below = np.flatnonzero(hecke.bruhat_row(w))
         block = np.stack([hecke.bruhat_row(elements[z]) for z in below])[:, below]
+        _check_order(block)
         block.setflags(write=False)
         system._op_cache["bruhat_interval"] = (w.index, below, block)
     above_u = block[:, np.searchsorted(below, u.index)]
-    return Poset(tuple(elements[z] for z in below[above_u]), block[above_u][:, above_u].T)
+    return Poset._induced(tuple(elements[z] for z in below[above_u]),
+                          block[above_u][:, above_u].T)
 
 
 def _weak_matrix(ground: Sequence[Element]) -> np.ndarray:

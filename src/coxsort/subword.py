@@ -20,14 +20,17 @@ sphere case occurs exactly when the Demazure product of Q equals w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .coxeter import CoxeterSystem, Element, word_str
 from .errors import BudgetExceededError, VoidComplexError
 from .hecke import _suffix_demazure, bruhat_row
-from .homology import BettiProfile, SimplicialComplex, _profiles
+from .homology import BettiProfile, SimplicialComplex, _shared_profiles
 
-__all__ = ["SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex"]
+__all__ = ["SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex",
+           "certify_subword_complexes"]
 
 
 class SubwordComplex(SimplicialComplex):
@@ -48,8 +51,20 @@ class SubwordComplex(SimplicialComplex):
         Q = system.check_word(Q)
         if target.system != system:
             raise ValueError("target element belongs to a different system")
-        suffix = _suffix_demazure(system, Q)
-        facets = _facets_by_backtrack(system, Q, target, suffix)
+        self._setup(system, Q, target, *_fold(system, Q))
+
+    @classmethod
+    def _folded(cls, system: CoxeterSystem, Q: tuple[int, ...], target: Element,
+                suffix: list[int], bounds: list) -> "SubwordComplex":
+        """The complex of a checked word Q and a target of the same system,
+        from the fold :func:`_fold` already made of Q."""
+        complex_ = cls.__new__(cls)
+        complex_._setup(system, Q, target, suffix, bounds)
+        return complex_
+
+    def _setup(self, system: CoxeterSystem, Q: tuple[int, ...], target: Element,
+               suffix: list[int], bounds: list) -> None:
+        facets = _facets_by_backtrack(system, Q, target, bounds)
         if not facets:
             raise VoidComplexError(
                 f"the word {word_str(Q)} carries no reduced subword equal to {target}")
@@ -78,8 +93,9 @@ class SubwordComplex(SimplicialComplex):
         return frozenset(self.faces() - self.interior_faces())
 
     def _subject(self) -> str:
-        """Q and the target, as a :class:`BudgetExceededError` names them."""
-        return f"Q={word_str(self.Q)}, target={self.target!r}"
+        """Q, the target and the group, as a :class:`BudgetExceededError`
+        names them."""
+        return f"Q={word_str(self.Q)}, target={self.target!r} in {self.system!r}"
 
     def __repr__(self) -> str:
         return (f"SubwordComplex(Q={self.Q}, target={self.target!r}, "
@@ -91,16 +107,27 @@ def _positions(mask: int) -> frozenset[int]:
     return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
+def _fold(system: CoxeterSystem, Q: tuple[int, ...]) -> tuple[list[int], list]:
+    """The one fold of a checked word Q: ``suffix[j]``, the table row of the
+    Demazure product of Q[j:], and ``bounds[j]``, its Bruhat row, read once
+    per distinct row.  ``suffix[0]`` is the product of Q and ``bounds[0]``
+    the elements below it, so one fold serves the verdict, the targets and
+    every facet search."""
+    suffix = _suffix_demazure(system, Q)
+    elements = system.elements()
+    rows = {x: bruhat_row(elements[x]) for x in set(suffix)}
+    return suffix, [rows[x] for x in suffix]
+
+
 def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...], target: Element,
-                         suffix: list[int]) -> set[int]:
+                         bounds: list) -> set[int]:
     """The facets of Delta(Q, target) as masks: the complements of the
-    position sets spelling a reduced word for the target."""
+    position sets spelling a reduced word for the target; ``bounds`` is
+    the second half of :func:`_fold`."""
     # depth first over (position j, row still to spell, mask of positions
     # taken); the Bruhat row of suffix[j], the Demazure product of Q[j:],
     # bounds what the positions from j on can still spell
-    elements, left = system.elements(), system._left
-    rows = {x: bruhat_row(elements[x]) for x in set(suffix)}
-    bounds = [rows[x] for x in suffix]
+    left = system._left
     full = (1 << len(Q)) - 1
     out: set[int] = set()
     stack = [(0, target.index, 0)]
@@ -138,12 +165,48 @@ class SubwordReport:
 def certify_subword_complex(complex_: SubwordComplex) -> SubwordReport:
     """Classify ``complex_`` and check the verdict over GF(2) and Q; the
     sphere would have dimension len(Q) - l(target) - 1.  A face budget
-    exceeded on the way raises :class:`BudgetExceededError` naming Q and
-    the target."""
+    exceeded on the way raises :class:`BudgetExceededError` naming Q, the
+    target and the group.  The same code as one instance of
+    :func:`certify_subword_complexes`."""
+    return _certify(complex_, {})
+
+
+def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[int]]
+                              ) -> Iterator[tuple[tuple[int, ...], Element, SubwordReport]]:
+    """``(Q, u, certify_subword_complex(subword_complex(system, Q, u)))``
+    for every word Q of ``words`` and every u below its Demazure product,
+    in word order and then table order.
+
+    Each Q is folded once, and the fold gives the product, the u below it
+    and every facet search.  Complexes on the same number of positions with
+    the same facet masks are the same complex, so within one call they
+    share one homology computation, exact over both fields; nothing is kept
+    once the call ends.  A face budget exceeded raises
+    :class:`BudgetExceededError` at the first instance over it, naming its
+    Q and u as the one-instance call does.
+
+    >>> a2 = CoxeterSystem.type_a(2)
+    >>> [(word_str(Q), str(u), r.kind)
+    ...  for Q, u, r in certify_subword_complexes(a2, [(1,), (1, 1)])]
+    [('1', 'e', 'ball'), ('1', '1', 'sphere'), ('1,1', 'e', 'ball'), ('1,1', '1', 'sphere')]
+    """
+    shared: dict = {}
+    elements = system.elements()
+    for Q in words:
+        Q = system.check_word(Q)
+        suffix, bounds = _fold(system, Q)
+        for x in np.flatnonzero(bounds[0]).tolist():
+            u = elements[x]
+            yield Q, u, _certify(SubwordComplex._folded(system, Q, u, suffix, bounds), shared)
+
+
+def _certify(complex_: SubwordComplex, shared: dict) -> SubwordReport:
+    """The report of ``complex_``, its homology shared through ``shared``
+    (see :func:`homology._shared_profiles`)."""
     kind = complex_.classify()
     top = len(complex_.Q) - complex_.target.length - 1
     try:
-        profiles = _profiles(complex_)
+        profiles = _shared_profiles(complex_, shared)
     except BudgetExceededError as exc:
         raise exc.about(complex_._subject()) from exc
     matches = tuple(b.matches_sphere(top) if kind == "sphere" else b.is_trivial()

@@ -369,23 +369,18 @@ def check_b2_reference_orders(ctx: Context) -> CheckResult:
 
 def check_ball_sphere_classification(ctx: Context) -> CheckResult:
     rec = _Recorder()
+    words = [Q for length in range(0, 7) for Q in itertools.product((1, 2), repeat=length)]
     for gname in ("A2", "B2"):
-        system = ctx.system(gname)
-        for length in range(0, 7):
-            for Q in itertools.product((1, 2), repeat=length):
-                w = hecke.demazure(system, Q)
-                for u in hecke._below(w):
-                    # the verdict is the Demazure criterion (w == u); the
-                    # homology over both fields is what tests it
-                    report = subword.certify_subword_complex(
-                        subword.subword_complex(system, Q, u))
-                    kind, top = report.kind, report.top
-                    rec.instances += 1
-                    for profile, ok in zip(report.profiles, report.matches):
-                        if not ok:
-                            rec.fail(group=gname, Q=word_str(Q), u=str(u),
-                                     detail=f"classified {kind} but betti {profile} "
-                                            f"(expected {'S^%d' % top if kind == 'sphere' else 'trivial'})")
+        # the verdict is the Demazure criterion (w == u); the homology over
+        # both fields is what tests it
+        for Q, u, report in subword.certify_subword_complexes(ctx.system(gname), words):
+            kind, top = report.kind, report.top
+            rec.instances += 1
+            for profile, ok in zip(report.profiles, report.matches):
+                if not ok:
+                    rec.fail(group=gname, Q=word_str(Q), u=str(u),
+                             detail=f"classified {kind} but betti {profile} "
+                                    f"(expected {'S^%d' % top if kind == 'sphere' else 'trivial'})")
     return rec.result(
         "ball_sphere_classification",
         "For every word Q of length at most 6 over the A2 and B2 generators "
@@ -430,18 +425,15 @@ def check_fiber_duality(ctx: Context) -> CheckResult:
 def check_open_interval_spheres(ctx: Context) -> CheckResult:
     rec = _Recorder()
     plan = (("A3", None), ("B2", None), ("B3", 4))
-    for gname, diff_cap in plan:
-        for w in ctx.system(gname).elements():
-            for u in hecke._below(w):
-                d = w.length - u.length
-                if d < 2 or (diff_cap is not None and d > diff_cap):
-                    continue
-                rec.instances += 1
-                report = fibermap.certify_interval_sphere(u, w, ctx.config.field)
-                if not report.matches:
-                    rec.fail(group=gname, u=str(u), v=str(w),
-                             detail=f"betti {report.profile} does not match "
-                                    f"S^{report.expected_dim}")
+    cases = [(gname, u, w) for gname, diff_cap in plan for w in ctx.system(gname).elements()
+             for u in hecke._below(w) if 2 <= w.length - u.length
+             and (diff_cap is None or w.length - u.length <= diff_cap)]
+    reports = fibermap.certify_interval_spheres([(u, w) for _, u, w in cases], ctx.config.field)
+    for (gname, u, w), report in zip(cases, reports):
+        rec.instances += 1
+        if not report.matches:
+            rec.fail(group=gname, u=str(u), v=str(w),
+                     detail=f"betti {report.profile} does not match S^{report.expected_dim}")
     return rec.result(
         "open_interval_spheres",
         "For every Bruhat-comparable pair u < w with length difference at "

@@ -3,15 +3,19 @@ import doctest
 import pytest
 
 import coxsort.coxeter
+import coxsort.fibermap
 import coxsort.hecke
 import coxsort.homology
+import coxsort.subword
 import coxsort.totalpos
 
 
 @pytest.mark.parametrize("module", [
     coxsort.coxeter,
+    coxsort.fibermap,
     coxsort.hecke,
     coxsort.homology,
+    coxsort.subword,
     coxsort.totalpos,
 ], ids=lambda m: m.__name__)
 def test_doctests(module):

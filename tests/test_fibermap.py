@@ -1,16 +1,19 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 import coxsort.homology
-from coxsort import BudgetExceededError, CoxeterSystem, fibermap, subword_complex
+from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, fibermap, run_check,
+                     subword_complex)
 from coxsort.fibermap import (FiberReport, certify_fiber_contractible,
-                              certify_interval_sphere, check_order_preserving, fiber_open,
-                              fiber_up, subset_image)
-from coxsort.hecke import bruhat_leq, demazure, sorting_positions
+                              certify_interval_sphere, certify_interval_spheres,
+                              check_order_preserving, fiber_open, fiber_up, subset_image)
+from coxsort.hecke import _below, bruhat_leq, demazure, sorting_positions
 from coxsort.homology import DEFAULT_FACE_BUDGET, SimplicialComplex, order_complex
 from coxsort.oracles import cone_vertex, contractibility_evidence, inclusion_poset_bruteforce
+from coxsort.posets import bruhat_interval
 from coxsort.subword import certify_subword_complex
 
 
@@ -322,7 +325,8 @@ def test_face_budget_errors_name_what_was_certified(monkeypatch):
     with pytest.raises(BudgetExceededError) as exc:
         certify_interval_sphere(e, w0)
     err = exc.value
-    assert err.subject == f"interval ({e!r}, {w0!r})"
+    in_h3 = " in CoxeterSystem(rank=3, matrix=((1, 5, 2), (5, 1, 3), (2, 3, 1)))"
+    assert err.subject == f"interval ({e!r}, {w0!r}){in_h3}"
     assert str(err).endswith(f"({err.subject})")
     assert (err.budget, err.limit) == ("face_budget", DEFAULT_FACE_BUDGET)
     assert err.spent > err.limit
@@ -333,7 +337,7 @@ def test_face_budget_errors_name_what_was_certified(monkeypatch):
         subword_complex(h3, Q, e).num_faces(1000)
     assert bare.value.subject == ""
     monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 1000)
-    subject = f"Q={','.join(map(str, Q))}, target=<e>"
+    subject = f"Q={','.join(map(str, Q))}, target=<e>{in_h3}"
     for certify in (lambda: certify_subword_complex(subword_complex(h3, Q, e)),
                     lambda: certify_fiber_contractible(h3, Q, e)):
         with pytest.raises(BudgetExceededError) as exc:
@@ -343,3 +347,78 @@ def test_face_budget_errors_name_what_was_certified(monkeypatch):
         assert str(err) == f"{bare.value} ({subject})"
         assert (err.budget, err.limit, err.spent) == (
             bare.value.budget, bare.value.limit, bare.value.spent)
+
+
+def _check_08_pairs():
+    """Check 08's pairs: every u < w of A3 and B2 with l(w) - l(u) >= 2, and
+    of B3 up to difference 4."""
+    pairs = []
+    for system, cap in ((CoxeterSystem.type_a(3), None), (CoxeterSystem.type_b(2), None),
+                        (CoxeterSystem.type_b(3), 4)):
+        pairs += [(u, w) for w in system.elements() for u in _below(w)
+                  if 2 <= w.length - u.length and (cap is None or w.length - u.length <= cap)]
+    return pairs
+
+
+@pytest.mark.parametrize("field", [2, 0])
+def test_interval_batch_equals_one_pair_calls_on_check_08_pairs(field):
+    pairs = _check_08_pairs()
+    assert len(pairs) == 652
+    assert certify_interval_spheres(pairs, field) == [
+        certify_interval_sphere(u, w, field) for u, w in pairs]
+
+
+def test_interval_batch_computes_each_distinct_relation_once(monkeypatch):
+    pairs = _check_08_pairs()
+    inner = {(len(P) - 2, np.packbits(P.leq[1:-1, 1:-1]).tobytes())
+             for P in (bruhat_interval(u, w) for u, w in pairs)}
+    assert len(inner) == 76
+    cold = []
+    real = coxsort.homology._profiles
+    monkeypatch.setattr(coxsort.homology, "_profiles", lambda K: cold.append(K) or real(K))
+    for _ in range(2):  # nothing outlives a call
+        cold.clear()
+        certify_interval_spheres(pairs)
+        assert {K._key() for K in cold} == inner and len(cold) == 76
+    cold.clear()
+    assert run_check("open_interval_spheres", RunConfig(field=0)).instances == 652
+    assert len(cold) == 76
+    cold.clear()
+    certify_interval_sphere(*pairs[0])  # a one-pair call shares nothing
+    certify_interval_sphere(*pairs[0])
+    assert len(cold) == 2
+
+
+def test_interval_batch_checks_its_input():
+    b2 = CoxeterSystem.type_b(2)
+    e, w0 = b2.identity, b2.longest_element()
+    assert certify_interval_spheres([]) == []
+    with pytest.raises(ValueError, match="coefficient field"):
+        certify_interval_spheres([(e, w0)], 3)
+    with pytest.raises(ValueError, match="length difference"):
+        certify_interval_spheres([(e, w0), (e, b2.element((1,)))])
+
+
+@pytest.mark.parametrize("budget", [10, 100, 1000])
+def test_interval_batch_raises_at_the_first_pair_over_the_budget(monkeypatch, budget):
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", budget)
+    pairs = _check_08_pairs()
+    for i, (u, w) in enumerate(pairs):
+        try:
+            certify_interval_sphere(u, w)
+        except BudgetExceededError as exc:
+            want = exc
+            break
+    assert want.subject == f"interval ({u!r}, {w!r}) in {w.system!r}"
+    cold = []
+    real = coxsort.homology._profiles
+    monkeypatch.setattr(coxsort.homology, "_profiles", lambda K: cold.append(K) or real(K))
+    for field in (2, 0):
+        cold.clear()
+        with pytest.raises(BudgetExceededError) as got:
+            certify_interval_spheres(pairs, field)
+        assert str(got.value) == str(want)
+        assert (got.value.budget, got.value.limit, got.value.spent, got.value.subject) == (
+            want.budget, want.limit, want.spent, want.subject)
+        # the pairs before it were certified, some of them by shared hits
+        assert len(cold) - 1 < i

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coxsort import CoxeterSystem
+from coxsort import CoxeterSystem, hecke
 from coxsort.hecke import (_below, bruhat_row, reduced_words, sorting_positions,
                            sorting_subword, weak_leq)
 from coxsort.oracles import (bruhat_leq_bruteforce, bruhat_leq_walk, element_poset,
@@ -415,3 +415,42 @@ def test_covers_is_a_new_list_on_every_call():
     first.clear()
     assert p.covers() == expected and p.covers() is not p.covers()
     assert sorting_order(b2, (1, 2, 1, 2)).covers() == expected
+
+
+def test_a_corrupted_block_is_refused_for_every_u(monkeypatch):
+    # the row of 1,2 loses e although e <= 1 <= 1,2: [e, 1,2,1] is not
+    # transitive.  [1, 1,2,1] misses e, so only the [e, w] block, validated
+    # when it is cut, shows the fault; a refused block is not kept
+    a3 = CoxeterSystem.type_a(3)
+    w, z, other = a3.element((1, 2, 1)), a3.element((1, 2)), a3.element((2, 3))
+    real = hecke.bruhat_row
+
+    def corrupted(v):
+        row = real(v)
+        if v.index == z.index:
+            row = row.copy()
+            row[0] = False
+        return row
+
+    monkeypatch.setattr(hecke, "bruhat_row", corrupted)
+    for warm in (False, True):
+        a3._op_cache.pop("bruhat_interval", None)
+        if warm:  # another w's block, which the fault does not reach
+            assert len(bruhat_interval(a3.identity, other)) == 4
+        for u in _below(w)[1:]:
+            with pytest.raises(ValueError, match="not transitive"):
+                bruhat_interval(u, w)
+            assert a3._op_cache.get("bruhat_interval", (None,))[0] == (
+                other.index if warm else None)
+
+
+def test_induced_intervals_equal_validated_posets():
+    b3 = CoxeterSystem.type_b(3)
+    for w in b3.elements():
+        for u in _below(w):
+            P = bruhat_interval(u, w)
+            assert P == Poset(P.ground, P.leq)
+            assert not P.leq.flags.writeable
+            inner = P.restrict(P.ground[1:-1])
+            assert inner == Poset(inner.ground, inner.leq)
+            assert not inner.leq.flags.writeable

@@ -3,13 +3,15 @@ import itertools
 
 import pytest
 
-from coxsort import CoxeterSystem, VoidComplexError, subword, subword_complex
+import coxsort.homology
+from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, VoidComplexError, run_check,
+                     subword, subword_complex)
 from coxsort.fibermap import certify_fiber_contractible
 from coxsort.homology import SimplicialComplex
-from coxsort.hecke import _suffix_demazure, bruhat_leq, demazure
+from coxsort.hecke import _below, bruhat_leq, demazure
 from coxsort.oracles import subword_facets_bruteforce
-from coxsort.subword import (SubwordComplex, _facets_by_backtrack, _positions,
-                             certify_subword_complex)
+from coxsort.subword import (SubwordComplex, _facets_by_backtrack, _fold, _positions,
+                             certify_subword_complex, certify_subword_complexes)
 
 
 def fs(*items):
@@ -96,7 +98,7 @@ def test_scan_and_backtrack_agree():
             w = demazure(b2, Q)
             for u in b2.elements():
                 scan = subword_facets_bruteforce(b2, Q, u)
-                back = _facets_by_backtrack(b2, Q, u, _suffix_demazure(b2, Q))
+                back = _facets_by_backtrack(b2, Q, u, _fold(b2, Q)[1])
                 assert set(scan) == {_positions(m) for m in back}, (Q, u)
                 if scan:
                     got = SubwordComplex(b2, Q, u)
@@ -213,3 +215,124 @@ def test_interior_faces_match_the_definition():
                 assert c.boundary_faces() == c.faces() - want
                 kinds.add(c.classify())
     assert kinds == {"ball", "sphere"}
+
+
+# check 06's inputs: every word of length at most 6 over the A2 and B2 generators
+CHECK_06_WORDS = [Q for n in range(7) for Q in itertools.product((1, 2), repeat=n)]
+
+
+def _check_06_systems():
+    return CoxeterSystem.type_a(2), CoxeterSystem.type_b(2)
+
+
+def test_batch_equals_one_instance_calls_on_check_06_inputs():
+    for system in _check_06_systems():
+        want = [(Q, u, certify_subword_complex(subword_complex(system, Q, u)))
+                for Q in CHECK_06_WORDS for u in _below(demazure(system, Q))]
+        got = list(certify_subword_complexes(system, CHECK_06_WORDS))
+        assert got == want
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_batch_folds_each_word_once_and_computes_each_distinct_complex_once(monkeypatch):
+    # the sharing belongs to one call: equal keys within a call share one
+    # _profiles, and a second call starts again from nothing
+    systems = _check_06_systems()
+    keys = [{subword_complex(system, Q, u)._key()
+             for Q in CHECK_06_WORDS for u in _below(demazure(system, Q))}
+            for system in systems]
+    assert [len(k) for k in keys] == [268, 312]
+    folds = _spy(monkeypatch, subword, "_suffix_demazure")
+    cold = _spy(monkeypatch, coxsort.homology, "_profiles")
+    for system, distinct in zip(systems, keys):
+        for _ in range(2):
+            folds.clear()
+            cold.clear()
+            reports = list(certify_subword_complexes(system, CHECK_06_WORDS))
+            assert [Q for _, Q in folds] == CHECK_06_WORDS
+            assert len(cold) == len(distinct) < len(reports)
+            assert {K._key() for (K,) in cold} == distinct
+    # check 06 itself: one call per group, one fold per word
+    folds.clear()
+    cold.clear()
+    assert run_check("ball_sphere_classification", RunConfig()).instances == 1386
+    assert len(folds) == 2 * len(CHECK_06_WORDS) == 254
+    assert len(cold) == 268 + 312
+
+
+def test_batch_takes_any_iterable_and_checks_each_word():
+    b2 = CoxeterSystem.type_b(2)
+    got = list(certify_subword_complexes(b2, iter([[1, 2], (2, 1, 2, 1)])))
+    assert [(Q, u) for Q, u, _ in got] == (
+        [((1, 2), u) for u in _below(b2.element((1, 2)))]
+        + [((2, 1, 2, 1), u) for u in b2.elements()])
+    assert list(certify_subword_complexes(b2, [])) == []
+    with pytest.raises(ValueError):
+        list(certify_subword_complexes(b2, [(1, 3)]))
+
+
+def _first_over_budget(system, words):
+    """The first (Q, u) of a batch whose one-instance certificate raises,
+    with that error, or None."""
+    for Q in words:
+        for u in _below(demazure(system, Q)):
+            try:
+                certify_subword_complex(subword_complex(system, Q, u))
+            except BudgetExceededError as exc:
+                return Q, u, exc
+    return None
+
+
+def _same_error(got, want):
+    assert str(got) == str(want)
+    assert (got.budget, got.limit, got.spent, got.subject) == (
+        want.budget, want.limit, want.spent, want.subject)
+
+
+@pytest.mark.parametrize("budget", [20, 40, 63])
+def test_batch_raises_at_the_first_instance_over_the_budget(monkeypatch, budget):
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", budget)
+    cold = _spy(monkeypatch, coxsort.homology, "_profiles")
+    for system in _check_06_systems():
+        Q, u, want = _first_over_budget(system, CHECK_06_WORDS)
+        assert want.subject.endswith(f"target={u!r} in {system!r}")
+        cold.clear()
+        seen = []
+        with pytest.raises(BudgetExceededError) as exc:
+            for Q_, u_, _ in certify_subword_complexes(system, CHECK_06_WORDS):
+                seen.append((Q_, u_))
+        _same_error(exc.value, want)
+        # every instance before the failing one was certified, most of them
+        # by shared hits
+        order = [(P, x) for P in CHECK_06_WORDS for x in _below(demazure(system, P))]
+        assert seen == order[:order.index((Q, u))]
+        assert len(cold) - 1 < len(seen)
+
+
+def test_a_shared_hit_over_a_lowered_budget_raises_as_a_cold_call(monkeypatch):
+    # both reduced words of w0 in B2 give the full simplex on four
+    # positions (16 faces) for u = e: the second is a hit, and the budget
+    # lowered between the two words turns it into the cold call's error
+    b2 = CoxeterSystem.type_b(2)
+    words = [(1, 2, 1, 2), (2, 1, 2, 1)]
+    batch = certify_subword_complexes(b2, words)
+    for _ in b2.elements():
+        next(batch)
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 10)
+    with pytest.raises(BudgetExceededError) as want:
+        certify_subword_complex(subword_complex(b2, words[1], b2.identity))
+    with pytest.raises(BudgetExceededError) as got:
+        next(batch)
+    _same_error(got.value, want.value)
+    assert got.value.subject == f"Q=2,1,2,1, target=<e> in {b2!r}"
