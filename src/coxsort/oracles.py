@@ -2,9 +2,12 @@
 
 A :class:`CayleyModel` is a concrete finite group given by explicit
 generator states and a composition function.  Lengths come from a
-breadth-first search of the Cayley graph, so nothing here touches the
-multiplication tables of :mod:`coxsort.coxeter`; agreement between the
-two is a genuine consistency check, not a tautology.
+breadth-first search of the Cayley graph, which keeps every right
+product g·s it computes; the left products s·g are then composed once
+each, and products of words and left multiplications read these two
+tables of the model's own Cayley graph.  Nothing here touches the
+multiplication tables of :mod:`coxsort.coxeter`, so agreement between
+the two is a genuine consistency check, not a tautology.
 
 The models provided are the permutation model of type A (one-line
 permutations under composition), the signed-permutation model of type B,
@@ -56,24 +59,38 @@ Word = tuple[int, ...]
 
 
 class CayleyModel:
-    """A finite group with 1-based generators and BFS word lengths."""
+    """A finite group with 1-based generators and BFS word lengths.
+
+    Elements are numbered in BFS order; ``_right[i][s - 1]`` and
+    ``_left[i][s - 1]`` number g·s and s·g for the element g numbered i.
+    A letter outside 1..rank raises ValueError."""
 
     def __init__(self, generators: Sequence, compose: Callable, identity):
         self.generators = tuple(generators)
         self.compose = compose
         self.identity = identity
-        lengths = {identity: 0}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for gen in self.generators:
-                    h = compose(g, gen)
-                    if h not in lengths:
-                        lengths[h] = lengths[g] + 1
-                        nxt.append(h)
-            frontier = nxt
-        self.lengths = lengths
+        index = {identity: 0}
+        states = [identity]
+        depth = [0]
+        right = []
+        for i, g in enumerate(states):  # states grows as it is read: the BFS queue
+            row = []
+            for gen in self.generators:
+                h = compose(g, gen)
+                j = index.get(h)
+                if j is None:
+                    j = index[h] = len(states)
+                    states.append(h)
+                    depth.append(depth[i] + 1)
+                row.append(j)
+            right.append(row)
+        self._states = states
+        self._index = index
+        self._depth = depth
+        self._right = right
+        self._left = [[index[compose(gen, g)] for gen in self.generators] for g in states]
+        self._lexmin: list[Word | None] = [()] + [None] * (len(states) - 1)
+        self.lengths = dict(zip(states, depth))
 
     @property
     def rank(self) -> int:
@@ -85,32 +102,56 @@ class CayleyModel:
     def elements(self) -> list:
         return sorted(self.lengths, key=lambda g: (self.lengths[g], g))
 
-    def product(self, word: Sequence[int]):
-        g = self.identity
-        for s in word:
-            g = self.compose(g, self.generators[s - 1])
-        return g
+    def _check(self, word: Iterable[int]) -> Word:
+        """``word`` as a tuple, once its smallest and largest letters are
+        known to lie in 1..rank."""
+        word = tuple(word)
+        rank = len(self.generators)
+        if word and not (1 <= min(word) and max(word) <= rank):
+            bad = next(s for s in word if not 1 <= s <= rank)
+            raise ValueError(f"letter {bad} is not a generator: the model has "
+                             f"rank {rank}, so letters run 1..{rank}")
+        return word
 
-    def length_of_word(self, word: Sequence[int]) -> int:
-        return self.lengths[self.product(word)]
+    def _walk(self, word: Iterable[int]) -> int:
+        """The number of the product of a word already checked."""
+        right = self._right
+        i = 0
+        for s in word:
+            i = right[i][s - 1]
+        return i
+
+    def product(self, word: Iterable[int]):
+        return self._states[self._walk(self._check(word))]
+
+    def length_of_word(self, word: Iterable[int]) -> int:
+        return self._depth[self._walk(self._check(word))]
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         return self.length_of_word(word) == len(word)
 
     def left_mult(self, s: int, g):
-        return self.compose(self.generators[s - 1], g)
+        self._check((s,))
+        return self._states[self._left[self._index[g]][s - 1]]
 
     def lexmin_word(self, g) -> tuple[int, ...]:
-        """Greedy smallest left descent; yields the lex-minimal reduced word."""
-        word = []
-        while g != self.identity:
-            for s in range(1, self.rank + 1):
-                h = self.left_mult(s, g)
-                if self.lengths[h] < self.lengths[g]:
-                    word.append(s)
-                    g = h
-                    break
-        return tuple(word)
+        """Greedy smallest left descent; yields the lex-minimal reduced word.
+        Each element's word is kept, and each word is built from the kept
+        word of the element below it."""
+        return self._lexmin_at(self._index[g])
+
+    def _lexmin_at(self, i: int) -> Word:
+        memo, left, depth = self._lexmin, self._left, self._depth
+        path = []
+        while memo[i] is None:
+            s = next(s for s, h in enumerate(left[i]) if depth[h] < depth[i])
+            path.append((i, s + 1))
+            i = left[i][s]
+        word = memo[i]
+        for j, s in reversed(path):
+            word = (s,) + word
+            memo[j] = word
+        return word
 
     def artin_order(self, i: int, j: int) -> int:
         """Order of the product of generators i and j (sanity check vs m(i,j))."""
@@ -146,16 +187,7 @@ def signed_permutation_model(rank: int) -> CayleyModel:
     negates the last entry, matching a chain diagram whose double bond
     sits between the last two nodes.
     """
-    n = rank
-    identity = tuple(range(1, n + 1))
-
-    def compose(u, v):
-        out = []
-        for i in range(n):
-            vi = v[i]
-            out.append(u[vi - 1] if vi > 0 else -u[-vi - 1])
-        return tuple(out)
-
+    identity = tuple(range(1, rank + 1))
     gens = []
     for i in range(rank - 1):
         g = list(identity)
@@ -164,7 +196,12 @@ def signed_permutation_model(rank: int) -> CayleyModel:
     last = list(identity)
     last[-1] = -last[-1]
     gens.append(tuple(last))
-    return CayleyModel(gens, compose, identity)
+    return CayleyModel(gens, _compose_signed, identity)
+
+
+def _compose_signed(u, v):
+    """The signed permutation u∘v, both in window notation."""
+    return tuple(u[x - 1] if x > 0 else -u[-x - 1] for x in v)
 
 
 def even_signed_permutation_model(rank: int) -> CayleyModel:
@@ -175,15 +212,15 @@ def even_signed_permutation_model(rank: int) -> CayleyModel:
     3 and the rest form a chain."""
     if rank < 2:
         raise ValueError("type D needs rank >= 2")
-    signed = signed_permutation_model(rank)
+    identity = tuple(range(1, rank + 1))
 
     def swap(i: int, sign: int) -> tuple:
-        g = list(signed.identity)
+        g = list(identity)
         g[i - 1], g[i] = sign * g[i], sign * g[i - 1]
         return tuple(g)
 
     gens = [swap(1, 1), swap(1, -1)] + [swap(k - 1, 1) for k in range(3, rank + 1)]
-    return CayleyModel(gens, signed.compose, signed.identity)
+    return CayleyModel(gens, _compose_signed, identity)
 
 
 def dihedral_model(m: int) -> CayleyModel:
@@ -201,18 +238,17 @@ def dihedral_model(m: int) -> CayleyModel:
 
 
 def canonical_word_bruteforce(model: CayleyModel, word: Sequence[int]) -> tuple[int, ...]:
-    return model.lexmin_word(model.product(word))
+    return model._lexmin_at(model._walk(model._check(word)))
 
 
 def bruhat_leq_bruteforce(model: CayleyModel, u_word, v_word) -> bool:
     """Subword test by exhaustive scan over one reduced word of v."""
-    u = model.product(u_word)
-    v = model.product(v_word)
-    vword = model.lexmin_word(v)
-    k = model.lengths[u]
+    u = model._walk(model._check(u_word))
+    vword = model._lexmin_at(model._walk(model._check(v_word)))
+    k = model._depth[u]
     if k > len(vword):
         return False
-    return any(model.product(sub) == u for sub in itertools.combinations(vword, k))
+    return any(model._walk(sub) == u for sub in itertools.combinations(vword, k))
 
 
 def bruhat_leq_walk(u, v) -> bool:
@@ -231,22 +267,24 @@ def bruhat_leq_walk(u, v) -> bool:
 
 
 def contains_reduced_word_bruteforce(model: CayleyModel, Q, u_word) -> bool:
-    u = model.product(u_word)
-    k = model.lengths[u]
+    u = model._walk(model._check(u_word))
+    Q = model._check(Q)
+    k = model._depth[u]
     if k > len(Q):
         return False
-    return any(model.product(sub) == u for sub in itertools.combinations(Q, k))
+    return any(model._walk(sub) == u for sub in itertools.combinations(Q, k))
 
 
 def sorting_subword_bruteforce(model: CayleyModel, Q, u_word):
     """First position subset, in lexicographic order, whose subword is a
     reduced word for u; None when no subset works."""
-    u = model.product(u_word)
-    k = model.lengths[u]
+    u = model._walk(model._check(u_word))
+    Q = model._check(Q)
+    k = model._depth[u]
     if k > len(Q):
         return None
     for subset in itertools.combinations(range(1, len(Q) + 1), k):
-        if model.product(tuple(Q[p - 1] for p in subset)) == u:
+        if model._walk(Q[p - 1] for p in subset) == u:
             return subset
     return None
 

@@ -1,12 +1,14 @@
 """Exact total-positivity arithmetic for the elementary Jacobi matrices.
 
 A rational matrix is kept as integer numerators over one positive common
-denominator, so products are integer products and every minor comes from
-one fraction-free integer determinant (Bareiss).  ``Fraction`` appears only
-where values enter or leave: parameters, ``from_rows``, entries, minors
-and printing.  Floats are refused, because they arrive already rounded.
-The parameter identities below are therefore checked as equalities of
-rational matrices, not up to floating-point error.
+denominator, so products are integer products.  A single minor comes from
+one fraction-free integer determinant (Bareiss); the total-nonnegativity
+sweep reads every minor from one Laplace expansion, each k-minor a sum of
+(k-1)-minors already computed.  ``Fraction`` appears only where values
+enter or leave: parameters, ``from_rows``, entries, minors and printing.
+Floats are refused, because they arrive already rounded.  The parameter
+identities below are therefore checked as equalities of rational
+matrices, not up to floating-point error.
 
 The generators are x_i(t) = I + t E_{i,i+1}.  Two identities drive the
 checks:
@@ -42,7 +44,8 @@ __all__ = [
     "seeded_trials",
 ]
 
-# is_totally_nonnegative reads all C(2n, n) - 1 minors, exponentially many
+# is_totally_nonnegative reads all C(2n, n) - 1 minors, exponentially many,
+# from one Laplace expansion of k * C(n, k)**2 products at each level k
 MINOR_SWEEP_CAP = 6
 
 
@@ -186,17 +189,39 @@ def verify_braid_identity(n: int, i: int, t1, t2, t3, j: int | None = None) -> b
 
 def is_totally_nonnegative(M: RationalMatrix) -> bool:
     """Every minor of M is >= 0, checked exhaustively up to n =
-    MINOR_SWEEP_CAP.  A k-minor of M is the integer minor of its numerators
-    divided by denominator**k > 0, so the two have the same sign."""
+    MINOR_SWEEP_CAP, one size k = 1..n at a time; False as soon as a size
+    has a negative minor.  A k-minor of M is the integer minor of its
+    numerators divided by denominator**k > 0, so the two have the same
+    sign."""
     if M.n > MINOR_SWEEP_CAP:
         raise ValueError(f"minor sweep capped at n={MINOR_SWEEP_CAP}; got n={M.n}")
-    idx = range(M.n)
+    level = {(0, 0): 1}  # the one 0-minor, of no rows and no columns
     for k in range(1, M.n + 1):
-        for rows in itertools.combinations(idx, k):
-            for cols in itertools.combinations(idx, k):
-                if M._integer_minor(rows, cols) < 0:
-                    return False
+        level = _laplace_level(M.numerators, level, k)
+        if min(level.values()) < 0:
+            return False
     return True
+
+
+def _laplace_level(N, lower: dict[tuple[int, int], int], k: int) -> dict[tuple[int, int], int]:
+    """Every k-minor of the square integer matrix N, keyed by (row mask,
+    column mask), from ``lower``, its (k-1)-minors keyed the same way.
+    Each expands along the first row r of its row set R:
+    minor(R, C) = sum over the j-th column c of C (from 0) of
+    (-1)**j * N[r][c] * minor(R - r, C - c)."""
+    n = len(N)
+    col_sets = []
+    for cols in itertools.combinations(range(n), k):
+        mask = sum(1 << c for c in cols)
+        col_sets.append((mask, [(c, (-1) ** j, mask ^ 1 << c) for j, c in enumerate(cols)]))
+    level = {}
+    for rows in itertools.combinations(range(n), k):
+        r, rest = rows[0], sum(1 << i for i in rows[1:])
+        row, key = N[r], rest | 1 << r
+        for mask, terms in col_sets:
+            level[key, mask] = sum(sign * row[c] * lower[rest, sub]
+                                   for c, sign, sub in terms if row[c])
+    return level
 
 
 def seeded_trials(seed: int, trials: int = 100) -> Iterator[tuple[str, bool, str]]:

@@ -1,7 +1,9 @@
 """The Cayley-graph models must be valid stand-ins for the word machinery:
 they share no code with it, so any agreement is meaningful evidence."""
 
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +13,11 @@ from coxsort.oracles import (bruhat_leq_bruteforce, canonical_word_bruteforce,
                              contains_reduced_word_bruteforce, dihedral_model,
                              even_signed_permutation_model, permutation_model,
                              signed_permutation_model, sorting_subword_bruteforce)
+
+FAMILIES = {"A3": lambda: permutation_model(3),
+            "B3": lambda: signed_permutation_model(3),
+            "D4": lambda: even_signed_permutation_model(4),
+            "I2(5)": lambda: dihedral_model(5)}
 
 
 def test_permutation_model_shape():
@@ -104,3 +111,64 @@ def test_small_d_and_dihedral_models():
     for bad, make in ((1, even_signed_permutation_model), (1, dihedral_model)):
         with pytest.raises(ValueError):
             make(bad)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_cayley_tables_match_the_models_own_compose(name):
+    model = FAMILIES[name]()
+    gens, compose = model.generators, model.compose
+    rng = random.Random(24)
+    for _ in range(200):
+        word = tuple(rng.randint(1, model.rank) for _ in range(rng.randint(0, 12)))
+        fold = functools.reduce(lambda g, s: compose(g, gens[s - 1]), word, model.identity)
+        assert model.product(word) == fold, word
+        assert model.product(list(word)) == fold
+        assert model.length_of_word(word) == model.lengths[fold]
+    for g in model.elements():
+        for s in range(1, model.rank + 1):
+            assert model.left_mult(s, g) == compose(gens[s - 1], g)
+            assert model.product(model.lexmin_word(g) + (s,)) == compose(g, gens[s - 1])
+
+
+def greedy_lexmin(model, g):
+    """The smallest left descent, stripped until the identity, with no
+    memo: the definition lexmin_word keeps."""
+    word = []
+    while g != model.identity:
+        s = next(s for s in range(1, model.rank + 1)
+                 if model.lengths[model.compose(model.generators[s - 1], g)] < model.lengths[g])
+        word.append(s)
+        g = model.compose(model.generators[s - 1], g)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_lexmin_word_is_the_same_cold_and_warm(name):
+    reference = FAMILIES[name]()
+    elements = reference.elements()
+    want = {g: greedy_lexmin(reference, g) for g in elements}
+    shuffled = list(elements)
+    random.Random(5).shuffle(shuffled)
+    for order in (shuffled, elements[::-1]):
+        model = FAMILIES[name]()
+        assert {g: model.lexmin_word(g) for g in order} == want  # memo filling
+        assert {g: model.lexmin_word(g) for g in order} == want  # memo full
+    for g in shuffled[:10]:
+        assert FAMILIES[name]().lexmin_word(g) == want[g]      # each from cold
+
+
+def test_letters_outside_the_rank_raise():
+    model = permutation_model(3)
+    g = model.product((1, 2))
+    for bad, call in ((0, lambda: canonical_word_bruteforce(model, (0, 1))),
+                      (-1, lambda: model.product((2, -1, 3))),
+                      (4, lambda: model.product([1, 4])),
+                      (4, lambda: model.length_of_word((4,))),
+                      (0, lambda: model.left_mult(0, g)),
+                      (4, lambda: model.left_mult(4, g)),
+                      (-2, lambda: bruhat_leq_bruteforce(model, (1,), (-2,))),
+                      (5, lambda: contains_reduced_word_bruteforce(model, (1, 5), (1,))),
+                      (0, lambda: sorting_subword_bruteforce(model, (1, 2), (0,)))):
+        with pytest.raises(ValueError, match=rf"letter {bad} is not a generator.* rank 3"):
+            call()
+    assert model.product(()) == model.identity

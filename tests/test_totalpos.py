@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from coxsort.totalpos import (RationalMatrix, _det, chevalley, is_totally_nonnegative,
-                              seeded_trials, verify_additive_identity,
-                              verify_braid_identity)
+from coxsort.totalpos import (RationalMatrix, _det, _laplace_level, chevalley,
+                              is_totally_nonnegative, seeded_trials,
+                              verify_additive_identity, verify_braid_identity)
 
 F = Fraction
 
@@ -206,3 +206,81 @@ def test_floats_are_refused_and_exact_inputs_accepted():
     assert chevalley(3, 1, "1/3")[0, 1] == F(1, 3)
     assert verify_additive_identity(3, 2, "1/3", 2)
     assert verify_braid_identity(3, 1, "1/2", F(2), 3)
+
+
+def integer_minors(M):
+    """Every minor of M's numerators by its own Bareiss determinant, keyed
+    by (size, row mask, column mask)."""
+    idx = range(M.n)
+    return {(k, sum(1 << i for i in rows), sum(1 << j for j in cols)):
+            M._integer_minor(rows, cols)
+            for k in range(1, M.n + 1)
+            for rows in itertools.combinations(idx, k)
+            for cols in itertools.combinations(idx, k)}
+
+
+def sweep_matrices(seed):
+    """Matrices of sizes 1..6 with entries over denominators 1..6: mixed
+    signs with many zeros; nonnegative entries, whose first negative minor
+    can sit at any size; totally nonnegative products of upper and lower
+    generators; such products with one entry moved by 1 or 1/50; and one
+    matrix whose only negative minor is its determinant."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        for _ in range(12):
+            d = rng.randint(1, 6)
+            yield RationalMatrix.from_rows(
+                [[F(rng.choice((0, 0, 0, 1, -1, 2, -3, 7)), d) for _ in range(n)]
+                 for _ in range(n)])
+            yield RationalMatrix.from_rows(
+                [[F(rng.choice((0, 0, 1, 2, 5)), rng.randint(1, 6)) for _ in range(n)]
+                 for _ in range(n)])
+            M = RationalMatrix.identity(n)
+            for _ in range(rng.randint(0, 3 * n)):
+                if n > 1:
+                    x = chevalley(n, rng.randint(1, n - 1), F(rng.randint(0, 5), rng.randint(1, 6)))
+                    if rng.random() < 0.5:  # the lower generator, x transposed
+                        x = RationalMatrix(tuple(zip(*x.numerators)), x.denominator)
+                    M = M @ x
+            yield M
+            rows = [[M[i, j] for j in range(n)] for i in range(n)]
+            rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1, F(-1, 50), F(1, 50)))
+            yield RationalMatrix.from_rows(rows)
+        # the Pascal matrix is totally positive with determinant 1; lowering
+        # its corner by just over 1 / (its cofactor) makes the determinant
+        # the one negative minor
+        pascal = [[F(math.comb(i + j, i)) for j in range(n)] for i in range(n)]
+        pascal[0][0] -= F(1, leibniz([row[1:] for row in pascal[1:]])) + F(1, 10**6)
+        yield RationalMatrix.from_rows(pascal)
+
+
+def test_the_sweep_reads_every_minor_and_agrees_with_bareiss():
+    verdicts = set()
+    for M in sweep_matrices(24):
+        minors = integer_minors(M)
+        level = {(0, 0): 1}
+        for k in range(1, M.n + 1):
+            level = _laplace_level(M.numerators, level, k)
+            assert level == {(rows, cols): v for (size, rows, cols), v in minors.items()
+                             if size == k}
+        nonnegative = min(minors.values()) >= 0
+        assert is_totally_nonnegative(M) == nonnegative, M
+        first = min((size for (size, _, _), v in minors.items() if v < 0), default=0)
+        verdicts.add((M.n, M.denominator > 1, first))
+    # every size n sees a totally nonnegative matrix and first negative
+    # minors of size 1 and n, over denominators other than 1
+    for n in range(1, 7):
+        assert {(n, True, 0), (n, True, 1), (n, True, n)} <= verdicts, n
+
+
+def test_planted_negative_minors():
+    # the entries and the diagonal are >= 0; the determinant alone is not
+    M = RationalMatrix.from_rows([[1, 1], [1, 0]])
+    assert [v for v in integer_minors(M).values() if v < 0] == [-1]
+    assert not is_totally_nonnegative(M)
+    # one interior 2x2 minor, rows and columns 2 and 3, is the only negative one
+    M = RationalMatrix.from_rows([[0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 2, 0]])
+    assert {key: v for key, v in integer_minors(M).items() if v < 0} == {(2, 0b0110, 0b0110): -1}
+    assert not is_totally_nonnegative(M)
+    with pytest.raises(ValueError, match="capped"):
+        is_totally_nonnegative(RationalMatrix.from_rows([[1] * 7] * 7))

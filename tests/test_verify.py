@@ -236,9 +236,11 @@ def test_fault_injection_in_ranks(monkeypatch):
 def test_fault_injection_breaks_total_positivity(monkeypatch):
     # every 2x2 minor changes sign, so each nonnegative product shows a
     # negative one; the identities compare matrices and stay green
-    real = coxsort.totalpos._det
-    monkeypatch.setattr(coxsort.totalpos, "_det",
-                        lambda m: -real(m) if len(m) == 2 else real(m))
+    real = coxsort.totalpos._laplace_level
+    monkeypatch.setattr(coxsort.totalpos, "_laplace_level",
+                        lambda N, lower, k: {key: -minor for key, minor
+                                             in real(N, lower, k).items()}
+                        if k == 2 else real(N, lower, k))
     r = run_check("total_positivity", SMALL)
     assert not r.passed
     assert len(r.failures) == 26
