@@ -1,14 +1,17 @@
 """Exact total-positivity arithmetic for the elementary Jacobi matrices.
 
 A rational matrix is kept as integer numerators over one positive common
-denominator, so products are integer products.  A single minor comes from
-one fraction-free integer determinant (Bareiss); the total-nonnegativity
-sweep reads every minor from one Laplace expansion, each k-minor a sum of
-(k-1)-minors already computed.  ``Fraction`` appears only where values
-enter or leave: parameters, ``from_rows``, entries, minors and printing.
-Floats are refused, because they arrive already rounded.  The parameter
-identities below are therefore checked as equalities of rational
-matrices, not up to floating-point error.
+denominator.  A product of generators x_{i1}(t1) ... x_{ik}(tk) is one
+fold of column operations on a single integer matrix, reduced to lowest
+terms once at the end; ``@`` is the general product of two matrices.  A
+single minor comes from one fraction-free integer determinant (Bareiss);
+the total-nonnegativity sweep reads every minor from one Laplace
+expansion, each k-minor a sum of (k-1)-minors already computed.
+``Fraction`` appears only where values enter or leave: parameters,
+``from_rows``, entries, minors and printing.  Floats are refused, because
+they arrive already rounded.  The parameter identities below are
+therefore checked as equalities of rational matrices, not up to
+floating-point error.
 
 The generators are x_i(t) = I + t E_{i,i+1}.  Two identities drive the
 checks:
@@ -52,6 +55,8 @@ MINOR_SWEEP_CAP = 6
 def _exact(x) -> Fraction:
     """``Fraction(x)`` for an int, a Fraction or a string such as "1/3".
     A float raises TypeError: it was rounded before it got here."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise TypeError("exact arithmetic takes ints, Fractions or strings, "
                         f"not the float {x!r}")
@@ -107,14 +112,29 @@ class RationalMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
+        self._check_indices((i,), (j,))
         return Fraction(self.numerators[i][j], self.denominator)
 
     def minor(self, row_idx: tuple[int, ...], col_idx: tuple[int, ...]) -> Fraction:
+        """The minor on rows ``row_idx`` and columns ``col_idx``, each a
+        strictly increasing tuple of 0-based indices."""
         if len(row_idx) != len(col_idx):
             raise ValueError("a minor needs as many rows as columns, got "
                              f"{len(row_idx)} and {len(col_idx)}")
+        self._check_indices(row_idx, col_idx)
+        if any(a >= b for idx in (row_idx, col_idx) for a, b in zip(idx, idx[1:])):
+            raise ValueError("minor indices must be strictly increasing, got "
+                             f"rows {row_idx} and columns {col_idx}")
         return Fraction(self._integer_minor(row_idx, col_idx),
                         self.denominator ** len(row_idx))
+
+    def _check_indices(self, *index_tuples: tuple[int, ...]) -> None:
+        """IndexError for an index outside 0..n-1: a negative one would
+        silently count from the end."""
+        for idx in index_tuples:
+            for x in idx:
+                if not 0 <= x < self.n:
+                    raise IndexError(f"index {x} outside 0..{self.n - 1}")
 
     def _integer_minor(self, row_idx: tuple[int, ...], col_idx: tuple[int, ...]) -> int:
         """The minor of the numerator matrix: denominator**k times the k-minor."""
@@ -152,19 +172,34 @@ def _det(m: list[list[int]]) -> int:
 
 def chevalley(n: int, i: int, t) -> RationalMatrix:
     """x_i(t) = identity plus t in entry (i, i+1), 1-based i <= n-1."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"need 1 <= i <= {n - 1}, got {i}")
-    t = _exact(t)
-    d = t.denominator
-    rows = [[d * (r == c) for c in range(n)] for r in range(n)]
-    rows[i - 1][i] = t.numerator
+    return _product(n, ((i, t),))
+
+
+def _product(n: int, factors: Iterable[tuple[int, object]]) -> RationalMatrix:
+    """x_{i1}(t1) ... x_{ik}(tk) for ``factors`` ((i1, t1), ..., (ik, tk)),
+    the identity when there are none.  The product so far is N / d with N
+    an integer matrix; right-multiplying by x_i(p/q) = (qI + p E_{i,i+1}) / q
+    scales N by q and adds p times the old column i-1 to column i (0-based),
+    so each factor costs O(n**2) integer operations, not a matrix product,
+    and the one gcd reduction runs when the ``RationalMatrix`` is built."""
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    d = 1
+    for i, t in factors:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"need 1 <= i <= {n - 1}, got {i}")
+        t = _exact(t)
+        p, q = t.numerator, t.denominator
+        d *= q
+        for r, row in enumerate(rows):
+            rows[r] = [x * q for x in row]
+            rows[r][i] += p * row[i - 1]
     return RationalMatrix(tuple(map(tuple, rows)), d)
 
 
 def verify_additive_identity(n: int, i: int, a, b) -> bool:
     """x_i(a) x_i(b) == x_i(a+b), exactly."""
     a, b = _exact(a), _exact(b)
-    return chevalley(n, i, a) @ chevalley(n, i, b) == chevalley(n, i, a + b)
+    return _product(n, ((i, a), (i, b))) == chevalley(n, i, a + b)
 
 
 def verify_braid_identity(n: int, i: int, t1, t2, t3, j: int | None = None) -> bool:
@@ -182,9 +217,7 @@ def verify_braid_identity(n: int, i: int, t1, t2, t3, j: int | None = None) -> b
     p1 = t2 * t3 / (t1 + t3)
     p2 = t1 + t3
     p3 = t1 * t2 / (t1 + t3)
-    lhs = chevalley(n, i, t1) @ chevalley(n, j, t2) @ chevalley(n, i, t3)
-    rhs = chevalley(n, j, p1) @ chevalley(n, i, p2) @ chevalley(n, j, p3)
-    return lhs == rhs
+    return _product(n, ((i, t1), (j, t2), (i, t3))) == _product(n, ((j, p1), (i, p2), (j, p3)))
 
 
 def is_totally_nonnegative(M: RationalMatrix) -> bool:
@@ -256,10 +289,7 @@ def _trials(rng: random.Random, trials: int) -> Iterator[tuple[str, bool, str]]:
                f"exchange identity failed at n={n}, i={i}, t=({t1},{t2},{t3})")
     for _ in range(max(1, trials // 2)):
         factors = [(rng.randint(1, 3), rational(lo=0)) for _ in range(rng.randint(1, 8))]
-        M = RationalMatrix.identity(4)
-        for i, t in factors:
-            M = M @ chevalley(4, i, t)
-        yield ("nonnegative_products", is_totally_nonnegative(M),
+        yield ("nonnegative_products", is_totally_nonnegative(_product(4, factors)),
                "nonnegative Chevalley product with a negative minor, factors (i, t) = "
                + ", ".join(f"({i}, {t})" for i, t in factors))
 

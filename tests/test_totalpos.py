@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxsort.totalpos import (RationalMatrix, _det, _laplace_level, chevalley,
+from coxsort.totalpos import (RationalMatrix, _det, _laplace_level, _product, chevalley,
                               is_totally_nonnegative, seeded_trials,
                               verify_additive_identity, verify_braid_identity)
 
@@ -58,6 +59,28 @@ def test_matrix_basics():
         I3 @ RationalMatrix.identity(2)
     with pytest.raises(TypeError):
         RationalMatrix.identity(2) @ 3
+
+
+def test_indices_outside_the_matrix_or_out_of_order_are_refused():
+    M = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    for ij in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(IndexError, match="outside 0..1"):
+            M[ij]
+    for rows, cols in (((-1,), (0,)), ((0,), (-2,)), ((0, 2), (0, 1)), ((0, 1), (1, 2))):
+        with pytest.raises(IndexError, match="outside 0..1"):
+            M.minor(rows, cols)
+    # repeated or unordered indices used to read 0 and 2 where the
+    # {0,1} x {0,1} minor is -2
+    for rows, cols in (((0, 0), (0, 1)), ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1))):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            M.minor(rows, cols)
+    assert M[1, 0] == 3 and M.minor((1,), (0,)) == 3 and M.minor((), ()) == 1
+    # a factor index outside 1..n-1 is refused before any column is read
+    for factors in (((0, 1),), ((3, 1),), ((-1, 1),), ((1, 2), (0, 5))):
+        with pytest.raises(ValueError, match=r"need 1 <= i <= 2"):
+            _product(3, factors)
+    with pytest.raises(ValueError, match=r"need 1 <= i <= 0"):
+        _product(1, ((1, 1),))
 
 
 def test_chevalley_shape():
@@ -130,6 +153,61 @@ def test_products_of_nonnegative_generators_are_tn():
         for _ in range(rng.randint(1, 6)):
             M = M @ chevalley(4, rng.randint(1, 3), F(rng.randint(0, 9), rng.randint(1, 9)))
         assert is_totally_nonnegative(M)
+
+
+def generator_by_hand(n, i, t):
+    """x_i(t) written out entry by entry, without ``chevalley``."""
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    rows[i - 1][i] = t
+    return RationalMatrix.from_rows(rows)
+
+
+def test_the_fold_matches_the_product_of_generators_built_by_hand():
+    rng = random.Random(25)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        factors = [(rng.randint(1, n - 1),
+                    F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7, 12))))
+                   for _ in range(rng.randint(0, 8))]
+        want = RationalMatrix.identity(n)
+        for i, t in factors:
+            want = want @ generator_by_hand(n, i, t)
+        got = _product(n, factors)
+        assert got == want and hash(got) == hash(want), (n, factors)
+        assert (got.numerators, got.denominator) == (want.numerators, want.denominator)
+        seen.add(("n", n))
+        seen.add(("factors", len(factors)))
+        seen.update(("zero" if t == 0 else "negative" if t < 0 else "positive",
+                     t.denominator > 1) for _, t in factors)
+        seen.add(("reduced", want.denominator < math.prod(t.denominator for _, t in factors)))
+    assert {("n", n) for n in range(2, 7)} | {("factors", k) for k in range(9)} <= seen
+    assert {(s, q) for s in ("negative", "positive") for q in (False, True)} <= seen
+    assert ("zero", False) in seen and ("reduced", True) in seen
+    for n in range(7):
+        assert _product(n, ()) == RationalMatrix.identity(n)
+    assert _product(3, ((1, "1/3"), (2, 2), (1, F(-1, 3)))) == (
+        generator_by_hand(3, 1, F(1, 3)) @ generator_by_hand(3, 2, 2)
+        @ generator_by_hand(3, 1, F(-1, 3)))
+    with pytest.raises(TypeError, match="float"):
+        _product(3, ((1, 1), (2, 0.5)))
+
+
+# sha256 of repr(list(seeded_trials(seed, 200))): the draw order and every
+# statement, verdict and failure string of the trial stream
+TRIAL_STREAM_SHA256 = {
+    0: "b1cfffd0fe32a76dbcd5a4a91028a3132089d767c44b854bf2223d42786bc491",
+    1: "a64f34ec792baec6eb933e164dba69f391e3a783db0f8cd3d14d6cfbfa7aa26c",
+    2: "273f39c0bffe59bf777fefadcd7dab7e24ec47345e45f65939692109d64b2778",
+    3: "5abf9f833e2e061248f6910d3c43ce87ee45b4d73076e5339283311dd7100c0c",
+    4: "7354d12c91effa6c637c6a6055f4cbfc2feb8df1b618215516aa0fd95fafe62a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRIAL_STREAM_SHA256))
+def test_the_trial_stream_is_pinned(seed):
+    stream = repr(list(seeded_trials(seed, 200)))
+    assert hashlib.sha256(stream.encode()).hexdigest() == TRIAL_STREAM_SHA256[seed]
 
 
 def test_negative_parameter_breaks_tn():

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -249,6 +250,35 @@ def test_fault_injection_breaks_total_positivity(monkeypatch):
     assert all(re.search(r"negative minor, factors \(i, t\) = \([1-3], \d+(/\d+)?\)", d)
                for d in details)
     assert len(set(details)) == len(details)
+
+
+def test_a_fold_that_drops_denominators_breaks_total_positivity(monkeypatch):
+    # x_i(p/q) built as x_i(p): both identities fail on most trials, while
+    # the nonnegative products, now of integer parameters >= 0, stay green.
+    # (A sign flip would not do: both identities hold with every parameter
+    # negated.)
+    real = coxsort.totalpos._product
+    monkeypatch.setattr(coxsort.totalpos, "_product", lambda n, factors: real(
+        n, [(i, Fraction(t).numerator) for i, t in factors]))
+    r = run_check("total_positivity", SMALL)
+    assert not r.passed
+    assert len(r.failures) == 26
+    marker = re.fullmatch(r"([1-9]\d*) further failures truncated", r.failures[-1]["detail"])
+    assert marker
+    details = [f["detail"] for f in r.failures[:-1]]
+    assert all(re.fullmatch(r"additive identity failed at n=[2-4], i=[1-3], a=\S+, b=\S+", d)
+               for d in details)
+    assert len(set(details)) == len(details)
+    # the report shows the first 25; the stream it read has the rest,
+    # more than the 100 additive trials can account for
+    failed = [(statement, detail) for statement, holds, detail
+              in coxsort.totalpos.seeded_trials(SMALL.seed) if not holds]
+    assert len(failed) == 25 + int(marker[1]) > 100
+    assert [detail for _, detail in failed[:25]] == details
+    assert {statement for statement, _ in failed} == {"additive", "exchange"}
+    assert all(re.fullmatch(r"exchange identity failed at n=[34], i=[12], t=\(\S+,\S+,\S+\)", d)
+               for statement, d in failed if statement == "exchange")
+    assert len({detail for _, detail in failed}) == len(failed)
 
 
 def test_notes_past_the_cap_leave_a_marker_and_keep_every_summary(monkeypatch):
