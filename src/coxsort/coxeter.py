@@ -43,6 +43,7 @@ built before.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -81,6 +82,15 @@ def parse_word(text: str) -> Word:
         raise ValueError(
             f"cannot parse word {text!r}: expected comma-separated generator indices"
         ) from exc
+
+
+def _integer(x, what: str) -> int:
+    """``x`` through ``operator.index``, so numpy integers pass; a float or
+    a string raises ValueError naming it instead of being truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def _strip(right: list[list[int]], desc: list[int], x: int, a: int, b: int,
@@ -182,7 +192,7 @@ class CoxeterSystem:
     """
 
     def __init__(self, matrix: Iterable[Iterable[int]], size_cap: int = DEFAULT_SIZE_CAP):
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        rows = tuple(tuple(_integer(x, "Coxeter matrix entry") for x in row) for row in matrix)
         n = len(rows)
         if n == 0:
             raise ValueError("a Coxeter matrix must have rank at least 1")
@@ -199,11 +209,11 @@ class CoxeterSystem:
                 if rows[i][j] < 2:
                     raise ValueError(
                         f"off-diagonal entry m({i + 1},{j + 1}) must be at least 2")
-        if size_cap <= 0:
+        self.size_cap = _integer(size_cap, "size_cap")
+        if self.size_cap <= 0:
             raise ValueError("size_cap must be positive")
         self.matrix = rows
         self.rank = n
-        self.size_cap = int(size_cap)
         # _right[x][s - 1] is the row of x*s, _left[x][s - 1] that of s*x
         self._right: list[tuple[int, ...]] | None = None
         self._left: list[tuple[int, ...]] | None = None
@@ -269,14 +279,12 @@ class CoxeterSystem:
         return f"CoxeterSystem(rank={self.rank}, matrix={self.matrix})"
 
     def check_word(self, word: Iterable[int]) -> Word:
-        """Validate letters and return the word as a tuple."""
-        w = tuple(int(s) for s in word)
-        for s in w:
-            self._column(s)
-        return w
+        """Validate letters and return the word as a tuple of ints."""
+        return tuple(self._column(s) + 1 for s in word)
 
     def _column(self, s: int) -> int:
-        """The table column of generator ``s``, validated."""
+        """The table column of generator ``s``, validated as an integer in 1..rank."""
+        s = _integer(s, "letter")
         if not 1 <= s <= self.rank:
             raise ValueError(f"letter {s} outside generator range 1..{self.rank}")
         return s - 1

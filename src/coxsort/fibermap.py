@@ -9,6 +9,8 @@ faces.  This module computes f on int masks (bit j is position j + 1) as
 table rows, its fibers as masks filtered through Bruhat down-set rows,
 and the homotopy certificate of each upper fiber, read off Delta(Q, u)
 itself; position sets become frozensets only where they leave the module.
+A certificate takes one route: a fiber's is read off the subword
+certificate of Delta(Q, u), and interval spheres share the same homology.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import numpy as np
 from .coxeter import CoxeterSystem, Element
 from .errors import BudgetExceededError
 from .hecke import _require_reduced, bruhat_leq, bruhat_row, demazure
-from .homology import (BettiProfile, _OrderComplex, _field_index, _profiles,
-                       _shared_profiles)
+from .homology import BettiProfile, _OrderComplex, _field_index, _shared_profiles
 from .posets import bruhat_interval
-from .subword import _positions, subword_complex
+from .subword import _certify, _positions, subword_complex
 
 __all__ = [
     "subset_image",
@@ -151,39 +152,27 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
     is contractible, from the one complex Delta = Delta(Q, u).
 
     S is in the fiber iff its complement is a face of Delta, so the strict
-    fiber is the poset of nonempty faces of Delta under reverse inclusion.
-    Its order complex is the barycentric subdivision sd(Delta), which is
-    homeomorphic to Delta: the Betti numbers of Delta are those of the
-    strict fiber.  A cone vertex of an order complex is an element
-    comparable to all others.  A nonempty face comparable to every vertex
-    and to every facet contains all vertices (or is the only one) and lies
-    in every facet, so it exists iff Delta has one facet.  A single facet
-    is therefore exactly the cone case, while a cone vertex of Delta with
-    two facets (B2, Q = 1,2,1,2, u = s1) is left to homology, whose
-    trivial profiles the cone vertex of Delta itself then proves.  A face
-    budget exceeded on the way raises :class:`BudgetExceededError` naming Q
-    and u.
+    fiber is the poset of nonempty faces of Delta under reverse inclusion,
+    whose order complex sd(Delta) is homeomorphic to Delta.  It has a cone
+    vertex, a face comparable to every vertex and every facet, iff Delta
+    has one facet; a cone vertex of Delta with two facets (B2, Q = 1,2,1,2,
+    u = s1) is left to homology, whose trivial profiles it proves.  The
+    kind and profiles are read off :func:`subword.certify_subword_complex`
+    of Delta, so a face budget exceeded on the way names Q and u.
     """
     Q = tuple(Q)
     w = _require_reduced(system, Q)
     if not bruhat_leq(u, w):
         raise ValueError("u must lie below the product of Q")
     delta = subword_complex(system, Q, u)
-    kind = delta.classify()
-    try:
-        # enumerates the faces under the default budget, which _profiles reuses
-        size = delta.num_faces()
-    except BudgetExceededError as exc:
-        raise exc.about(delta._subject()) from exc
-    if u == w:
-        # the fiber is {full}; its proper part is empty, so nothing to certify
-        return FiberReport(u.word, kind, size, True, "singleton")
+    report = _certify(delta, {})
+    size = delta.num_faces()
     if len(delta._facet_masks) == 1:
-        return FiberReport(u.word, kind, size, True, "cone")
-    profiles = _profiles(delta)
-    contractible = all(p.is_trivial() for p in profiles)
-    return FiberReport(u.word, kind, size, contractible,
-                       "homology" if contractible else None, profiles)
+        # for u = w the fiber is {full}: its proper part is empty, nothing to certify
+        return FiberReport(u.word, report.kind, size, True, "singleton" if u == w else "cone")
+    contractible = all(p.is_trivial() for p in report.profiles)
+    return FiberReport(u.word, report.kind, size, contractible,
+                       "homology" if contractible else None, report.profiles)
 
 
 @dataclass(frozen=True)
@@ -255,10 +244,8 @@ def certify_interval_spheres(pairs: Iterable[tuple[Element, Element]],
         # the ground is sorted by table row, so u comes first and w last; the
         # inner block of an order is an order, so it is not validated again
         inner = _OrderComplex(closed.ground[1:-1], closed.leq[1:-1, 1:-1])
-        try:
-            profile = _shared_profiles(inner, shared)[index]
-        except BudgetExceededError as exc:
-            raise exc.about(f"interval ({u!r}, {w!r}) in {w.system!r}") from exc
+        profile = _shared_profiles(
+            inner, shared, lambda: f"interval ({u!r}, {w!r}) in {w.system!r}")[index]
         expected = d - 2
         reports.append(IntervalReport(u.word, w.word, expected, profile,
                                       profile.matches_sphere(expected), len(inner.vertices)))

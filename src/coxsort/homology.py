@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import and_
-from typing import Container, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -362,19 +362,23 @@ def _field_index(coefficient_field: int) -> int:
     return int(coefficient_field == 0)
 
 
-def _shared_profiles(K: SimplicialComplex, shared: dict) -> tuple[BettiProfile, BettiProfile]:
+def _shared_profiles(K: SimplicialComplex, shared: dict,
+                     subject: Callable[[], str]) -> tuple[BettiProfile, BettiProfile]:
     """``_profiles(K)`` through ``shared``, a dict that one batch call owns
     and drops when it returns.  Complexes with equal ``K._key()`` are the
     same complex on the same ordered vertices, so one result serves them
     all, exactly, over both fields.  An entry is ``(face count, profiles)``,
-    and a hit re-checks the count against the face budget; over it, the
-    faces of K are enumerated after all, so K raises just as a cold call
-    would."""
+    and a hit over the face budget enumerates the faces of K after all, so
+    K raises as a cold call would: the one :class:`BudgetExceededError`
+    that names ``subject()``, called only then, what was being certified."""
     key = K._key()
     hit = shared.get(key)
     if hit is not None and hit[0] <= DEFAULT_FACE_BUDGET:
         return hit[1]
-    profiles = _profiles(K)
+    try:
+        profiles = _profiles(K)
+    except BudgetExceededError as exc:
+        raise exc.about(subject()) from exc
     shared[key] = (sum(map(len, K._levels)), profiles)
     return profiles
 

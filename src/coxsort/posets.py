@@ -4,9 +4,10 @@ A poset is its ground set, an ordered tuple, and its relation, a
 read-only numpy matrix; it carries no name.  Two posets on the same
 ground can be compared, intersected, or united entry by entry.  Element
 grounds are always sorted by (length, canonical word), so ``covers()``
-comes in that order too.  Construction validates reflexivity,
-antisymmetry and transitivity, failing loudly on anything that is not a
-partial order; a caller that must say which order failed names it itself.
+comes in that order too.  An order is validated once, where it can fail
+(a relation given to ``Poset``, a union, an [e, w] Bruhat block, a sorting
+order's antisymmetry); orders by construction are not checked.  A caller
+that must say which order failed names it itself.
 
 Relations compose through one product, :func:`_bool_product`, under the
 transitivity check, the cover matrix and the sorting relation.  Past
@@ -96,13 +97,16 @@ def _covers(leq: np.ndarray) -> np.ndarray:
 def _check_order(matrix: np.ndarray) -> None:
     """Raise ValueError unless the square bool ``matrix`` is reflexive,
     antisymmetric and transitive."""
-    n = len(matrix)
-    if n and not matrix.diagonal().all():
+    if len(matrix) and not matrix.diagonal().all():
         raise ValueError("relation is not reflexive")
-    if (matrix & matrix.T & ~np.eye(n, dtype=bool)).any():
-        raise ValueError("relation is not antisymmetric")
+    _check_antisymmetric(matrix)
     if (_bool_product(matrix, matrix) & ~matrix).any():
         raise ValueError("relation is not transitive")
+
+
+def _check_antisymmetric(matrix: np.ndarray) -> None:
+    if (matrix & matrix.T & ~np.eye(len(matrix), dtype=bool)).any():
+        raise ValueError("relation is not antisymmetric")
 
 
 class Poset:
@@ -123,8 +127,8 @@ class Poset:
 
     @classmethod
     def _induced(cls, ground: tuple, matrix: np.ndarray) -> "Poset":
-        """The poset on ``matrix``, an induced block of a relation already
-        validated as a partial order, which it is again: nothing is checked.
+        """The poset on ``matrix``, a partial order by construction (an
+        induced block, a weak interval, an intersection): nothing is checked.
         ``matrix`` must be a fresh array no one else writes to."""
         poset = cls.__new__(cls)
         poset._init(ground, matrix)
@@ -227,7 +231,7 @@ def _weak_matrix(ground: Sequence[Element]) -> np.ndarray:
 
 def weak_interval(w: Element) -> Poset:
     """The right weak order interval [e, w]: everything reached from ``w``
-    by walking down right descents."""
+    by walking down right descents; an order by construction, not validated."""
     right = w.system._right
     seen = {w.index}
     stack = [w.index]
@@ -239,7 +243,7 @@ def weak_interval(w: Element) -> Poset:
                 stack.append(xs)
     elements = w.system.elements()
     ground = tuple(elements[x] for x in sorted(seen))
-    return Poset(ground, _weak_matrix(ground))
+    return Poset._induced(ground, _weak_matrix(ground))
 
 
 def _sorting_relation(taken: np.ndarray) -> np.ndarray:
@@ -263,7 +267,8 @@ def _class_key(system: CoxeterSystem, Q: tuple[int, ...]) -> tuple:
 def sorting_order(system: CoxeterSystem, Q: Iterable[int]) -> Poset:
     """The sorting order of the reduced word Q on the Bruhat interval
     [e, product(Q)]: u <= v iff the sorting subword positions of u are a
-    subset of those of v.
+    subset of those of v.  Inclusion is reflexive and transitive, so only
+    antisymmetry is checked; equal position sets raise ValueError.
 
     It depends only on the commutation class of Q.  Let Q' swap adjacent
     letters s = Q[j] and t = Q[j + 1] with m(s, t) = 2.  Write the target
@@ -274,9 +279,10 @@ def sorting_order(system: CoxeterSystem, Q: Iterable[int]) -> Poset:
     in Q, the remaining target after both is the same, and every sorting
     subword of Q' is that of Q with the two positions swapped; inclusion
     is unchanged.  Words of one class (equal :func:`_class_key`) therefore
-    share one validated Poset, kept in ``system._op_cache["sorting_order"]``
-    as ``(product row, {key: Poset})``; a word with another product
-    replaces the bucket, so it never holds more than one element's classes.
+    share one Poset, kept in ``system._op_cache["sorting_order"]`` as
+    ``(product row, {key: Poset})``; a word with another product replaces
+    the bucket, so it never holds more than one element's classes.  A
+    relation that raised is not kept.
     """
     Q = system.check_word(Q)
     w = hecke.demazure(system, Q)
@@ -285,8 +291,10 @@ def sorting_order(system: CoxeterSystem, Q: Iterable[int]) -> Poset:
         classes = {}
     key = _class_key(system, Q)
     if key not in classes:
-        ground = hecke._below(w)
-        classes[key] = Poset(ground, _sorting_relation(hecke.sorting_positions(system, Q, ground)))
+        ground = tuple(hecke._below(w))
+        matrix = _sorting_relation(hecke.sorting_positions(system, Q, ground))
+        _check_antisymmetric(matrix)
+        classes[key] = Poset._induced(ground, matrix)
         system._op_cache["sorting_order"] = (w.index, classes)
     return classes[key]
 
@@ -302,12 +310,12 @@ def _common_ground(posets: Sequence[Poset]) -> tuple:
 
 
 def relation_intersection(posets: Sequence[Poset]) -> Poset:
-    """Entrywise AND of the relations; always a partial order."""
+    """Entrywise AND of the relations; a partial order, not validated again."""
     ground = _common_ground(posets)
     matrix = posets[0].leq.copy()
     for p in posets[1:]:
         matrix &= p.leq
-    return Poset(ground, matrix)
+    return Poset._induced(ground, matrix)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .coxeter import CoxeterSystem, Element, word_str
-from .errors import BudgetExceededError, VoidComplexError
+from .errors import VoidComplexError
 from .hecke import _suffix_demazure, bruhat_row
 from .homology import BettiProfile, SimplicialComplex, _shared_profiles
 
@@ -34,17 +34,12 @@ __all__ = ["SubwordComplex", "subword_complex", "SubwordReport", "certify_subwor
 
 
 class SubwordComplex(SimplicialComplex):
-    """The subword complex Delta(Q, target), a simplicial complex on the
-    positions 1..len(Q) of Q.
-
-    The facets are derived from (Q, target), never given, and kept as
-    masks; ``facets``, frozensets of 1-based positions, is built from them
-    once, when first read.  Q is folded once, for the facet search and for
-    ``classify``.  Raises VoidComplexError when Q carries no reduced
-    subword for the target.  For the identity target the complex is the
-    full simplex on all positions, for the empty word the empty complex.
-    A position lying in every facet is a cone point and certifies
-    contractibility.
+    """The subword complex Delta(Q, target) on the positions 1..len(Q) of
+    Q, its facets derived from (Q, target) as masks (see the module
+    docstring); Q is folded once, for the facet search and ``classify``.
+    Raises VoidComplexError when Q carries no reduced subword for the
+    target.  For the identity target the complex is the full simplex on
+    all positions, for the empty word the empty complex.
     """
 
     def __init__(self, system: CoxeterSystem, Q: Iterable[int], target: Element):
@@ -91,11 +86,6 @@ class SubwordComplex(SimplicialComplex):
 
     def boundary_faces(self) -> frozenset[frozenset[int]]:
         return frozenset(self.faces() - self.interior_faces())
-
-    def _subject(self) -> str:
-        """Q, the target and the group, as a :class:`BudgetExceededError`
-        names them."""
-        return f"Q={word_str(self.Q)}, target={self.target!r} in {self.system!r}"
 
     def __repr__(self) -> str:
         return (f"SubwordComplex(Q={self.Q}, target={self.target!r}, "
@@ -205,10 +195,8 @@ def _certify(complex_: SubwordComplex, shared: dict) -> SubwordReport:
     (see :func:`homology._shared_profiles`)."""
     kind = complex_.classify()
     top = len(complex_.Q) - complex_.target.length - 1
-    try:
-        profiles = _shared_profiles(complex_, shared)
-    except BudgetExceededError as exc:
-        raise exc.about(complex_._subject()) from exc
+    profiles = _shared_profiles(complex_, shared, lambda: (
+        f"Q={word_str(complex_.Q)}, target={complex_.target!r} in {complex_.system!r}"))
     matches = tuple(b.matches_sphere(top) if kind == "sphere" else b.is_trivial()
                     for b in profiles)
     return SubwordReport(kind, top, profiles, matches)

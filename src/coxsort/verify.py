@@ -76,10 +76,10 @@ class RunConfig:
     a nonempty tuple of names without repeats: b2 and B2, or I2:4 and
     I2.4, repeat a name, though the report keeps the spellings given;
     equal matrices under two names, such as I2:4 and B2, are allowed);
-    field is the homology coefficient field for the interval check (2 or
-    0); seed drives the total-positivity trials; size_cap bounds group
-    enumeration.  The report carries no timing, so it is byte-identical
-    across runs.
+    field is the homology coefficient field for the interval check (the
+    int 2 or 0); seed, an int, drives the total-positivity trials; size_cap,
+    a positive int, bounds group enumeration.  The report carries no
+    timing, so it is byte-identical across runs.
     """
 
     groups: tuple[str, ...] | None = None
@@ -96,6 +96,10 @@ class RunConfig:
             raise ValueError(f"groups must be nonempty without repeats, got {self.groups!r}")
         if type(self.field) is not int or self.field not in (2, 0):
             raise ValueError(f"field must be 2 or 0, got {self.field!r}")
+        if type(self.seed) is not int or type(self.size_cap) is not int:
+            raise ValueError(f"seed, size_cap must be ints, got {self.seed!r}, {self.size_cap!r}")
+        if self.size_cap <= 0:
+            raise ValueError(f"size_cap must be positive, got {self.size_cap}")
 
     @property
     def sweep_groups(self) -> tuple[str, ...]:

@@ -255,6 +255,12 @@ def test_verify_unknown_group(capsys):
     assert "unknown group" in err
 
 
+def test_verify_refuses_a_zero_cap_before_any_check(capsys):
+    code, out, err = run(capsys, "verify", "--cap", "0")
+    assert code == 2 and out == ""
+    assert "size_cap must be positive" in err
+
+
 def test_verify_repeated_group(capsys):
     for spelling in ("B2", "b2"):
         code, out, err = run(capsys, "verify", "--type", spelling, "--type", "B2")

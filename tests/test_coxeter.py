@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from coxsort import BudgetExceededError, CoxeterSystem, parse_word, word_str
-from coxsort.hecke import bruhat_leq, reduced_words, sorting_subword, weak_leq
+from coxsort.hecke import bruhat_leq, demazure, reduced_words, sorting_subword, weak_leq
 from coxsort.oracles import BraidRewriting, _nil_sweep
 from coxsort.posets import bruhat_interval
 
@@ -214,3 +215,24 @@ def test_element_ordering_and_repr():
     assert [x.word for x in xs] == [(), (2,), (1, 2)]
     assert repr(a2.element((1, 2))) == "<1,2>"
     assert str(a2.identity) == "e"
+
+
+def test_letters_entries_and_caps_must_be_integers():
+    a3 = CoxeterSystem.type_a(3)
+    # floats were truncated and strings parsed: 1.9,2 read as 1,2 and "3" as 3
+    for ask, value in ((lambda: a3.element((1.9, 2)), "1.9"),
+                       (lambda: demazure(a3, (2.5, 2.2)), "2.5"),
+                       (lambda: a3.element(("3",)), "'3'")):
+        with pytest.raises(ValueError, match=f"letter {value} is not an integer"):
+            ask()
+    # [[1, 3.7], [3.7, 1]] built A2, and a cap of 7.9 became 7
+    with pytest.raises(ValueError, match="entry 3.7 is not an integer"):
+        CoxeterSystem([[1, 3.7], [3.7, 1]])
+    with pytest.raises(ValueError, match="size_cap 7.9 is not an integer"):
+        CoxeterSystem.type_a(2, size_cap=7.9)
+    # numpy integers are integers
+    assert a3.element(np.array([1, 2])) == a3.element((1, 2))
+    a2 = CoxeterSystem(np.array([[1, 3], [3, 1]]), size_cap=np.int64(6))
+    assert a2.matrix == ((1, 3), (3, 1)) and len(a2.elements()) == 6
+    assert type(a2.size_cap) is int
+    assert [type(s) for s in a3.check_word(np.array([1, 2]))] == [int, int]

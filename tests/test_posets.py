@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coxsort import CoxeterSystem, hecke
+from coxsort import CoxeterSystem, hecke, posets
 from coxsort.hecke import (_below, bruhat_row, reduced_words, sorting_positions,
                            sorting_subword, weak_leq)
 from coxsort.oracles import (bruhat_leq_bruteforce, bruhat_leq_walk, element_poset,
@@ -454,3 +454,66 @@ def test_induced_intervals_equal_validated_posets():
             inner = P.restrict(P.ground[1:-1])
             assert inner == Poset(inner.ground, inner.leq)
             assert not inner.leq.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_orders_built_by_construction_would_pass_validation(name):
+    # weak intervals, sorting orders of every reduced word and pairwise
+    # intersections on [e, w] skip validation; a validated copy is equal
+    system = named_system(name)
+    for w in system.elements():
+        weak = weak_interval(w)
+        assert type(weak.ground) is tuple and not weak.leq.flags.writeable
+        assert weak == Poset(weak.ground, weak.leq)
+        orders = [bruhat_interval(system.identity, w)]
+        for Q in sorted(reduced_words(w)):
+            P = sorting_order(system, Q)
+            if all(P is not other for other in orders):
+                assert type(P.ground) is tuple and not P.leq.flags.writeable
+                assert P == Poset(P.ground, P.leq)
+                orders.append(P)
+        for i, P in enumerate(orders):
+            for other in orders[i + 1:]:
+                meet = relation_intersection([P, other])
+                assert not meet.leq.flags.writeable
+                assert meet == Poset(meet.ground, meet.leq)
+
+
+def test_orders_built_by_construction_are_not_validated_again(monkeypatch):
+    calls = []
+    real = posets._check_order
+    monkeypatch.setattr(posets, "_check_order", lambda m: calls.append(m) or real(m))
+    h3 = CoxeterSystem.type_h3()
+    w = h3.element((1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 3, 2))
+    sortings = [sorting_order(h3, Q) for Q in sorted(reduced_words(w))]
+    weak = weak_interval(w)
+    relation_intersection(sortings)
+    relation_intersection([weak, weak])
+    assert calls == []
+    Poset(weak.ground, weak.leq)  # a relation passed in is validated
+    assert len(calls) == 1
+
+
+def test_a_sorting_order_with_equal_position_sets_is_refused_and_not_kept(monkeypatch):
+    a3 = CoxeterSystem.type_a(3)
+    w, good, bad = a3.element((1, 2, 1)), (1, 2, 1), (2, 1, 2)
+    real = hecke.sorting_positions
+
+    def equal_rows(system, Q, elements):
+        taken = real(system, Q, elements)
+        if tuple(Q) != bad:
+            return taken
+        taken = taken.copy()
+        taken[2] = taken[1]
+        return taken
+
+    monkeypatch.setattr(hecke, "sorting_positions", equal_rows)
+    for warm in (False, True):
+        a3._op_cache.pop("sorting_order", None)
+        if warm:  # another class of the same product, kept before the fault
+            sorting_order(a3, good)
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            sorting_order(a3, bad)
+        row, bucket = a3._op_cache.get("sorting_order", (None, {}))
+        assert list(bucket) == ([_class_key(a3, good)] if warm else [])
+        assert row == (w.index if warm else None)

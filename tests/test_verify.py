@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import coxsort.errors
-import coxsort.fibermap
 import coxsort.hecke
 import coxsort.homology
 import coxsort.posets
@@ -141,7 +140,12 @@ def test_fault_injection_breaks_contractible_fibers(monkeypatch):
     # a 2-sphere profile for every subword complex that has two facets or more
     sphere = (coxsort.homology.BettiProfile(2, ((2, 1),)),
               coxsort.homology.BettiProfile(0, ((2, 1),)))
-    monkeypatch.setattr(coxsort.fibermap, "_profiles", lambda K: sphere)
+
+    def sphere_profiles(K):
+        K._face_levels()  # the shared route records the face count
+        return sphere
+
+    monkeypatch.setattr(coxsort.homology, "_profiles", sphere_profiles)
     r = run_check("contractible_fibers", SMALL)
     assert not r.passed
     assert len(r.failures) == 16  # the homology cases: 10 in A3, 3 per B2 word
@@ -407,4 +411,15 @@ def test_a_failed_order_pass_is_run_again():
                                     dict(groups=["B2"])])
 def test_run_config_rejects_vacuous_repeated_or_unknown_settings(kwargs):
     with pytest.raises(ValueError, match="groups must|field must"):
+        RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(seed="0"), dict(seed=True), dict(seed=0.0),
+                                    dict(size_cap=2.5), dict(size_cap=True),
+                                    dict(size_cap="50000"), dict(size_cap=0),
+                                    dict(size_cap=-1)])
+def test_run_config_rejects_a_seed_or_size_cap_it_would_not_use_as_given(kwargs):
+    # seed "0" drew other trials than seed 0 under the name "0", and a cap
+    # of 2.5 was reported as 2.5 while groups were built under 2
+    with pytest.raises(ValueError, match="size_cap must be ints|size_cap must be positive"):
         RunConfig(**kwargs)
