@@ -293,7 +293,10 @@ class CoxeterSystem:
     # the table
 
     def _index_of(self, word: Iterable[int]) -> int:
-        word = self.check_word(word)
+        return self._walk(self.check_word(word))
+
+    def _walk(self, word: Word) -> int:
+        """The table row of an already-checked word; builds the table on first use."""
         if self._right is None:
             self._right, self._left, self._inverse, self._words = _build_table(
                 self.matrix, self.size_cap)
@@ -347,7 +350,7 @@ class CoxeterSystem:
         ``size_cap`` elements (in particular for non-finite matrices).
         """
         if self._all_elements is None:
-            self._index_of(())
+            self._walk(())
             self._all_elements = tuple(Element(self, x) for x in range(len(self._words)))
         return self._all_elements
 

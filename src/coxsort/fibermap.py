@@ -47,18 +47,17 @@ def subset_image(system: CoxeterSystem, Q: Iterable[int],
                  positions: Iterable[int]) -> Element:
     """f(S): Demazure product of the subword of Q at the 1-based
     positions S."""
-    Q = tuple(Q)
-    _require_reduced(system, Q)
+    Q, _ = _require_reduced(system, Q)
     S = sorted(set(positions))
     if S and not (1 <= S[0] and S[-1] <= len(Q)):
         raise ValueError(f"positions must lie in 1..{len(Q)}")
     return demazure(system, tuple(Q[j - 1] for j in S))
 
 
-def _mask_images(system: CoxeterSystem, Q: tuple[int, ...]) -> list[int]:
+def _mask_images(system: CoxeterSystem, Q: Iterable[int]) -> list[int]:
     """The table row of f(S) for every mask S; each mask extends
     mask-without-top-bit by one letter, absorbed if it is a right descent."""
-    _require_reduced(system, Q)
+    Q, _ = _require_reduced(system, Q)
     n = len(Q)
     if n > _MASK_CAP:
         raise BudgetExceededError(
@@ -115,8 +114,7 @@ def fiber_up(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozens
 
 def fiber_open(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozenset[int]]:
     """f^{-1} of the open interval (u, w).  Requires u strictly below w."""
-    Q = tuple(Q)
-    w = _require_reduced(system, Q)
+    Q, w = _require_reduced(system, Q)
     if u == w or not bruhat_leq(u, w):
         raise ValueError("open-interval fibers need u strictly below the full product")
     return _fiber(system, Q, u, (u.index, w.index))
@@ -160,8 +158,7 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
     kind and profiles are read off :func:`subword.certify_subword_complex`
     of Delta, so a face budget exceeded on the way names Q and u.
     """
-    Q = tuple(Q)
-    w = _require_reduced(system, Q)
+    Q, w = _require_reduced(system, Q)
     if not bruhat_leq(u, w):
         raise ValueError("u must lie below the product of Q")
     delta = subword_complex(system, Q, u)

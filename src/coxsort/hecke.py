@@ -18,7 +18,8 @@ subword complexes and the sorting orders.
 ``sorting_positions(system, Q, elements)`` runs one greedy pass over ``Q``
 for all targets: each gets the lexicographically first set of positions of
 ``Q`` whose subword is a reduced word for it, and comparing these sets by
-inclusion defines the sorting order of ``Q``.
+inclusion defines the sorting order of ``Q``; it checks its inputs and
+calls the private core ``_sorting_rows``, which takes table rows.
 
 The Bruhat order is ``bruhat_row(v)``, the down-set ``[e, v]`` as a bool
 vector over table rows, built by lifting: for the smallest left descent
@@ -33,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .coxeter import CoxeterSystem, Element, word_str
+from .coxeter import CoxeterSystem, Element, Word, word_str
 
 __all__ = [
     "demazure",
@@ -123,12 +124,13 @@ def weak_leq(u: Element, v: Element) -> bool:
     return u.length + (u.inverse() * v).length == v.length
 
 
-def _require_reduced(system: CoxeterSystem, Q: tuple[int, ...]) -> Element:
-    """The element spelt by Q; raises ValueError unless Q is reduced."""
-    w = system.element(Q)
+def _require_reduced(system: CoxeterSystem, Q: Iterable[int]) -> tuple[Word, Element]:
+    """Q checked, with the element it spells; raises ValueError unless Q is reduced."""
+    Q = system.check_word(Q)
+    w = Element(system, system._walk(Q))
     if w.length != len(Q):
         raise ValueError(f"expected a reduced ambient word; {word_str(Q)} is not reduced")
-    return w
+    return Q, w
 
 
 def _suffix_demazure(system: CoxeterSystem, Q: tuple[int, ...]) -> list[int]:
@@ -156,8 +158,8 @@ def sorting_positions(system: CoxeterSystem, Q: Iterable[int],
     array([[0, 1, 0],
            [1, 0, 0]])
     """
-    Q = system.check_word(Q)
-    below = bruhat_row(_require_reduced(system, Q))
+    Q, w = _require_reduced(system, Q)
+    below = bruhat_row(w)
     elements = tuple(elements)
     if any(u.system is not system and u.system != system for u in elements):
         raise ValueError("element belongs to a different Coxeter system")
@@ -166,7 +168,13 @@ def sorting_positions(system: CoxeterSystem, Q: Iterable[int],
     if len(outside):
         u = elements[outside[0]]
         raise ValueError(f"{u} is not below the product of {word_str(Q)} in Bruhat order")
-    taken = np.zeros((len(elements), len(Q)), dtype=bool)
+    return _sorting_rows(system, Q, target)
+
+
+def _sorting_rows(system: CoxeterSystem, Q: Word, target: np.ndarray) -> np.ndarray:
+    """The greedy pass of :func:`sorting_positions` on an intp array of table
+    rows below the product of the checked reduced word Q; checks nothing."""
+    taken = np.zeros((len(target), len(Q)), dtype=bool)
     for j, s in enumerate(Q):
         shorter = _left_column(system, s - 1)[target]
         taken[:, j] = shorter < target

@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from .coxeter import _integer
 from .homology import BettiProfile, SimplicialComplex, _profiles
 from .posets import Poset
 
@@ -393,7 +394,8 @@ class BraidRewriting:
     """
 
     def __init__(self, matrix: Iterable[Iterable[int]]):
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.matrix = tuple(tuple(_integer(x, "Coxeter matrix entry") for x in row)
+                            for row in matrix)
         self._canon: dict[Word, Word] = {}
         self._closures: dict[Word, frozenset[Word]] = {}
 

@@ -284,15 +284,16 @@ def sorting_order(system: CoxeterSystem, Q: Iterable[int]) -> Poset:
     the bucket, so it never holds more than one element's classes.  A
     relation that raised is not kept.
     """
-    Q = system.check_word(Q)
-    w = hecke.demazure(system, Q)
+    Q, w = hecke._require_reduced(system, Q)
     row, classes = system._op_cache.get("sorting_order", (None, {}))
     if row != w.index:
         classes = {}
     key = _class_key(system, Q)
     if key not in classes:
-        ground = tuple(hecke._below(w))
-        matrix = _sorting_relation(hecke.sorting_positions(system, Q, ground))
+        below = np.flatnonzero(hecke.bruhat_row(w))
+        elements = system.elements()
+        ground = tuple(elements[x] for x in below)
+        matrix = _sorting_relation(hecke._sorting_rows(system, Q, below))
         _check_antisymmetric(matrix)
         classes[key] = Poset._induced(ground, matrix)
         system._op_cache["sorting_order"] = (w.index, classes)

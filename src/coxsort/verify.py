@@ -163,13 +163,14 @@ class Context:
         self._order_records: dict[str, _Recorder] | None = None
 
     def system(self, spec: str) -> CoxeterSystem:
-        if spec not in self._systems:
-            self._systems[spec] = named_system(spec, self.config.size_cap)
-        return self._systems[spec]
+        name = _group_name(spec)
+        if name not in self._systems:
+            self._systems[name] = named_system(name, self.config.size_cap)
+        return self._systems[name]
 
     def register(self, label: str, system: CoxeterSystem) -> None:
         """Attach a prebuilt system (e.g. from a matrix file) under a label."""
-        self._systems[label] = system
+        self._systems[_group_name(label)] = system
 
 
 def _compare_matrices(rec, got, want, ground, gname, w, which):
@@ -210,8 +211,9 @@ def _order_records(ctx: Context) -> dict[str, _Recorder]:
     column of w in the weak relation (03, 04), and read for antisymmetry
     and covers (10).  The relation depends only on the commutation class
     of Q (see :func:`posets.sorting_order`), so the first word of each
-    class computes it and its outcomes, and every word of the class
-    replays them under its own Q.  A pass that raises stores nothing."""
+    class computes it (the greedy core on the rows of [e, w]) and its
+    outcomes, and every word of the class replays them under its own Q.
+    A pass that raises stores nothing."""
     if ctx._order_records is not None:
         return ctx._order_records
     sandwich, meet_rec, join_rec, cover_rec = (_Recorder() for _ in range(4))
@@ -221,6 +223,7 @@ def _order_records(ctx: Context) -> dict[str, _Recorder]:
         for w in system.elements():
             bru_p = posets.bruhat_interval(system.identity, w)
             ground, bru_m = bru_p.ground, bru_p.leq
+            below = np.flatnonzero(hecke.bruhat_row(w))
             weak_m = posets._weak_matrix(ground)
             bru_covers = posets._covers(bru_m)
             rows = np.flatnonzero(weak_m[:, -1])
@@ -233,8 +236,7 @@ def _order_records(ctx: Context) -> dict[str, _Recorder]:
             for Q in sorted(hecke.reduced_words(w)):
                 key = posets._class_key(system, Q)
                 if key not in outcomes:
-                    sort_m = posets._sorting_relation(
-                        hecke.sorting_positions(system, Q, ground))
+                    sort_m = posets._sorting_relation(hecke._sorting_rows(system, Q, below))
                     on_weak_m = sort_m[on_weak]
                     meet &= on_weak_m
                     join |= on_weak_m

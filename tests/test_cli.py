@@ -7,8 +7,10 @@ import coxsort.hecke
 from coxsort import CoxeterSystem, fiber_up
 from coxsort.cli import build_parser, main
 from coxsort.coxeter import DEFAULT_SIZE_CAP, word_str
-from coxsort.fibermap import fiber_open, fiber_up
+from coxsort.fibermap import (certify_fiber_contractible, fiber_open, fiber_up,
+                              subset_image)
 from coxsort.hecke import sorting_positions
+from coxsort.posets import sorting_order
 from coxsort.verify import RunConfig, named_system
 
 
@@ -190,7 +192,11 @@ def test_one_message_for_a_non_reduced_word(capsys):
     assert code == 2
     texts = {err.strip().removeprefix("error: ")}
     for call in (lambda: fiber_up(a3, (1, 1), a3.identity),
-                 lambda: sorting_positions(a3, (1, 1), [a3.identity])):
+                 lambda: sorting_positions(a3, (1, 1), [a3.identity]),
+                 lambda: sorting_order(a3, (1, 1)),
+                 lambda: subset_image(a3, (1, 1), (1,)),
+                 lambda: fiber_open(a3, (1, 1), a3.identity),
+                 lambda: certify_fiber_contractible(a3, (1, 1), a3.identity)):
         with pytest.raises(ValueError) as info:
             call()
         texts.add(str(info.value))
@@ -269,18 +275,17 @@ def test_verify_repeated_group(capsys):
 
 
 def test_verify_reports_failure_exit_code(monkeypatch, capsys):
-    real = coxsort.hecke.sorting_positions
+    real = coxsort.hecke._sorting_rows
 
-    def swapped(system, Q, elements):
+    def swapped(system, Q, target):
         # misreport the rows of the two atoms of rank-2 groups when both are asked for
-        elements = tuple(elements)
-        taken = real(system, Q, elements).copy()
-        atoms = [i for i, u in enumerate(elements) if u.length == 1]
+        taken = real(system, Q, target).copy()
+        atoms = [i for i, x in enumerate(target) if system.elements()[x].length == 1]
         if system.rank == 2 and len(atoms) == 2:
             taken[atoms] = taken[atoms[::-1]]
         return taken
 
-    monkeypatch.setattr(coxsort.hecke, "sorting_positions", swapped)
+    monkeypatch.setattr(coxsort.hecke, "_sorting_rows", swapped)
     code, out, _ = run(capsys, "verify", "--type", "B2")
     assert code == 1
     report = json.loads(out)

@@ -5,11 +5,12 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from coxsort import CoxeterSystem
 from coxsort.hecke import bruhat_leq
-from coxsort.oracles import (bruhat_leq_bruteforce, canonical_word_bruteforce,
+from coxsort.oracles import (BraidRewriting, bruhat_leq_bruteforce, canonical_word_bruteforce,
                              contains_reduced_word_bruteforce, dihedral_model,
                              even_signed_permutation_model, permutation_model,
                              signed_permutation_model, sorting_subword_bruteforce)
@@ -172,3 +173,12 @@ def test_letters_outside_the_rank_raise():
         with pytest.raises(ValueError, match=rf"letter {bad} is not a generator.* rank 3"):
             call()
     assert model.product(()) == model.identity
+
+
+def test_braid_rewriting_reads_matrix_entries_as_integers():
+    oracle = BraidRewriting(np.array([[1, 3], [3, 1]]))
+    assert oracle.matrix == ((1, 3), (3, 1))
+    assert all(type(x) is int for row in oracle.matrix for x in row)
+    for entry in (3.7, "3"):
+        with pytest.raises(ValueError, match=f"Coxeter matrix entry {entry!r} is not an integer"):
+            BraidRewriting([[1, entry], [entry, 1]])

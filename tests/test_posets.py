@@ -494,20 +494,36 @@ def test_orders_built_by_construction_are_not_validated_again(monkeypatch):
     assert len(calls) == 1
 
 
+def test_sorting_order_checks_its_word_once(monkeypatch):
+    a3 = CoxeterSystem.type_a(3)
+    real = CoxeterSystem.check_word
+    calls = []
+
+    def counted(self, word):
+        calls.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(CoxeterSystem, "check_word", counted)
+    for Q in ((1, 2, 1), (2, 1, 2), (1, 2, 1)):  # a cold class, another, then a hit
+        calls.clear()
+        sorting_order(a3, Q)
+        assert calls == [Q]
+
+
 def test_a_sorting_order_with_equal_position_sets_is_refused_and_not_kept(monkeypatch):
     a3 = CoxeterSystem.type_a(3)
     w, good, bad = a3.element((1, 2, 1)), (1, 2, 1), (2, 1, 2)
-    real = hecke.sorting_positions
+    real = hecke._sorting_rows
 
-    def equal_rows(system, Q, elements):
-        taken = real(system, Q, elements)
+    def equal_rows(system, Q, target):
+        taken = real(system, Q, target)
         if tuple(Q) != bad:
             return taken
         taken = taken.copy()
         taken[2] = taken[1]
         return taken
 
-    monkeypatch.setattr(hecke, "sorting_positions", equal_rows)
+    monkeypatch.setattr(hecke, "_sorting_rows", equal_rows)
     for warm in (False, True):
         a3._op_cache.pop("sorting_order", None)
         if warm:  # another class of the same product, kept before the fault

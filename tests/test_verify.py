@@ -122,12 +122,12 @@ def _drop_last_position(taken, more_than):
 
 
 def test_fault_injection_breaks_sandwich(monkeypatch):
-    real = coxsort.hecke.sorting_positions
+    real = coxsort.hecke._sorting_rows
 
-    def truncated(system, Q, elements):
-        return _drop_last_position(real(system, Q, elements), 0)
+    def truncated(system, Q, target):
+        return _drop_last_position(real(system, Q, target), 0)
 
-    monkeypatch.setattr(coxsort.hecke, "sorting_positions", truncated)
+    monkeypatch.setattr(coxsort.hecke, "_sorting_rows", truncated)
     r = run_check("sorting_sandwich", SMALL)
     assert not r.passed
     assert r.failures
@@ -170,12 +170,12 @@ def test_fault_injection_breaks_ball_sphere_classification(monkeypatch):
 def test_corrupted_sorting_relation_gives_a_red_report(monkeypatch):
     # equal position rows make some sorting relations non-antisymmetric;
     # the sweep records that instead of raising
-    real = coxsort.hecke.sorting_positions
+    real = coxsort.hecke._sorting_rows
 
-    def truncated(system, Q, elements):
-        return _drop_last_position(real(system, Q, elements), 0)
+    def truncated(system, Q, target):
+        return _drop_last_position(real(system, Q, target), 0)
 
-    monkeypatch.setattr(coxsort.hecke, "sorting_positions", truncated)
+    monkeypatch.setattr(coxsort.hecke, "_sorting_rows", truncated)
     report = run_verification(RunConfig())
     failed = {r["name"] for r in report["theorem_results"] if not r["passed"]}
     assert failed == {"sorting_sandwich", "sorting_intersection", "sorting_union",
@@ -320,14 +320,14 @@ ORDER_CHECKS = ("sorting_sandwich", "sorting_intersection", "sorting_union",
 
 
 def test_order_checks_sort_each_word_once(monkeypatch):
-    real = coxsort.hecke.sorting_positions
+    real = coxsort.hecke._sorting_rows
     calls = []
 
-    def counted(system, Q, elements):
+    def counted(system, Q, target):
         calls.append(Q)
-        return real(system, Q, elements)
+        return real(system, Q, target)
 
-    monkeypatch.setattr(coxsort.hecke, "sorting_positions", counted)
+    monkeypatch.setattr(coxsort.hecke, "_sorting_rows", counted)
     ctx = Context(SMALL)
     for name in ORDER_CHECKS:
         assert run_check(name, ctx=ctx).passed
@@ -335,15 +335,33 @@ def test_order_checks_sort_each_word_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 9
 
 
+def test_order_checks_call_the_greedy_core_not_sorting_positions(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the order pass called sorting_positions")
+
+    monkeypatch.setattr(coxsort.hecke, "sorting_positions", refused)
+    ctx = Context(RunConfig(groups=("A3", "B2")))
+    for name in ORDER_CHECKS:
+        assert run_check(name, ctx=ctx).passed
+
+
+def test_a_group_spelt_two_ways_is_built_once():
+    ctx = Context(RunConfig(groups=("b2",)))
+    assert ctx.system("b2") is ctx.system("B2") is ctx.system(" B02")
+    run_check("sorting_sandwich", ctx=ctx)
+    run_check("b2_reference_orders", ctx=ctx)
+    assert list(ctx._systems) == ["B2"]
+
+
 def test_order_checks_sort_each_commutation_class_once(monkeypatch):
-    real = coxsort.hecke.sorting_positions
+    real = coxsort.hecke._sorting_rows
     calls = []
 
-    def counted(system, Q, elements):
+    def counted(system, Q, target):
         calls.append(Q)
-        return real(system, Q, elements)
+        return real(system, Q, target)
 
-    monkeypatch.setattr(coxsort.hecke, "sorting_positions", counted)
+    monkeypatch.setattr(coxsort.hecke, "_sorting_rows", counted)
     ctx = Context(RunConfig(groups=("A3",)))
     for name in ORDER_CHECKS:
         assert run_check(name, ctx=ctx).passed
@@ -359,18 +377,18 @@ def test_a_corrupted_class_fails_under_each_of_its_words(monkeypatch):
     words = sorted(Q for Q in coxsort.hecke.reduced_words(w)
                    if coxsort.posets._class_key(a3, Q) == key)
     assert len(words) == 4 < len(coxsort.hecke.reduced_words(w))
-    real = coxsort.hecke.sorting_positions
+    real = coxsort.hecke._sorting_rows
 
-    def corrupted(system, Q, elements):
+    def corrupted(system, Q, target):
         # the row of w, the last element, loses its last position
-        taken = real(system, Q, elements)
+        taken = real(system, Q, target)
         if coxsort.posets._class_key(system, Q) != key:
             return taken
         taken = taken.copy()
         taken[-1, np.flatnonzero(taken[-1])[-1]] = False
         return taken
 
-    monkeypatch.setattr(coxsort.hecke, "sorting_positions", corrupted)
+    monkeypatch.setattr(coxsort.hecke, "_sorting_rows", corrupted)
     ctx = Context(RunConfig(groups=("A3",)))
     sandwich = run_check("sorting_sandwich", ctx=ctx)
     covers = run_check("cover_containment", ctx=ctx)
