@@ -165,10 +165,9 @@ def cmd_fibers(args) -> int:
     system = _resolve_system(args)
     if args.Q is None:
         raise ValueError("fibers needs --Q (a reduced word)")
-    Q = system.check_word(parse_word(args.Q))
-    # table row -> masks sent there; raises ValueError unless Q is reduced
+    Q, w = hecke._require_reduced(system, parse_word(args.Q))
+    # table row -> masks sent there
     images = Counter(fibermap._mask_images(system, Q))
-    w = system.element(Q)
     rows = []
     for u in hecke._below(w):
         report = fibermap.certify_fiber_contractible(system, Q, u)

@@ -26,7 +26,7 @@ from .errors import BudgetExceededError
 from .hecke import _require_reduced, bruhat_leq, bruhat_row, demazure
 from .homology import BettiProfile, _OrderComplex, _field_index, _shared_profiles
 from .posets import bruhat_interval
-from .subword import _certify, _positions, subword_complex
+from .subword import SubwordComplex, _certify, _fold, _positions
 
 __all__ = [
     "subset_image",
@@ -54,10 +54,10 @@ def subset_image(system: CoxeterSystem, Q: Iterable[int],
     return demazure(system, tuple(Q[j - 1] for j in S))
 
 
-def _mask_images(system: CoxeterSystem, Q: Iterable[int]) -> list[int]:
-    """The table row of f(S) for every mask S; each mask extends
-    mask-without-top-bit by one letter, absorbed if it is a right descent."""
-    Q, _ = _require_reduced(system, Q)
+def _mask_images(system: CoxeterSystem, Q: tuple[int, ...]) -> list[int]:
+    """The table row of f(S) for every mask S of a checked reduced word Q;
+    each mask extends mask-without-top-bit by one letter, absorbed if it is
+    a right descent."""
     n = len(Q)
     if n > _MASK_CAP:
         raise BudgetExceededError(
@@ -80,7 +80,7 @@ def check_order_preserving(system: CoxeterSystem, Q: Iterable[int]) -> bool:
     position j in S.  This is exact for every word up to the mask cap of
     16 letters; the Bruhat relation is read once per distinct image.
     """
-    Q = tuple(Q)
+    Q, _ = _require_reduced(system, Q)
     imgs = np.array(_mask_images(system, Q), dtype=np.intp)
     elements = system.elements()
     images, rank = np.unique(imgs, return_inverse=True)
@@ -109,7 +109,8 @@ def fiber_up(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozens
     """f^{-1} of the upper interval [u, w]: all position sets whose
     image dominates u.  These are exactly the complements of the faces
     of the subword complex of (Q, u)."""
-    return _fiber(system, tuple(Q), u)
+    Q, _ = _require_reduced(system, Q)
+    return _fiber(system, Q, u)
 
 
 def fiber_open(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozenset[int]]:
@@ -161,7 +162,7 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
     Q, w = _require_reduced(system, Q)
     if not bruhat_leq(u, w):
         raise ValueError("u must lie below the product of Q")
-    delta = subword_complex(system, Q, u)
+    delta = SubwordComplex._folded(system, Q, u, *_fold(system, Q))
     report = _certify(delta, {})
     size = delta.num_faces()
     if len(delta._facet_masks) == 1:

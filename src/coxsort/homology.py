@@ -23,10 +23,38 @@ span of the rows kept: the rank does not change.  Only rows that would
 have reduced to zero are lost, so the rows eliminated out of the k-vertex
 faces number f_k - rank(boundary out of the (k+1)-vertex faces).
 
+An order complex is eliminated relative to a contractible subcomplex.
+Its faces are the chains of a poset, so it is a flag complex: a vertex
+set is a face as soon as its vertices are pairwise comparable.  Take a
+maximal chain sigma, and let L be the union of the closed stars st(v) =
+{c : c + {v} is a chain} over the v in sigma.  Any j of these stars meet
+in the chains c for which c + {v_1, ..., v_j} is a chain, since the
+complex is flag; that intersection is a cone over v_1, so contractible,
+and it is never empty, since sigma is a chain.  By the nerve lemma
+(Bjorner, "Topological methods", Handbook of Combinatorics 1995, Thm
+10.6), L is homotopy equivalent to the nerve of its stars, a simplex, so
+L is contractible and its reduced homology vanishes over every field.
+The long exact sequence of the pair (Delta, L),
+... -> H~_n(L) -> H~_n(Delta) -> H_n(Delta, L) -> H~_(n-1)(L) -> ...,
+then gives H~_n(Delta) = H_n(Delta, L) for every n, over GF(2) and over
+Q.  The relative chain complex C(Delta, L) = C~(Delta) / C~(L) has as
+basis the faces outside L: the chains that hold, for every v in sigma,
+an element incomparable with v.  L holds the empty face, so there is no
+augmentation, and the boundary is that of Delta with the faces of L
+dropped, zero columns.  (The empty order has sigma empty and L void, and
+keeps its one face.)  On the B3 intervals (e, w) of lengths 6 and 7
+this leaves 4,204 of 41,194 faces.  Clearing and the count of eliminated
+rows above use only that the rows are boundaries in a finite chain
+complex with one basis per degree and boundary matrices over an ordered
+basis, so they hold on C(Delta, L) as they stand.  A subword complex is
+not flag, and it is eliminated in full: relative to the void complex,
+whose augmented chain complex is zero.
+
 A cone needs no elimination.  When some vertex lies in every facet (in an
 order complex: some element is comparable to every element), the complex
 is a cone over that vertex and so contractible, and both profiles are
-trivial; this is a proof, and no boundary matrix is built.
+trivial; this is a proof, and no boundary matrix is built.  It is the
+case L = Delta of the relative route, which would leave no face.
 
 There is one face budget, :data:`DEFAULT_FACE_BUDGET`, read at each call.
 Every reading of the faces counts them against it first, cone or not,
@@ -131,6 +159,13 @@ class SimplicialComplex:
         """Equal keys make the same complex on the same ordered vertices:
         the vertex count and the sorted facet masks."""
         return len(self.vertices), tuple(sorted(self._facet_masks))
+
+    def _relative_levels(self, levels: list[list[int]]) -> list[list[int]]:
+        """The faces of ``levels`` outside a subcomplex L with no reduced
+        homology, which :func:`_profiles` eliminates in place of every
+        face.  Here L is void and every face is kept: the argument for
+        order complexes needs a flag complex (see the module docstring)."""
+        return levels
 
     def _face_levels(self, budget: int | None = None) -> list[list[int]]:
         """``levels[k]``: the faces with k vertices (dimension k - 1) as
@@ -274,8 +309,9 @@ def _boundary_rows(levels: list[list[int]], k: int, p: int, skip: Container[int]
     """Rows of the boundary map from the k-vertex faces, except those at
     the positions ``skip``, to the (k-1)-vertex faces, whose positions in
     ``levels[k - 1]`` are the columns: bitmasks of columns over GF(2)
-    (p = 2), ``{column: +-1}`` over Q (p = 0)."""
-    column = {mask: i for i, mask in enumerate(levels[k - 1])}
+    (p = 2), ``{column: +-1}`` over Q (p = 0).  A face missing from
+    ``levels[k - 1]`` lies in the subcomplex taken out: a zero column."""
+    column = {mask: i for i, mask in enumerate(levels[k - 1])}.get
     rows: list = []
     for i, f in enumerate(levels[k]):
         if i in skip:
@@ -285,13 +321,15 @@ def _boundary_rows(levels: list[list[int]], k: int, p: int, skip: Container[int]
             row = 0
             while rest:
                 low = rest & -rest
-                row |= 1 << column[f ^ low]
+                if (j := column(f ^ low)) is not None:
+                    row |= 1 << j
                 rest ^= low
         else:
             row, sign = {}, 1
             while rest:
                 low = rest & -rest
-                row[column[f ^ low]] = sign
+                if (j := column(f ^ low)) is not None:
+                    row[j] = sign
                 rest ^= low
                 sign = -sign
         rows.append(row)
@@ -305,9 +343,9 @@ def _betti_counts(levels: list[list[int]], p: int) -> tuple[tuple[int, int], ...
     the module docstring)."""
     eliminate = _pivots_gf2 if p == 2 else _pivots_q
     # ranks[k]: rank of the boundary out of the k-vertex faces; the
-    # augmentation sends every vertex to the empty face
+    # augmentation sends every vertex to the empty face, if there is one
     ranks = [0] * (len(levels) + 1)
-    ranks[1] = 1 if len(levels) > 1 else 0
+    ranks[1] = 1 if levels[0] and len(levels) > 1 else 0
     cleared: set[int] = set()
     for k in range(len(levels) - 1, 1, -1):
         cleared = eliminate(_boundary_rows(levels, k, p, cleared))
@@ -318,12 +356,14 @@ def _betti_counts(levels: list[list[int]], p: int) -> tuple[tuple[int, int], ...
 
 def _profiles(K: SimplicialComplex) -> tuple[BettiProfile, BettiProfile]:
     """Reduced Betti numbers of ``K`` over GF(2) and over the rationals,
-    from one GF(2) pass; see :func:`reduced_betti` for when the rational
-    profile is read off it.  A cone, once its faces are counted against the
-    face budget, gets the trivial profiles with no pass at all."""
+    from one GF(2) pass over the faces ``K._relative_levels`` keeps; see
+    :func:`reduced_betti` for when the rational profile is read off it.  A
+    cone, once its faces are counted against the face budget, gets the
+    trivial profiles with no pass at all."""
     levels = K._face_levels()
     if K._is_cone():
         return BettiProfile(2, ()), BettiProfile(0, ())
+    levels = K._relative_levels(levels)
     gf2 = _betti_counts(levels, 2)
     rational = _betti_counts(levels, 0) if len({d % 2 for d, _ in gf2}) > 1 else gf2
     return BettiProfile(2, gf2), BettiProfile(0, rational)
@@ -341,7 +381,10 @@ def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2) -> BettiProf
     share the GF(2) sum while each is bounded by its GF(2) term: the
     profiles are equal (spheres, balls, ``{}``, ``{-1: 1}``).  Only mixed
     parity, as in the projective plane (GF(2) {1: 1, 2: 1}, Q {}), runs
-    integer elimination.
+    integer elimination.  The argument holds for any finite chain complex
+    of free abelian groups with integer boundary matrices, so it covers the
+    relative complex C(Delta, L) that an order complex is eliminated as
+    (see the module docstring) as well as the augmented one.
 
     >>> two_points = SimplicialComplex("ab", [{"a"}, {"b"}])
     >>> reduced_betti(two_points).numbers
@@ -389,7 +432,10 @@ class _OrderComplex(SimplicialComplex):
     mask over ``ground``; each chain is made once, by extending a shorter
     one by a strict upper bound of its top element.  The facets, the
     maximal chains, are read off those chains, so every reading of
-    ``facets`` counts them against the face budget."""
+    ``facets`` counts them against the face budget.  Its homology is that
+    of the pair (Delta, L), L the union of the stars of one maximal chain
+    (``_relative_levels`` and the module docstring), which leaves a small
+    part of the chains to eliminate."""
 
     def __init__(self, ground: tuple, leq: np.ndarray):
         self.vertices = ground
@@ -419,6 +465,29 @@ class _OrderComplex(SimplicialComplex):
         """Equal keys make the same order, so the same chains, on the same
         ordered vertices: the vertex count and the packed relation."""
         return len(self.vertices), np.packbits(self._leq).tobytes()
+
+    def _relative_levels(self, levels: list[list[int]]) -> list[list[int]]:
+        """The chains outside L, the union of the stars of a maximal chain
+        sigma: those that hold, for every v in sigma, an element
+        incomparable with v.  sigma is built greedily: the elements in
+        decreasing order of how many elements each is comparable with, ties
+        by index, each kept when it is comparable with all kept so far.
+        Every element left out is incomparable with one kept, so sigma is
+        maximal."""
+        n = len(self.vertices)
+        packed = np.packbits(self._leq | self._leq.T, axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        # comparable[i]: the mask of the elements comparable with i, i included
+        comparable = [int.from_bytes(data[i * width:(i + 1) * width], "little")
+                      for i in range(n)]
+        kept = 0
+        for i in sorted(range(n), key=lambda i: -comparable[i].bit_count()):
+            if not kept & ~comparable[i]:
+                kept |= 1 << i
+                outside = ~comparable[i]
+                levels = [[m for m in level if m & outside] for level in levels]
+        return levels
 
     def _enumerate(self, budget: int) -> list[list[int]]:
         """The chains by size.  The size of each level is counted from the

@@ -272,6 +272,33 @@ def test_one_complex_per_certificate(monkeypatch):
         assert len(built) == 1
 
 
+def test_each_fiber_function_checks_its_word_once(monkeypatch):
+    a3, b2 = CoxeterSystem.type_a(3), CoxeterSystem.type_b(2)
+    Q, u = (1, 2, 3, 1, 2, 1), a3.element((1,))
+    calls = []
+    real = CoxeterSystem.check_word
+
+    def counted(self, word):
+        calls.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(CoxeterSystem, "check_word", counted)
+    for call in (lambda: fiber_open(a3, Q, u), lambda: fiber_up(a3, Q, u),
+                 lambda: check_order_preserving(a3, Q),
+                 lambda: certify_fiber_contractible(a3, Q, u)):
+        calls.clear()
+        call()
+        assert calls == [Q]
+    # the errors are those of the calls that checked twice
+    for call in (fiber_open, fiber_up, certify_fiber_contractible):
+        with pytest.raises(ValueError, match="not reduced"):
+            call(a3, (1, 1), u)
+        with pytest.raises(ValueError, match="different Coxeter systems"):
+            call(a3, Q, b2.element((1,)))
+    with pytest.raises(ValueError, match="not reduced"):
+        check_order_preserving(a3, (1, 1))
+
+
 def test_certify_interval_sphere():
     a3 = CoxeterSystem.type_a(3)
     e, w0 = a3.identity, a3.longest_element()

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import coxsort.homology
 from coxsort import (BudgetExceededError, CoxeterSystem, certify_subword_complex,
                      subword_complex)
+from coxsort.fibermap import certify_interval_sphere
 from coxsort.hecke import bruhat_leq, demazure
 from coxsort.homology import (DEFAULT_FACE_BUDGET, BettiProfile, SimplicialComplex,
                               _betti_counts, _boundary_rows, _pivots_gf2, _pivots_q,
@@ -230,14 +232,18 @@ def test_parity_rule_agrees_with_elimination_on_subword_complexes():
     assert checked == 649 + 737 + 2883
 
 
-def _b3_open_intervals():
-    """(u, w, open interval) for every u < w of B3 with l(w) - l(u) <= 6."""
-    b3 = CoxeterSystem.type_b(3)
-    for w in b3.elements():
-        for u in b3.elements():
+def _open_intervals(system):
+    """(u, w, open interval) for every u < w of ``system`` with
+    2 <= l(w) - l(u) <= 6."""
+    for w in system.elements():
+        for u in system.elements():
             if 2 <= w.length - u.length <= 6 and bruhat_leq(u, w):
                 closed = bruhat_interval(u, w)
                 yield u, w, closed.restrict([x for x in closed.ground if x not in (u, w)])
+
+
+def _b3_open_intervals():
+    return _open_intervals(CoxeterSystem.type_b(3))
 
 
 def test_parity_rule_agrees_with_elimination_on_b3_intervals():
@@ -338,12 +344,14 @@ def _open_interval_complex(system, w):
 def test_clearing_eliminates_only_rows_that_can_lead(monkeypatch):
     # top down, the rows eliminated out of the k-vertex faces number
     # f_k - rank(boundary out of the (k+1)-vertex faces): the cleared faces
-    # are exactly the pivots of the matrix above
+    # are exactly the pivots of the matrix above; f_k counts the faces the
+    # elimination sees, all of them or, in an order complex, those outside
+    # the stars of one maximal chain
     b3 = CoxeterSystem.type_b(3)
     interval = _open_interval_complex(b3, next(w for w in b3.elements() if w.length == 6))
     for K, field, name in ((OCTAHEDRON, 2, "_pivots_gf2"), (interval, 2, "_pivots_gf2"),
                            (PROJECTIVE_PLANE, 0, "_pivots_q")):
-        levels = K._face_levels()
+        levels = K._relative_levels(K._face_levels())
         real = getattr(coxsort.homology, name)
         full = {k: len(real(_boundary_rows(levels, k, field, ()))) for k in range(2, len(levels))}
         full[len(levels)] = 0
@@ -355,6 +363,144 @@ def test_clearing_eliminates_only_rows_that_can_lead(monkeypatch):
         assert eliminated == [len(levels[k]) - full[k + 1] for k in range(top, 1, -1)]
         assert sum(eliminated) < sum(map(len, levels[2:]))
         monkeypatch.undo()
+
+
+def _full_counts(K):
+    """Both Betti profiles of ``K`` by elimination on every face, the
+    empty face included."""
+    levels = K._face_levels()
+    return _betti_counts(levels, 2), _betti_counts(levels, 0)
+
+
+def _outside_stars(P, sigma):
+    """The chain levels of ``order_complex(P)`` outside the stars of the
+    elements at the positions ``sigma``: the chains that hold, for each v in
+    ``sigma``, an element incomparable with v, read off the relation."""
+    comparable = P.leq | P.leq.T
+    n = len(P)
+    return [[m for m in level
+             if all(any(m >> x & 1 and not comparable[v, x] for x in range(n)) for v in sigma)]
+            for level in order_complex(P)._face_levels()]
+
+
+def _greedy_chain(P):
+    """The elements by decreasing number of comparable elements, ties by
+    index, each kept when comparable with every element kept before."""
+    comparable = P.leq | P.leq.T
+    chain = []
+    for i in sorted(range(len(P)), key=lambda i: (-int(comparable[i].sum()), i)):
+        if all(comparable[i, j] for j in chain):
+            chain.append(i)
+    return chain
+
+
+def _random_orders(seed, count):
+    """Seeded partial orders on up to 9 elements: the transitive closure of
+    random relations i < j at one of four densities."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 9)
+        density = rng.choice((0.1, 0.25, 0.4, 0.6))
+        leq = np.eye(n, dtype=bool)
+        for i, j in itertools.combinations(range(n), 2):
+            leq[i, j] = rng.random() < density
+        for k in range(n):
+            leq |= leq[:, [k]] & leq[[k], :]
+        yield Poset(range(n), leq)
+
+
+@pytest.mark.parametrize("system, count", [(CoxeterSystem.type_b(2), 13),
+                                           (CoxeterSystem.type_a(3), 131),
+                                           (CoxeterSystem.type_b(3), 635)],
+                         ids=["B2", "A3", "B3"])
+def test_relative_route_equals_full_elimination_on_open_intervals(system, count):
+    checked = 0
+    for _, _, inner in _open_intervals(system):
+        K = order_complex(inner)
+        assert tuple(p.counts for p in _profiles(K)) == _full_counts(K)
+        checked += 1
+    assert checked == count
+
+
+def test_relative_route_equals_full_elimination_on_random_orders():
+    seen = set()
+    for P in _random_orders(0, 400):
+        K = order_complex(P)
+        profiles = tuple(p.counts for p in _profiles(K))
+        assert profiles == _full_counts(K), P.leq
+        seen.add(profiles[0])
+    # wedges of spheres, the empty complex, and a mixed profile are among them
+    assert {(), ((-1, 1),), ((0, 7),), ((1, 3),), ((0, 1), (1, 2))} <= seen
+
+
+# a circle and an octahedron sharing the vertex 1
+CIRCLE_WEDGE_SPHERE = SimplicialComplex(
+    range(1, 9),
+    [(1, 2), (2, 3), (1, 3)] + [(a, b, c) for a in (1, 4) for b in (5, 6) for c in (7, 8)])
+
+
+@pytest.mark.parametrize("base, rational", [(PROJECTIVE_PLANE, {}),
+                                            (CIRCLE_WEDGE_SPHERE, {1: 1, 2: 1})],
+                         ids=["RP2", "S1vS2"])
+def test_relative_route_runs_integer_elimination_on_subdivisions(monkeypatch, base, rational):
+    # the order complex of the face poset is the barycentric subdivision;
+    # GF(2) {1: 1, 2: 1} has mixed parity, so integer elimination runs, on
+    # the chains outside the stars.  With every boundary sign +1 these two
+    # subdivisions still give the same ranks, but the wedge itself, whose
+    # faces are all eliminated, does not: its circle would be no cycle.
+    K = order_complex(face_poset(base))
+    assert [p.numbers for p in _profiles(base)] == [{1: 1, 2: 1}, rational]
+    real = coxsort.homology._pivots_q
+    rows = []
+    monkeypatch.setattr(coxsort.homology, "_pivots_q",
+                        lambda r: rows.append(len(r)) or real(r))
+    assert [p.numbers for p in _profiles(K)] == [{1: 1, 2: 1}, rational]
+    relative = K._relative_levels(K._face_levels())
+    assert 0 < sum(rows) <= sum(map(len, relative[2:])) < sum(map(len, K._face_levels()[2:]))
+    monkeypatch.undo()
+    assert tuple(p.counts for p in _profiles(K)) == _full_counts(K)
+
+
+def test_relative_levels_are_the_chains_outside_the_stars_of_a_maximal_chain():
+    face_posets = [face_poset(K) for K in (CIRCLE, OCTAHEDRON, PROJECTIVE_PLANE, NON_PURE)]
+    for P in itertools.chain((inner for _, _, inner in _b3_open_intervals()),
+                             _random_orders(1, 100), face_posets):
+        K = order_complex(P)
+        sigma = _greedy_chain(P)
+        comparable = P.leq | P.leq.T
+        assert comparable[np.ix_(sigma, sigma)].all()  # a chain, and a maximal one
+        assert all(not comparable[x, sigma].all() for x in range(len(P)) if x not in sigma)
+        relative = K._relative_levels(K._face_levels())
+        assert relative == _outside_stars(P, sigma)
+        # the empty face lies in every star, so only the empty order keeps it
+        assert (relative[0] == [0]) == (len(P) == 0)
+
+
+def test_any_chain_gives_the_homology_and_two_incomparable_elements_do_not(monkeypatch):
+    # L is contractible for the stars of any chain, a single element
+    # included; for two incomparable elements the stars can meet in a
+    # non-contractible set, and the planted relative route is wrong
+    changed = checked = 0
+    pairs = []
+    for u, w, P in _b3_open_intervals():
+        K = order_complex(P)
+        full = _full_counts(K)[0]
+        for v in range(0, len(P), 7):  # every seventh element keeps the test short
+            assert _betti_counts(_outside_stars(P, [v]), 2) == full
+        comparable = P.leq | P.leq.T
+        pair = next(p for p in itertools.combinations(range(len(P)), 2) if not comparable[p])
+        wrong = _betti_counts(_outside_stars(P, pair), 2)
+        changed += wrong != full
+        checked += 1
+        if wrong != full and w.length - u.length == 4:
+            pairs.append((u, w, P, pair))
+    assert (changed, checked) == (262, 635)
+    # planted in the hook, the fault turns the sphere certificates red
+    u, w, P, pair = pairs[0]
+    monkeypatch.setattr(coxsort.homology._OrderComplex, "_relative_levels",
+                        lambda self, levels: _outside_stars(P, pair))
+    report = certify_interval_sphere(u, w)
+    assert report.expected_dim == 2 and not report.matches
 
 
 def test_order_complex_face_budget_whatever_the_cache_state(monkeypatch):
