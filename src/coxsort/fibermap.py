@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .coxeter import CoxeterSystem, Element
+from .coxeter import CoxeterSystem, Element, _integer
 from .errors import BudgetExceededError
 from .hecke import _require_reduced, bruhat_leq, bruhat_row, demazure
 from .homology import BettiProfile, _OrderComplex, _field_index, _shared_profiles
@@ -46,9 +46,9 @@ _MASK_CAP = 16
 def subset_image(system: CoxeterSystem, Q: Iterable[int],
                  positions: Iterable[int]) -> Element:
     """f(S): Demazure product of the subword of Q at the 1-based
-    positions S."""
+    positions S, each an integer (numpy ones included)."""
     Q, _ = _require_reduced(system, Q)
-    S = sorted(set(positions))
+    S = sorted({_integer(j, "position") for j in positions})
     if S and not (1 <= S[0] and S[-1] <= len(Q)):
         raise ValueError(f"positions must lie in 1..{len(Q)}")
     return demazure(system, tuple(Q[j - 1] for j in S))

@@ -23,38 +23,38 @@ span of the rows kept: the rank does not change.  Only rows that would
 have reduced to zero are lost, so the rows eliminated out of the k-vertex
 faces number f_k - rank(boundary out of the (k+1)-vertex faces).
 
-An order complex is eliminated relative to a contractible subcomplex.
-Its faces are the chains of a poset, so it is a flag complex: a vertex
-set is a face as soon as its vertices are pairwise comparable.  Take a
-maximal chain sigma, and let L be the union of the closed stars st(v) =
-{c : c + {v} is a chain} over the v in sigma.  Any j of these stars meet
-in the chains c for which c + {v_1, ..., v_j} is a chain, since the
-complex is flag; that intersection is a cone over v_1, so contractible,
-and it is never empty, since sigma is a chain.  By the nerve lemma
-(Bjorner, "Topological methods", Handbook of Combinatorics 1995, Thm
-10.6), L is homotopy equivalent to the nerve of its stars, a simplex, so
-L is contractible and its reduced homology vanishes over every field.
-The long exact sequence of the pair (Delta, L),
+Every complex is eliminated relative to a subcomplex L with no reduced
+homology over any field, which its one hook, ``_relative_levels``,
+names.  The long exact sequence of the pair (Delta, L),
 ... -> H~_n(L) -> H~_n(Delta) -> H_n(Delta, L) -> H~_(n-1)(L) -> ...,
-then gives H~_n(Delta) = H_n(Delta, L) for every n, over GF(2) and over
-Q.  The relative chain complex C(Delta, L) = C~(Delta) / C~(L) has as
-basis the faces outside L: the chains that hold, for every v in sigma,
-an element incomparable with v.  L holds the empty face, so there is no
+then gives H~_n(Delta) = H_n(Delta, L) for every n, over GF(2) and Q.
+The relative chain complex C(Delta, L) = C~(Delta) / C~(L) has as basis
+the faces outside L; when L holds the empty face there is no
 augmentation, and the boundary is that of Delta with the faces of L
-dropped, zero columns.  (The empty order has sigma empty and L void, and
-keeps its one face.)  On the B3 intervals (e, w) of lengths 6 and 7
-this leaves 4,204 of 41,194 faces.  Clearing and the count of eliminated
-rows above use only that the rows are boundaries in a finite chain
-complex with one basis per degree and boundary matrices over an ordered
-basis, so they hold on C(Delta, L) as they stand.  A subword complex is
-not flag, and it is eliminated in full: relative to the void complex,
-whose augmented chain complex is zero.
+dropped, zero columns.  Clearing and the count of eliminated rows above
+use only that the rows are boundaries in a finite chain complex with one
+basis per degree, so they hold on C(Delta, L) as they stand.  When some
+vertex lies in every facet, the complex is a cone, the closed star of
+that vertex, so contractible: L is the whole complex, no face is left,
+and the trivial profiles are proved with no boundary matrix built.
+Otherwise a simplicial complex, such as a subword complex, which is not
+flag, has L void, whose augmented chain complex is zero.
 
-A cone needs no elimination.  When some vertex lies in every facet (in an
-order complex: some element is comparable to every element), the complex
-is a cone over that vertex and so contractible, and both profiles are
-trivial; this is a proof, and no boundary matrix is built.  It is the
-case L = Delta of the relative route, which would leave no face.
+An order complex takes L from a maximal chain.  Its faces are the chains of a
+poset, so it is flag: a vertex set is a face as soon as its vertices are
+pairwise comparable.  Take a maximal chain sigma, and let L be the union
+of the closed stars st(v) = {c : c + {v} is a chain} over the v in
+sigma.  Any j of these stars meet in the chains c for which c + {v_1,
+..., v_j} is a chain, since the complex is flag; that intersection is a
+cone over v_1, so contractible, and never empty, since sigma is a chain.
+By the nerve lemma (Bjorner, "Topological methods", Handbook of
+Combinatorics 1995, Thm 10.6), L is homotopy equivalent to the nerve of
+its stars, a simplex, so contractible.  Left are the chains that hold,
+for every v in sigma, an element incomparable with v: 4,204 of 41,194
+faces on the B3 intervals (e, w) of lengths 6 and 7.  (The empty order
+has sigma empty and L void, and keeps its one face.)  A cone needs no
+more: an element comparable with all lies in every maximal chain, so in
+sigma, and its star is the whole complex: no chain is left.
 
 There is one face budget, :data:`DEFAULT_FACE_BUDGET`, read at each call.
 Every reading of the faces counts them against it first, cone or not,
@@ -82,6 +82,7 @@ from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
+from .coxeter import _integer
 from .errors import BudgetExceededError
 from .posets import Poset
 
@@ -150,11 +151,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
-    def _is_cone(self) -> bool:
-        """Whether some vertex lies in every facet, which makes the complex
-        contractible."""
-        return bool(reduce(and_, self._facet_masks))
-
     def _key(self) -> tuple:
         """Equal keys make the same complex on the same ordered vertices:
         the vertex count and the sorted facet masks."""
@@ -163,9 +159,11 @@ class SimplicialComplex:
     def _relative_levels(self, levels: list[list[int]]) -> list[list[int]]:
         """The faces of ``levels`` outside a subcomplex L with no reduced
         homology, which :func:`_profiles` eliminates in place of every
-        face.  Here L is void and every face is kept: the argument for
-        order complexes needs a flag complex (see the module docstring)."""
-        return levels
+        face.  If some vertex lies in every facet, L is its star, the whole
+        complex, and no face is left, not even the empty one: ``[[]]``.
+        Otherwise L is void and every face is kept: the argument for order
+        complexes needs a flag complex (see the module docstring)."""
+        return [[]] if reduce(and_, self._facet_masks) else levels
 
     def _face_levels(self, budget: int | None = None) -> list[list[int]]:
         """``levels[k]``: the faces with k vertices (dimension k - 1) as
@@ -356,14 +354,10 @@ def _betti_counts(levels: list[list[int]], p: int) -> tuple[tuple[int, int], ...
 
 def _profiles(K: SimplicialComplex) -> tuple[BettiProfile, BettiProfile]:
     """Reduced Betti numbers of ``K`` over GF(2) and over the rationals,
-    from one GF(2) pass over the faces ``K._relative_levels`` keeps; see
-    :func:`reduced_betti` for when the rational profile is read off it.  A
-    cone, once its faces are counted against the face budget, gets the
-    trivial profiles with no pass at all."""
-    levels = K._face_levels()
-    if K._is_cone():
-        return BettiProfile(2, ()), BettiProfile(0, ())
-    levels = K._relative_levels(levels)
+    from one GF(2) pass over the faces ``K._relative_levels`` keeps (none
+    of a cone) once all are counted against the face budget; see
+    :func:`reduced_betti` for when the rational profile is read off it."""
+    levels = K._relative_levels(K._face_levels())
     gf2 = _betti_counts(levels, 2)
     rational = _betti_counts(levels, 0) if len({d % 2 for d, _ in gf2}) > 1 else gf2
     return BettiProfile(2, gf2), BettiProfile(0, rational)
@@ -399,8 +393,10 @@ def reduced_betti(K: SimplicialComplex, coefficient_field: int = 2) -> BettiProf
 
 def _field_index(coefficient_field: int) -> int:
     """Where the profile over ``coefficient_field`` sits in a
-    :func:`_profiles` pair; ValueError for a field other than 2 or 0."""
-    if coefficient_field not in (2, 0):
+    :func:`_profiles` pair; ValueError for a field other than 2 or 0, a
+    non-integer such as 2.0 or a bool.  Numpy integers pass."""
+    if isinstance(coefficient_field, bool) or _integer(
+            coefficient_field, "coefficient field") not in (2, 0):
         raise ValueError("coefficient field must be 2 or 0 (the rationals)")
     return int(coefficient_field == 0)
 
@@ -456,11 +452,6 @@ class _OrderComplex(SimplicialComplex):
                 rest ^= low
         return frozenset(self._face(m) for m in chain.from_iterable(levels) if m not in extended)
 
-    def _is_cone(self) -> bool:
-        """Whether some element is comparable to every element; it then lies
-        in every maximal chain."""
-        return bool((self._leq | self._leq.T).all(axis=1).any())
-
     def _key(self) -> tuple:
         """Equal keys make the same order, so the same chains, on the same
         ordered vertices: the vertex count and the packed relation."""
@@ -473,7 +464,7 @@ class _OrderComplex(SimplicialComplex):
         decreasing order of how many elements each is comparable with, ties
         by index, each kept when it is comparable with all kept so far.
         Every element left out is incomparable with one kept, so sigma is
-        maximal."""
+        maximal; one comparable with all is kept, so a cone leaves none."""
         n = len(self.vertices)
         packed = np.packbits(self._leq | self._leq.T, axis=1, bitorder="little")
         width = packed.shape[1]

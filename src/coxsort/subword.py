@@ -9,9 +9,9 @@ positions 1..len(Q), its facets derived from (Q, w), never given.
 Positions are 1-based; inside the facet search and the complex a set of
 positions is an int mask, bit j for position j + 1.  Masks go end to end:
 the facet search returns them, the complex keeps them through the facet
-setup of :class:`SimplicialComplex`, and faces, homology and the cone test
-run on them.  Frozensets of positions are made only where they leave the
-module, ``facets`` once when first read.
+setup of :class:`SimplicialComplex`, and faces and homology run on them.
+Frozensets of positions are made only where they leave the module,
+``facets`` once when first read.
 
 Every such complex is homeomorphic to a ball or to a sphere, and the
 sphere case occurs exactly when the Demazure product of Q equals w.

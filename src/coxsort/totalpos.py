@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .coxeter import _integer
+
 __all__ = [
     "RationalMatrix",
     "chevalley",
@@ -262,8 +264,12 @@ def seeded_trials(seed: int, trials: int = 100) -> Iterator[tuple[str, bool, str
     ``trials`` additive identities, ``trials`` adjacent exchanges (t3
     redrawn off the pole t1 + t3 = 0), then ``max(1, trials // 2)``
     products of 4x4 generators with nonnegative parameters.  Yields
-    ``(statement, holds, failure)``, failure naming the trial.  A negative
-    ``trials`` raises ValueError before anything is drawn."""
+    ``(statement, holds, failure)``, failure naming the trial.  A
+    ``trials`` that is negative, a bool or no integer raises ValueError at
+    the call, before anything is drawn."""
+    if isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = _integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     return _trials(random.Random(seed), trials)

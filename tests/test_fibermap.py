@@ -40,6 +40,14 @@ def test_subset_image_errors():
         subset_image(a3, (1, 2), (0,))
     with pytest.raises(ValueError, match="reduced"):
         subset_image(a3, (1, 1), ())
+    # a float position is named by a ValueError before the range check;
+    # numpy integers pass
+    Q = (1, 2, 3, 1, 2, 1)
+    for positions, bad in (([1.0, 2], "1.0"), ([1.5], "1.5"), ([9.5], "9.5"), (["1"], "'1'")):
+        with pytest.raises(ValueError, match=f"position {bad} is not an integer"):
+            subset_image(a3, Q, positions)
+    assert subset_image(a3, Q, np.array([1, 4])) == a3.element((1,))
+    assert subset_image(a3, Q, [np.int64(2), np.int8(3), 5]) == a3.element((2, 3, 2))
 
 
 def images(system, Q):

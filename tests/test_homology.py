@@ -7,7 +7,7 @@ import pytest
 import coxsort.homology
 from coxsort import (BudgetExceededError, CoxeterSystem, certify_subword_complex,
                      subword_complex)
-from coxsort.fibermap import certify_interval_sphere
+from coxsort.fibermap import certify_interval_sphere, certify_interval_spheres
 from coxsort.hecke import bruhat_leq, demazure
 from coxsort.homology import (DEFAULT_FACE_BUDGET, BettiProfile, SimplicialComplex,
                               _betti_counts, _boundary_rows, _pivots_gf2, _pivots_q,
@@ -112,6 +112,19 @@ def test_field_validation():
     for field in (3, 4, 5, -1):
         with pytest.raises(ValueError, match="must be 2 or 0"):
             reduced_betti(POINT, field)
+    # 2.0 and 0.0 are no field, False is no rationals; numpy integers pass
+    b2 = CoxeterSystem.type_b(2)
+    pair = (b2.identity, b2.longest_element())
+    for field in (2.0, 0.0, np.float64(0), False, True, np.bool_(False), "2", None):
+        with pytest.raises(ValueError, match="coefficient field"):
+            reduced_betti(POINT, field)
+        with pytest.raises(ValueError, match="coefficient field"):
+            certify_interval_spheres([pair], field)
+        with pytest.raises(ValueError, match="coefficient field"):
+            certify_interval_sphere(*pair, field)
+    for field, name in ((np.int64(2), "GF(2)"), (np.int8(0), "Q")):
+        assert str(reduced_betti(CIRCLE, field)) == f"[{name}: b~1=1]"
+        assert certify_interval_spheres([pair], field)[0].matches
 
 
 def test_face_budget():
@@ -659,19 +672,30 @@ def _ball_sphere_complexes():
                         yield subword_complex(system, Q, u)
 
 
+def _left(K):
+    """The faces that the one elimination route keeps of ``K``."""
+    return K._relative_levels(K._face_levels())
+
+
 def test_cone_flag_is_a_vertex_in_every_facet():
+    # the relative levels keep no face exactly when a vertex lies in every
+    # facet, and every face otherwise
     cones = 0
     for K in _ball_sphere_complexes():
-        assert K._is_cone() == (cone_vertex(K) is not None), K
-        cones += K._is_cone()
+        cone = not any(_left(K))
+        assert cone == (cone_vertex(K) is not None), K
+        assert _left(K) == ([[]] if cone else K._face_levels()), K
+        cones += cone
     assert cones == 1056  # of 1,386 complexes
 
 
 def test_elimination_agrees_with_the_cone_proof():
-    # the elimination the cone proof skips still finds nothing on each cone
+    # full elimination finds nothing on each cone, whose relative levels
+    # [[]] hold no face, not even the empty one
+    assert _betti_counts([[]], 2) == _betti_counts([[]], 0) == ()
     faces = 0
     for K in _ball_sphere_complexes():
-        if K._is_cone():
+        if not any(_left(K)):
             levels = K._face_levels()
             assert _betti_counts(levels, 2) == _betti_counts(levels, 0) == (), K
             assert all(p.is_trivial() for p in _profiles(K))
@@ -687,31 +711,33 @@ def test_closed_intervals_are_order_complex_cones():
             if bruhat_leq(u, w):
                 P = bruhat_interval(u, w)
                 closed = order_complex(P)
-                assert closed._is_cone()  # u and w are comparable to everything
+                assert not any(_left(closed))  # u and w are comparable to everything
                 assert cone_vertex(closed) is not None
                 if w.length - u.length >= 2:
                     open_ = order_complex(P.restrict(P.ground[1:-1]))
-                    assert not open_._is_cone()
+                    assert any(_left(open_))
                     assert cone_vertex(open_) is None
     # a cone over a single element, and the empty poset, which is no cone
-    assert order_complex(Poset("a", [[True]]))._is_cone()
+    assert not any(_left(order_complex(Poset("a", [[True]]))))
     empty = order_complex(Poset((), np.zeros((0, 0), dtype=bool)))
-    assert not empty._is_cone()
+    assert _left(empty) == [[0]]
     assert reduced_betti(empty).numbers == {-1: 1}
 
 
 def test_a_cone_still_counts_its_faces_against_the_budget(monkeypatch):
     # the 17-simplex is a cone; the budget is checked before the cone is
     big = SimplicialComplex(range(17), [tuple(range(17))])
-    assert big._is_cone()
     monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 1000)
     for ask in (lambda: reduced_betti(big, 2), lambda: reduced_betti(big, 0),
                 lambda: _profiles(big)):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             ask()
+        assert (exc.value.limit, exc.value.spent) == (1000, 1002)
     monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 2 ** 17)
+    assert _left(big) == [[]]
     assert reduced_betti(big, 2).is_trivial()
     monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 2 ** 17 - 1)
     for ask in (lambda: reduced_betti(big, 2), lambda: _profiles(big)):
-        with pytest.raises(BudgetExceededError):  # warm cache, same verdict
+        with pytest.raises(BudgetExceededError) as exc:  # warm cache, same verdict
             ask()
+        assert (exc.value.limit, exc.value.spent) == (2 ** 17 - 1, 2 ** 17)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coxsort.totalpos import (RationalMatrix, _det, _laplace_level, _product, chevalley,
@@ -223,6 +224,15 @@ def test_seeded_trials_counts_and_draw_order():
     assert len(list(seeded_trials(0, 0))) == 1
     with pytest.raises(ValueError, match="trials"):
         seeded_trials(0, -3)
+    # refused at the call, before any generator is handed out; True would
+    # run one trial
+    for count, message in ((2.5, "trials 2.5 is not an integer"),
+                           (True, "trials must be an integer, got True"),
+                           (False, "trials must be an integer, got False"),
+                           ("3", "trials '3' is not an integer")):
+        with pytest.raises(ValueError, match=message):
+            seeded_trials(0, count)
+    assert list(seeded_trials(3, np.int64(6))) == trials
     # draw order: n, then i, then the parameters
     rng = random.Random(5)
     n = rng.randint(2, 4)

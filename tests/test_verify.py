@@ -167,6 +167,20 @@ def test_fault_injection_breaks_ball_sphere_classification(monkeypatch):
     assert r.failures[-1] == {"detail": "2239 further failures truncated"}
 
 
+def test_relative_levels_that_leave_no_face_break_ball_sphere_classification(monkeypatch):
+    # every subword complex eliminated as a cone gets the trivial profiles:
+    # the spheres refute it
+    monkeypatch.setattr(coxsort.homology.SimplicialComplex, "_relative_levels",
+                        lambda self, levels: [[]])
+    r = run_check("ball_sphere_classification", SMALL)
+    assert not r.passed and r.instances == 1386
+    assert r.failures[0] == {"group": "A2", "Q": "e", "u": "e", "detail":
+                             "classified sphere but betti [GF(2): all zero] (expected S^-1)"}
+    # one failure per field for each of the 254 spheres, 508 in all
+    assert len(r.failures) == 26
+    assert r.failures[-1] == {"detail": "483 further failures truncated"}
+
+
 def test_corrupted_sorting_relation_gives_a_red_report(monkeypatch):
     # equal position rows make some sorting relations non-antisymmetric;
     # the sweep records that instead of raising
