@@ -85,8 +85,11 @@ def parse_word(text: str) -> Word:
 
 
 def _integer(x, what: str) -> int:
-    """``x`` through ``operator.index``, so numpy integers pass; a float or
-    a string raises ValueError naming it instead of being truncated."""
+    """``x`` through ``operator.index``, so numpy integers pass; a bool, a
+    float or a string raises ValueError naming it instead of being read as
+    1, 0 or a truncation."""
+    if isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
     try:
         return operator.index(x)
     except TypeError:

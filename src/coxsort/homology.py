@@ -2,12 +2,13 @@
 
 Complexes are presented by facets over an ordered vertex tuple, or, for
 the order complex of a poset, by the poset itself, whose chains are
-walked once each.  Betti numbers are reduced: the chain complex is
-augmented, so a point has all zeros and the empty complex
-``{frozenset()}`` has a single unit in dimension -1.  Ranks are computed
-by exact elimination, never by floating point: bitset rows over GF(2),
-fraction-free integer rows for the rationals, which read the GF(2)
-profile instead whenever parity forces it (see :func:`reduced_betti`).
+counted before any is built, and then built only where they are read.
+Betti numbers are reduced: the chain complex is augmented, so a point has
+all zeros and the empty complex ``{frozenset()}`` has a single unit in
+dimension -1.  Ranks are computed by exact elimination, never by floating
+point: bitset rows over GF(2), fraction-free integer rows for the
+rationals, which read the GF(2) profile instead whenever parity forces it
+(see :func:`reduced_betti`).
 
 The boundary matrices are eliminated from the top dimension down, with
 *clearing* (Chen and Kerber, "Persistent homology computation with a
@@ -50,16 +51,22 @@ cone over v_1, so contractible, and never empty, since sigma is a chain.
 By the nerve lemma (Bjorner, "Topological methods", Handbook of
 Combinatorics 1995, Thm 10.6), L is homotopy equivalent to the nerve of
 its stars, a simplex, so contractible.  Left are the chains that hold,
-for every v in sigma, an element incomparable with v: 4,204 of 41,194
-faces on the B3 intervals (e, w) of lengths 6 and 7.  (The empty order
-has sigma empty and L void, and keeps its one face.)  A cone needs no
-more: an element comparable with all lies in every maximal chain, so in
-sigma, and its star is the whole complex: no chain is left.
+for every v in sigma, an element incomparable with v.  A chain that
+holds them stays outside L when it grows, so one walk that extends a
+chain upwards, only while its strict upper bounds can still supply what
+it lacks, builds exactly these chains and no other: 4,204 on the B3
+intervals (e, w) of lengths 6 and 7, of the 41,194 that it counts.  (The
+empty order has sigma empty and L void, and keeps its one face.)  A cone
+needs no more: an element comparable with all lies in every maximal
+chain, so in sigma, and its star is the whole complex: no chain is left.
 
 There is one face budget, :data:`DEFAULT_FACE_BUDGET`, read at each call.
 Every reading of the faces counts them against it first, cone or not,
-cached or not, and a complex that raised keeps no faces.  Only
-``num_faces(budget)`` takes another bound, kept for the benchmark tracer.
+cached or not, and a complex that raised keeps no faces.  An order
+complex counts its chains, level by level, before it builds any, so it
+raises at the same level, with the same amount spent, whatever it was
+asked for.  Only ``num_faces(budget)`` takes another bound, kept for the
+benchmark tracer.
 
 >>> triangle = SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 >>> reduced_betti(triangle, 2).numbers
@@ -77,7 +84,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
@@ -156,13 +163,15 @@ class SimplicialComplex:
         the vertex count and the sorted facet masks."""
         return len(self.vertices), tuple(sorted(self._facet_masks))
 
-    def _relative_levels(self, levels: list[list[int]]) -> list[list[int]]:
-        """The faces of ``levels`` outside a subcomplex L with no reduced
-        homology, which :func:`_profiles` eliminates in place of every
-        face.  If some vertex lies in every facet, L is its star, the whole
-        complex, and no face is left, not even the empty one: ``[[]]``.
-        Otherwise L is void and every face is kept: the argument for order
-        complexes needs a flag complex (see the module docstring)."""
+    def _relative_levels(self) -> list[list[int]]:
+        """The faces outside a subcomplex L with no reduced homology, which
+        :func:`_profiles` eliminates in place of every face, once all are
+        counted against the face budget.  If some vertex lies in every
+        facet, L is its star, the whole complex, and no face is left, not
+        even the empty one: ``[[]]``.  Otherwise L is void and every face
+        is kept: the argument for order complexes needs a flag complex (see
+        the module docstring)."""
+        levels = self._face_levels()
         return [[]] if reduce(and_, self._facet_masks) else levels
 
     def _face_levels(self, budget: int | None = None) -> list[list[int]]:
@@ -357,7 +366,7 @@ def _profiles(K: SimplicialComplex) -> tuple[BettiProfile, BettiProfile]:
     from one GF(2) pass over the faces ``K._relative_levels`` keeps (none
     of a cone) once all are counted against the face budget; see
     :func:`reduced_betti` for when the rational profile is read off it."""
-    levels = K._relative_levels(K._face_levels())
+    levels = K._relative_levels()
     gf2 = _betti_counts(levels, 2)
     rational = _betti_counts(levels, 0) if len({d % 2 for d, _ in gf2}) > 1 else gf2
     return BettiProfile(2, gf2), BettiProfile(0, rational)
@@ -395,8 +404,7 @@ def _field_index(coefficient_field: int) -> int:
     """Where the profile over ``coefficient_field`` sits in a
     :func:`_profiles` pair; ValueError for a field other than 2 or 0, a
     non-integer such as 2.0 or a bool.  Numpy integers pass."""
-    if isinstance(coefficient_field, bool) or _integer(
-            coefficient_field, "coefficient field") not in (2, 0):
+    if _integer(coefficient_field, "coefficient field") not in (2, 0):
         raise ValueError("coefficient field must be 2 or 0 (the rationals)")
     return int(coefficient_field == 0)
 
@@ -407,9 +415,10 @@ def _shared_profiles(K: SimplicialComplex, shared: dict,
     and drops when it returns.  Complexes with equal ``K._key()`` are the
     same complex on the same ordered vertices, so one result serves them
     all, exactly, over both fields.  An entry is ``(face count, profiles)``,
-    and a hit over the face budget enumerates the faces of K after all, so
-    K raises as a cold call would: the one :class:`BudgetExceededError`
-    that names ``subject()``, called only then, what was being certified."""
+    the count read off K's ``num_faces``, and a hit over the face budget
+    counts the faces of K after all, so K raises as a cold call would: the
+    one :class:`BudgetExceededError` that names ``subject()``, called only
+    then, what was being certified."""
     key = K._key()
     hit = shared.get(key)
     if hit is not None and hit[0] <= DEFAULT_FACE_BUDGET:
@@ -418,25 +427,27 @@ def _shared_profiles(K: SimplicialComplex, shared: dict,
         profiles = _profiles(K)
     except BudgetExceededError as exc:
         raise exc.about(subject()) from exc
-    shared[key] = (sum(map(len, K._levels)), profiles)
+    shared[key] = (K.num_faces(), profiles)
     return profiles
 
 
 class _OrderComplex(SimplicialComplex):
     """The order complex of the order ``leq`` on ``ground``, a relation
     already known to be a partial order.  A face is a chain, as a vertex
-    mask over ``ground``; each chain is made once, by extending a shorter
-    one by a strict upper bound of its top element.  The facets, the
-    maximal chains, are read off those chains, so every reading of
-    ``facets`` counts them against the face budget.  Its homology is that
-    of the pair (Delta, L), L the union of the stars of one maximal chain
-    (``_relative_levels`` and the module docstring), which leaves a small
-    part of the chains to eliminate."""
+    mask over ``ground``.  The chains are counted, level by level, before
+    any is built (``_chain_counts``, the face-budget check), and then one
+    walk (``_walk``) builds the chains outside the stars of a chain sigma:
+    every chain for sigma empty, which ``faces``, ``facets`` and ``dim``
+    read, and for :func:`_profiles` only those outside L, the union of the
+    stars of one maximal chain (``_relative_levels`` and the module
+    docstring), a small part of them.  The facets, the maximal chains,
+    are read off the full levels."""
 
     def __init__(self, ground: tuple, leq: np.ndarray):
         self.vertices = ground
         self._leq = leq
         self._levels = None
+        self._counts: list[int] | None = None
 
     @property
     def facets(self) -> frozenset[frozenset]:
@@ -457,56 +468,112 @@ class _OrderComplex(SimplicialComplex):
         ordered vertices: the vertex count and the packed relation."""
         return len(self.vertices), np.packbits(self._leq).tobytes()
 
-    def _relative_levels(self, levels: list[list[int]]) -> list[list[int]]:
-        """The chains outside L, the union of the stars of a maximal chain
-        sigma: those that hold, for every v in sigma, an element
-        incomparable with v.  sigma is built greedily: the elements in
-        decreasing order of how many elements each is comparable with, ties
-        by index, each kept when it is comparable with all kept so far.
-        Every element left out is incomparable with one kept, so sigma is
-        maximal; one comparable with all is kept, so a cone leaves none."""
+    @cached_property
+    def _ups(self) -> list[list[int]]:
+        """``ups[t]``: the strict upper bounds of t; the empty chain has the
+        virtual top n, below every element."""
         n = len(self.vertices)
+        rows, cols = np.nonzero(self._leq & ~np.eye(n, dtype=bool))
+        cols = cols.tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+        return [cols[start:end] for start, end in zip([0] + ends, ends)] + [list(range(n))]
+
+    @cached_property
+    def _comparable(self) -> list[int]:
+        """``comparable[i]``: the mask of the elements comparable with i, i
+        included."""
         packed = np.packbits(self._leq | self._leq.T, axis=1, bitorder="little")
         width = packed.shape[1]
         data = packed.tobytes()
-        # comparable[i]: the mask of the elements comparable with i, i included
-        comparable = [int.from_bytes(data[i * width:(i + 1) * width], "little")
-                      for i in range(n)]
-        kept = 0
-        for i in sorted(range(n), key=lambda i: -comparable[i].bit_count()):
-            if not kept & ~comparable[i]:
-                kept |= 1 << i
-                outside = ~comparable[i]
-                levels = [[m for m in level if m & outside] for level in levels]
-        return levels
+        return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+                for i in range(len(self.vertices))]
 
-    def _enumerate(self, budget: int) -> list[list[int]]:
-        """The chains by size.  The size of each level is counted from the
-        one below before the level is built, so no level over the budget is
-        ever made."""
-        n = len(self.vertices)
-        strict = self._leq & ~np.eye(n, dtype=bool)
-        # ups[t]: the strict upper bounds of t; the empty chain has the
-        # virtual top n, below every element
-        rows, cols = np.nonzero(strict)
-        cols = cols.tolist()
-        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-        ups = [cols[start:end] for start, end in zip([0] + ends, ends)] + [list(range(n))]
-        # groups[t]: the chains of the last level built whose top is t
-        groups: list[list[int]] = [[] for _ in range(n)] + [[0]]
-        levels, total = [[0]], 1
-        while size := sum(len(g) * len(u) for g, u in zip(groups, ups)):
-            total += size
-            if total > budget:
-                raise _face_budget_error(budget, total)
-            longer: list[list[int]] = [[] for _ in range(n + 1)]
-            for g, u in zip(groups, ups):
-                if g:
-                    for j in u:
+    def _chain_counts(self, budget: int | None = None) -> list[int]:
+        """``counts[k]``: the number of chains with k elements, counted in
+        Python ints with no chain built, then kept.  With N_k[t] the chains
+        of k elements with top t, N_1[t] = 1 and N_(k+1)[j] is the sum of
+        N_k[t] over t < j.  The running total is compared with ``budget``,
+        by default the face budget, after each level, so a complex over it
+        raises at the first level that crosses it and keeps no counts; kept
+        counts are compared again at every call."""
+        budget = DEFAULT_FACE_BUDGET if budget is None else budget
+        counts = self._counts
+        if counts is None:
+            ups = self._ups
+            counts, total = [1], 1
+            by_top = [1] * len(self.vertices)
+            while size := sum(by_top):
+                total += size
+                if total > budget:
+                    raise _face_budget_error(budget, total)
+                counts.append(size)
+                longer = [0] * len(by_top)
+                for t, count in enumerate(by_top):
+                    if count:
+                        for j in ups[t]:
+                            longer[j] += count
+                by_top = longer
+        total = sum(counts)
+        if total > budget:
+            raise _face_budget_error(budget, total)
+        self._counts = counts
+        return counts
+
+    def num_faces(self, budget: int | None = None) -> int:
+        """The number of chains, read off the counts: none is built."""
+        return sum(self._chain_counts(budget))
+
+    def _face_levels(self, budget: int | None = None) -> list[list[int]]:
+        """Every chain by size, once the chains are counted against
+        ``budget``: the walk with sigma empty, made once and then kept."""
+        self._chain_counts(budget)
+        if self._levels is None:
+            self._levels = self._walk(0)
+        return self._levels
+
+    def _relative_levels(self) -> list[list[int]]:
+        """The chains outside L, the union of the stars of a maximal chain
+        sigma, once every chain is counted against the face budget.  sigma
+        is built greedily: the elements in decreasing order of how many
+        elements each is comparable with, ties by index, each kept when it
+        is comparable with all kept so far.  Every element left out is
+        incomparable with one kept, so sigma is maximal; one comparable
+        with all is kept, so a cone leaves none."""
+        self._chain_counts()
+        comparable = self._comparable
+        sigma = 0
+        for i in sorted(range(len(comparable)), key=lambda i: -comparable[i].bit_count()):
+            if not sigma & ~comparable[i]:
+                sigma |= 1 << i
+        return self._walk(sigma)
+
+    def _walk(self, sigma: int) -> list[list[int]]:
+        """The chains that hold, for every v in the chain ``sigma`` (a
+        mask), an element incomparable with v, by size as sorted masks,
+        one level per level of ``_counts``.  A chain c is extended by the
+        strict upper bounds of its top t.  hit(c), the v of sigma that some
+        element of c is incomparable with, only grows along the walk, and
+        at most to hit(c) | reach[t], reach[t] the union of hits[j] over
+        the strict upper bounds j of t.  So c is extended only while that
+        union is sigma, and kept when hit(c) is; this is exact, since every
+        chain that is kept passes the test at each of its prefixes.  Chains
+        of one size with the same top and hit are extended together."""
+        ups = self._ups
+        hits = [sigma & ~c for c in self._comparable]
+        reach = [reduce(or_, map(hits.__getitem__, up), 0) for up in ups]
+        levels: list[list[int]] = [[] for _ in self._counts]
+        groups = {(len(hits), 0): [0]}  # the empty chain, at the virtual top
+        for level in levels:
+            longer: dict[tuple[int, int], list[int]] = {}
+            for (t, hit), masks in groups.items():
+                if hit == sigma:
+                    level += masks
+                for j in ups[t]:
+                    if (h := hit | hits[j]) | reach[j] == sigma:
                         bit = 1 << j
-                        longer[j] += [m | bit for m in g]
+                        longer.setdefault((j, h), []).extend([m | bit for m in masks])
+            level.sort()
             groups = longer
-            levels.append(sorted(chain.from_iterable(groups)))
         return levels
 
     def __repr__(self) -> str:
@@ -517,11 +584,15 @@ class _OrderComplex(SimplicialComplex):
 def order_complex(P: Poset) -> SimplicialComplex:
     """The complex of chains of ``P``; facets are the maximal chains.
 
-    Faces are enumerated straight from the order, each chain once, when
-    first asked for (:func:`reduced_betti`, ``num_faces``, ``facets``,
-    ``dim``, ...), and counted against the face budget, which raises
-    :class:`BudgetExceededError` before a level over the budget is built.
-    The order complex of the empty poset is the empty complex.
+    Nothing is built here.  The chains are counted level by level, in
+    Python ints, when first asked for (:func:`reduced_betti`,
+    ``num_faces``, ``facets``, ``dim``, ...), and the count is checked
+    against the face budget, which raises :class:`BudgetExceededError`
+    before any chain is built.  ``num_faces`` reads the count alone;
+    :func:`reduced_betti` builds only the chains it eliminates, those
+    outside the stars of one maximal chain, and ``faces`` and ``facets``
+    build every chain, once.  The order complex of the empty poset is the
+    empty complex.
     """
     return _OrderComplex(P.ground, P.leq)
 

@@ -267,8 +267,6 @@ def seeded_trials(seed: int, trials: int = 100) -> Iterator[tuple[str, bool, str
     ``(statement, holds, failure)``, failure naming the trial.  A
     ``trials`` that is negative, a bool or no integer raises ValueError at
     the call, before anything is drawn."""
-    if isinstance(trials, bool):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
     trials = _integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")

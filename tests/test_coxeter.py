@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,19 @@ def test_letters_entries_and_caps_must_be_integers():
         CoxeterSystem([[1, 3.7], [3.7, 1]])
     with pytest.raises(ValueError, match="size_cap 7.9 is not an integer"):
         CoxeterSystem.type_a(2, size_cap=7.9)
+    # a bool is an int to Python: (True, 2) read as s1 s2, a diagonal of
+    # True as 1 and a cap of True as 1; numpy's bool has no integer index
+    b2 = CoxeterSystem.type_b(2)
+    for ask, value in ((lambda: b2.element((True, 2)), "letter must be an integer, got True"),
+                       (lambda: b2.check_word([1, False]), "letter must be an integer, got False"),
+                       (lambda: demazure(b2, (2, True)), "letter must be an integer, got True"),
+                       (lambda: b2.element((np.True_,)), "letter np.True_ is not an integer"),
+                       (lambda: CoxeterSystem([[True, 4], [4, True]]),
+                        "Coxeter matrix entry must be an integer, got True"),
+                       (lambda: CoxeterSystem.type_a(2, size_cap=True),
+                        "size_cap must be an integer, got True")):
+        with pytest.raises(ValueError, match=re.escape(value)):
+            ask()
     # numpy integers are integers
     assert a3.element(np.array([1, 2])) == a3.element((1, 2))
     a2 = CoxeterSystem(np.array([[1, 3], [3, 1]]), size_cap=np.int64(6))

@@ -46,6 +46,11 @@ def test_subset_image_errors():
     for positions, bad in (([1.0, 2], "1.0"), ([1.5], "1.5"), ([9.5], "9.5"), (["1"], "'1'")):
         with pytest.raises(ValueError, match=f"position {bad} is not an integer"):
             subset_image(a3, Q, positions)
+    # a bool position is no position: [True] used to read position 1
+    b2 = CoxeterSystem.type_b(2)
+    for positions, bad in (([True], "True"), ([1, False], "False")):
+        with pytest.raises(ValueError, match=f"position must be an integer, got {bad}"):
+            subset_image(b2, (1, 2), positions)
     assert subset_image(a3, Q, np.array([1, 4])) == a3.element((1,))
     assert subset_image(a3, Q, [np.int64(2), np.int8(3), 5]) == a3.element((2, 3, 2))
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -10,11 +11,12 @@ from coxsort import (BudgetExceededError, CoxeterSystem, certify_subword_complex
 from coxsort.fibermap import certify_interval_sphere, certify_interval_spheres
 from coxsort.hecke import bruhat_leq, demazure
 from coxsort.homology import (DEFAULT_FACE_BUDGET, BettiProfile, SimplicialComplex,
-                              _betti_counts, _boundary_rows, _pivots_gf2, _pivots_q,
-                              _profiles, order_complex, reduced_betti)
+                              _betti_counts, _boundary_rows, _OrderComplex, _pivots_gf2,
+                              _pivots_q, _profiles, order_complex, reduced_betti)
 from coxsort.oracles import (cone_vertex, contractibility_evidence, faces_bruteforce,
                              inclusion_poset_bruteforce)
 from coxsort.posets import Poset, bruhat_interval
+from coxsort.verify import RunConfig, run_check
 
 EMPTY = SimplicialComplex((), [frozenset()])
 POINT = SimplicialComplex("a", [{"a"}])
@@ -364,7 +366,7 @@ def test_clearing_eliminates_only_rows_that_can_lead(monkeypatch):
     interval = _open_interval_complex(b3, next(w for w in b3.elements() if w.length == 6))
     for K, field, name in ((OCTAHEDRON, 2, "_pivots_gf2"), (interval, 2, "_pivots_gf2"),
                            (PROJECTIVE_PLANE, 0, "_pivots_q")):
-        levels = K._relative_levels(K._face_levels())
+        levels = K._relative_levels()
         real = getattr(coxsort.homology, name)
         full = {k: len(real(_boundary_rows(levels, k, field, ()))) for k in range(2, len(levels))}
         full[len(levels)] = 0
@@ -468,7 +470,7 @@ def test_relative_route_runs_integer_elimination_on_subdivisions(monkeypatch, ba
     monkeypatch.setattr(coxsort.homology, "_pivots_q",
                         lambda r: rows.append(len(r)) or real(r))
     assert [p.numbers for p in _profiles(K)] == [{1: 1, 2: 1}, rational]
-    relative = K._relative_levels(K._face_levels())
+    relative = K._relative_levels()
     assert 0 < sum(rows) <= sum(map(len, relative[2:])) < sum(map(len, K._face_levels()[2:]))
     monkeypatch.undo()
     assert tuple(p.counts for p in _profiles(K)) == _full_counts(K)
@@ -483,7 +485,7 @@ def test_relative_levels_are_the_chains_outside_the_stars_of_a_maximal_chain():
         comparable = P.leq | P.leq.T
         assert comparable[np.ix_(sigma, sigma)].all()  # a chain, and a maximal one
         assert all(not comparable[x, sigma].all() for x in range(len(P)) if x not in sigma)
-        relative = K._relative_levels(K._face_levels())
+        relative = K._relative_levels()
         assert relative == _outside_stars(P, sigma)
         # the empty face lies in every star, so only the empty order keeps it
         assert (relative[0] == [0]) == (len(P) == 0)
@@ -511,9 +513,139 @@ def test_any_chain_gives_the_homology_and_two_incomparable_elements_do_not(monke
     # planted in the hook, the fault turns the sphere certificates red
     u, w, P, pair = pairs[0]
     monkeypatch.setattr(coxsort.homology._OrderComplex, "_relative_levels",
-                        lambda self, levels: _outside_stars(P, pair))
+                        lambda self: _outside_stars(P, pair))
     report = certify_interval_sphere(u, w)
     assert report.expected_dim == 2 and not report.matches
+
+
+def _chains_bruteforce(P):
+    """Every chain of ``P`` as a vertex mask, with no walk: each element,
+    in index order, joins every chain found so far that it is comparable
+    with throughout."""
+    comparable = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in P.leq | P.leq.T]
+    chains = [0]
+    for x in range(len(P)):
+        chains += [c | 1 << x for c in chains if not c & ~comparable[x]]
+    return chains, comparable
+
+
+def _by_size(masks, size):
+    levels = [[] for _ in range(size)]
+    for m in masks:
+        levels[m.bit_count()].append(m)
+    return [sorted(level) for level in levels]
+
+
+def _assert_walk_matches_bruteforce(P, every_vertex=False):
+    """The walk of ``order_complex(P)`` keeps exactly the brute-force chains
+    outside the stars of the greedy maximal chain (and, with
+    ``every_vertex``, of each single element), and with sigma empty all of
+    them; the counts are the sizes of the brute-force levels."""
+    K = order_complex(P)
+    chains, comparable = _chains_bruteforce(P)
+    full = _by_size(chains, max(c.bit_count() for c in chains) + 1)
+
+    def outside(sigma):
+        return _by_size([c for c in chains if all(c & ~comparable[v] for v in sigma)], len(full))
+
+    assert K._relative_levels() == outside(_greedy_chain(P)), P.leq
+    for v in range(len(P)) if every_vertex else ():
+        assert K._walk(1 << v) == outside([v]), (P.leq, v)
+    assert K._levels is None
+    assert K._chain_counts() == [len(level) for level in full]
+    assert K._face_levels() == full
+
+
+@pytest.mark.parametrize("system, count", [(CoxeterSystem.type_b(2), 13),
+                                           (CoxeterSystem.type_a(3), 131),
+                                           (CoxeterSystem.type_b(3), 635)],
+                         ids=["B2", "A3", "B3"])
+def test_walk_equals_the_bruteforce_filter_on_open_intervals(system, count):
+    checked = 0
+    for _, _, inner in _open_intervals(system):
+        _assert_walk_matches_bruteforce(inner)
+        checked += 1
+    assert checked == count
+
+
+def test_walk_equals_the_bruteforce_filter_on_random_orders():
+    kinds = {"empty": 0, "antichain": 0, "cone": 0, "other": 0}
+    for P in _random_orders(2, 400):
+        _assert_walk_matches_bruteforce(P, every_vertex=True)
+        comparable = P.leq | P.leq.T
+        kinds["empty" if not len(P) else
+              "antichain" if len(P) > 1 and comparable.sum() == len(P) else
+              "cone" if comparable.all(axis=1).any() else "other"] += 1
+    # cones include the one-element orders
+    assert kinds == {"empty": 48, "antichain": 54, "cone": 115, "other": 183}
+
+
+def test_chain_counts_equal_an_independent_count_in_python_ints():
+    # the counts come before any chain is built, so a cold complex raises at
+    # the first level whose running total crosses the budget
+    for P in itertools.chain((inner for _, _, inner in _open_intervals(CoxeterSystem.type_a(3))),
+                             _random_orders(3, 100)):
+        chains, _ = _chains_bruteforce(P)
+        sizes = [0] * (1 + max(c.bit_count() for c in chains))
+        for c in chains:
+            sizes[c.bit_count()] += 1
+        assert order_complex(P)._chain_counts() == sizes
+        running = list(itertools.accumulate(sizes))
+        for budget in {0, 1, running[-1] // 2, running[-1] - 1} - {running[-1]}:
+            crossing = next((r for k, r in enumerate(running) if k and r > budget), running[-1])
+            cold = order_complex(P)
+            with pytest.raises(BudgetExceededError) as exc:
+                cold.num_faces(budget)
+            assert (exc.value.limit, exc.value.spent) == (budget, crossing)
+            assert cold._counts is None and cold._levels is None
+    # a chain of 70 elements has C(70, k) chains of k elements, past int64
+    n = 70
+    K = order_complex(Poset(range(n), np.triu(np.ones((n, n), dtype=bool))))
+    counts = K._chain_counts(2 ** 70)
+    assert counts == [math.comb(n, k) for k in range(n + 1)]
+    assert all(type(c) is int for c in counts) and max(counts) > 2 ** 63
+    assert K.num_faces(2 ** 70) == 2 ** 70 and K._levels is None
+    with pytest.raises(BudgetExceededError) as exc:
+        K.num_faces(2 ** 70 - 1)
+    assert (exc.value.limit, exc.value.spent) == (2 ** 70 - 1, 2 ** 70)
+
+
+class _ReadCounter(list):
+    """A list that counts its item reads: the walk reads ``ups[t]`` once
+    for each group of chains, by top and hit, that it extends."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_profiles_of_an_order_complex_build_no_full_levels(monkeypatch):
+    # the intervals of the homology benchmark, (e, w) in B3 with l(w) = 6
+    # or 7: 41,194 chains are counted, and only the 4,204 outside the stars
+    # are built, from 561 groups (6,496 with the prune taken out of the
+    # walk, which leaves its output as it is)
+    b3 = CoxeterSystem.type_b(3)
+    counted = built = groups = 0
+    for w in b3.elements():
+        if w.length in (6, 7):
+            K = _open_interval_complex(b3, w)
+            _profiles(K)
+            assert K._levels is None
+            counted += K.num_faces()
+            K.__dict__["_ups"] = spy = _ReadCounter(K._ups)
+            built += sum(map(len, K._relative_levels()))
+            groups += spy.reads
+    assert (counted, built, groups) == (41_194, 4_204, 561)
+    # check 08 walks each distinct open interval once, never with sigma empty
+    real = _OrderComplex._walk
+    sigmas = []
+    monkeypatch.setattr(_OrderComplex, "_walk",
+                        lambda self, sigma: sigmas.append(sigma) or real(self, sigma))
+    result = run_check("open_interval_spheres", RunConfig())
+    assert result.passed and result.instances == 652
+    assert len(sigmas) == 76 and all(sigmas)
 
 
 def test_order_complex_face_budget_whatever_the_cache_state(monkeypatch):
@@ -526,15 +658,17 @@ def test_order_complex_face_budget_whatever_the_cache_state(monkeypatch):
             with pytest.raises(BudgetExceededError) as exc:
                 reduced_betti(warm, field)
             assert (exc.value.limit, exc.value.spent) == (n - 1, n)
-    # (e, w0) in H3: the walk raises on the first level over the budget,
-    # and a complex that raised keeps no faces, so it raises again
+    # (e, w0) in H3: the count raises on the first level over the budget,
+    # before any chain is built, and a complex that raised keeps no counts
+    # and no faces, so it raises again with the same amount spent
     h3 = CoxeterSystem.type_h3()
     cold = _open_interval_complex(h3, h3.longest_element())
     for field in (2, 0, 2):
         with pytest.raises(BudgetExceededError) as exc:
             reduced_betti(cold, field)
         assert exc.value.limit == DEFAULT_FACE_BUDGET < exc.value.spent
-        assert cold._levels is None
+        assert (exc.value.limit, exc.value.spent) == (200_000, 1_491_005)
+        assert cold._levels is None and cold._counts is None
 
 
 def test_rational_profile_of_one_parity_skips_elimination(monkeypatch):
@@ -674,7 +808,7 @@ def _ball_sphere_complexes():
 
 def _left(K):
     """The faces that the one elimination route keeps of ``K``."""
-    return K._relative_levels(K._face_levels())
+    return K._relative_levels()
 
 
 def test_cone_flag_is_a_vertex_in_every_facet():

@@ -182,3 +182,7 @@ def test_braid_rewriting_reads_matrix_entries_as_integers():
     for entry in (3.7, "3"):
         with pytest.raises(ValueError, match=f"Coxeter matrix entry {entry!r} is not an integer"):
             BraidRewriting([[1, entry], [entry, 1]])
+    # a diagonal of True used to read as 1
+    with pytest.raises(ValueError, match="Coxeter matrix entry must be an integer, got True"):
+        BraidRewriting([[True, 3], [3, True]])
+    assert BraidRewriting([[np.int8(1), np.int64(3)], [3, 1]]).matrix == ((1, 3), (3, 1))

@@ -171,7 +171,7 @@ def test_relative_levels_that_leave_no_face_break_ball_sphere_classification(mon
     # every subword complex eliminated as a cone gets the trivial profiles:
     # the spheres refute it
     monkeypatch.setattr(coxsort.homology.SimplicialComplex, "_relative_levels",
-                        lambda self, levels: [[]])
+                        lambda self: [[]])
     r = run_check("ball_sphere_classification", SMALL)
     assert not r.passed and r.instances == 1386
     assert r.failures[0] == {"group": "A2", "Q": "e", "u": "e", "detail":
@@ -233,6 +233,30 @@ def test_fault_injection_in_relation_layer(monkeypatch):
         r = run_check(name, SMALL)
         assert not r.passed
         assert any(f.get("u") == "1" and f.get("v") == "1,2" for f in r.failures), name
+
+
+def test_walk_that_prunes_completable_prefixes_breaks_open_interval_spheres(monkeypatch):
+    # a chain walk with no look-ahead: it extends a chain only once it holds,
+    # for every v in sigma, an element incomparable with v, so a lower part
+    # that a longer chain would complete is dropped with all its extensions
+    def eager_walk(self, sigma):
+        hits = [sigma & ~c for c in self._comparable]
+        levels = [[] for _ in self._counts]
+        chains = [(len(hits), 0, 0)]  # (top, mask, hit), the empty chain first
+        for level in levels:
+            level += sorted(m for _, m, hit in chains if hit == sigma)
+            chains = [(j, m | 1 << j, hit | hits[j]) for t, m, hit in chains
+                      for j in self._ups[t] if hit | hits[j] == sigma]
+        return levels
+
+    monkeypatch.setattr(coxsort.homology._OrderComplex, "_walk", eager_walk)
+    r = run_check("open_interval_spheres", SMALL)
+    assert not r.passed and r.instances == 652
+    assert r.failures[0] == {"group": "A3", "u": "e", "v": "1,2,1", "detail":
+                             "betti [GF(2): all zero] does not match S^1"}
+    # 389 of the 652 intervals fail: 25 kept, the rest counted
+    assert len(r.failures) == 26
+    assert r.failures[-1] == {"detail": "364 further failures truncated"}
 
 
 def test_fault_injection_in_ranks(monkeypatch):
