@@ -168,9 +168,9 @@ def cmd_fibers(args) -> int:
     Q, w = hecke._require_reduced(system, parse_word(args.Q))
     # table row -> masks sent there
     images = Counter(fibermap._mask_images(system, Q))
+    below = hecke._below(w)
     rows = []
-    for u in hecke._below(w):
-        report = fibermap.certify_fiber_contractible(system, Q, u)
+    for u, report in zip(below, fibermap._fiber_reports(system, Q, below)):
         # the open fiber is the upper fiber less the masks sent to u and the
         # full set, the one mask a reduced Q sends to w
         open_size = None if u == w else report.poset_size - images[u.index] - 1

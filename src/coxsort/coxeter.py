@@ -301,8 +301,11 @@ class CoxeterSystem:
     def _walk(self, word: Word) -> int:
         """The table row of an already-checked word; builds the table on first use."""
         if self._right is None:
-            self._right, self._left, self._inverse, self._words = _build_table(
-                self.matrix, self.size_cap)
+            try:
+                self._right, self._left, self._inverse, self._words = _build_table(
+                    self.matrix, self.size_cap)
+            except BudgetExceededError as exc:
+                raise exc.about(repr(self)) from None
         right = self._right
         x = 0
         for s in word:

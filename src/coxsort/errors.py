@@ -10,9 +10,10 @@ class BudgetExceededError(RuntimeError):
     never masquerade as an exact one.  ``budget`` names the budget
     (``"size_cap"``, ``"mask_cap"`` or ``"face_budget"``), ``limit`` is
     its value and ``spent`` the amount reached when it was exceeded.
-    ``subject`` names what was being certified, such as an interval or a
-    word and target, or is "" when the raiser did not know; a non-empty
-    one ends the message.
+    ``subject`` names what was being certified or built, such as an
+    interval, a word and target, a word and its group (the mask cap) or a
+    group (the size cap), or is "" when the raiser did not know; a
+    non-empty one ends the message.
     """
 
     def __init__(self, message: str, *, budget: str, limit: int, spent: int,

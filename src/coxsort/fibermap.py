@@ -11,6 +11,9 @@ and the homotopy certificate of each upper fiber, read off Delta(Q, u)
 itself; position sets become frozensets only where they leave the module.
 A certificate takes one route: a fiber's is read off the subword
 certificate of Delta(Q, u), and interval spheres share the same homology.
+Fiber certificates, like interval ones, are one batch route whose single
+call is a batch of one: a sweep over the u below w checks Q once and
+folds it once, and reads each u <= w off the fold.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .coxeter import CoxeterSystem, Element, _integer
+from .coxeter import CoxeterSystem, Element, _integer, word_str
 from .errors import BudgetExceededError
 from .hecke import _require_reduced, bruhat_leq, bruhat_row, demazure
 from .homology import BettiProfile, _OrderComplex, _field_index, _shared_profiles
@@ -62,7 +65,8 @@ def _mask_images(system: CoxeterSystem, Q: tuple[int, ...]) -> list[int]:
     if n > _MASK_CAP:
         raise BudgetExceededError(
             f"boolean lattice on {n} positions exceeds the cap of {_MASK_CAP}",
-            budget="mask_cap", limit=_MASK_CAP, spent=n)
+            budget="mask_cap", limit=_MASK_CAP, spent=n,
+            subject=f"Q={word_str(Q)} in {system!r}")
     right = system._right
     imgs = [0] * (1 << n)
     for mask in range(1, 1 << n):
@@ -157,20 +161,38 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
     has one facet; a cone vertex of Delta with two facets (B2, Q = 1,2,1,2,
     u = s1) is left to homology, whose trivial profiles it proves.  The
     kind and profiles are read off :func:`subword.certify_subword_complex`
-    of Delta, so a face budget exceeded on the way names Q and u.
+    of Delta, so a face budget exceeded on the way names Q and u.  The
+    same code as a one-target :func:`_fiber_reports`.
     """
+    return _fiber_reports(system, Q, [u])[0]
+
+
+def _fiber_reports(system: CoxeterSystem, Q: Iterable[int],
+                   targets: Iterable[Element]) -> list[FiberReport]:
+    """``certify_fiber_contractible(system, Q, u)`` for every u of
+    ``targets``, in order, from one check and one fold of Q: the fold's
+    first Bruhat row says which u lie below w, and every Delta(Q, u) is
+    built from the same fold.  Raises ValueError as the one-target call
+    does, at the first target that fails."""
     Q, w = _require_reduced(system, Q)
-    if not bruhat_leq(u, w):
-        raise ValueError("u must lie below the product of Q")
-    delta = SubwordComplex._folded(system, Q, u, *_fold(system, Q))
-    report = _certify(delta, {})
-    size = delta.num_faces()
-    if len(delta._facet_masks) == 1:
-        # for u = w the fiber is {full}: its proper part is empty, nothing to certify
-        return FiberReport(u.word, report.kind, size, True, "singleton" if u == w else "cone")
-    contractible = all(p.is_trivial() for p in report.profiles)
-    return FiberReport(u.word, report.kind, size, contractible,
-                       "homology" if contractible else None, report.profiles)
+    suffix, bounds = _fold(system, Q)
+    reports = []
+    for u in targets:
+        if u.system != system:
+            raise ValueError("elements belong to different Coxeter systems")
+        if not bounds[0][u.index]:
+            raise ValueError("u must lie below the product of Q")
+        delta = SubwordComplex._folded(system, Q, u, suffix, bounds)
+        report = _certify(delta, {})
+        if len(delta._facet_masks) == 1:
+            # for u = w the fiber is {full}: its proper part is empty, nothing to certify
+            contractible, method, betti = True, "singleton" if u == w else "cone", ()
+        else:
+            contractible = all(p.is_trivial() for p in report.profiles)
+            method, betti = "homology" if contractible else None, report.profiles
+        reports.append(FiberReport(u.word, report.kind, delta.num_faces(), contractible,
+                                   method, betti))
+    return reports
 
 
 @dataclass(frozen=True)

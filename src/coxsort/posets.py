@@ -6,8 +6,10 @@ ground can be compared, intersected, or united entry by entry.  Element
 grounds are always sorted by (length, canonical word), so ``covers()``
 comes in that order too.  An order is validated once, where it can fail
 (a relation given to ``Poset``, a union, an [e, w] Bruhat block, a sorting
-order's antisymmetry); orders by construction are not checked.  A caller
-that must say which order failed names it itself.
+order's antisymmetry); orders by construction are not checked.  A union
+is proved transitive once: ``RelationUnion.is_transitive`` is its one
+relation product, and ``as_poset`` reuses it.  A caller that must say
+which order failed names it itself.
 
 Relations compose through one product, :func:`_bool_product`, under the
 transitivity check, the cover matrix and the sorting relation.  Past
@@ -94,14 +96,23 @@ def _covers(leq: np.ndarray) -> np.ndarray:
     return strict & ~_bool_product(strict, strict)
 
 
+def _is_transitive(matrix: np.ndarray) -> bool:
+    """Whether the square bool ``matrix`` is transitive: one relation product."""
+    return not (_bool_product(matrix, matrix) & ~matrix).any()
+
+
 def _check_order(matrix: np.ndarray) -> None:
     """Raise ValueError unless the square bool ``matrix`` is reflexive,
     antisymmetric and transitive."""
+    _check_reflexive(matrix)
+    _check_antisymmetric(matrix)
+    if not _is_transitive(matrix):
+        raise ValueError("relation is not transitive")
+
+
+def _check_reflexive(matrix: np.ndarray) -> None:
     if len(matrix) and not matrix.diagonal().all():
         raise ValueError("relation is not reflexive")
-    _check_antisymmetric(matrix)
-    if (_bool_product(matrix, matrix) & ~matrix).any():
-        raise ValueError("relation is not transitive")
 
 
 def _check_antisymmetric(matrix: np.ndarray) -> None:
@@ -115,21 +126,16 @@ class Poset:
     and relations make equal posets."""
 
     def __init__(self, ground: Sequence, leq):
-        ground = tuple(ground)
-        if len(set(ground)) != len(ground):
-            raise ValueError("ground set contains duplicates")
-        matrix = np.array(leq, dtype=bool)
-        n = len(ground)
-        if matrix.shape != (n, n):
-            raise ValueError(f"relation matrix must be {n}x{n}")
+        ground, matrix = _relation(ground, leq)
         _check_order(matrix)
         self._init(ground, matrix)
 
     @classmethod
     def _induced(cls, ground: tuple, matrix: np.ndarray) -> "Poset":
         """The poset on ``matrix``, a partial order by construction (an
-        induced block, a weak interval, an intersection): nothing is checked.
-        ``matrix`` must be a fresh array no one else writes to."""
+        induced block, a weak interval, an intersection) or validated by
+        the caller: nothing is checked.  ``matrix`` must be a fresh array
+        no one else writes to."""
         poset = cls.__new__(cls)
         poset._init(ground, matrix)
         return poset
@@ -185,6 +191,20 @@ class Poset:
 
     def is_chain(self) -> bool:
         return bool((self.leq | self.leq.T).all())
+
+
+def _relation(ground: Sequence, leq) -> tuple[tuple, np.ndarray]:
+    """``ground`` as a tuple and a fresh bool copy of ``leq``, raising
+    ValueError unless the items are distinct and the matrix square on them;
+    whether it is an order is the caller's check."""
+    ground = tuple(ground)
+    if len(set(ground)) != len(ground):
+        raise ValueError("ground set contains duplicates")
+    matrix = np.array(leq, dtype=bool)
+    n = len(ground)
+    if matrix.shape != (n, n):
+        raise ValueError(f"relation matrix must be {n}x{n}")
+    return ground, matrix
 
 
 def bruhat_interval(u: Element, w: Element) -> Poset:
@@ -319,20 +339,31 @@ def relation_intersection(posets: Sequence[Poset]) -> Poset:
     return Poset._induced(ground, matrix)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationUnion:
     """Entrywise OR of order relations, which need not be transitive.
 
     ``matrix`` is the raw union (no transitive closure is taken);
-    ``is_transitive`` records whether it already is one.
+    ``is_transitive``, read off it by one relation product when first
+    asked for, says whether it already is one.
     """
 
     ground: tuple
     matrix: np.ndarray
-    is_transitive: bool
+
+    @cached_property
+    def is_transitive(self) -> bool:
+        return _is_transitive(self.matrix)
 
     def as_poset(self) -> Poset:
-        return Poset(self.ground, self.matrix)
+        """The union as a poset, raising ValueError as ``Poset(ground,
+        matrix)`` does; transitivity is read off ``is_transitive``."""
+        ground, matrix = _relation(self.ground, self.matrix)
+        _check_reflexive(matrix)
+        _check_antisymmetric(matrix)
+        if not self.is_transitive:
+            raise ValueError("relation is not transitive")
+        return Poset._induced(ground, matrix)
 
 
 def relation_union(posets: Sequence[Poset]) -> RelationUnion:
@@ -340,6 +371,5 @@ def relation_union(posets: Sequence[Poset]) -> RelationUnion:
     matrix = posets[0].leq.copy()
     for p in posets[1:]:
         matrix |= p.leq
-    transitive = not (_bool_product(matrix, matrix) & ~matrix).any()
     matrix.setflags(write=False)
-    return RelationUnion(ground, matrix, transitive)
+    return RelationUnion(ground, matrix)

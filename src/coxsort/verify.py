@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fibermap, hecke, oracles, posets, subword, totalpos
-from .coxeter import DEFAULT_SIZE_CAP, CoxeterSystem, word_str
+from .coxeter import DEFAULT_SIZE_CAP, CoxeterSystem, _integer, word_str
 
 __all__ = [
     "DEFAULT_ORDER_GROUPS",
@@ -68,6 +68,15 @@ def named_system(spec: str, size_cap: int = DEFAULT_SIZE_CAP) -> CoxeterSystem:
     return maker(int(m[2]), size_cap=size_cap)
 
 
+def _int_or_none(x) -> int | None:
+    """``x`` as a plain int through :func:`coxeter._integer`, or None for a
+    bool, a float, a string or anything else that is not an integer."""
+    try:
+        return _integer(x, "setting")
+    except ValueError:
+        return None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration shared by all checks.
@@ -77,9 +86,11 @@ class RunConfig:
     I2.4, repeat a name, though the report keeps the spellings given;
     equal matrices under two names, such as I2:4 and B2, are allowed);
     field is the homology coefficient field for the interval check (the
-    int 2 or 0); seed, an int, drives the total-positivity trials; size_cap,
-    a positive int, bounds group enumeration.  The report carries no
-    timing, so it is byte-identical across runs.
+    integer 2 or 0); seed, an integer, drives the total-positivity trials;
+    size_cap, a positive integer, bounds group enumeration.  Numpy integers
+    are stored as the plain ints the report prints; bools, floats and
+    strings raise.  The report carries no timing, so it is byte-identical
+    across runs.
     """
 
     groups: tuple[str, ...] | None = None
@@ -94,12 +105,15 @@ class RunConfig:
         names = {_group_name(g) for g in self.groups or ()}
         if self.groups is not None and not 0 < len(names) == len(self.groups):
             raise ValueError(f"groups must be nonempty without repeats, got {self.groups!r}")
-        if type(self.field) is not int or self.field not in (2, 0):
+        field, seed, size_cap = (_int_or_none(x) for x in (self.field, self.seed, self.size_cap))
+        if field not in (2, 0):
             raise ValueError(f"field must be 2 or 0, got {self.field!r}")
-        if type(self.seed) is not int or type(self.size_cap) is not int:
+        if seed is None or size_cap is None:
             raise ValueError(f"seed, size_cap must be ints, got {self.seed!r}, {self.size_cap!r}")
-        if self.size_cap <= 0:
-            raise ValueError(f"size_cap must be positive, got {self.size_cap}")
+        if size_cap <= 0:
+            raise ValueError(f"size_cap must be positive, got {size_cap}")
+        for name, value in (("field", field), ("seed", seed), ("size_cap", size_cap)):
+            object.__setattr__(self, name, value)
 
     @property
     def sweep_groups(self) -> tuple[str, ...]:
@@ -349,7 +363,8 @@ def check_b2_reference_orders(ctx: Context) -> CheckResult:
                "element 2,1,2 should have a unique reduced word", w=str(w))
         ground = sort_w.ground
         bru_w = posets.bruhat_interval(system.identity, w)
-        weak_on_bru = posets.Poset(ground, posets._weak_matrix(ground))
+        # the weak order of a lower interval, an order by construction
+        weak_on_bru = posets.Poset._induced(ground, posets._weak_matrix(ground))
         expect(sort_w != weak_on_bru, "sorting order should differ from the weak "
                                       "relation on the Bruhat interval of 2,1,2", w=str(w))
         expect(sort_w != bru_w, "sorting order should differ from the Bruhat order "
@@ -405,8 +420,9 @@ def check_fiber_duality(ctx: Context) -> CheckResult:
         system = ctx.system(gname)
         w = system.element(Q)
         full = frozenset(range(1, len(Q) + 1))
+        fold = subword._fold(system, Q)
         for u in hecke._below(w):
-            complex_ = subword.subword_complex(system, Q, u)
+            complex_ = subword.SubwordComplex._folded(system, Q, u, *fold)
             faces = complex_.faces()
             rec.instances += 1
             if fibermap.fiber_up(system, Q, u) != {full - F for F in faces}:
@@ -454,9 +470,9 @@ def check_contractible_fibers(ctx: Context) -> CheckResult:
         system = ctx.system(gname)
         w = system.element(Q)
         methods = {"cone": 0, "homology": 0, "singleton": 0}
-        for u in hecke._below(w)[1:]:  # e is the first row
+        below = hecke._below(w)[1:]  # e is the first row
+        for u, report in zip(below, fibermap._fiber_reports(system, Q, below)):
             rec.instances += 1
-            report = fibermap.certify_fiber_contractible(system, Q, u)
             if not report.contractible:
                 rec.fail(group=gname, Q=word_str(Q), u=str(u),
                          detail="strict upper fiber not certified contractible: "

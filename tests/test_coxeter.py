@@ -163,6 +163,17 @@ def test_size_cap():
         CoxeterSystem.type_a(2, size_cap=0)
 
 
+def test_a_capped_table_names_its_system():
+    tight = CoxeterSystem.type_a(3, size_cap=23)
+    for _ in range(2):  # nothing is kept, so every call raises the same error
+        with pytest.raises(BudgetExceededError, match="^group enumeration exceeded") as exc:
+            tight.elements()
+        err = exc.value
+        assert (err.budget, err.limit, err.spent) == ("size_cap", 23, 24)
+        assert err.subject == repr(tight)
+        assert str(err).endswith(f"size cap of 23 ({tight!r})")
+
+
 @pytest.mark.parametrize("system", [
     *(CoxeterSystem.type_a(n) for n in (1, 2, 3, 4)),
     CoxeterSystem.type_b(2),

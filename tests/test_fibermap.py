@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import coxsort.homology
+import coxsort.subword
 from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, fibermap, run_check,
-                     subword_complex)
+                     subword_complex, word_str)
+from coxsort.cli import main
 from coxsort.fibermap import (FiberReport, certify_fiber_contractible,
                               certify_interval_sphere, certify_interval_spheres,
                               check_order_preserving, fiber_open, fiber_up, subset_image)
@@ -310,6 +312,81 @@ def test_each_fiber_function_checks_its_word_once(monkeypatch):
             call(a3, Q, b2.element((1,)))
     with pytest.raises(ValueError, match="not reduced"):
         check_order_preserving(a3, (1, 1))
+
+
+def _count_calls(monkeypatch, *sites):
+    """Wrap each (owner, name) of ``sites`` so that its calls are counted,
+    in a dict by name."""
+    counts = dict.fromkeys((name for _, name in sites), 0)
+    for owner, name in sites:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+H3_W0 = (1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 3, 2, 1, 2, 3)
+
+
+def test_a_fiber_sweep_checks_and_folds_its_word_once(monkeypatch, capsys):
+    # one certificate per u used to check Q, fold it and ask Bruhat order
+    # once each: 121 / 120 / 120 for the 120 targets of H3's longest word,
+    # 40 / 37 / 37 for check 09; check 07 folded Q once per u, 40 times
+    counts = _count_calls(monkeypatch, (CoxeterSystem, "check_word"),
+                          (coxsort.subword, "_suffix_demazure"), (fibermap, "bruhat_leq"))
+
+    def spent():
+        got = tuple(counts.values())
+        counts.update(dict.fromkeys(counts, 0))
+        return got
+
+    assert main(["fibers", "--type", "H3", "--Q", word_str(H3_W0)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 121
+    # the command's own check of Q, then the sweep's one check and one fold
+    assert all(a <= b for a, b in zip(spent(), (2, 1, 0)))
+    assert run_check("contractible_fibers").passed
+    # per word: system.element(Q) and the sweep's check, and one fold
+    assert all(a <= b for a, b in zip(spent(), (6, 3, 0)))
+    # check 07 builds every Delta(Q, u) of a word from one fold; its
+    # reference side (fiber_up, fiber_open, interior_faces) is another count
+    folds = _count_calls(monkeypatch, (coxsort.subword, "_fold"))
+    assert run_check("fiber_duality").passed
+    assert folds == {"_fold": 3}
+
+
+def test_the_fiber_sweep_is_the_one_target_certificate_per_u():
+    b3 = CoxeterSystem.type_b(3)
+    Q = b3.longest_element().word
+    below = _below(b3.longest_element())
+    assert fibermap._fiber_reports(b3, Q, below) == [
+        certify_fiber_contractible(b3, Q, u) for u in below]
+    # errors in the one-target order: the word, the system, then Bruhat order
+    # (b3's <3> is also outside [e, 1,2,1] in A3's table)
+    a3 = CoxeterSystem.type_a(3)
+    for Q, targets, message in (
+            ((1, 1), [b3.element((3,))], "not reduced"),
+            ((1, 2, 1), [a3.element((1,)), b3.element((3,))], "different Coxeter systems"),
+            ((1, 2, 1), [a3.element((2, 1)), a3.element((1, 2, 3))], "below the product of Q")):
+        for call in (lambda: fibermap._fiber_reports(a3, Q, targets),
+                     lambda: certify_fiber_contractible(a3, Q, targets[-1])):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_a_capped_mask_table_names_its_word_and_group(capsys):
+    a6 = CoxeterSystem.type_a(6)
+    Q = a6.longest_element().word[:17]
+    subject = f"Q={word_str(Q)} in {a6!r}"
+    with pytest.raises(BudgetExceededError, match="17 positions exceeds the cap of 16") as exc:
+        check_order_preserving(a6, Q)
+    assert (exc.value.budget, exc.value.limit, exc.value.spent) == ("mask_cap", 16, 17)
+    assert exc.value.subject == subject
+    assert main(["fibers", "--type", "A6", "--Q", word_str(Q)]) == 1
+    assert capsys.readouterr().err.rstrip().endswith(f"exceeds the cap of 16 ({subject})")
 
 
 def test_certify_interval_sphere():

@@ -204,6 +204,32 @@ def test_relation_union_transitivity_flag():
     assert ok.as_poset() == p1
 
 
+def test_a_union_is_proved_transitive_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(posets, "_bool_product", lambda a, b: calls.append(a) or a @ b)
+    b2 = CoxeterSystem.type_b(2)
+    sortings = [sorting_order(b2, Q) for Q in ((1, 2, 1, 2), (2, 1, 2, 1))]
+    calls.clear()
+    union = relation_union(sortings)
+    assert union.is_transitive and union.as_poset().leq.tolist() == union.matrix.tolist()
+    assert len(calls) == 1
+    # the flag is read off the matrix, never given
+    with pytest.raises(TypeError):
+        posets.RelationUnion(union.ground, union.matrix, False)
+    # as_poset keeps Poset's messages, in Poset's order
+    eye = np.eye(3, dtype=bool)
+    cycle = eye | np.roll(eye, 1, axis=1)  # 0 < 1 < 2 < 0, and no more
+    tied = eye.copy()
+    tied[0, 1] = tied[1, 0] = tied[1, 2] = True  # 0 = 1 < 2, but not 0 < 2
+    for matrix, message in ((cycle & ~eye, "not reflexive"), (tied, "not antisymmetric"),
+                            (cycle, "not transitive")):
+        with pytest.raises(ValueError, match=message) as want:
+            Poset(("a", "b", "c"), matrix)
+        with pytest.raises(ValueError) as got:
+            posets.RelationUnion(("a", "b", "c"), matrix).as_poset()
+        assert str(got.value) == str(want.value)
+
+
 def test_covers_of_a_chain_past_256():
     # (0, 257) has 256 elements strictly between; a count of witnesses in
     # uint8 wraps to 0 there and reports a false cover

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import coxsort.errors
+import coxsort.fibermap
 import coxsort.hecke
 import coxsort.homology
 import coxsort.posets
@@ -89,6 +90,33 @@ def test_rational_report_is_byte_stable():
         "4911fb83bf5686fb5dd5e8c3579988112fafd1eabb2cac1abca6013c08241ee0")
 
 
+def test_run_config_takes_numpy_integers_and_stores_plain_ints():
+    assert RunConfig(field=np.int64(2), seed=np.int64(1), size_cap=np.int64(100)) == RunConfig(
+        seed=1, size_cap=100)
+    config = RunConfig(field=np.int64(0), seed=np.int32(0), size_cap=np.int64(50_000))
+    assert config == RunConfig(field=0)
+    assert {type(config.field), type(config.seed), type(config.size_cap)} == {int}
+    report = report_json(run_verification(config))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "4911fb83bf5686fb5dd5e8c3579988112fafd1eabb2cac1abca6013c08241ee0")
+
+
+def test_the_default_sweep_validates_no_order_it_built(monkeypatch):
+    # check 05's weak relation is an order by construction, and its union is
+    # proved transitive by one product, which as_poset reuses
+    counts = dict.fromkeys(("_bool_product", "__init__"), 0)
+    for owner, name in ((coxsort.posets, "_bool_product"), (coxsort.posets.Poset, "__init__")):
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    run_verification(RunConfig())
+    assert counts == {"_bool_product": 820, "__init__": 0}
+
+
 def test_context_reuse_and_register():
     ctx = Context(SMALL)
     assert ctx.system("B2") is ctx.system("B2")
@@ -152,6 +180,34 @@ def test_fault_injection_breaks_contractible_fibers(monkeypatch):
     assert r.failures[0]["detail"].endswith("[GF(2): b~2=1], [Q: b~2=1]")
     assert [n["cone"] for n in r.notes] == [12, 3, 3]
     assert [n["homology"] for n in r.notes] == [0, 0, 0]
+
+
+def test_a_misfolding_demazure_breaks_the_worked_example(monkeypatch):
+    # the group product in place of the 0-Hecke product: 1,2,1,2 is then
+    # 2,1 in A3, where the fold absorbs the last 2 into 1,2,1
+    monkeypatch.setattr(coxsort.fibermap, "demazure",
+                        lambda system, word: system.element(word))
+    r = run_check("boolean_map_worked_example", SMALL)
+    assert not r.passed
+    assert r.failures == [{"group": "A3", "Q": "1,2,3,1,2,1",
+                           "detail": "image of [1, 2, 4, 5] is <2,1>, expected <1,2,1>"}]
+
+
+def test_a_mask_sent_to_another_row_breaks_fiber_duality(monkeypatch):
+    # the empty position set sent where the full one goes, to w
+    real = coxsort.fibermap._mask_images
+
+    def misrouted(system, Q):
+        images = real(system, Q)
+        images[0] = images[-1]
+        return images
+
+    monkeypatch.setattr(coxsort.fibermap, "_mask_images", misrouted)
+    r = run_check("fiber_duality", SMALL)
+    assert not r.passed
+    # e is spared: its upper fiber is every position set anyway
+    assert r.failures[0] == {"group": "A3", "Q": "1,2,3,1,2,1", "u": "1",
+                             "detail": "upper fiber differs from face complements"}
 
 
 def test_fault_injection_breaks_ball_sphere_classification(monkeypatch):
