@@ -99,14 +99,14 @@ def check_order_preserving(system: CoxeterSystem, Q: Iterable[int]) -> bool:
     return True
 
 
-def _fiber(system: CoxeterSystem, Q: tuple[int, ...], u: Element,
+def _fiber(system: CoxeterSystem, images: list[int], u: Element,
            excluded: tuple[int, ...] = ()) -> set[frozenset[int]]:
-    # the position sets whose image dominates u and is no excluded row;
-    # Bruhat order is asked once per distinct image, not once per mask
+    """The position sets whose image, read off ``images`` (the table of
+    :func:`_mask_images`), dominates u and is no excluded row; Bruhat order
+    is asked once per distinct image, not once per mask."""
     elements = system.elements()
-    imgs = _mask_images(system, Q)
-    above = {x for x in set(imgs) if x not in excluded and bruhat_leq(u, elements[x])}
-    return {_positions(mask) for mask, x in enumerate(imgs) if x in above}
+    above = {x for x in set(images) if x not in excluded and bruhat_leq(u, elements[x])}
+    return {_positions(mask) for mask, x in enumerate(images) if x in above}
 
 
 def fiber_up(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozenset[int]]:
@@ -114,7 +114,7 @@ def fiber_up(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozens
     image dominates u.  These are exactly the complements of the faces
     of the subword complex of (Q, u)."""
     Q, _ = _require_reduced(system, Q)
-    return _fiber(system, Q, u)
+    return _fiber(system, _mask_images(system, Q), u)
 
 
 def fiber_open(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[frozenset[int]]:
@@ -122,7 +122,7 @@ def fiber_open(system: CoxeterSystem, Q: Iterable[int], u: Element) -> set[froze
     Q, w = _require_reduced(system, Q)
     if u == w or not bruhat_leq(u, w):
         raise ValueError("open-interval fibers need u strictly below the full product")
-    return _fiber(system, Q, u, (u.index, w.index))
+    return _fiber(system, _mask_images(system, Q), u, (u.index, w.index))
 
 
 @dataclass(frozen=True)
@@ -175,15 +175,15 @@ def _fiber_reports(system: CoxeterSystem, Q: Iterable[int],
     built from the same fold.  Raises ValueError as the one-target call
     does, at the first target that fails."""
     Q, w = _require_reduced(system, Q)
-    suffix, bounds = _fold(system, Q)
+    fold = _fold(system, Q)
     reports = []
     for u in targets:
         if u.system != system:
             raise ValueError("elements belong to different Coxeter systems")
-        if not bounds[0][u.index]:
+        if not fold.bounds[0][u.index]:
             raise ValueError("u must lie below the product of Q")
-        delta = SubwordComplex._folded(system, Q, u, suffix, bounds)
-        report = _certify(delta, {})
+        delta = SubwordComplex._folded(system, Q, u, fold)
+        report = _certify(delta, {}, prove_cones=False)
         if len(delta._facet_masks) == 1:
             # for u = w the fiber is {full}: its proper part is empty, nothing to certify
             contractible, method, betti = True, "singleton" if u == w else "cone", ()

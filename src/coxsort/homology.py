@@ -65,8 +65,10 @@ Every reading of the faces counts them against it first, cone or not,
 cached or not, and a complex that raised keeps no faces.  An order
 complex counts its chains, level by level, before it builds any, so it
 raises at the same level, with the same amount spent, whatever it was
-asked for.  Only ``num_faces(budget)`` takes another bound, kept for the
-benchmark tracer.
+asked for.  A subword complex reads its face count off one pass over its
+word (see :mod:`coxsort.subword`) and raises on that count before any
+face is built.  Only ``num_faces(budget)`` takes another bound, kept for
+the benchmark tracer.
 
 >>> triangle = SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 >>> reduced_betti(triangle, 2).numbers

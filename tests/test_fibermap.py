@@ -358,6 +358,16 @@ def test_a_fiber_sweep_checks_and_folds_its_word_once(monkeypatch, capsys):
     assert folds == {"_fold": 3}
 
 
+def test_check_07_builds_one_table_of_f_per_word(monkeypatch):
+    # its reference side went through fiber_up and fiber_open, which built
+    # the 2^|Q| table of f and checked Q once per call: 77 tables and 80
+    # word checks for its 3 words
+    counts = _count_calls(monkeypatch, (fibermap, "_mask_images"),
+                          (CoxeterSystem, "check_word"))
+    assert run_check("fiber_duality").passed
+    assert counts == {"_mask_images": 3, "check_word": 3}
+
+
 def test_the_fiber_sweep_is_the_one_target_certificate_per_u():
     b3 = CoxeterSystem.type_b(3)
     Q = b3.longest_element().word

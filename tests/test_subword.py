@@ -1,5 +1,7 @@
 import gc
 import itertools
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -7,9 +9,10 @@ import coxsort.homology
 from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, VoidComplexError, run_check,
                      subword, subword_complex)
 from coxsort.fibermap import certify_fiber_contractible
-from coxsort.homology import SimplicialComplex
+from coxsort.homology import SimplicialComplex, _profiles
 from coxsort.hecke import _below, bruhat_leq, demazure
 from coxsort.oracles import subword_facets_bruteforce
+from coxsort.verify import _FIBER_CASES, named_system
 from coxsort.subword import (SubwordComplex, _facets_by_backtrack, _fold, _positions,
                              certify_subword_complex, certify_subword_complexes)
 
@@ -247,12 +250,15 @@ def _spy(monkeypatch, module, name):
 
 def test_batch_folds_each_word_once_and_computes_each_distinct_complex_once(monkeypatch):
     # the sharing belongs to one call: equal keys within a call share one
-    # _profiles, and a second call starts again from nothing
+    # _profiles, and a second call starts again from nothing; a cone (a
+    # vertex in every facet) reaches no _profiles at all
     systems = _check_06_systems()
-    keys = [{subword_complex(system, Q, u)._key()
-             for Q in CHECK_06_WORDS for u in _below(demazure(system, Q))}
-            for system in systems]
-    assert [len(k) for k in keys] == [268, 312]
+    complexes = [[subword_complex(system, Q, u)
+                  for Q in CHECK_06_WORDS for u in _below(demazure(system, Q))]
+                 for system in systems]
+    assert [len({K._key() for K in c}) for c in complexes] == [268, 312]
+    keys = [{K._key() for K in c if not reduce(and_, K._facet_masks)} for c in complexes]
+    assert [len(k) for k in keys] == [80, 86]
     folds = _spy(monkeypatch, subword, "_suffix_demazure")
     cold = _spy(monkeypatch, coxsort.homology, "_profiles")
     for system, distinct in zip(systems, keys):
@@ -268,7 +274,88 @@ def test_batch_folds_each_word_once_and_computes_each_distinct_complex_once(monk
     cold.clear()
     assert run_check("ball_sphere_classification", RunConfig()).instances == 1386
     assert len(folds) == 2 * len(CHECK_06_WORDS) == 254
-    assert len(cold) == 268 + 312
+    assert len(cold) == 80 + 86
+
+
+def _pass_cases():
+    """Check 06's words, check 07's and the A3 words of length at most 7."""
+    for system in _check_06_systems():
+        yield from ((system, Q) for Q in CHECK_06_WORDS)
+    yield from ((named_system(gname), Q) for gname, Q in _FIBER_CASES)
+    a3 = CoxeterSystem.type_a(3)
+    yield from ((a3, Q) for n in range(8) for Q in itertools.product((1, 2, 3), repeat=n))
+
+
+def test_one_pass_finds_every_cone_and_counts_every_face():
+    # used[u] is every position off the intersection of the facets, and
+    # faces[u] the number of faces that enumeration from the facets builds;
+    # off the targets both are 0
+    targets = cones = 0
+    for system, Q in _pass_cases():
+        fold = _fold(system, Q)
+        full = (1 << len(Q)) - 1
+        for u in system.elements():
+            x = u.index
+            if not fold.bounds[0][x]:
+                assert fold.used[x] == fold.faces[x] == 0, (Q, u)
+                continue
+            K = SubwordComplex._folded(system, Q, u, fold)
+            common = reduce(and_, K._facet_masks)
+            assert fold.used[x] == full ^ common, (Q, u)
+            assert fold.faces[x] == sum(map(len, K._face_levels())) == K.num_faces(), (Q, u)
+            assert K._cone == bool(common)
+            targets += 1
+            cones += K._cone
+    # check 06's share is 1,386 complexes and 1,056 cones
+    assert (targets, cones) == (40861, 36318)
+
+
+def test_a_64_letter_word_counts_its_2_to_the_64_faces_and_builds_none():
+    a3 = CoxeterSystem.type_a(3)
+    Q = (1, 2, 3) * 21 + (1,)
+    K = subword_complex(a3, Q, a3.identity)
+    assert len(Q) == 64 and K.num_faces(budget=2 ** 64) == 2 ** 64
+    with pytest.raises(BudgetExceededError) as exc:
+        K.num_faces()
+    assert (exc.value.budget, exc.value.limit, exc.value.spent) == (
+        "face_budget", 200_000, 2 ** 64)
+    assert K._levels is None and "_facet_masks" not in vars(K)
+
+
+def test_a_complex_over_the_budget_raises_on_its_count_before_building_a_face(monkeypatch):
+    # the 5-simplex Delta((1,) * 6, e) has 64 faces; enumeration used to
+    # raise part way through a level, with 64 spent at this budget but 41
+    # at a budget of 40
+    b2 = CoxeterSystem.type_b(2)
+    searches = _spy(monkeypatch, subword, "_facets_by_backtrack")
+    for budget in (40, 63):
+        monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", budget)
+        K = subword_complex(b2, (1,) * 6, b2.identity)
+        for ask in (K.num_faces, K.faces, lambda: certify_subword_complex(K)):
+            with pytest.raises(BudgetExceededError) as exc:
+                ask()
+            assert (exc.value.limit, exc.value.spent) == (budget, 64)
+        assert K._levels is None and searches == []
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 64)
+    assert K.num_faces() == len(K.faces()) == 64 and len(searches) == 1
+
+
+def test_the_batch_proves_its_cones_with_no_facet_search_and_no_face(monkeypatch):
+    # the profiles are those of the homology of every complex, cones included
+    for system in _check_06_systems():
+        for Q, u, report in certify_subword_complexes(system, CHECK_06_WORDS):
+            assert report.profiles == _profiles(subword_complex(system, Q, u)), (Q, u)
+    searches = _spy(monkeypatch, subword, "_facets_by_backtrack")
+    built = _spy(monkeypatch, SimplicialComplex, "_enumerate")
+    counts = []
+    for system in _check_06_systems():
+        searches.clear()
+        built.clear()
+        reports = list(certify_subword_complexes(system, CHECK_06_WORDS))
+        counts.append((len(reports), len(searches), len(built)))
+    # 1,386 complexes, 1,056 of them cones: 330 facet searches, and the
+    # 166 distinct complexes among them enumerated once each
+    assert counts == [(649, 159, 80), (737, 171, 86)]
 
 
 def test_batch_takes_any_iterable_and_checks_each_word():

@@ -237,6 +237,25 @@ def test_relative_levels_that_leave_no_face_break_ball_sphere_classification(mon
     assert r.failures[-1] == {"detail": "483 further failures truncated"}
 
 
+def test_a_pass_that_marks_every_target_a_cone_breaks_ball_sphere_classification(monkeypatch):
+    # every subword complex given the trivial profiles of a cone, with no
+    # homology computed: the spheres refute it
+    real = coxsort.subword._spell
+
+    def all_cones(system, Q, suffix):
+        used, faces = real(system, Q, suffix)
+        return [-1] * len(used), faces  # -1 is never the mask of every position
+
+    monkeypatch.setattr(coxsort.subword, "_spell", all_cones)
+    r = run_check("ball_sphere_classification", SMALL)
+    assert not r.passed and r.instances == 1386
+    assert r.failures[0] == {"group": "A2", "Q": "e", "u": "e", "detail":
+                             "classified sphere but betti [GF(2): all zero] (expected S^-1)"}
+    # one failure per field for each of the 254 spheres, 508 in all
+    assert len(r.failures) == 26
+    assert r.failures[-1] == {"detail": "483 further failures truncated"}
+
+
 def test_corrupted_sorting_relation_gives_a_red_report(monkeypatch):
     # equal position rows make some sorting relations non-antisymmetric;
     # the sweep records that instead of raising
