@@ -10,10 +10,11 @@ table rows, its fibers as masks filtered through Bruhat down-set rows,
 and the homotopy certificate of each upper fiber, read off Delta(Q, u)
 itself; position sets become frozensets only where they leave the module.
 A certificate takes one route: a fiber's is read off the subword
-certificate of Delta(Q, u), and interval spheres share the same homology.
-Fiber certificates, like interval ones, are one batch route whose single
-call is a batch of one: a sweep over the u below w checks Q once and
-folds it once, and reads each u <= w off the fold.
+certificate of Delta(Q, u), a cone's with no face built, and interval
+spheres share the same homology.  Fiber certificates, like interval
+ones, are one batch route whose single call is a batch of one: a sweep
+over the u below w checks Q once and folds it once, and reads each u <= w
+off the fold.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ class FiberReport:
     is the least element of the strict fiber, so its order complex is a
     cone; ``"homology"`` when the claim rests on the vanishing reduced
     Betti numbers of Delta over GF(2) and the rationals, listed in
-    ``betti``; None when those numbers do not vanish.
+    ``betti``, which a cone with two facets or more keeps as its label,
+    part of the report's bytes; None when those numbers do not vanish.
     """
 
     target: tuple[int, ...]
@@ -158,8 +160,9 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
     fiber is the poset of nonempty faces of Delta under reverse inclusion,
     whose order complex sd(Delta) is homeomorphic to Delta.  It has a cone
     vertex, a face comparable to every vertex and every facet, iff Delta
-    has one facet; a cone vertex of Delta with two facets (B2, Q = 1,2,1,2,
-    u = s1) is left to homology, whose trivial profiles it proves.  The
+    has one facet, that is (Delta is pure) 2^(len(Q) - l(u)) faces; a cone
+    vertex of Delta with two facets (B2, Q = 1,2,1,2, u = s1) keeps the
+    label "homology", its trivial profiles proved with no face built.  The
     kind and profiles are read off :func:`subword.certify_subword_complex`
     of Delta, so a face budget exceeded on the way names Q and u.  The
     same code as a one-target :func:`_fiber_reports`.
@@ -182,16 +185,15 @@ def _fiber_reports(system: CoxeterSystem, Q: Iterable[int],
             raise ValueError("elements belong to different Coxeter systems")
         if not fold.bounds[0][u.index]:
             raise ValueError("u must lie below the product of Q")
-        delta = SubwordComplex._folded(system, Q, u, fold)
-        report = _certify(delta, {}, prove_cones=False)
-        if len(delta._facet_masks) == 1:
+        report = _certify(SubwordComplex._folded(system, Q, u, fold), {})
+        faces = fold.faces[u.index]
+        if faces == 1 << (len(Q) - u.length):  # one facet: Delta is pure
             # for u = w the fiber is {full}: its proper part is empty, nothing to certify
             contractible, method, betti = True, "singleton" if u == w else "cone", ()
         else:
             contractible = all(p.is_trivial() for p in report.profiles)
             method, betti = "homology" if contractible else None, report.profiles
-        reports.append(FiberReport(u.word, report.kind, delta.num_faces(), contractible,
-                                   method, betti))
+        reports.append(FiberReport(u.word, report.kind, faces, contractible, method, betti))
     return reports
 
 

@@ -35,11 +35,11 @@ augmentation, and the boundary is that of Delta with the faces of L
 dropped, zero columns.  Clearing and the count of eliminated rows above
 use only that the rows are boundaries in a finite chain complex with one
 basis per degree, so they hold on C(Delta, L) as they stand.  When some
-vertex lies in every facet, the complex is a cone, the closed star of
-that vertex, so contractible: L is the whole complex, no face is left,
-and the trivial profiles are proved with no boundary matrix built.
-Otherwise a simplicial complex, such as a subword complex, which is not
-flag, has L void, whose augmented chain complex is zero.
+vertex lies in every facet (``_cone``, the one cone test), the complex
+is a cone, the closed star of that vertex: L is the whole complex, no
+face is built, and every cone shares the key ``()``.  Otherwise a
+simplicial complex, such as a subword complex, which is not flag, has L
+void.
 
 An order complex takes L from a maximal chain.  Its faces are the chains of a
 poset, so it is flag: a vertex set is a face as soon as its vertices are
@@ -62,13 +62,13 @@ chain, so in sigma, and its star is the whole complex: no chain is left.
 
 There is one face budget, :data:`DEFAULT_FACE_BUDGET`, read at each call.
 Every reading of the faces counts them against it first, cone or not,
-cached or not, and a complex that raised keeps no faces.  An order
-complex counts its chains, level by level, before it builds any, so it
-raises at the same level, with the same amount spent, whatever it was
-asked for.  A subword complex reads its face count off one pass over its
-word (see :mod:`coxsort.subword`) and raises on that count before any
-face is built.  Only ``num_faces(budget)`` takes another bound, kept for
-the benchmark tracer.
+cached or not, in ``num_faces``, on the count of each class's
+``_count``, and a complex that raised keeps no faces.  Facets are
+enumerated, stopping past the budget; an order complex counts its chains
+level by level, and a subword complex reads its count off one pass over
+its word (see :mod:`coxsort.subword`), both before any face is built.
+Only ``num_faces(budget)`` takes another bound, kept for the benchmark
+tracer.
 
 >>> triangle = SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 >>> reduced_betti(triangle, 2).numbers
@@ -160,35 +160,58 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
+    @cached_property
+    def _cone(self) -> bool:
+        """Whether some vertex lies in every facet, making the complex a cone."""
+        return bool(reduce(and_, self._facet_masks))
+
     def _key(self) -> tuple:
-        """Equal keys make the same complex on the same ordered vertices:
-        the vertex count and the sorted facet masks."""
-        return len(self.vertices), tuple(sorted(self._facet_masks))
+        """Equal keys make the same C(Delta, L) (``_relative_levels``): ``()``
+        for every cone, whose C(Delta, L) is zero, else the vertex count and
+        the sorted facet masks, the same complex on the same vertices."""
+        return () if self._cone else (len(self.vertices), tuple(sorted(self._facet_masks)))
 
     def _relative_levels(self) -> list[list[int]]:
         """The faces outside a subcomplex L with no reduced homology, which
         :func:`_profiles` eliminates in place of every face, once all are
-        counted against the face budget.  If some vertex lies in every
-        facet, L is its star, the whole complex, and no face is left, not
-        even the empty one: ``[[]]``.  Otherwise L is void and every face
-        is kept: the argument for order complexes needs a flag complex (see
-        the module docstring)."""
-        levels = self._face_levels()
-        return [[]] if reduce(and_, self._facet_masks) else levels
+        counted against the face budget.  For a cone, L is the whole
+        complex and no face is left or built, not even the empty one:
+        ``[[]]``.  Otherwise L is void and every face is kept: the argument
+        for order complexes needs a flag complex (see the module docstring)."""
+        if self._cone:
+            self.num_faces()
+            return [[]]
+        return self._face_levels()
+
+    def num_faces(self, budget: int | None = None) -> int:
+        """The number of faces, the empty one included, read off ``_count``
+        and compared with ``budget``, by default the face budget."""
+        budget = DEFAULT_FACE_BUDGET if budget is None else budget
+        total = self._count(budget)
+        if total > budget:
+            raise _face_budget_error(budget, total)
+        return total
+
+    def _count(self, budget: int) -> int:
+        """The face count of a complex given by facets, which enumerates
+        them, stopping once ``budget`` is passed; the faces are kept."""
+        if self._levels is None:
+            self._levels = self._enumerate(budget)
+        return sum(map(len, self._levels))
 
     def _face_levels(self, budget: int | None = None) -> list[list[int]]:
         """``levels[k]``: the faces with k vertices (dimension k - 1) as
-        sorted masks, enumerated once and then kept; every call compares
-        their number with ``budget``, by default the face budget."""
-        budget = DEFAULT_FACE_BUDGET if budget is None else budget
+        sorted masks, built once and kept, once counted against ``budget``."""
+        self.num_faces(budget)
         if self._levels is None:
-            self._levels = self._enumerate(budget)
-        total = sum(map(len, self._levels))
-        if total > budget:
-            raise _face_budget_error(budget, total)
+            self._levels = self._build_levels()
         return self._levels
 
-    def _enumerate(self, budget: int) -> list[list[int]]:
+    def _build_levels(self) -> list[list[int]]:
+        """Every face by size, once counted: enumerated from the facets."""
+        return self._enumerate()
+
+    def _enumerate(self, budget: float = math.inf) -> list[list[int]]:
         """Level k - 1 is the facets of that size plus every face of level
         k with one vertex dropped; the budget is checked face by face while
         a level is built."""
@@ -223,9 +246,6 @@ class SimplicialComplex:
     def faces(self) -> set[frozenset]:
         """All faces, including the empty face, as vertex sets."""
         return {self._face(mask) for level in self._face_levels() for mask in level}
-
-    def num_faces(self, budget: int | None = None) -> int:
-        return sum(map(len, self._face_levels(budget)))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(vertices={len(self.vertices)}, facets={len(self.facets)})"
@@ -414,23 +434,24 @@ def _field_index(coefficient_field: int) -> int:
 def _shared_profiles(K: SimplicialComplex, shared: dict,
                      subject: Callable[[], str]) -> tuple[BettiProfile, BettiProfile]:
     """``_profiles(K)`` through ``shared``, a dict that one batch call owns
-    and drops when it returns.  Complexes with equal ``K._key()`` are the
-    same complex on the same ordered vertices, so one result serves them
-    all, exactly, over both fields.  An entry is ``(face count, profiles)``,
-    the count read off K's ``num_faces``, and a hit over the face budget
-    counts the faces of K after all, so K raises as a cold call would: the
-    one :class:`BudgetExceededError` that names ``subject()``, called only
-    then, what was being certified."""
+    and drops when it returns.  Complexes with equal ``K._key()`` have the
+    same relative chain complex, so one result serves them all, exactly,
+    over both fields: the same complex on the same ordered vertices, or
+    any cone, all of which share the key ``()``.  An entry is ``(face
+    count, profiles)``, the count K's own for every key but ``()``: a
+    cone, or a hit over the face budget, counts the faces of K, so K raises
+    as a cold call would, the one :class:`BudgetExceededError` that names
+    ``subject()``, called only then, what was being certified."""
     key = K._key()
     hit = shared.get(key)
-    if hit is not None and hit[0] <= DEFAULT_FACE_BUDGET:
-        return hit[1]
     try:
-        profiles = _profiles(K)
+        if hit is None:
+            hit = shared[key] = K.num_faces(), _profiles(K)
+        elif not key or hit[0] > DEFAULT_FACE_BUDGET:
+            K.num_faces()
     except BudgetExceededError as exc:
         raise exc.about(subject()) from exc
-    shared[key] = (K.num_faces(), profiles)
-    return profiles
+    return hit[1]
 
 
 class _OrderComplex(SimplicialComplex):
@@ -496,11 +517,9 @@ class _OrderComplex(SimplicialComplex):
         of k elements with top t, N_1[t] = 1 and N_(k+1)[j] is the sum of
         N_k[t] over t < j.  The running total is compared with ``budget``,
         by default the face budget, after each level, so a complex over it
-        raises at the first level that crosses it and keeps no counts; kept
-        counts are compared again at every call."""
+        raises at the first level that crosses it and keeps no counts."""
         budget = DEFAULT_FACE_BUDGET if budget is None else budget
-        counts = self._counts
-        if counts is None:
+        if self._counts is None:
             ups = self._ups
             counts, total = [1], 1
             by_top = [1] * len(self.vertices)
@@ -515,23 +534,18 @@ class _OrderComplex(SimplicialComplex):
                         for j in ups[t]:
                             longer[j] += count
                 by_top = longer
-        total = sum(counts)
-        if total > budget:
-            raise _face_budget_error(budget, total)
-        self._counts = counts
-        return counts
+            if total > budget:  # the empty order's one chain, which no level follows
+                raise _face_budget_error(budget, total)
+            self._counts = counts
+        return self._counts
 
-    def num_faces(self, budget: int | None = None) -> int:
+    def _count(self, budget: int) -> int:
         """The number of chains, read off the counts: none is built."""
         return sum(self._chain_counts(budget))
 
-    def _face_levels(self, budget: int | None = None) -> list[list[int]]:
-        """Every chain by size, once the chains are counted against
-        ``budget``: the walk with sigma empty, made once and then kept."""
-        self._chain_counts(budget)
-        if self._levels is None:
-            self._levels = self._walk(0)
-        return self._levels
+    def _build_levels(self) -> list[list[int]]:
+        """Every chain by size: the walk with sigma empty."""
+        return self._walk(0)
 
     def _relative_levels(self) -> list[list[int]]:
         """The chains outside L, the union of the stars of a maximal chain
@@ -541,7 +555,7 @@ class _OrderComplex(SimplicialComplex):
         is comparable with all kept so far.  Every element left out is
         incomparable with one kept, so sigma is maximal; one comparable
         with all is kept, so a cone leaves none."""
-        self._chain_counts()
+        self.num_faces()
         comparable = self._comparable
         sigma = 0
         for i in sorted(range(len(comparable)), key=lambda i: -comparable[i].bit_count()):

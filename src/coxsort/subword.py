@@ -35,10 +35,11 @@ keeps used[x], the positions lying in some reduced subword of Q spelling
 x: used_j[x] = used_(j+1)[x] | bit j | used_(j+1)[sx] when sx < x, for x
 below the product of Q[j:], which by the lemma puts sx below the product
 of Q[j+1:].  The facets are the complements of these subwords, so a
-position outside used[u] lies in every facet: Delta(Q, u) is a cone,
-whose homology is trivial, exactly when used[u] is not every position.
-(For Q empty, used[e] is every position, none, and Delta((), e), the
-empty complex {frozenset()}, is the (-1)-sphere, no cone.)
+position outside used[u] lies in every facet: Delta(Q, u) is a cone
+exactly when used[u] is not every position.  (For Q empty, used[e] is
+every position, none, and Delta((), e) = {frozenset()} is no cone.)  The
+complex reads its cone test and its face count (``_cone``, ``_count``)
+off this pass, so a cone is certified with no facet searched.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import homology
 from .coxeter import CoxeterSystem, Element, word_str
 from .errors import BudgetExceededError, VoidComplexError
 from .hecke import _suffix_demazure, bruhat_row
-from .homology import BettiProfile, SimplicialComplex, _face_budget_error, _shared_profiles
+from .homology import BettiProfile, SimplicialComplex, _shared_profiles
 
 __all__ = ["SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex",
            "certify_subword_complexes"]
@@ -102,7 +102,7 @@ class SubwordComplex(SimplicialComplex):
         self._bounds = fold.bounds
         self._product = fold.suffix[0]  # table row of the Demazure product of Q
         self._cone = fold.used[t] != (1 << len(Q)) - 1
-        self._count = fold.faces[t]
+        self._faces = fold.faces[t]
 
     @cached_property
     def _facet_masks(self) -> list[int]:
@@ -113,18 +113,9 @@ class SubwordComplex(SimplicialComplex):
             self.system, self.Q, self.target, self._bounds))
         return vars(self)["_facet_masks"]
 
-    def num_faces(self, budget: int | None = None) -> int:
-        """The number of faces, read off the fold's count: none is built.
-        Compared with ``budget``, by default the face budget."""
-        budget = homology.DEFAULT_FACE_BUDGET if budget is None else budget
-        if self._count > budget:
-            raise _face_budget_error(budget, self._count)
-        return self._count
-
-    def _enumerate(self, budget: int) -> list[list[int]]:
-        """The faces by size, once the count is within ``budget``."""
-        self.num_faces(budget)
-        return super()._enumerate(budget)
+    def _count(self, budget: int) -> int:
+        """The number of faces, read off the fold's count: none is built."""
+        return self._faces
 
     def classify(self) -> str:
         """"sphere" when the Demazure product of Q equals the target,
@@ -264,11 +255,11 @@ def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[in
     in word order and then table order.
 
     Each Q is folded once, and the fold gives the product, the u below it,
-    every face count and cone test and every facet search.  A cone has the
-    trivial profiles over both fields with no facet searched and no face
-    built.  Other complexes on the same number of positions with the same
-    facet masks are the same complex, so within one call they share one
-    homology computation, exact over both fields; nothing is kept once the
+    every face count and cone test and every facet search.  Within one
+    call, complexes with equal keys share one homology computation, exact
+    over both fields: every cone shares one, with no facet searched and no
+    face built, and other complexes on the same number of positions with
+    the same facet masks are the same complex; nothing is kept once the
     call ends.  A face budget exceeded raises :class:`BudgetExceededError`
     at the first instance over it, naming its Q and u as the one-instance
     call does.
@@ -288,19 +279,10 @@ def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[in
             yield Q, u, _certify(SubwordComplex._folded(system, Q, u, fold), shared)
 
 
-# a cone is contractible: no reduced homology over any field
-_CONE_PROFILES = (BettiProfile(2, ()), BettiProfile(0, ()))
-
-
-def _certify(complex_: SubwordComplex, shared: dict, *,
-             prove_cones: bool = True) -> SubwordReport:
+def _certify(complex_: SubwordComplex, shared: dict) -> SubwordReport:
     """The report of ``complex_``.  Its face count is checked against the
-    face budget first, before any face is built: the one place a budget
-    error is raised, naming Q, the target and the group.  A cone has the
-    trivial profiles, unless ``prove_cones`` is false (the fiber
-    certificate, which leaves a cone with two facets or more to homology);
-    any other complex has its homology shared through ``shared`` (see
-    :func:`homology._shared_profiles`)."""
+    face budget before anything else, its key's facet search included, and
+    a budget error names Q, the target and the group."""
     kind = complex_.classify()
     top = len(complex_.Q) - complex_.target.length - 1
 
@@ -311,8 +293,7 @@ def _certify(complex_: SubwordComplex, shared: dict, *,
         complex_.num_faces()
     except BudgetExceededError as exc:
         raise exc.about(subject()) from exc
-    profiles = (_CONE_PROFILES if prove_cones and complex_._cone
-                else _shared_profiles(complex_, shared, subject))
+    profiles = _shared_profiles(complex_, shared, subject)
     matches = tuple(b.matches_sphere(top) if kind == "sphere" else b.is_trivial()
                     for b in profiles)
     return SubwordReport(kind, top, profiles, matches)

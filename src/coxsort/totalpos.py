@@ -183,10 +183,13 @@ def _product(n: int, factors: Iterable[tuple[int, object]]) -> RationalMatrix:
     an integer matrix; right-multiplying by x_i(p/q) = (qI + p E_{i,i+1}) / q
     scales N by q and adds p times the old column i-1 to column i (0-based),
     so each factor costs O(n**2) integer operations, not a matrix product,
-    and the one gcd reduction runs when the ``RationalMatrix`` is built."""
+    and the one gcd reduction runs when the ``RationalMatrix`` is built;
+    n and every i are integers, numpy ones too, never a bool or a float."""
+    n = _integer(n, "n")
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
     d = 1
     for i, t in factors:
+        i = _integer(i, "i")
         if not 1 <= i <= n - 1:
             raise ValueError(f"need 1 <= i <= {n - 1}, got {i}")
         t = _exact(t)
@@ -211,8 +214,8 @@ def verify_braid_identity(n: int, i: int, t1, t2, t3, j: int | None = None) -> b
     Raises ZeroDivisionError on the pole t1 + t3 = 0: the exchanged
     parameters genuinely blow up there, so callers must resample.
     """
-    if j is None:
-        j = i + 1
+    i = _integer(i, "i")
+    j = i + 1 if j is None else _integer(j, "j")
     if abs(i - j) != 1:
         raise ValueError("the three-term exchange applies to adjacent indices only")
     t1, t2, t3 = _exact(t1), _exact(t2), _exact(t3)

@@ -269,7 +269,10 @@ def test_cone_vertex_with_two_facets_is_certified_by_homology(u):
 
 def test_one_complex_per_certificate(monkeypatch):
     # every complex, given by facets or derived as masks, passes the one
-    # facet setup
+    # facet setup, and a fiber certificate sets up the facets of its
+    # complex only when it is no cone: a cone with two facets or more keeps
+    # the label "homology", and the singleton's complex, the empty complex
+    # {frozenset()}, is no cone
     built = []
     real = SimplicialComplex._init_facets
 
@@ -278,13 +281,36 @@ def test_one_complex_per_certificate(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(SimplicialComplex, "_init_facets", counted)
-    a3 = CoxeterSystem.type_a(3)
+    a3, b2 = CoxeterSystem.type_a(3), CoxeterSystem.type_b(2)
     Q = (1, 2, 3, 1, 2, 1)
-    for word, method in (((), "cone"), ((2,), "homology"), (Q, "singleton")):
+    for system, Q, word, method, setups in ((a3, Q, (), "cone", 0),
+                                            (a3, Q, (2,), "homology", 0),
+                                            (a3, Q, Q, "singleton", 1),
+                                            (b2, (1, 2, 1, 2), (1, 2), "homology", 1)):
         built.clear()
-        report = certify_fiber_contractible(a3, Q, a3.element(word))
+        report = certify_fiber_contractible(system, Q, system.element(word))
         assert report.method == method
-        assert len(built) == 1
+        assert len(built) == setups
+
+
+def test_the_fiber_sweep_proves_its_cones_from_the_fold(monkeypatch):
+    # the longest word of H3: of its 120 complexes only the 15 that are no
+    # cone and Delta(Q, w) = {frozenset()} search facets and build faces
+    h3 = CoxeterSystem.type_h3()
+    Q = (1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 3, 2, 1, 2, 3)
+    searches, built = [], []
+    real_search = coxsort.subword._facets_by_backtrack
+    real_enumerate = SimplicialComplex._enumerate
+    monkeypatch.setattr(coxsort.subword, "_facets_by_backtrack",
+                        lambda *args: searches.append(args) or real_search(*args))
+    monkeypatch.setattr(SimplicialComplex, "_enumerate",
+                        lambda self, *args: built.append(self) or real_enumerate(self, *args))
+    reports = fibermap._fiber_reports(h3, Q, h3.elements())
+    methods = [r.method for r in reports]
+    assert (len(reports), methods.count("cone"), methods.count("homology"),
+            methods.count("singleton")) == (120, 13, 106, 1)
+    assert all(r.contractible for r in reports)
+    assert (len(searches), len(built)) == (16, 16)
 
 
 def test_each_fiber_function_checks_its_word_once(monkeypatch):

@@ -11,8 +11,10 @@ from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, VoidComplexE
 from coxsort.fibermap import certify_fiber_contractible
 from coxsort.homology import SimplicialComplex, _profiles
 from coxsort.hecke import _below, bruhat_leq, demazure
-from coxsort.oracles import subword_facets_bruteforce
+from coxsort.oracles import cone_vertex, subword_facets_bruteforce
 from coxsort.verify import _FIBER_CASES, named_system
+from test_homology import (CIRCLE, EMPTY, NON_PURE, OCTAHEDRON, PATH, POINT, PROJECTIVE_PLANE,
+                           SOLID, TWO_POINTS)
 from coxsort.subword import (SubwordComplex, _facets_by_backtrack, _fold, _positions,
                              certify_subword_complex, certify_subword_complexes)
 
@@ -250,15 +252,16 @@ def _spy(monkeypatch, module, name):
 
 def test_batch_folds_each_word_once_and_computes_each_distinct_complex_once(monkeypatch):
     # the sharing belongs to one call: equal keys within a call share one
-    # _profiles, and a second call starts again from nothing; a cone (a
-    # vertex in every facet) reaches no _profiles at all
+    # _profiles, and a second call starts again from nothing; every cone (a
+    # vertex in every facet) has the key (), so all of them share one
     systems = _check_06_systems()
     complexes = [[subword_complex(system, Q, u)
                   for Q in CHECK_06_WORDS for u in _below(demazure(system, Q))]
                  for system in systems]
-    assert [len({K._key() for K in c}) for c in complexes] == [268, 312]
-    keys = [{K._key() for K in c if not reduce(and_, K._facet_masks)} for c in complexes]
-    assert [len(k) for k in keys] == [80, 86]
+    keys = [{K._key() for K in c} for c in complexes]
+    assert [len(k) for k in keys] == [81, 87]
+    assert [len({K._key() for K in c if not reduce(and_, K._facet_masks)})
+             for c in complexes] == [80, 86]
     folds = _spy(monkeypatch, subword, "_suffix_demazure")
     cold = _spy(monkeypatch, coxsort.homology, "_profiles")
     for system, distinct in zip(systems, keys):
@@ -274,7 +277,7 @@ def test_batch_folds_each_word_once_and_computes_each_distinct_complex_once(monk
     cold.clear()
     assert run_check("ball_sphere_classification", RunConfig()).instances == 1386
     assert len(folds) == 2 * len(CHECK_06_WORDS) == 254
-    assert len(cold) == 80 + 86
+    assert len(cold) == 81 + 87
 
 
 def _pass_cases():
@@ -308,6 +311,30 @@ def test_one_pass_finds_every_cone_and_counts_every_face():
             cones += K._cone
     # check 06's share is 1,386 complexes and 1,056 cones
     assert (targets, cones) == (40861, 36318)
+
+
+def test_one_facet_exactly_when_the_count_is_a_power_of_two_and_one_cone_rule():
+    # Delta(Q, u) is pure of dimension len(Q) - l(u) - 1, so it has one
+    # facet exactly when it has 2^(len(Q) - l(u)) faces, which is how the
+    # fiber certificate reads it; the cone rule of SimplicialComplex, a
+    # vertex in every facet, is the oracle's, on the standard spaces and on
+    # every subword complex, whose fold's cone test agrees with it
+    for K in (EMPTY, POINT, TWO_POINTS, CIRCLE, SOLID, OCTAHEDRON, PROJECTIVE_PLANE, PATH,
+              NON_PURE):
+        assert K._cone == (cone_vertex(K) is not None), K
+    targets = single = 0
+    for system, Q in _pass_cases():
+        fold = _fold(system, Q)
+        for u in system.elements():
+            if not fold.bounds[0][u.index]:
+                continue
+            K = SubwordComplex._folded(system, Q, u, fold)
+            one = fold.faces[u.index] == 2 ** (len(Q) - u.length)
+            assert one == (len(K._facet_masks) == 1), (Q, u)
+            assert SimplicialComplex._cone.func(K) == K._cone == (cone_vertex(K) is not None)
+            targets += 1
+            single += one
+    assert (targets, single) == (40861, 10201)
 
 
 def test_a_64_letter_word_counts_its_2_to_the_64_faces_and_builds_none():

@@ -294,6 +294,18 @@ def test_floats_are_refused_and_exact_inputs_accepted():
     assert chevalley(3, 1, "1/3")[0, 1] == F(1, 3)
     assert verify_additive_identity(3, 2, "1/3", 2)
     assert verify_braid_identity(3, 1, "1/2", F(2), 3)
+    # the size and the indices are integers: a bool is not read as 1, nor
+    # a float indexed
+    for call in (lambda: chevalley(3, True, 1),
+                 lambda: chevalley(3, 1.0, 1),
+                 lambda: chevalley(3.0, 1, 1),
+                 lambda: verify_additive_identity(True, 1, 1, 2),
+                 lambda: verify_braid_identity(3, True, 1, 2, 3),
+                 lambda: verify_braid_identity(4, 2, 1, 2, 3, 1.0)):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    assert chevalley(np.int64(3), np.int8(1), 2) == chevalley(3, 1, 2)
+    assert verify_braid_identity(np.int64(4), np.int32(2), 1, 2, 3, np.int16(3))
 
 
 def integer_minors(M):
