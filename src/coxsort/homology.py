@@ -116,13 +116,12 @@ class SimplicialComplex:
 
     Internally a face is an int vertex mask: bit i is ``vertices[i]``, so
     the empty face is 0 and a face with k vertices has k set bits.  The
-    facets are kept as masks, and ``facets`` is read off them when first
-    asked for; a subclass that derives its facets as masks hands them to
-    the same setup, ``_init_facets``.  The faces are enumerated once,
-    top-down from the facets, into one numerically sorted list of masks
-    per size.  In the boundary of a face f, the face ``f ^ low`` (drop the
-    vertex at bit ``low``) carries the sign (-1)^popcount(f & (low - 1)):
-    signs alternate in increasing vertex order.
+    facets are kept as masks, those no other mask contains (a subword
+    complex lists its own), read off as ``facets`` when first asked for.
+    The faces are enumerated once, top-down from the facets, into one
+    sorted list of masks per size.  In the boundary of a face f, the face
+    ``f ^ low`` (drop the vertex at bit ``low``) carries the sign
+    (-1)^popcount(f & (low - 1)): signs alternate in increasing vertex order.
     """
 
     def __init__(self, vertices: Sequence, facets: Iterable[Iterable]):
@@ -139,11 +138,6 @@ class SimplicialComplex:
                     raise ValueError(f"facet vertex {v!r} is not in the vertex order")
                 mask |= 1 << i
             masks.add(mask)
-        self._init_facets(vertices, masks)
-
-    def _init_facets(self, vertices: tuple, masks: set[int]) -> None:
-        """The one facet setup: keep the masks no other mask contains, as
-        ``_facet_masks``; ``facets`` is read off them when first asked for."""
         if not masks:
             raise ValueError("a complex needs at least the empty facet frozenset()")
         top = max(m.bit_count() for m in masks)  # only a larger mask can contain m
@@ -199,10 +193,10 @@ class SimplicialComplex:
             self._levels = self._enumerate(budget)
         return sum(map(len, self._levels))
 
-    def _face_levels(self, budget: int | None = None) -> list[list[int]]:
+    def _face_levels(self) -> list[list[int]]:
         """``levels[k]``: the faces with k vertices (dimension k - 1) as
-        sorted masks, built once and kept, once counted against ``budget``."""
-        self.num_faces(budget)
+        sorted masks, built once and kept, once counted against the budget."""
+        self.num_faces()
         if self._levels is None:
             self._levels = self._build_levels()
         return self._levels
@@ -490,6 +484,13 @@ class _OrderComplex(SimplicialComplex):
         """Equal keys make the same order, so the same chains, on the same
         ordered vertices: the vertex count and the packed relation."""
         return len(self.vertices), np.packbits(self._leq).tobytes()
+
+    @cached_property
+    def _cone(self) -> bool:
+        """Whether some element is comparable with all, so in every facet:
+        such an element extends every maximal chain, and an element of every
+        maximal chain is comparable with all, as each lies on one."""
+        return any(c.bit_count() == len(self.vertices) for c in self._comparable)
 
     @cached_property
     def _ups(self) -> list[list[int]]:

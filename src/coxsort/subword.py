@@ -6,17 +6,15 @@ subword still contains a reduced word for w; equivalently the facets
 are the complements of the position sets carrying reduced subwords
 equal to w.  A :class:`SubwordComplex` is the simplicial complex on the
 positions 1..len(Q), its facets derived from (Q, w), never given.
-Positions are 1-based; inside the facet search and the complex a set of
-positions is an int mask, bit j for position j + 1.  Masks go end to end:
-the facet search returns them, the complex keeps them, and faces and
-homology run on them.  Frozensets of positions are made only where they
-leave the module, ``facets`` once when first read.
+Positions are 1-based; inside the module a set of positions is an int
+mask, bit j for position j + 1, and frozensets of positions are made
+only where they leave it, ``facets`` once when first read.
 
 Every such complex is homeomorphic to a ball or to a sphere, and the
 sphere case occurs exactly when the Demazure product of Q equals w.
 
 One right-to-left pass over Q (:func:`_spell`) counts the faces of every
-Delta(Q, u) and finds the cones among them, before any facet is searched
+Delta(Q, u) and finds the cones among them, before any facet is listed
 or any face built.  The count rests on a lemma of Knutson and Miller
 ("Subword complexes in Coxeter groups", Adv. Math. 2004, section 3): F is
 a face of Delta(Q, u) exactly when the Demazure product of Q minus F is
@@ -39,7 +37,14 @@ position outside used[u] lies in every facet: Delta(Q, u) is a cone
 exactly when used[u] is not every position.  (For Q empty, used[e] is
 every position, none, and Delta((), e) = {frozenset()} is no cone.)  The
 complex reads its cone test and its face count (``_cone``, ``_count``)
-off this pass, so a cone is certified with no facet searched.
+off this pass, so a cone is certified with no facet listed.
+
+One walk over Q (:func:`_spellings`) lists the complements of the
+position sets that spell u as a reduced word, the facets of Delta(Q, u),
+or as a Demazure product, its interior faces.  For s = Q[j] and x the
+product of the positions kept after j, s * x = t exactly when s is a left
+descent of t and x is t or st: s * x = max(x, sx) has s as a left descent,
+and then s * x = t forces {x, sx} = {t, st}.  A reduced word takes x = st.
 """
 
 from __future__ import annotations
@@ -63,13 +68,12 @@ class SubwordComplex(SimplicialComplex):
     """The subword complex Delta(Q, target) on the positions 1..len(Q) of
     Q, its facets derived from (Q, target) as masks (see the module
     docstring); Q is folded once, for the void test, the face count, the
-    cone test, ``classify`` and the facet search, which runs when the
-    facets are first read.  Raises VoidComplexError when Q carries no
-    reduced subword for the target.  For the identity target the complex
-    is the full simplex on all positions, for the empty word the empty
-    complex.  The face budget is checked on the count, so a complex over
-    it raises before any face is built.
-    """
+    cone test, ``classify`` and the walks listing the facets and the
+    interior faces.  Raises VoidComplexError when Q carries no reduced
+    subword for the target.  For the identity target the complex is the
+    full simplex on all positions, for the empty word the empty complex.
+    The face budget is checked on the count, so a complex over it raises
+    before any face is built."""
 
     def __init__(self, system: CoxeterSystem, Q: Iterable[int], target: Element):
         Q = system.check_word(Q)
@@ -88,8 +92,8 @@ class SubwordComplex(SimplicialComplex):
 
     def _setup(self, system: CoxeterSystem, Q: tuple[int, ...], target: Element,
                fold: "_Fold") -> None:
-        # the target is below the product of Q, the root test of the facet
-        # search, exactly when Q carries a reduced subword for it
+        # the target is below the product of Q, the root test of the walk,
+        # exactly when Q carries a reduced subword for it
         t = target.index
         if not fold.bounds[0][t]:
             raise VoidComplexError(
@@ -106,12 +110,10 @@ class SubwordComplex(SimplicialComplex):
 
     @cached_property
     def _facet_masks(self) -> list[int]:
-        """The facets as masks, from the facet search, run when first read;
-        the one facet setup of :class:`SimplicialComplex` stores them on
-        the instance."""
-        self._init_facets(self.vertices, _facets_by_backtrack(
-            self.system, self.Q, self.target, self._bounds))
-        return vars(self)["_facet_masks"]
+        """The facets as masks, listed by :func:`_spellings` when first read:
+        the complements of the reduced subwords for the target, all of one
+        size, so none contains another."""
+        return _spellings(self.system, self.Q, self.target.index, self._bounds, False)
 
     def _count(self, budget: int) -> int:
         """The number of faces, read off the fold's count: none is built."""
@@ -123,14 +125,12 @@ class SubwordComplex(SimplicialComplex):
         return "sphere" if self._product == self.target.index else "ball"
 
     def interior_faces(self) -> frozenset[frozenset[int]]:
-        """Faces whose complementary subword still has Demazure product
-        equal to the target.  For a sphere every face qualifies; for a
-        ball these are the faces off the boundary sphere."""
-        Q, system, target = self.Q, self.system, self.target.index
-        return frozenset(
-            _positions(F) for level in self._face_levels() for F in level
-            if _suffix_demazure(system, tuple(
-                s for j, s in enumerate(Q) if not F >> j & 1))[0] == target)
+        """Faces whose complementary subword has Demazure product equal to
+        the target, listed once counted against the face budget: every face
+        of a sphere, and the faces off the boundary sphere of a ball."""
+        self.num_faces()
+        return frozenset(map(_positions, _spellings(
+            self.system, self.Q, self.target.index, self._bounds, True)))
 
     def boundary_faces(self) -> frozenset[frozenset[int]]:
         return frozenset(self.faces() - self.interior_faces())
@@ -148,10 +148,10 @@ def _positions(mask: int) -> frozenset[int]:
 class _Fold(NamedTuple):
     """The one fold of a checked word Q, by table row: ``suffix[j]``, the
     row of the Demazure product of Q[j:], and ``bounds[j]``, its Bruhat
-    row; ``used`` and ``faces``, the two lists of :func:`_spell`.
-    ``suffix[0]`` is the product of Q and ``bounds[0]`` the elements below
-    it, so one fold serves the verdict, the targets, the counts, the cone
-    tests and every facet search."""
+    row as a list (readers take single entries); ``used`` and ``faces``,
+    the two lists of :func:`_spell`.  ``suffix[0]`` is the product of Q
+    and ``bounds[0]`` the elements below it, so one fold serves the
+    verdict, the targets, the counts, the cone tests and every walk."""
 
     suffix: list[int]
     bounds: list
@@ -164,7 +164,7 @@ def _fold(system: CoxeterSystem, Q: tuple[int, ...]) -> _Fold:
     distinct row of ``suffix``."""
     suffix = _suffix_demazure(system, Q)
     elements = system.elements()
-    rows = {x: bruhat_row(elements[x]) for x in set(suffix)}
+    rows = {x: bruhat_row(elements[x]).tolist() for x in set(suffix)}
     return _Fold(suffix, [rows[x] for x in suffix], *_spell(system, Q, suffix))
 
 
@@ -195,27 +195,26 @@ def _spell(system: CoxeterSystem, Q: tuple[int, ...],
     return used, faces
 
 
-def _facets_by_backtrack(system: CoxeterSystem, Q: tuple[int, ...], target: Element,
-                         bounds: list) -> set[int]:
-    """The facets of Delta(Q, target) as masks: the complements of the
-    position sets spelling a reduced word for the target; ``bounds`` is
-    that of :func:`_fold`."""
-    # depth first over (position j, row still to spell, mask of positions
-    # taken); the Bruhat row of suffix[j], the Demazure product of Q[j:],
-    # bounds what the positions from j on can still spell
-    left = system._left
-    full = (1 << len(Q)) - 1
-    out: set[int] = set()
-    stack = [(0, target.index, 0)]
+def _spellings(system: CoxeterSystem, Q: tuple[int, ...], target: int, bounds: list,
+               absorb: bool) -> list[int]:
+    """The masks F whose complement in Q spells the table row ``target``,
+    as a reduced word or, with ``absorb``, as a Demazure product; depth
+    first over (j, t, F), t the row that Q[j:] must spell, pushed only when
+    t is below the product of Q[j:] (``bounds[j]``), so each ends in an F."""
+    left, out = system._left, []
+    stack = [(0, target, 0)] if bounds[0][target] else []
     while stack:
-        j, rest, taken = stack.pop()
-        if not rest:
-            out.add(full ^ taken)
-        elif j < len(Q) and bounds[j][rest]:
-            stack.append((j + 1, rest, taken))
-            shorter = left[rest][Q[j] - 1]
-            if shorter < rest:
-                stack.append((j + 1, shorter, taken | 1 << j))
+        j, t, F = stack.pop()
+        if j == len(Q):
+            out.append(F)
+            continue
+        below, st = bounds[j + 1], left[t][Q[j] - 1]
+        if below[t]:  # position j joins F
+            stack.append((j + 1, t, F | 1 << j))
+        if st < t and below[st]:  # kept, x = st
+            stack.append((j + 1, st, F))
+        if st < t and absorb and below[t]:  # kept and absorbed, x = t
+            stack.append((j + 1, t, F))
     return out
 
 
@@ -255,9 +254,9 @@ def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[in
     in word order and then table order.
 
     Each Q is folded once, and the fold gives the product, the u below it,
-    every face count and cone test and every facet search.  Within one
+    every face count and cone test and every facet listing.  Within one
     call, complexes with equal keys share one homology computation, exact
-    over both fields: every cone shares one, with no facet searched and no
+    over both fields: every cone shares one, with no facet listed and no
     face built, and other complexes on the same number of positions with
     the same facet masks are the same complex; nothing is kept once the
     call ends.  A face budget exceeded raises :class:`BudgetExceededError`
@@ -281,7 +280,7 @@ def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[in
 
 def _certify(complex_: SubwordComplex, shared: dict) -> SubwordReport:
     """The report of ``complex_``.  Its face count is checked against the
-    face budget before anything else, its key's facet search included, and
+    face budget before anything else, its key's facet listing included, and
     a budget error names Q, the target and the group."""
     kind = complex_.classify()
     top = len(complex_.Q) - complex_.target.length - 1

@@ -268,19 +268,18 @@ def test_cone_vertex_with_two_facets_is_certified_by_homology(u):
 
 
 def test_one_complex_per_certificate(monkeypatch):
-    # every complex, given by facets or derived as masks, passes the one
-    # facet setup, and a fiber certificate sets up the facets of its
-    # complex only when it is no cone: a cone with two facets or more keeps
-    # the label "homology", and the singleton's complex, the empty complex
-    # {frozenset()}, is no cone
+    # a fiber certificate lists the facets of its complex only when it is
+    # no cone: a cone with two facets or more keeps the label "homology",
+    # and the singleton's complex, the empty complex {frozenset()}, is no
+    # cone
     built = []
-    real = SimplicialComplex._init_facets
+    real = coxsort.subword._spellings
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        real(self, *args, **kwargs)
+    def counted(*args):
+        built.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(SimplicialComplex, "_init_facets", counted)
+    monkeypatch.setattr(coxsort.subword, "_spellings", counted)
     a3, b2 = CoxeterSystem.type_a(3), CoxeterSystem.type_b(2)
     Q = (1, 2, 3, 1, 2, 1)
     for system, Q, word, method, setups in ((a3, Q, (), "cone", 0),
@@ -295,13 +294,13 @@ def test_one_complex_per_certificate(monkeypatch):
 
 def test_the_fiber_sweep_proves_its_cones_from_the_fold(monkeypatch):
     # the longest word of H3: of its 120 complexes only the 15 that are no
-    # cone and Delta(Q, w) = {frozenset()} search facets and build faces
+    # cone and Delta(Q, w) = {frozenset()} list facets and build faces
     h3 = CoxeterSystem.type_h3()
     Q = (1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 3, 2, 1, 2, 3)
     searches, built = [], []
-    real_search = coxsort.subword._facets_by_backtrack
+    real_search = coxsort.subword._spellings
     real_enumerate = SimplicialComplex._enumerate
-    monkeypatch.setattr(coxsort.subword, "_facets_by_backtrack",
+    monkeypatch.setattr(coxsort.subword, "_spellings",
                         lambda *args: searches.append(args) or real_search(*args))
     monkeypatch.setattr(SimplicialComplex, "_enumerate",
                         lambda self, *args: built.append(self) or real_enumerate(self, *args))
@@ -382,6 +381,14 @@ def test_a_fiber_sweep_checks_and_folds_its_word_once(monkeypatch, capsys):
     folds = _count_calls(monkeypatch, (coxsort.subword, "_fold"))
     assert run_check("fiber_duality").passed
     assert folds == {"_fold": 3}
+
+
+def test_check_07_lists_interior_faces_with_no_refold(monkeypatch):
+    # interior_faces folded the complement of every face one at a time:
+    # 539 folds per run, where the 3 words of the check are folded once each
+    counts = _count_calls(monkeypatch, (coxsort.subword, "_suffix_demazure"))
+    assert run_check("fiber_duality").passed
+    assert counts == {"_suffix_demazure": 3}
 
 
 def test_check_07_builds_one_table_of_f_per_word(monkeypatch):

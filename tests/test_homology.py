@@ -858,6 +858,26 @@ def test_closed_intervals_are_order_complex_cones():
     assert reduced_betti(empty).numbers == {-1: 1}
 
 
+def test_the_order_complex_cone_rule_is_the_oracle_s():
+    # an element comparable with every element lies in every maximal chain,
+    # and an element of every maximal chain is comparable with all: on every
+    # closed interval [u, w] of B2 and A3, and on the open interval, the
+    # inner block of its order (the empty order when l(w) - l(u) <= 1)
+    intervals = cones = 0
+    for system in (CoxeterSystem.type_b(2), CoxeterSystem.type_a(3)):
+        elements = system.elements()
+        for u, w in itertools.product(elements, repeat=2):
+            if bruhat_leq(u, w):
+                P = bruhat_interval(u, w)
+                for K in (order_complex(P), _OrderComplex(P.ground[1:-1], P.leq[1:-1, 1:-1])):
+                    assert K._cone == (cone_vertex(K) is not None), (u, w)
+                    cones += K._cone
+                intervals += 1
+    # every closed interval is a cone, and no open one: each is a sphere or empty
+    assert (intervals, cones) == (246, 246)
+    assert not _OrderComplex((), np.zeros((0, 0), dtype=bool))._cone
+
+
 def test_a_cone_still_counts_its_faces_against_the_budget(monkeypatch):
     # the 17-simplex is a cone; the budget is checked before the cone is
     big = SimplicialComplex(range(17), [tuple(range(17))])

@@ -15,7 +15,7 @@ from coxsort.oracles import cone_vertex, subword_facets_bruteforce
 from coxsort.verify import _FIBER_CASES, named_system
 from test_homology import (CIRCLE, EMPTY, NON_PURE, OCTAHEDRON, PATH, POINT, PROJECTIVE_PLANE,
                            SOLID, TWO_POINTS)
-from coxsort.subword import (SubwordComplex, _facets_by_backtrack, _fold, _positions,
+from coxsort.subword import (SubwordComplex, _fold, _positions, _spellings,
                              certify_subword_complex, certify_subword_complexes)
 
 
@@ -103,7 +103,7 @@ def test_scan_and_backtrack_agree():
             w = demazure(b2, Q)
             for u in b2.elements():
                 scan = subword_facets_bruteforce(b2, Q, u)
-                back = _facets_by_backtrack(b2, Q, u, _fold(b2, Q)[1])
+                back = _spellings(b2, Q, u.index, _fold(b2, Q).bounds, False)
                 assert set(scan) == {_positions(m) for m in back}, (Q, u)
                 if scan:
                     got = SubwordComplex(b2, Q, u)
@@ -205,11 +205,17 @@ def test_void_constructor_names_the_word():
 
 def test_interior_faces_match_the_definition():
     # spheres and non-reduced words included, which no verification check reaches
+    # every subset of Q has one Demazure product, so the interior faces of
+    # the Delta(Q, u) with u below the product of Q are disjoint and number
+    # 2^|Q| in all, and the walk lists none twice
     b2 = CoxeterSystem.type_b(2)
     kinds = set()
     for n in range(7):
         for Q in itertools.product((1, 2), repeat=n):
             w = demazure(b2, Q)
+            bounds = _fold(b2, Q).bounds
+            interiors = set()
+            total = 0
             for u in b2.elements():
                 if not bruhat_leq(u, w):
                     continue
@@ -218,7 +224,12 @@ def test_interior_faces_match_the_definition():
                         if demazure(b2, [s for j, s in enumerate(Q, 1) if j not in F]) == u}
                 assert c.interior_faces() == want
                 assert c.boundary_faces() == c.faces() - want
+                listed = _spellings(b2, Q, u.index, bounds, True)
+                assert len(listed) == len(set(listed)) == len(want), (Q, u)
+                interiors |= want
+                total += len(want)
                 kinds.add(c.classify())
+            assert len(interiors) == total == 2 ** n, Q
     assert kinds == {"ball", "sphere"}
 
 
@@ -354,11 +365,12 @@ def test_a_complex_over_the_budget_raises_on_its_count_before_building_a_face(mo
     # raise part way through a level, with 64 spent at this budget but 41
     # at a budget of 40
     b2 = CoxeterSystem.type_b(2)
-    searches = _spy(monkeypatch, subword, "_facets_by_backtrack")
+    searches = _spy(monkeypatch, subword, "_spellings")
     for budget in (40, 63):
         monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", budget)
         K = subword_complex(b2, (1,) * 6, b2.identity)
-        for ask in (K.num_faces, K.faces, lambda: certify_subword_complex(K)):
+        for ask in (K.num_faces, K.faces, K.interior_faces,
+                    lambda: certify_subword_complex(K)):
             with pytest.raises(BudgetExceededError) as exc:
                 ask()
             assert (exc.value.limit, exc.value.spent) == (budget, 64)
@@ -372,7 +384,7 @@ def test_the_batch_proves_its_cones_with_no_facet_search_and_no_face(monkeypatch
     for system in _check_06_systems():
         for Q, u, report in certify_subword_complexes(system, CHECK_06_WORDS):
             assert report.profiles == _profiles(subword_complex(system, Q, u)), (Q, u)
-    searches = _spy(monkeypatch, subword, "_facets_by_backtrack")
+    searches = _spy(monkeypatch, subword, "_spellings")
     built = _spy(monkeypatch, SimplicialComplex, "_enumerate")
     counts = []
     for system in _check_06_systems():
@@ -380,7 +392,7 @@ def test_the_batch_proves_its_cones_with_no_facet_search_and_no_face(monkeypatch
         built.clear()
         reports = list(certify_subword_complexes(system, CHECK_06_WORDS))
         counts.append((len(reports), len(searches), len(built)))
-    # 1,386 complexes, 1,056 of them cones: 330 facet searches, and the
+    # 1,386 complexes, 1,056 of them cones: 330 facet listings, and the
     # 166 distinct complexes among them enumerated once each
     assert counts == [(649, 159, 80), (737, 171, 86)]
 
