@@ -5,11 +5,13 @@ read-only numpy matrix; it carries no name.  Two posets on the same
 ground can be compared, intersected, or united entry by entry.  Element
 grounds are always sorted by (length, canonical word), so ``covers()``
 comes in that order too.  An order is validated once, where it can fail
-(a relation given to ``Poset``, a union, an [e, w] Bruhat block, a sorting
-order's antisymmetry); orders by construction are not checked.  A union
-is proved transitive once: ``RelationUnion.is_transitive`` is its one
-relation product, and ``as_poset`` reuses it.  A caller that must say
-which order failed names it itself.
+(a relation given to ``Poset``, a union, the Bruhat block of the [e, w]
+that is built, a sorting order's antisymmetry); orders by construction
+are not checked, and neither is a block of a validated order on a subset,
+which is an order again.  A union is proved transitive once:
+``RelationUnion.is_transitive`` is its one relation product, and
+``as_poset`` reuses it.  A caller that must say which order failed names
+it itself.
 
 Relations compose through one product, :func:`_bool_product`, under the
 transitivity check, the cover matrix and the sorting relation.  Past
@@ -278,10 +280,21 @@ def _class_key(system: CoxeterSystem, Q: tuple[int, ...]) -> tuple:
     {s, t} with m(s, t) != 2, s = t included.  Two words have equal keys
     iff they are related by swaps of adjacent commuting letters (the
     projection lemma for trace monoids; Diekert & Rozenberg, *The Book of
-    Traces*, 1995)."""
-    r = system.rank
-    pairs = [(s, t) for s in range(1, r + 1) for t in range(s, r + 1) if system.m(s, t) != 2]
-    return tuple(tuple(x for x in Q if x == s or x == t) for s, t in pairs)
+    Traces*, 1995).
+
+    Each projection is ``bytes(Q)`` with the other letters deleted; the
+    letters to delete for each pair are read off the matrix once per
+    system, kept in ``system._op_cache["class_key"]``.  A letter fits a
+    byte: a group of rank r has at least 2**r elements, so the table of a
+    reduced word's group has rank below 256."""
+    deletes = system._op_cache.get("class_key")
+    if deletes is None:
+        letters = range(1, system.rank + 1)
+        deletes = system._op_cache["class_key"] = [
+            bytes(x for x in letters if x != s and x != t)
+            for s in letters for t in letters[s - 1:] if system.m(s, t) != 2]
+    word = bytes(Q)
+    return tuple(word.translate(None, delete) for delete in deletes)
 
 
 def sorting_order(system: CoxeterSystem, Q: Iterable[int]) -> Poset:

@@ -194,17 +194,63 @@ def _compare_matrices(rec, got, want, ground, gname, w, which):
                  detail=f"{which}: computed {bool(got[i, j])}, expected {bool(want[i, j])}")
 
 
-def _class_outcomes(sort_m, ground, weak_m, bru_m, bru_covers):
-    """What checks 02 and 10 record for one sorting relation on [e, w],
-    apart from its word: the sandwich failure cells, the cover failure or
-    None, and whether the sorting covers equal the Bruhat covers."""
+def _class_outcomes(sort_m, taken, ground, weak_m, bru_m, bru_covers):
+    """What checks 02 and 10 record for the sorting relation ``sort_m`` of
+    the position rows ``taken`` on [e, w], apart from its word: the sandwich
+    failure cells, the cover failure or None, and whether the sorting covers
+    equal the Bruhat covers.
+
+    The covers are found without the k x k product of :func:`posets._covers`.
+    Once ``sort_m`` is antisymmetric it is inclusion of distinct position
+    sets, so u < v implies |u| < |v|, where |u| is the size of the row of u
+    in ``taken``.  Let G be the pairs u < v with |v| = |u| + 1.
+
+    *Every pair of G is a cover.*  An element strictly between u and v would
+    need a size strictly between |u| and |u| + 1.
+
+    *Every cover lies in G iff each u < v with |v| - |u| >= 2 has some
+    (u, t) in G with t <= v.*  If: a cover (u, v) outside G has a size gap of
+    2 or more, and such a t has |u| < |t| < |v|, so u < t < v and (u, v) is
+    no cover.  Only if: the first step u < t of a maximal chain from u to v
+    is a cover, so it lies in G, and t <= v.
+
+    The condition is tested by OR-ing the rows of ``sort_m``, packed 64 to a
+    uint64 word by :func:`posets._packed_rows`, over the pairs of G of each
+    u, one ``np.bitwise_or.reduceat``: |G| * k / 64 word operations, where
+    the product takes k**3 / 64.  Rows of any length take as many words as
+    they need, so no size of group or word overflows a mask.  When it
+    holds the covers are G, and two finite orders are equal exactly when
+    their covers are (each is the reflexive transitive closure of its
+    covers), so the covers equal Bruhat's iff ``sort_m`` equals
+    ``bru_m``.  A relation that is not antisymmetric, fails the condition, or
+    has a pair of G that is not a Bruhat cover takes the cover product,
+    which names the failing pair."""
     # a pair fails at most one of the two implications
     weak_only = weak_m & ~sort_m
     cells = [dict(u=str(ground[i]), v=str(ground[j]),
                   detail="weak holds but sorting fails" if weak_only[i, j]
                   else "sorting holds but Bruhat fails")
              for i, j in np.argwhere(weak_only | (sort_m & ~bru_m))]
-    # a preorder by construction; only antisymmetry can fail
+    # a preorder by construction, so reflexive; only antisymmetry can fail,
+    # and u <= v with |u| = |v| are tied, since their sets are then equal
+    k = len(sort_m)
+    size = taken.sum(axis=1)
+    levels = np.arange(taken.shape[1] + 2)[:, None]
+    same = size == levels  # same[s, v] iff |v| = s, so same[size][u, v] iff |u| = |v|
+    if np.count_nonzero(sort_m & same[size]) == k:
+        steps = sort_m & same[size + 1]
+        # the t of the pairs (u, t) of G, u ascending, and where each u's run
+        # starts in them
+        t = np.flatnonzero(steps) % k
+        count = np.count_nonzero(steps, axis=1)
+        some = count > 0
+        words = -(-k // 64)
+        rows = posets._packed_rows(sort_m, words).T
+        reached = np.zeros_like(rows)
+        reached[some] = np.bitwise_or.reduceat(rows[t], (np.cumsum(count) - count)[some])
+        far = posets._packed_rows(sort_m & (size > levels)[size + 1], words).T
+        if not (far & ~reached).any() and not (steps & ~bru_covers).any():
+            return cells, None, np.array_equal(sort_m, bru_m)
     tied = np.triu(sort_m & sort_m.T, 1)
     sort_covers = posets._covers(sort_m)
     bad = tied if tied.any() else sort_covers & ~bru_covers
@@ -226,20 +272,34 @@ def _order_records(ctx: Context) -> dict[str, _Recorder]:
     and covers (10).  The relation depends only on the commutation class
     of Q (see :func:`posets.sorting_order`), so the first word of each
     class computes it (the greedy core on the rows of [e, w]) and its
-    outcomes, and every word of the class replays them under its own Q.
-    A pass that raises stores nothing."""
+    outcomes (:func:`_class_outcomes`), and every word of the class replays
+    them under its own Q.  A pass that raises stores nothing.
+
+    The Bruhat relation, its covers and the weak relation are built once
+    per group, on [e, w0], the whole group; the Bruhat block is validated
+    as an order there, and a block of an order on a subset is an order.
+    Each w reads its blocks off them on the elements below it, the column
+    of w in the Bruhat relation.  *The Bruhat covers of [e, w] are the
+    group's covers between its elements*: the interval is convex, so every
+    element between two of its elements is in it.  *The weak block is the
+    weak order on [e, w]*: weak order implies Bruhat order, so every weak
+    down-set of an element of [e, w] lies in [e, w]."""
     if ctx._order_records is not None:
         return ctx._order_records
     sandwich, meet_rec, join_rec, cover_rec = (_Recorder() for _ in range(4))
     for gname in ctx.config.sweep_groups:
         system = ctx.system(gname)
+        elements = system.elements()
+        top = system.longest_element()
+        bru = posets.bruhat_interval(system.identity, top).leq
+        weak = posets.weak_interval(top).leq
+        cov = posets._covers(bru)
         proper = equal = 0
-        for w in system.elements():
-            bru_p = posets.bruhat_interval(system.identity, w)
-            ground, bru_m = bru_p.ground, bru_p.leq
-            below = np.flatnonzero(hecke.bruhat_row(w))
-            weak_m = posets._weak_matrix(ground)
-            bru_covers = posets._covers(bru_m)
+        for w in elements:
+            below = np.flatnonzero(bru[:, w.index])
+            block = np.ix_(below, below)
+            bru_m, weak_m, bru_covers = bru[block], weak[block], cov[block]
+            ground = tuple(elements[x] for x in below)
             rows = np.flatnonzero(weak_m[:, -1])
             on_weak = np.ix_(rows, rows)
             meet = np.ones((len(rows),) * 2, dtype=bool)
@@ -250,11 +310,13 @@ def _order_records(ctx: Context) -> dict[str, _Recorder]:
             for Q in sorted(hecke.reduced_words(w)):
                 key = posets._class_key(system, Q)
                 if key not in outcomes:
-                    sort_m = posets._sorting_relation(hecke._sorting_rows(system, Q, below))
+                    taken = hecke._sorting_rows(system, Q, below)
+                    sort_m = posets._sorting_relation(taken)
                     on_weak_m = sort_m[on_weak]
                     meet &= on_weak_m
                     join |= on_weak_m
-                    outcomes[key] = _class_outcomes(sort_m, ground, weak_m, bru_m, bru_covers)
+                    outcomes[key] = _class_outcomes(sort_m, taken, ground, weak_m, bru_m,
+                                                    bru_covers)
                 cells, cover_failure, covers_equal = outcomes[key]
                 where = dict(group=gname, w=w_repr, Q=word_str(Q))
                 sandwich.instances += len(ground) ** 2
@@ -433,7 +495,8 @@ def check_fiber_duality(ctx: Context) -> CheckResult:
                          detail="upper fiber differs from face complements")
             if u != w:
                 rec.instances += 1
-                expected = {full - F for F in complex_.boundary_faces() if F}
+                # the boundary faces, from the faces already listed
+                expected = {full - F for F in faces - complex_.interior_faces() if F}
                 if fibermap._fiber(system, images, u, (u.index, w.index)) != expected:
                     rec.fail(group=gname, Q=word_str(Q), u=str(u),
                              detail="open fiber differs from nonempty boundary-face "

@@ -103,7 +103,10 @@ def test_run_config_takes_numpy_integers_and_stores_plain_ints():
 
 def test_the_default_sweep_validates_no_order_it_built(monkeypatch):
     # check 05's weak relation is an order by construction, and its union is
-    # proved transitive by one product, which as_poset reuses
+    # proved transitive by one product, which as_poset reuses; the order pass
+    # validates and takes the covers of one Bruhat relation per group, builds
+    # one sorting relation per commutation class (227 products of position
+    # rows), and finds each sorting order's covers without a product
     counts = dict.fromkeys(("_bool_product", "__init__"), 0)
     for owner, name in ((coxsort.posets, "_bool_product"), (coxsort.posets.Poset, "__init__")):
         real = getattr(owner, name)
@@ -114,7 +117,7 @@ def test_the_default_sweep_validates_no_order_it_built(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     run_verification(RunConfig())
-    assert counts == {"_bool_product": 820, "__init__": 0}
+    assert counts == {"_bool_product": 319, "__init__": 0}
 
 
 def test_context_reuse_and_register():
@@ -208,6 +211,21 @@ def test_a_mask_sent_to_another_row_breaks_fiber_duality(monkeypatch):
     # e is spared: its upper fiber is every position set anyway
     assert r.failures[0] == {"group": "A3", "Q": "1,2,3,1,2,1", "u": "1",
                              "detail": "upper fiber differs from face complements"}
+
+
+def test_fiber_duality_lists_the_faces_of_each_complex_once(monkeypatch):
+    # the boundary faces are the listed faces less the interior ones
+    real = coxsort.homology.SimplicialComplex.faces
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(coxsort.homology.SimplicialComplex, "faces", counted)
+    r = run_check("fiber_duality", SMALL)
+    assert r.passed and r.instances == 77
+    assert len(calls) == len(set(map(id, calls))) == 40
 
 
 def test_fault_injection_breaks_ball_sphere_classification(monkeypatch):
@@ -515,6 +533,117 @@ def test_a_corrupted_class_fails_under_each_of_its_words(monkeypatch):
              for Q in names]
     assert len(sandwich.failures) == 3 * len(names)
     assert all(c == cells[0] for c in cells)
+
+
+def _cover_product_outcomes(sort_m, ground, weak_m, bru_m, bru_covers):
+    """What checks 02 and 10 record for one class, by the k x k route: the
+    covers of the sorting relation from one relation product."""
+    weak_only = weak_m & ~sort_m
+    cells = [dict(u=str(ground[i]), v=str(ground[j]),
+                  detail="weak holds but sorting fails" if weak_only[i, j]
+                  else "sorting holds but Bruhat fails")
+             for i, j in np.argwhere(weak_only | (sort_m & ~bru_m))]
+    tied = np.triu(sort_m & sort_m.T, 1)
+    sort_covers = coxsort.posets._covers(sort_m)
+    bad = tied if tied.any() else sort_covers & ~bru_covers
+    if bad.any():
+        u, v = min(((ground[i], ground[j]) for i, j in np.argwhere(bad)),
+                   key=lambda p: (p[0].word, p[1].word))
+        return cells, dict(u=str(u), v=str(v),
+                           detail="sorting relation is not antisymmetric" if tied.any()
+                           else "sorting cover is not a Bruhat cover"), False
+    return cells, None, np.array_equal(sort_covers, bru_covers)
+
+
+def _refused(*args):
+    raise AssertionError("a correct class took the cover product")
+
+
+@pytest.mark.parametrize("name", ["H3", "A4", "D4"])
+def test_class_outcomes_equal_the_cover_product_route(name, monkeypatch):
+    # the reference builds each [e, w] on its own, not as a block of the
+    # group's relations, and takes the cover product; _class_outcomes decides
+    # every class of a correct sweep without it
+    system = named_system(name)
+    elements = system.elements()
+    top = system.longest_element()
+    bru = coxsort.posets.bruhat_interval(system.identity, top).leq
+    weak = coxsort.posets.weak_interval(top).leq
+    cov = coxsort.posets._covers(bru)
+    real_covers = coxsort.posets._covers
+    classes = proper = 0
+    for w in elements:
+        interval = coxsort.posets.bruhat_interval(system.identity, w)
+        ground = interval.ground
+        below = np.array([u.index for u in ground])
+        block = np.ix_(below, below)
+        weak_m = coxsort.posets._weak_matrix(ground)
+        bru_covers = real_covers(interval.leq)
+        assert np.array_equal(bru[block], interval.leq)
+        assert np.array_equal(weak[block], weak_m)
+        assert np.array_equal(cov[block], bru_covers)
+        seen = set()
+        for Q in sorted(coxsort.hecke.reduced_words(w)):
+            key = coxsort.posets._class_key(system, Q)
+            if key in seen:
+                continue
+            seen.add(key)
+            taken = coxsort.hecke._sorting_rows(system, Q, below)
+            sort_m = coxsort.posets._sorting_relation(taken)
+            want = _cover_product_outcomes(sort_m, ground, weak_m, interval.leq, bru_covers)
+            monkeypatch.setattr(coxsort.posets, "_covers", _refused)
+            got = coxsort.verify._class_outcomes(sort_m, taken, ground, weak_m, interval.leq,
+                                                 bru_covers)
+            monkeypatch.setattr(coxsort.posets, "_covers", real_covers)
+            assert got == want, (w, Q)
+            classes += 1
+            proper += not got[2]
+    assert classes > proper > 0
+
+
+def _b2_top_without_position_2(real):
+    """``_sorting_rows`` with one planted fault: on (1, 2, 1, 2) in B2, the
+    row of the product w0 loses position 2, so it sits above 1 and e only.
+    The sorting covers then hold (1, w0), two sizes apart, and every pair
+    one size apart is a Bruhat cover."""
+    def planted(system, Q, target):
+        taken = real(system, Q, target)
+        if system.m(1, 2) != 4 or Q != (1, 2, 1, 2) or len(target) != 8:
+            return taken
+        taken = taken.copy()
+        taken[-1, 1] = False
+        return taken
+
+    return planted
+
+
+def test_a_sorting_cover_two_sizes_apart_breaks_cover_containment(monkeypatch):
+    real = coxsort.hecke._sorting_rows
+    planted = _b2_top_without_position_2(real)
+    b2 = named_system("B2")
+    w0 = b2.longest_element()
+    interval = coxsort.posets.bruhat_interval(b2.identity, w0)
+    below = np.array([u.index for u in interval.ground])
+    taken = planted(b2, (1, 2, 1, 2), below)
+    sort_m = coxsort.posets._sorting_relation(taken)
+    bru_covers = coxsort.posets._covers(interval.leq)
+    # the planted relation is an order whose one-size steps are all Bruhat
+    # covers; only its cover (1, w0) is not one
+    size = taken.sum(axis=1)
+    steps = sort_m & (size[:, None] + 1 == size)
+    assert not (sort_m & sort_m.T & ~np.eye(8, dtype=bool)).any()
+    assert not (steps & ~bru_covers).any()
+    bad = coxsort.posets._covers(sort_m) & ~bru_covers
+    assert [(str(interval.ground[i]), str(interval.ground[j]), int(size[j] - size[i]))
+            for i, j in np.argwhere(bad)] == [("1", "1,2,1,2", 2)]
+    _, want, _ = _cover_product_outcomes(sort_m, interval.ground,
+                                         coxsort.posets._weak_matrix(interval.ground),
+                                         interval.leq, bru_covers)
+    monkeypatch.setattr(coxsort.hecke, "_sorting_rows", planted)
+    r = run_check("cover_containment", SMALL)
+    assert not r.passed
+    assert r.failures == [dict(group="B2", w="1,2,1,2", Q="1,2,1,2", **want)]
+    assert want == {"u": "1", "v": "1,2,1,2", "detail": "sorting cover is not a Bruhat cover"}
 
 
 def test_order_checks_do_not_depend_on_their_order():
