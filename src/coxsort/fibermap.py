@@ -9,12 +9,13 @@ faces.  This module computes f on int masks (bit j is position j + 1) as
 table rows, its fibers as masks filtered through Bruhat down-set rows,
 and the homotopy certificate of each upper fiber, read off Delta(Q, u)
 itself; position sets become frozensets only where they leave the module.
-A certificate takes one route: a fiber's is read off the subword
-certificate of Delta(Q, u), a cone's with no face built, and interval
-spheres share the same homology.  Fiber certificates, like interval
-ones, are one batch route whose single call is a batch of one: a sweep
-over the u below w checks Q once and folds it once, and reads each u <= w
-off the fold.
+A fiber's certificate is read off the subword certificate of Delta(Q, u),
+whose Betti numbers come from the homotopy type that the fold of Q gives
+(:func:`coxsort.subword.homotopy_types`), with no face built; interval
+spheres are eliminated by the homology module.  Fiber certificates, like
+interval ones, are one batch route whose single call is a batch of one: a
+sweep over the u below w checks Q once and folds it once, and reads each
+u <= w off the fold.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import BudgetExceededError
 from .hecke import _require_reduced, bruhat_leq, bruhat_row, demazure
 from .homology import BettiProfile, _OrderComplex, _field_index, _shared_profiles
 from .posets import bruhat_interval
-from .subword import SubwordComplex, _certify, _fold, _positions
+from .subword import _certify, _fold, _positions
 
 __all__ = [
     "subset_image",
@@ -136,10 +137,12 @@ class FiberReport:
     product of Q and the strict fiber is empty; ``"cone"`` when Delta has
     one facet, which proves contractibility: the complement of that facet
     is the least element of the strict fiber, so its order complex is a
-    cone; ``"homology"`` when the claim rests on the vanishing reduced
-    Betti numbers of Delta over GF(2) and the rationals, listed in
-    ``betti``, which a cone with two facets or more keeps as its label,
-    part of the report's bytes; None when those numbers do not vanish.
+    cone; ``"homology"`` when Delta has two facets or more and its reduced
+    Betti numbers over GF(2) and the rationals, listed in ``betti``,
+    vanish; None when they do not.  ``"homology"`` is kept as a label,
+    part of the report's bytes: those trivial numbers are read off the
+    homotopy type of Delta (:func:`coxsort.subword.homotopy_types`), which
+    proves it contractible, with no face built and no elimination.
     """
 
     target: tuple[int, ...]
@@ -162,10 +165,10 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
     vertex, a face comparable to every vertex and every facet, iff Delta
     has one facet, that is (Delta is pure) 2^(len(Q) - l(u)) faces; a cone
     vertex of Delta with two facets (B2, Q = 1,2,1,2, u = s1) keeps the
-    label "homology", its trivial profiles proved with no face built.  The
-    kind and profiles are read off :func:`subword.certify_subword_complex`
-    of Delta, so a face budget exceeded on the way names Q and u.  The
-    same code as a one-target :func:`_fiber_reports`.
+    label "homology".  The kind and profiles are read off
+    :func:`subword.certify_subword_complex` of Delta, from its homotopy
+    type, so a face budget exceeded on the way names Q and u.  The same
+    code as a one-target :func:`_fiber_reports`.
     """
     return _fiber_reports(system, Q, [u])[0]
 
@@ -174,18 +177,20 @@ def _fiber_reports(system: CoxeterSystem, Q: Iterable[int],
                    targets: Iterable[Element]) -> list[FiberReport]:
     """``certify_fiber_contractible(system, Q, u)`` for every u of
     ``targets``, in order, from one check and one fold of Q: the fold's
-    first Bruhat row says which u lie below w, and every Delta(Q, u) is
-    built from the same fold.  Raises ValueError as the one-target call
-    does, at the first target that fails."""
+    first Bruhat row says which u lie below w, and the face count and the
+    subword certificate of every Delta(Q, u) are read off the same fold,
+    with no complex built.  Raises ValueError as the one-target call does,
+    at the first target that fails."""
     Q, w = _require_reduced(system, Q)
     fold = _fold(system, Q)
+    shared: dict = {}
     reports = []
     for u in targets:
         if u.system != system:
             raise ValueError("elements belong to different Coxeter systems")
         if not fold.bounds[0][u.index]:
             raise ValueError("u must lie below the product of Q")
-        report = _certify(SubwordComplex._folded(system, Q, u, fold), {})
+        report = _certify(system, Q, u.index, fold, shared)
         faces = fold.faces[u.index]
         if faces == 1 << (len(Q) - u.length):  # one facet: Delta is pure
             # for u = w the fiber is {full}: its proper part is empty, nothing to certify

@@ -36,10 +36,11 @@ dropped, zero columns.  Clearing and the count of eliminated rows above
 use only that the rows are boundaries in a finite chain complex with one
 basis per degree, so they hold on C(Delta, L) as they stand.  When some
 vertex lies in every facet (``_cone``, the one cone test), the complex
-is a cone, the closed star of that vertex: L is the whole complex, no
-face is built, and every cone shares the key ``()``.  Otherwise a
-simplicial complex, such as a subword complex, which is not flag, has L
-void.
+is a cone, the closed star of that vertex: L is the whole complex and no
+face is built.  Otherwise a simplicial complex, such as a subword
+complex, which is not flag, has L void.  (The subword certificates read
+their Betti numbers off homotopy types, see :mod:`coxsort.subword`, and
+eliminate nothing.)
 
 An order complex takes L from a maximal chain.  Its faces are the chains of a
 poset, so it is flag: a vertex set is a face as soon as its vertices are
@@ -158,12 +159,6 @@ class SimplicialComplex:
     def _cone(self) -> bool:
         """Whether some vertex lies in every facet, making the complex a cone."""
         return bool(reduce(and_, self._facet_masks))
-
-    def _key(self) -> tuple:
-        """Equal keys make the same C(Delta, L) (``_relative_levels``): ``()``
-        for every cone, whose C(Delta, L) is zero, else the vertex count and
-        the sorted facet masks, the same complex on the same vertices."""
-        return () if self._cone else (len(self.vertices), tuple(sorted(self._facet_masks)))
 
     def _relative_levels(self) -> list[list[int]]:
         """The faces outside a subcomplex L with no reduced homology, which
@@ -425,23 +420,21 @@ def _field_index(coefficient_field: int) -> int:
     return int(coefficient_field == 0)
 
 
-def _shared_profiles(K: SimplicialComplex, shared: dict,
+def _shared_profiles(K: "_OrderComplex", shared: dict,
                      subject: Callable[[], str]) -> tuple[BettiProfile, BettiProfile]:
     """``_profiles(K)`` through ``shared``, a dict that one batch call owns
-    and drops when it returns.  Complexes with equal ``K._key()`` have the
-    same relative chain complex, so one result serves them all, exactly,
-    over both fields: the same complex on the same ordered vertices, or
-    any cone, all of which share the key ``()``.  An entry is ``(face
-    count, profiles)``, the count K's own for every key but ``()``: a
-    cone, or a hit over the face budget, counts the faces of K, so K raises
-    as a cold call would, the one :class:`BudgetExceededError` that names
-    ``subject()``, called only then, what was being certified."""
+    and drops when it returns.  Order complexes with equal ``K._key()``
+    are the same complex on the same ordered vertices, so one result
+    serves them all, exactly, over both fields.  An entry is ``(face
+    count, profiles)``: a hit over the face budget counts the faces of K,
+    so K raises as a cold call would, the one :class:`BudgetExceededError`
+    that names ``subject()``, called only then, what was being certified."""
     key = K._key()
     hit = shared.get(key)
     try:
         if hit is None:
             hit = shared[key] = K.num_faces(), _profiles(K)
-        elif not key or hit[0] > DEFAULT_FACE_BUDGET:
+        elif hit[0] > DEFAULT_FACE_BUDGET:
             K.num_faces()
     except BudgetExceededError as exc:
         raise exc.about(subject()) from exc

@@ -45,6 +45,29 @@ or as a Demazure product, its interior faces.  For s = Q[j] and x the
 product of the positions kept after j, s * x = t exactly when s is a left
 descent of t and x is t or st: s * x = max(x, sx) has s as a left descent,
 and then s * x = t forces {x, sx} = {t, st}.  A reduced word takes x = st.
+
+The same pass gives the homotopy type of every Delta(Q, u), with no face
+built, by vertex decomposition (Knutson and Miller, Thm 2.5 and section
+3).  Take s = Q[0], Q' = Q[1:] and the first position p.  A face F
+holding p is p joined to a face of Delta(Q', u), since Q minus F is Q'
+minus F - {p}: the link of p is lk = Delta(Q', u).  A face F without p
+leaves s * x, x the product of Q' minus F, which is >= u exactly when
+x >= min(u, su) by the lemma above: the deletion of p is
+del = Delta(Q', min(u, su)).  If su > u, del = lk and Delta = p * lk is a
+cone, contractible unless lk is void.  If su < u, every subword of Q'
+whose product is >= u has product >= su, so lk is a subcomplex of del
+(the subword property) and Delta = del glued to the cone p * lk along lk.  The gluing lemma (Hatcher, *Algebraic
+Topology*, Prop. 0.17): X is homotopy equivalent to X / A for a
+contractible subcomplex A of X.  So if del is contractible, Delta ~
+Delta / del = (p * lk) / lk, the suspension of lk (of S^-1 = {empty face},
+the empty space, two points: S^0); if lk is contractible, Delta ~ Delta /
+(p * lk) = del / lk ~ del; and if lk is void, Delta = del.  By induction
+on Q, Delta(Q, u) is S^(len(Q) - l(u) - 1) when u is the product of Q,
+contractible when u is below it and void otherwise, so lk and del are
+never both spheres: that would need the product of Q' to be u and su.
+:func:`homotopy_types` is the list of these types that the fold keeps,
+and every certificate reads its Betti numbers off it: S^d has one class
+in dimension d over every field, a contractible complex none.
 """
 
 from __future__ import annotations
@@ -55,25 +78,30 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import homology
 from .coxeter import CoxeterSystem, Element, word_str
 from .errors import BudgetExceededError, VoidComplexError
 from .hecke import _suffix_demazure, bruhat_row
-from .homology import BettiProfile, SimplicialComplex, _shared_profiles
+from .homology import BettiProfile, SimplicialComplex, _face_budget_error
 
 __all__ = ["SubwordComplex", "subword_complex", "SubwordReport", "certify_subword_complex",
-           "certify_subword_complexes"]
+           "certify_subword_complexes", "homotopy_types", "VOID", "CONTRACTIBLE"]
+
+# the homotopy types of :func:`homotopy_types`; an int d >= -1 is the sphere S^d
+VOID = -3
+CONTRACTIBLE = -2
 
 
 class SubwordComplex(SimplicialComplex):
     """The subword complex Delta(Q, target) on the positions 1..len(Q) of
     Q, its facets derived from (Q, target) as masks (see the module
     docstring); Q is folded once, for the void test, the face count, the
-    cone test, ``classify`` and the walks listing the facets and the
-    interior faces.  Raises VoidComplexError when Q carries no reduced
-    subword for the target.  For the identity target the complex is the
-    full simplex on all positions, for the empty word the empty complex.
-    The face budget is checked on the count, so a complex over it raises
-    before any face is built."""
+    cone test, ``classify``, the homotopy type and the walks listing the
+    facets and the interior faces.  Raises VoidComplexError when Q carries
+    no reduced subword for the target.  For the identity target the
+    complex is the full simplex on all positions, for the empty word the
+    empty complex.  The face budget is checked on the count, so a complex
+    over it raises before any face is built, and on the facet listing."""
 
     def __init__(self, system: CoxeterSystem, Q: Iterable[int], target: Element):
         Q = system.check_word(Q)
@@ -103,26 +131,28 @@ class SubwordComplex(SimplicialComplex):
         self.system = system
         self.Q = Q
         self.target = target
-        self._bounds = fold.bounds
-        self._product = fold.suffix[0]  # table row of the Demazure product of Q
+        self._fold = fold
         self._cone = fold.used[t] != (1 << len(Q)) - 1
-        self._faces = fold.faces[t]
 
     @cached_property
     def _facet_masks(self) -> list[int]:
         """The facets as masks, listed by :func:`_spellings` when first read:
         the complements of the reduced subwords for the target, all of one
-        size, so none contains another."""
-        return _spellings(self.system, self.Q, self.target.index, self._bounds, False)
+        size, so none contains another.  A listing past the face budget
+        raises, naming Q, the target and the group, and keeps nothing."""
+        try:
+            return _spellings(self.system, self.Q, self.target.index, self._fold.bounds, False)
+        except BudgetExceededError as exc:
+            raise exc.about(_subject(self.system, self.Q, self.target.index)) from exc
 
     def _count(self, budget: int) -> int:
         """The number of faces, read off the fold's count: none is built."""
-        return self._faces
+        return self._fold.faces[self.target.index]
 
     def classify(self) -> str:
         """"sphere" when the Demazure product of Q equals the target,
         "ball" otherwise."""
-        return "sphere" if self._product == self.target.index else "ball"
+        return _kind(self._fold, self.target.index)
 
     def interior_faces(self) -> frozenset[frozenset[int]]:
         """Faces whose complementary subword has Demazure product equal to
@@ -130,14 +160,15 @@ class SubwordComplex(SimplicialComplex):
         of a sphere, and the faces off the boundary sphere of a ball."""
         self.num_faces()
         return frozenset(map(_positions, _spellings(
-            self.system, self.Q, self.target.index, self._bounds, True)))
+            self.system, self.Q, self.target.index, self._fold.bounds, True)))
 
     def boundary_faces(self) -> frozenset[frozenset[int]]:
         return frozenset(self.faces() - self.interior_faces())
 
     def __repr__(self) -> str:
+        # the face count is the fold's; the facets would be listed
         return (f"SubwordComplex(Q={self.Q}, target={self.target!r}, "
-                f"facets={len(self._facet_masks)})")
+                f"faces={self._fold.faces[self.target.index]})")
 
 
 def _positions(mask: int) -> frozenset[int]:
@@ -145,18 +176,25 @@ def _positions(mask: int) -> frozenset[int]:
     return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
+def _subject(system: CoxeterSystem, Q: tuple[int, ...], x: int) -> str:
+    """How an error about Delta(Q, x) names it: Q, the target and the group."""
+    return f"Q={word_str(Q)}, target={system.elements()[x]!r} in {system!r}"
+
+
 class _Fold(NamedTuple):
     """The one fold of a checked word Q, by table row: ``suffix[j]``, the
     row of the Demazure product of Q[j:], and ``bounds[j]``, its Bruhat
-    row as a list (readers take single entries); ``used`` and ``faces``,
-    the two lists of :func:`_spell`.  ``suffix[0]`` is the product of Q
-    and ``bounds[0]`` the elements below it, so one fold serves the
-    verdict, the targets, the counts, the cone tests and every walk."""
+    row as a list (readers take single entries); ``used``, ``faces`` and
+    ``types``, the three lists of :func:`_spell`.  ``suffix[0]`` is the
+    product of Q and ``bounds[0]`` the elements below it, so one fold
+    serves the verdict, the targets, the counts, the cone tests, the
+    homotopy types and every walk."""
 
     suffix: list[int]
     bounds: list
     used: list[int]
     faces: list[int]
+    types: list[int]
 
 
 def _fold(system: CoxeterSystem, Q: tuple[int, ...]) -> _Fold:
@@ -169,30 +207,65 @@ def _fold(system: CoxeterSystem, Q: tuple[int, ...]) -> _Fold:
 
 
 def _spell(system: CoxeterSystem, Q: tuple[int, ...],
-           suffix: list[int]) -> tuple[list[int], list[int]]:
-    """``(used, faces)`` for every table row x, from one right-to-left
-    pass over Q (see the module docstring): ``used[x]``, the mask of the
-    positions lying in some reduced subword of Q that spells x, and
-    ``faces[x]``, the number of faces of Delta(Q, x), in Python ints; both
-    are 0 for the rows not below the product of Q.  Rows are sorted by
-    length, so letter j updates in place the rows up to ``suffix[j]``,
-    from the top down, and the row sx < x that it reads still holds the
-    value for Q[j+1:].  A row x with sx < x is spelled through position j
-    exactly when sx is below the product of Q[j+1:], that is when it has a
-    face count there."""
+           suffix: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """``(used, faces, types)`` for every table row x, from one
+    right-to-left pass over Q (see the module docstring): ``used[x]``, the
+    mask of the positions lying in some reduced subword of Q that spells
+    x, ``faces[x]``, the number of faces of Delta(Q, x), in Python ints,
+    and ``types[x]``, its homotopy type (:func:`homotopy_types`); they are
+    0, 0 and VOID for the rows not below the product of Q.  Rows are
+    sorted by length, so letter j updates in place the rows up to
+    ``suffix[j]``, from the top down, and the row sx < x that it reads
+    still holds the value for Q[j+1:].  A row x with sx < x is spelled
+    through position j exactly when sx is below the product of Q[j+1:],
+    that is when it has a face count there, and then the deletion of
+    position j, Delta(Q[j+1:], sx), is not void.  Raises RuntimeError,
+    naming Q and x, if the link and the deletion are both spheres."""
     left = system._left
     used = [0] * len(left)
     faces = [1] + [0] * (len(left) - 1)  # row 0 is e, the product of no letter
+    types = [-1] + [VOID] * (len(left) - 1)  # Delta((), e) = {frozenset()}, S^-1
     for j in range(len(Q) - 1, -1, -1):
         s, bit = Q[j] - 1, 1 << j
         for x in range(suffix[j], -1, -1):
             sx = left[x][s]
-            if sx > x:
+            if sx > x:  # a cone with apex j over the link, or void
                 faces[x] += faces[x]
+                if faces[x]:
+                    types[x] = CONTRACTIBLE
             elif faces[sx]:
                 faces[x] += faces[sx]
                 used[x] |= bit | used[sx]
-    return used, faces
+                link, deletion = types[x], types[sx]
+                if link == VOID or link == CONTRACTIBLE:  # the deletion, or ~ it
+                    types[x] = deletion
+                elif deletion == CONTRACTIBLE:  # the suspension of the link
+                    types[x] = link + 1
+                else:
+                    raise RuntimeError(
+                        f"the link and the deletion of position {j + 1} are both spheres "
+                        f"({_subject(system, Q, x)})")
+    return used, faces, types
+
+
+def homotopy_types(system: CoxeterSystem, Q: Iterable[int]) -> list[int]:
+    """The homotopy type of Delta(Q, x) for every table row x, from one
+    right-to-left pass over Q by vertex decomposition (see the module
+    docstring): VOID, CONTRACTIBLE, or an int d >= -1 for the sphere S^d
+    (S^-1 is the empty complex {frozenset()}).  No face is built, so no
+    face budget applies.  The list is the one the fold of Q keeps, from
+    which every subword certificate reads its Betti numbers.
+
+    >>> b2 = CoxeterSystem.type_b(2)
+    >>> w0 = b2.longest_element()
+    >>> types = homotopy_types(b2, (1, 2, 1, 2, 1))
+    >>> types[w0.index], types[b2.identity.index] == CONTRACTIBLE
+    (0, True)
+    >>> homotopy_types(b2, (1, 2))[w0.index] == VOID
+    True
+    """
+    Q = system.check_word(Q)
+    return _spell(system, Q, _suffix_demazure(system, Q))[2]
 
 
 def _spellings(system: CoxeterSystem, Q: tuple[int, ...], target: int, bounds: list,
@@ -200,13 +273,17 @@ def _spellings(system: CoxeterSystem, Q: tuple[int, ...], target: int, bounds: l
     """The masks F whose complement in Q spells the table row ``target``,
     as a reduced word or, with ``absorb``, as a Demazure product; depth
     first over (j, t, F), t the row that Q[j:] must spell, pushed only when
-    t is below the product of Q[j:] (``bounds[j]``), so each ends in an F."""
-    left, out = system._left, []
+    t is below the product of Q[j:] (``bounds[j]``), so each ends in an F.
+    Every mask is a face, so listing more than the face budget, read at the
+    call, raises the face-budget error."""
+    left, out, budget = system._left, [], homology.DEFAULT_FACE_BUDGET
     stack = [(0, target, 0)] if bounds[0][target] else []
     while stack:
         j, t, F = stack.pop()
         if j == len(Q):
             out.append(F)
+            if len(out) > budget:
+                raise _face_budget_error(budget, len(out))
             continue
         below, st = bounds[j + 1], left[t][Q[j] - 1]
         if below[t]:  # position j joins F
@@ -239,12 +316,12 @@ class SubwordReport:
 
 def certify_subword_complex(complex_: SubwordComplex) -> SubwordReport:
     """Classify ``complex_`` and check the verdict over GF(2) and Q; the
-    sphere would have dimension len(Q) - l(target) - 1, and a cone has the
-    trivial profiles with no face built.  A face count over the face budget
-    raises :class:`BudgetExceededError` naming Q, the target and the group,
-    before any face is built.  The same code as one instance of
-    :func:`certify_subword_complexes`."""
-    return _certify(complex_, {})
+    sphere would have dimension len(Q) - l(target) - 1.  The Betti numbers
+    are read off the homotopy type of :func:`homotopy_types`, with no face
+    built.  A face count over the face budget raises
+    :class:`BudgetExceededError` naming Q, the target and the group.  The
+    same code as one instance of :func:`certify_subword_complexes`."""
+    return _certify(complex_.system, complex_.Q, complex_.target.index, complex_._fold, {})
 
 
 def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[int]]
@@ -254,14 +331,11 @@ def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[in
     in word order and then table order.
 
     Each Q is folded once, and the fold gives the product, the u below it,
-    every face count and cone test and every facet listing.  Within one
-    call, complexes with equal keys share one homology computation, exact
-    over both fields: every cone shares one, with no facet listed and no
-    face built, and other complexes on the same number of positions with
-    the same facet masks are the same complex; nothing is kept once the
-    call ends.  A face budget exceeded raises :class:`BudgetExceededError`
-    at the first instance over it, naming its Q and u as the one-instance
-    call does.
+    every face count and every homotopy type, so no complex is built.
+    Within one call, instances with the same verdict, top dimension and
+    homotopy type share one report; nothing is kept once the call ends.  A
+    face budget exceeded raises :class:`BudgetExceededError` at the first
+    instance over it, naming its Q and u as the one-instance call does.
 
     >>> a2 = CoxeterSystem.type_a(2)
     >>> [(word_str(Q), str(u), r.kind)
@@ -274,25 +348,38 @@ def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[in
         Q = system.check_word(Q)
         fold = _fold(system, Q)
         for x in np.flatnonzero(fold.bounds[0]).tolist():
-            u = elements[x]
-            yield Q, u, _certify(SubwordComplex._folded(system, Q, u, fold), shared)
+            yield Q, elements[x], _certify(system, Q, x, fold, shared)
 
 
-def _certify(complex_: SubwordComplex, shared: dict) -> SubwordReport:
-    """The report of ``complex_``.  Its face count is checked against the
-    face budget before anything else, its key's facet listing included, and
-    a budget error names Q, the target and the group."""
-    kind = complex_.classify()
-    top = len(complex_.Q) - complex_.target.length - 1
+def _kind(fold: _Fold, x: int) -> str:
+    """The verdict on Delta(Q, x): "sphere" when x is the Demazure product
+    of Q, "ball" otherwise."""
+    return "sphere" if fold.suffix[0] == x else "ball"
 
-    def subject() -> str:
-        return f"Q={word_str(complex_.Q)}, target={complex_.target!r} in {complex_.system!r}"
 
-    try:
-        complex_.num_faces()
-    except BudgetExceededError as exc:
-        raise exc.about(subject()) from exc
-    profiles = _shared_profiles(complex_, shared, subject)
-    matches = tuple(b.matches_sphere(top) if kind == "sphere" else b.is_trivial()
-                    for b in profiles)
-    return SubwordReport(kind, top, profiles, matches)
+def _certify(system: CoxeterSystem, Q: tuple[int, ...], x: int, fold: _Fold,
+             shared: dict) -> SubwordReport:
+    """The report of Delta(Q, x), x a row below the product of Q, read off
+    the fold.  Its face count is checked against the face budget, read at
+    the call, before anything else, and a budget error names Q, the target
+    and the group.  Reports with equal verdict, top dimension and homotopy
+    type are one object in ``shared``."""
+    faces, budget = fold.faces[x], homology.DEFAULT_FACE_BUDGET
+    if faces > budget:
+        raise _face_budget_error(budget, faces).about(_subject(system, Q, x))
+    kind, top, type_ = _kind(fold, x), len(Q) - len(system._words[x]) - 1, fold.types[x]
+    report = shared.get((kind, top, type_))
+    if report is None:
+        profiles = _type_profiles(type_)
+        matches = tuple(b.matches_sphere(top) if kind == "sphere" else b.is_trivial()
+                        for b in profiles)
+        report = shared[kind, top, type_] = SubwordReport(kind, top, profiles, matches)
+    return report
+
+
+def _type_profiles(type_: int) -> tuple[BettiProfile, BettiProfile]:
+    """The reduced Betti numbers over GF(2) and over Q of a complex of
+    homotopy type ``type_``: one class in dimension d for the sphere S^d,
+    none for a contractible complex."""
+    counts = () if type_ == CONTRACTIBLE else ((type_, 1),)
+    return BettiProfile(2, counts), BettiProfile(0, counts)

@@ -454,9 +454,10 @@ def check_ball_sphere_classification(ctx: Context) -> CheckResult:
     rec = _Recorder()
     words = [Q for length in range(0, 7) for Q in itertools.product((1, 2), repeat=length)]
     for gname in ("A2", "B2"):
-        # the verdict is the Demazure criterion (w == u); the homology over
-        # both fields is what tests it, trivial for a cone, which the batch
-        # proves with no face built
+        # the verdict is the Demazure criterion (w == u); it is tested by
+        # the Betti numbers over both fields of the homotopy type that one
+        # vertex-decomposition pass per word gives each complex, a pass that
+        # never reads the verdict, with no face built
         for Q, u, report in subword.certify_subword_complexes(ctx.system(gname), words):
             kind, top = report.kind, report.top
             rec.instances += 1

@@ -267,49 +267,49 @@ def test_cone_vertex_with_two_facets_is_certified_by_homology(u):
     assert report.poset_size == len(fiber_up(b2, Q, b2.element(u))) == 12
 
 
+def _old_route(monkeypatch):
+    """Count the steps of the route that fiber certificates took before
+    they read their complex's homotopy type off the fold: a complex set
+    up, a facet listing, a face enumeration and an elimination."""
+    return _count_calls(monkeypatch, (coxsort.subword.SubwordComplex, "_setup"),
+                        (coxsort.subword, "_spellings"), (SimplicialComplex, "_enumerate"),
+                        (coxsort.homology, "_profiles"))
+
+
 def test_one_complex_per_certificate(monkeypatch):
-    # a fiber certificate lists the facets of its complex only when it is
-    # no cone: a cone with two facets or more keeps the label "homology",
-    # and the singleton's complex, the empty complex {frozenset()}, is no
-    # cone
-    built = []
-    real = coxsort.subword._spellings
-
-    def counted(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(coxsort.subword, "_spellings", counted)
+    # a fiber certificate builds no complex: a cone with two facets or more
+    # keeps the label "homology", and the singleton's complex, the empty
+    # complex {frozenset()}, is S^-1; the facets of the last two used to be
+    # listed
+    route = _old_route(monkeypatch)
     a3, b2 = CoxeterSystem.type_a(3), CoxeterSystem.type_b(2)
     Q = (1, 2, 3, 1, 2, 1)
-    for system, Q, word, method, setups in ((a3, Q, (), "cone", 0),
-                                            (a3, Q, (2,), "homology", 0),
-                                            (a3, Q, Q, "singleton", 1),
-                                            (b2, (1, 2, 1, 2), (1, 2), "homology", 1)):
-        built.clear()
+    for system, Q, word, method in ((a3, Q, (), "cone"), (a3, Q, (2,), "homology"),
+                                    (a3, Q, Q, "singleton"), (b2, (1, 2, 1, 2), (1, 2), "homology")):
         report = certify_fiber_contractible(system, Q, system.element(word))
         assert report.method == method
-        assert len(built) == setups
+        assert set(route.values()) == {0}
 
 
-def test_the_fiber_sweep_proves_its_cones_from_the_fold(monkeypatch):
-    # the longest word of H3: of its 120 complexes only the 15 that are no
-    # cone and Delta(Q, w) = {frozenset()} list facets and build faces
+H3_W0 = (1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 3, 2, 1, 2, 3)
+
+
+def test_the_fiber_sweep_proves_its_cones_from_the_fold(monkeypatch, capsys):
+    # the longest word of H3: of its 120 complexes the 15 that are no cone
+    # and Delta(Q, w) = {frozenset()} used to list facets and build faces
+    # (88,279 faces); now none does, nor checks 06 and 09, nor the command
     h3 = CoxeterSystem.type_h3()
-    Q = (1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 3, 2, 1, 2, 3)
-    searches, built = [], []
-    real_search = coxsort.subword._spellings
-    real_enumerate = SimplicialComplex._enumerate
-    monkeypatch.setattr(coxsort.subword, "_spellings",
-                        lambda *args: searches.append(args) or real_search(*args))
-    monkeypatch.setattr(SimplicialComplex, "_enumerate",
-                        lambda self, *args: built.append(self) or real_enumerate(self, *args))
-    reports = fibermap._fiber_reports(h3, Q, h3.elements())
+    route = _old_route(monkeypatch)
+    reports = fibermap._fiber_reports(h3, H3_W0, h3.elements())
     methods = [r.method for r in reports]
     assert (len(reports), methods.count("cone"), methods.count("homology"),
             methods.count("singleton")) == (120, 13, 106, 1)
     assert all(r.contractible for r in reports)
-    assert (len(searches), len(built)) == (16, 16)
+    assert main(["fibers", "--type", "H3", "--Q", word_str(H3_W0)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 121
+    for name in ("ball_sphere_classification", "contractible_fibers"):
+        assert run_check(name).passed
+    assert set(route.values()) == {0}
 
 
 def test_each_fiber_function_checks_its_word_once(monkeypatch):
@@ -352,9 +352,6 @@ def _count_calls(monkeypatch, *sites):
 
         monkeypatch.setattr(owner, name, counted)
     return counts
-
-
-H3_W0 = (1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 3, 2, 1, 2, 3)
 
 
 def test_a_fiber_sweep_checks_and_folds_its_word_once(monkeypatch, capsys):

@@ -771,17 +771,21 @@ def test_both_fields_share_one_gf2_pass(monkeypatch):
     assert [p.numbers for p in evidence.betti] == [{2: 1}, {2: 1}]
     assert len(calls) == 2  # the boundary matrices of dimensions 1 and 2
     calls.clear()
-    # a ball of check 06 with no cone vertex, so it is eliminated
+    # a ball of check 06 with no cone vertex: its homology is one GF(2)
+    # pass, and its certificate, read off its homotopy type, none
     b2 = CoxeterSystem.type_b(2)
     complex_ = subword_complex(b2, (1, 2, 1, 1, 2), b2.element((1, 2)))
     assert cone_vertex(complex_) is None
+    assert [p.numbers for p in _profiles(complex_)] == [{}, {}]
+    assert len(calls) == complex_.dim == 2
+    calls.clear()
     report = certify_subword_complex(complex_)
     assert report.kind == "ball" and all(report.matches)
-    assert len(calls) == complex_.dim == 2
+    assert calls == []
     # a cone is proved trivial with no elimination at all
-    calls.clear()
     cone = subword_complex(b2, (1, 2, 1, 2, 1), b2.element((1, 2)))
     assert cone_vertex(cone) is not None
+    assert all(p.is_trivial() for p in _profiles(cone))
     report = certify_subword_complex(cone)
     assert report.kind == "ball" and all(report.matches)
     assert calls == []

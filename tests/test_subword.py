@@ -1,5 +1,9 @@
+import __future__
 import gc
+import inspect
 import itertools
+import random
+import textwrap
 from functools import reduce
 from operator import and_
 
@@ -15,8 +19,8 @@ from coxsort.oracles import cone_vertex, subword_facets_bruteforce
 from coxsort.verify import _FIBER_CASES, named_system
 from test_homology import (CIRCLE, EMPTY, NON_PURE, OCTAHEDRON, PATH, POINT, PROJECTIVE_PLANE,
                            SOLID, TWO_POINTS)
-from coxsort.subword import (SubwordComplex, _fold, _positions, _spellings,
-                             certify_subword_complex, certify_subword_complexes)
+from coxsort.subword import (CONTRACTIBLE, VOID, SubwordComplex, _fold, _positions, _spellings,
+                             certify_subword_complex, certify_subword_complexes, homotopy_types)
 
 
 def fs(*items):
@@ -261,34 +265,43 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
+def _spy_complexes(monkeypatch):
+    """Spies on every step of the old certificate route: a complex set up,
+    a facet or interior-face listing, a face enumeration and an
+    elimination, in that order."""
+    return (_spy(monkeypatch, SubwordComplex, "_setup"), _spy(monkeypatch, subword, "_spellings"),
+            _spy(monkeypatch, SimplicialComplex, "_enumerate"),
+            _spy(monkeypatch, coxsort.homology, "_profiles"))
+
+
 def test_batch_folds_each_word_once_and_computes_each_distinct_complex_once(monkeypatch):
-    # the sharing belongs to one call: equal keys within a call share one
-    # _profiles, and a second call starts again from nothing; every cone (a
-    # vertex in every facet) has the key (), so all of them share one
+    # the sharing belongs to one call: instances with the same verdict, top
+    # dimension and homotopy type share one report object, and a second
+    # call starts again from nothing; no complex is set up, no facet listed,
+    # no face built and nothing eliminated
     systems = _check_06_systems()
-    complexes = [[subword_complex(system, Q, u)
-                  for Q in CHECK_06_WORDS for u in _below(demazure(system, Q))]
-                 for system in systems]
-    keys = [{K._key() for K in c} for c in complexes]
-    assert [len(k) for k in keys] == [81, 87]
-    assert [len({K._key() for K in c if not reduce(and_, K._facet_masks)})
-             for c in complexes] == [80, 86]
+    want = [[certify_subword_complex(subword_complex(system, Q, u))
+             for Q in CHECK_06_WORDS for u in _below(demazure(system, Q))]
+            for system in systems]
+    distinct = [{(r.kind, r.top, r.profiles) for r in reports} for reports in want]
+    assert [len(d) for d in distinct] == [12, 12]
     folds = _spy(monkeypatch, subword, "_suffix_demazure")
-    cold = _spy(monkeypatch, coxsort.homology, "_profiles")
-    for system, distinct in zip(systems, keys):
+    route = _spy_complexes(monkeypatch)
+    for system, reports, keys in zip(systems, want, distinct):
+        calls = []
         for _ in range(2):
             folds.clear()
-            cold.clear()
-            reports = list(certify_subword_complexes(system, CHECK_06_WORDS))
+            calls.append([r for _, _, r in certify_subword_complexes(system, CHECK_06_WORDS)])
             assert [Q for _, Q in folds] == CHECK_06_WORDS
-            assert len(cold) == len(distinct) < len(reports)
-            assert {K._key() for (K,) in cold} == distinct
+            assert calls[-1] == reports
+            assert len({id(r) for r in calls[-1]}) == len(keys) < len(reports)
+        assert not {id(r) for r in calls[0]} & {id(r) for r in calls[1]}
+    assert route == ([], [], [], [])
     # check 06 itself: one call per group, one fold per word
     folds.clear()
-    cold.clear()
     assert run_check("ball_sphere_classification", RunConfig()).instances == 1386
     assert len(folds) == 2 * len(CHECK_06_WORDS) == 254
-    assert len(cold) == 81 + 87
+    assert route == ([], [], [], [])
 
 
 def _pass_cases():
@@ -384,17 +397,16 @@ def test_the_batch_proves_its_cones_with_no_facet_search_and_no_face(monkeypatch
     for system in _check_06_systems():
         for Q, u, report in certify_subword_complexes(system, CHECK_06_WORDS):
             assert report.profiles == _profiles(subword_complex(system, Q, u)), (Q, u)
-    searches = _spy(monkeypatch, subword, "_spellings")
-    built = _spy(monkeypatch, SimplicialComplex, "_enumerate")
+    setups, searches, built, cold = _spy_complexes(monkeypatch)
     counts = []
     for system in _check_06_systems():
-        searches.clear()
-        built.clear()
         reports = list(certify_subword_complexes(system, CHECK_06_WORDS))
-        counts.append((len(reports), len(searches), len(built)))
-    # 1,386 complexes, 1,056 of them cones: 330 facet listings, and the
-    # 166 distinct complexes among them enumerated once each
-    assert counts == [(649, 159, 80), (737, 171, 86)]
+        counts.append((len(reports), len(setups), len(searches), len(built), len(cold)))
+    # 1,386 complexes, 1,056 of them cones: every profile is read off the
+    # homotopy type of the fold, with no complex set up, no facet listed,
+    # no face built and nothing eliminated (330 facet listings, 166 face
+    # enumerations and 168 eliminations before the type pass)
+    assert counts == [(649, 0, 0, 0, 0), (737, 0, 0, 0, 0)]
 
 
 def test_batch_takes_any_iterable_and_checks_each_word():
@@ -462,3 +474,145 @@ def test_a_shared_hit_over_a_lowered_budget_raises_as_a_cold_call(monkeypatch):
         next(batch)
     _same_error(got.value, want.value)
     assert got.value.subject == f"Q=2,1,2,1, target=<e> in {b2!r}"
+
+
+def test_facets_and_repr_of_a_complex_over_the_budget_list_no_more_than_it(monkeypatch):
+    # Delta(Q, u) on a 64-letter A3 word has 2,070,299 facets: its repr
+    # reads the fold's face count, and listing the facets stops one mask
+    # past the face budget
+    a3 = CoxeterSystem.type_a(3)
+    Q = (1, 2, 3) * 21 + (1,)
+    u = a3.element((1, 2, 1, 3, 2, 1))
+    K = subword_complex(a3, Q, u)
+    faces = K.num_faces(budget=2 ** 64)
+    assert faces > 200_000
+    searches = _spy(monkeypatch, subword, "_spellings")
+    assert repr(K) == f"SubwordComplex(Q={Q}, target=<1,2,1,3,2,1>, faces={faces})"
+    assert searches == []
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 1000)
+    for ask in (lambda: K.facets, lambda: K.dim):
+        with pytest.raises(BudgetExceededError) as exc:
+            ask()
+        assert (exc.value.budget, exc.value.limit, exc.value.spent) == ("face_budget", 1000, 1001)
+        assert exc.value.subject == f"Q={','.join(map(str, Q))}, target={u!r} in {a3!r}"
+        assert "_facet_masks" not in vars(K) and "facets" not in vars(K)
+    assert len(searches) == 2
+    # a listing within the budget is kept
+    b2 = CoxeterSystem.type_b(2)
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 2)
+    zero_sphere = subword_complex(b2, (1, 2, 1, 2, 1), b2.longest_element())
+    assert zero_sphere.facets == {fs(1), fs(5)}
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 1)
+    with pytest.raises(BudgetExceededError) as exc:
+        subword_complex(b2, (1, 2, 1, 2, 1), b2.longest_element()).facets
+    assert (exc.value.limit, exc.value.spent) == (1, 2)
+
+
+def _types_cases():
+    """Every A3 word of at most 6 letters, and seeded words of B3, H3 and
+    I2(7) of at most 9 letters, reduced (a random reduced word of a random
+    element) and not (random letters)."""
+    a3 = CoxeterSystem.type_a(3)
+    yield from ((a3, Q) for n in range(7) for Q in itertools.product((1, 2, 3), repeat=n))
+    rng = random.Random(36)
+    for system in (CoxeterSystem.type_b(3), CoxeterSystem.type_h3(), CoxeterSystem.dihedral(7)):
+        short = [w for w in system.elements() if w.length <= 9]
+        for _ in range(15):
+            yield system, rng.choice(sorted(system.reduced_words_of(rng.choice(short).word)))
+            yield system, tuple(rng.randint(1, system.rank) for _ in range(rng.randint(0, 9)))
+
+
+def _type_disagreements(cases):
+    """The (system, Q, u) whose homotopy type disagrees with the
+    elimination oracle, ``_profiles`` over both fields of the complex given
+    by its facets, or with the Demazure verdict: a sphere exactly when u is
+    the product of Q, of dimension len(Q) - l(u) - 1, with u None for a
+    word whose pass raises; and the count of complexes compared."""
+    bad, compared = [], 0
+    for system, Q in cases:
+        try:
+            types = homotopy_types(system, Q)
+        except RuntimeError:  # two spheres met
+            bad.append((system, Q, None))
+            continue
+        product = demazure(system, Q)
+        for u in system.elements():
+            t = types[u.index]
+            if not bruhat_leq(u, product):
+                if t != VOID:
+                    bad.append((system, Q, u))
+                continue
+            K = subword_complex(system, Q, u)
+            oracle = _profiles(SimplicialComplex(K.vertices, K.facets))
+            counts = () if t == CONTRACTIBLE else ((t, 1),)
+            sphere = K.classify() == "sphere"
+            if ([p.counts for p in oracle] != [counts, counts] or (t >= -1) != sphere
+                    or sphere and t != len(Q) - u.length - 1):
+                bad.append((system, Q, u))
+            compared += 1
+    return bad, compared
+
+
+def test_homotopy_types_match_the_elimination_oracle():
+    cases = list(_types_cases())
+    bad, compared = _type_disagreements(cases)
+    assert bad == []
+    assert (len(cases), compared) == (1093 + 90, 12120)
+    # the certificates read the same types, the batch and one at a time
+    for system, Q in cases[-90:]:
+        for _, u, report in certify_subword_complexes(system, [Q]):
+            K = subword_complex(system, Q, u)
+            assert report.profiles == _profiles(SimplicialComplex(K.vertices, K.facets)), (Q, u)
+
+
+def _planted(monkeypatch, old, new):
+    """Patch ``subword._spell`` with a copy of its source in which the one
+    occurrence of ``old`` reads ``new``."""
+    source = textwrap.dedent(inspect.getsource(subword._spell))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(subword))
+    exec(compile(source.replace(old, new), subword.__file__, "exec",
+                 __future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    monkeypatch.setattr(subword, "_spell", namespace["_spell"])
+
+
+@pytest.mark.parametrize("old, new, first", [
+    # the suspension of the link read as the link: two points read as S^-1
+    ("types[x] = link + 1", "types[x] = link", ((1, 1), (1,))),
+    # the cone rule dropped, a cone read as its link: the point read as S^-1
+    ("types[x] = CONTRACTIBLE", "pass", ((1,), ())),
+])
+def test_a_planted_rule_fault_disagrees_with_the_oracle(monkeypatch, old, new, first):
+    _planted(monkeypatch, old, new)
+    a3 = CoxeterSystem.type_a(3)
+    bad, _ = _type_disagreements((a3, Q) for n in range(4)
+                                 for Q in itertools.product((1, 2, 3), repeat=n))
+    assert (bad[0][1], bad[0][2].word) == first
+
+
+def test_a_pass_that_meets_two_spheres_raises_naming_q_and_the_target(monkeypatch):
+    # every row starts as S^-1, not only e: the first letter then finds a
+    # link and a deletion that are both spheres
+    _planted(monkeypatch, "types = [-1] + [VOID] * (len(left) - 1)", "types = [-1] * len(left)")
+    b2 = CoxeterSystem.type_b(2)
+    message = (f"the link and the deletion of position 3 are both spheres "
+               f"(Q=1,2,1, target=<1> in {b2!r})")
+    for ask in (lambda: homotopy_types(b2, (1, 2, 1)),
+                lambda: list(certify_subword_complexes(b2, [(1, 2, 1)])),
+                lambda: subword_complex(b2, (1, 2, 1), b2.identity)):
+        with pytest.raises(RuntimeError) as exc:
+            ask()
+        assert str(exc.value) == message
+
+
+def test_homotopy_types_check_the_word_and_build_no_face(monkeypatch):
+    b2 = CoxeterSystem.type_b(2)
+    with pytest.raises(ValueError):
+        homotopy_types(b2, (1, 3))
+    route = _spy_complexes(monkeypatch)
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 1)
+    # Delta((1,) * 6, e), the 5-simplex, has 64 faces and Delta((1,) * 6, 1),
+    # its boundary, 63: no budget applies
+    types = homotopy_types(b2, (1,) * 6)
+    assert types[b2.identity.index] == CONTRACTIBLE and types[b2.element((1,)).index] == 4
+    assert route == ([], [], [], [])

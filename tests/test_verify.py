@@ -167,16 +167,24 @@ def test_fault_injection_breaks_sandwich(monkeypatch):
     assert sample["group"] == "B2"
 
 
+def _types_mapped(monkeypatch, change):
+    """Patch the one pass over a word so that ``change`` maps each
+    homotopy type it gives, for every table row."""
+    real = coxsort.subword._spell
+
+    def mapped(system, Q, suffix):
+        used, faces, types = real(system, Q, suffix)
+        return used, faces, [change(t) for t in types]
+
+    monkeypatch.setattr(coxsort.subword, "_spell", mapped)
+
+
 def test_fault_injection_breaks_contractible_fibers(monkeypatch):
-    # a 2-sphere profile for every subword complex that has two facets or more
-    sphere = (coxsort.homology.BettiProfile(2, ((2, 1),)),
-              coxsort.homology.BettiProfile(0, ((2, 1),)))
-
-    def sphere_profiles(K):
-        K._face_levels()  # the shared route records the face count
-        return sphere
-
-    monkeypatch.setattr(coxsort.homology, "_profiles", sphere_profiles)
+    # the type pass reads every contractible complex as a 2-sphere: the
+    # certificate of every subword complex that has two facets or more
+    # reads the Betti numbers of S^2
+    contractible = coxsort.subword.CONTRACTIBLE
+    _types_mapped(monkeypatch, lambda t: 2 if t == contractible else t)
     r = run_check("contractible_fibers", SMALL)
     assert not r.passed
     assert len(r.failures) == 16  # the homology cases: 10 in A3, 3 per B2 word
@@ -230,7 +238,7 @@ def test_fiber_duality_lists_the_faces_of_each_complex_once(monkeypatch):
 
 def test_fault_injection_breaks_ball_sphere_classification(monkeypatch):
     # every complex called a sphere: the homology of the balls refutes it
-    monkeypatch.setattr(coxsort.subword.SubwordComplex, "classify", lambda self: "sphere")
+    monkeypatch.setattr(coxsort.subword, "_kind", lambda fold, x: "sphere")
     r = run_check("ball_sphere_classification", SMALL)
     assert not r.passed
     assert r.failures[0] == {"group": "A2", "Q": "1", "u": "e", "detail":
@@ -241,11 +249,12 @@ def test_fault_injection_breaks_ball_sphere_classification(monkeypatch):
     assert r.failures[-1] == {"detail": "2239 further failures truncated"}
 
 
-def test_relative_levels_that_leave_no_face_break_ball_sphere_classification(monkeypatch):
-    # every subword complex eliminated as a cone gets the trivial profiles:
-    # the spheres refute it
-    monkeypatch.setattr(coxsort.homology.SimplicialComplex, "_relative_levels",
-                        lambda self: [[]])
+def test_profiles_read_as_trivial_from_every_type_break_ball_sphere_classification(
+        monkeypatch):
+    # every homotopy type read as the trivial profiles of a contractible
+    # complex: the spheres refute it
+    trivial = (coxsort.homology.BettiProfile(2, ()), coxsort.homology.BettiProfile(0, ()))
+    monkeypatch.setattr(coxsort.subword, "_type_profiles", lambda type_: trivial)
     r = run_check("ball_sphere_classification", SMALL)
     assert not r.passed and r.instances == 1386
     assert r.failures[0] == {"group": "A2", "Q": "e", "u": "e", "detail":
@@ -256,15 +265,10 @@ def test_relative_levels_that_leave_no_face_break_ball_sphere_classification(mon
 
 
 def test_a_pass_that_marks_every_target_a_cone_breaks_ball_sphere_classification(monkeypatch):
-    # every subword complex given the trivial profiles of a cone, with no
-    # homology computed: the spheres refute it
-    real = coxsort.subword._spell
-
-    def all_cones(system, Q, suffix):
-        used, faces = real(system, Q, suffix)
-        return [-1] * len(used), faces  # -1 is never the mask of every position
-
-    monkeypatch.setattr(coxsort.subword, "_spell", all_cones)
+    # the type pass marks every complex that is not void contractible, as
+    # if each were a cone: the spheres refute it
+    void, contractible = coxsort.subword.VOID, coxsort.subword.CONTRACTIBLE
+    _types_mapped(monkeypatch, lambda t: t if t == void else contractible)
     r = run_check("ball_sphere_classification", SMALL)
     assert not r.passed and r.instances == 1386
     assert r.failures[0] == {"group": "A2", "Q": "e", "u": "e", "detail":
@@ -353,20 +357,34 @@ def test_walk_that_prunes_completable_prefixes_breaks_open_interval_spheres(monk
 
 
 def test_fault_injection_in_ranks(monkeypatch):
-    # the first GF(2) rank of each check comes out one too high: a phantom
+    # check 08: the first GF(2) rank comes out one too high, a phantom
     # pivot column -1, which no face can be cleared by
     real = coxsort.homology._pivots_gf2
+    calls = []
+
+    def inflated(rows):
+        calls.append(rows)
+        return real(rows) | ({-1} if len(calls) == 1 else set())
+
+    monkeypatch.setattr(coxsort.homology, "_pivots_gf2", inflated)
+    # check 06, which eliminates nothing: the spheres of the first word
+    # come out one dimension too high
+    real_spell = coxsort.subword._spell
+    words = []
+
+    def raised(system, Q, suffix):
+        words.append(Q)
+        used, faces, types = real_spell(system, Q, suffix)
+        if len(words) == 1:
+            types = [t + 1 if t >= -1 else t for t in types]
+        return used, faces, types
+
+    monkeypatch.setattr(coxsort.subword, "_spell", raised)
     for name in ("ball_sphere_classification", "open_interval_spheres"):
-        calls = []
-
-        def inflated(rows):
-            calls.append(rows)
-            return real(rows) | ({-1} if len(calls) == 1 else set())
-
-        monkeypatch.setattr(coxsort.homology, "_pivots_gf2", inflated)
         r = run_check(name, RunConfig())
         assert not r.passed, name
         assert any("betti" in f.get("detail", "") for f in r.failures), name
+    assert len(calls) > 1 and len(words) > 1
 
 
 def test_fault_injection_breaks_total_positivity(monkeypatch):
