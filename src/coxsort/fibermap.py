@@ -176,10 +176,10 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
 def _fiber_reports(system: CoxeterSystem, Q: Iterable[int],
                    targets: Iterable[Element]) -> list[FiberReport]:
     """``certify_fiber_contractible(system, Q, u)`` for every u of
-    ``targets``, in order, from one check and one fold of Q: the fold's
-    first Bruhat row says which u lie below w, and the face count and the
-    subword certificate of every Delta(Q, u) are read off the same fold,
-    with no complex built.  Raises ValueError as the one-target call does,
+    ``targets``, in order, from one check and one fold of Q: a nonzero
+    face count says that u lies below w, and the count and the subword
+    certificate of every Delta(Q, u) are read off the same fold, with no
+    complex built.  Raises ValueError as the one-target call does,
     at the first target that fails."""
     Q, w = _require_reduced(system, Q)
     fold = _fold(system, Q)
@@ -188,7 +188,7 @@ def _fiber_reports(system: CoxeterSystem, Q: Iterable[int],
     for u in targets:
         if u.system != system:
             raise ValueError("elements belong to different Coxeter systems")
-        if not fold.bounds[0][u.index]:
+        if not fold.faces[u.index]:
             raise ValueError("u must lie below the product of Q")
         report = _certify(system, Q, u.index, fold, shared)
         faces = fold.faces[u.index]

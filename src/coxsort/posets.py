@@ -16,8 +16,9 @@ it itself.
 Relations compose through one product, :func:`_bool_product`, under the
 transitivity check, the cover matrix and the sorting relation.  Past
 32**3 cell-witness steps it packs rows and columns 64 to a uint64 word and
-ANDs them word by word; below that numpy's bool matmul is faster.  Both
-are bitwise, so no witness count can wrap and no float enters.
+ANDs them word by word; below that numpy's bool matmul is faster.  It also
+takes a stack of products, packed 8 to a byte past the same threshold.
+All paths are bitwise, so no witness count can wrap and no float enters.
 """
 
 from __future__ import annotations
@@ -44,9 +45,15 @@ __all__ = [
 
 # Below this many cell-witness steps (m * k * n) numpy's bool matmul is
 # faster than packing: the packed path costs about 15 µs before any work.
+# The same bound serves a stack (c * m * k * n steps): on the 4,076 stacked
+# products of the default, D4 and B4 order passes, timed one shape at a time
+# on a 2-vCPU Xeon, matmul wins up to 11,232 steps and packing from 20,580,
+# and every bound from 2**10 to 2**16 gives the same total within 1 ms
+# (0.19 s, against 4.3 s with matmul for every stack).
 _PACKED_MIN_STEPS = 32 ** 3
 # Bytes of the packed path's accumulator; a block of rows of the product is
-# taken at a time so that it stays this small.
+# taken at a time so that it stays this small.  The order pass of ``verify``
+# bounds the cells of each chunk of stacked relations by it too.
 _BLOCK_BYTES = 16 * 1024
 
 
@@ -68,9 +75,24 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of row i AND-ed with the matching word of column j is nonzero, ORed
     into a ``_BLOCK_BYTES`` scratch a block of rows at a time.  Both paths
     are bitwise throughout, so the result is exact: no witness is counted
-    in a type that could wrap, and no float is involved."""
+    in a type that could wrap, and no float is involved.
+
+    A stack (3-D operands, one product per index of the leading axis)
+    takes the same rule on its total steps; past it, the rows of ``a`` and
+    the columns of ``b`` are packed 8 to a byte, so the accumulator, one
+    byte per cell, is as large as the result, which its caller bounds."""
     a = a.astype(bool, copy=False)
     b = b.astype(bool, copy=False)
+    if a.ndim == 3:
+        (c, m, k), n = a.shape, b.shape[2]
+        if c * m * k * n < _PACKED_MIN_STEPS:
+            return a @ b
+        rows_a = np.packbits(a, axis=2, bitorder="little")[:, :, None]
+        cols_b = np.packbits(b, axis=1, bitorder="little").transpose(0, 2, 1)[:, None]
+        acc = rows_a[..., 0] & cols_b[..., 0]
+        for byte in range(1, rows_a.shape[3]):
+            acc |= rows_a[..., byte] & cols_b[..., byte]
+        return acc != 0
     (m, k), n = a.shape, b.shape[1]
     if m * k * n < _PACKED_MIN_STEPS:
         return a @ b

@@ -74,9 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from . import homology
 from .coxeter import CoxeterSystem, Element, word_str
@@ -120,10 +118,10 @@ class SubwordComplex(SimplicialComplex):
 
     def _setup(self, system: CoxeterSystem, Q: tuple[int, ...], target: Element,
                fold: "_Fold") -> None:
-        # the target is below the product of Q, the root test of the walk,
-        # exactly when Q carries a reduced subword for it
+        # the target is below the product of Q, so has a face count, exactly
+        # when Q carries a reduced subword for it
         t = target.index
-        if not fold.bounds[0][t]:
+        if not fold.faces[t]:
             raise VoidComplexError(
                 f"the word {word_str(Q)} carries no reduced subword equal to {target}")
         self.vertices = tuple(range(1, len(Q) + 1))
@@ -181,29 +179,35 @@ def _subject(system: CoxeterSystem, Q: tuple[int, ...], x: int) -> str:
     return f"Q={word_str(Q)}, target={system.elements()[x]!r} in {system!r}"
 
 
-class _Fold(NamedTuple):
+class _Fold:
     """The one fold of a checked word Q, by table row: ``suffix[j]``, the
-    row of the Demazure product of Q[j:], and ``bounds[j]``, its Bruhat
-    row as a list (readers take single entries); ``used``, ``faces`` and
-    ``types``, the three lists of :func:`_spell`.  ``suffix[0]`` is the
-    product of Q and ``bounds[0]`` the elements below it, so one fold
-    serves the verdict, the targets, the counts, the cone tests, the
+    row of the Demazure product of Q[j:]; ``used``, ``faces`` and
+    ``types``, the three lists of :func:`_spell`; and ``bounds[j]``, the
+    Bruhat row of ``suffix[j]`` as a list (readers take single entries),
+    read once per distinct row when a walk (:func:`_spellings`) first asks.
+    ``suffix[0]`` is the product of Q, and x is below it exactly when
+    ``faces[x]`` is nonzero: the empty set is a face of Delta(Q, x) iff the
+    product of Q is >= x, and when it is not, no set is, since the product
+    of a subword of Q is below that of Q (the subword property).  So one
+    fold serves the verdict, the targets, the counts, the cone tests, the
     homotopy types and every walk."""
 
-    suffix: list[int]
-    bounds: list
-    used: list[int]
-    faces: list[int]
-    types: list[int]
+    def __init__(self, system: CoxeterSystem, suffix: list[int], used: list[int],
+                 faces: list[int], types: list[int]):
+        self.system, self.suffix = system, suffix
+        self.used, self.faces, self.types = used, faces, types
+
+    @cached_property
+    def bounds(self) -> list:
+        elements = self.system.elements()
+        rows = {x: bruhat_row(elements[x]).tolist() for x in set(self.suffix)}
+        return [rows[x] for x in self.suffix]
 
 
 def _fold(system: CoxeterSystem, Q: tuple[int, ...]) -> _Fold:
-    """The fold of a checked word Q; each Bruhat row is read once per
-    distinct row of ``suffix``."""
+    """The fold of a checked word Q; its Bruhat rows wait for a walk."""
     suffix = _suffix_demazure(system, Q)
-    elements = system.elements()
-    rows = {x: bruhat_row(elements[x]).tolist() for x in set(suffix)}
-    return _Fold(suffix, [rows[x] for x in suffix], *_spell(system, Q, suffix))
+    return _Fold(system, suffix, *_spell(system, Q, suffix))
 
 
 def _spell(system: CoxeterSystem, Q: tuple[int, ...],
@@ -347,8 +351,9 @@ def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[in
     for Q in words:
         Q = system.check_word(Q)
         fold = _fold(system, Q)
-        for x in np.flatnonzero(fold.bounds[0]).tolist():
-            yield Q, elements[x], _certify(system, Q, x, fold, shared)
+        for x, faces in enumerate(fold.faces):
+            if faces:
+                yield Q, elements[x], _certify(system, Q, x, fold, shared)
 
 
 def _kind(fold: _Fold, x: int) -> str:

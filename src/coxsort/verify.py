@@ -17,6 +17,7 @@ outside the report, by the benchmark tracer.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import re
@@ -194,63 +195,18 @@ def _compare_matrices(rec, got, want, ground, gname, w, which):
                  detail=f"{which}: computed {bool(got[i, j])}, expected {bool(want[i, j])}")
 
 
-def _class_outcomes(sort_m, taken, ground, weak_m, bru_m, bru_covers):
-    """What checks 02 and 10 record for the sorting relation ``sort_m`` of
-    the position rows ``taken`` on [e, w], apart from its word: the sandwich
-    failure cells, the cover failure or None, and whether the sorting covers
-    equal the Bruhat covers.
-
-    The covers are found without the k x k product of :func:`posets._covers`.
-    Once ``sort_m`` is antisymmetric it is inclusion of distinct position
-    sets, so u < v implies |u| < |v|, where |u| is the size of the row of u
-    in ``taken``.  Let G be the pairs u < v with |v| = |u| + 1.
-
-    *Every pair of G is a cover.*  An element strictly between u and v would
-    need a size strictly between |u| and |u| + 1.
-
-    *Every cover lies in G iff each u < v with |v| - |u| >= 2 has some
-    (u, t) in G with t <= v.*  If: a cover (u, v) outside G has a size gap of
-    2 or more, and such a t has |u| < |t| < |v|, so u < t < v and (u, v) is
-    no cover.  Only if: the first step u < t of a maximal chain from u to v
-    is a cover, so it lies in G, and t <= v.
-
-    The condition is tested by OR-ing the rows of ``sort_m``, packed 64 to a
-    uint64 word by :func:`posets._packed_rows`, over the pairs of G of each
-    u, one ``np.bitwise_or.reduceat``: |G| * k / 64 word operations, where
-    the product takes k**3 / 64.  Rows of any length take as many words as
-    they need, so no size of group or word overflows a mask.  When it
-    holds the covers are G, and two finite orders are equal exactly when
-    their covers are (each is the reflexive transitive closure of its
-    covers), so the covers equal Bruhat's iff ``sort_m`` equals
-    ``bru_m``.  A relation that is not antisymmetric, fails the condition, or
-    has a pair of G that is not a Bruhat cover takes the cover product,
-    which names the failing pair."""
+def _named_outcomes(sort_m, ground, weak_m, bru_m, bru_covers):
+    """What checks 02 and 10 record for the sorting relation ``sort_m`` on
+    [e, w] of a class that :func:`_decide` flags, apart from its word, by
+    the k x k route: the sandwich failure cells, the cover failure or None,
+    and whether the sorting covers equal the Bruhat covers.  The covers come
+    from one relation product, so a failure names its least pair."""
     # a pair fails at most one of the two implications
     weak_only = weak_m & ~sort_m
     cells = [dict(u=str(ground[i]), v=str(ground[j]),
                   detail="weak holds but sorting fails" if weak_only[i, j]
                   else "sorting holds but Bruhat fails")
              for i, j in np.argwhere(weak_only | (sort_m & ~bru_m))]
-    # a preorder by construction, so reflexive; only antisymmetry can fail,
-    # and u <= v with |u| = |v| are tied, since their sets are then equal
-    k = len(sort_m)
-    size = taken.sum(axis=1)
-    levels = np.arange(taken.shape[1] + 2)[:, None]
-    same = size == levels  # same[s, v] iff |v| = s, so same[size][u, v] iff |u| = |v|
-    if np.count_nonzero(sort_m & same[size]) == k:
-        steps = sort_m & same[size + 1]
-        # the t of the pairs (u, t) of G, u ascending, and where each u's run
-        # starts in them
-        t = np.flatnonzero(steps) % k
-        count = np.count_nonzero(steps, axis=1)
-        some = count > 0
-        words = -(-k // 64)
-        rows = posets._packed_rows(sort_m, words).T
-        reached = np.zeros_like(rows)
-        reached[some] = np.bitwise_or.reduceat(rows[t], (np.cumsum(count) - count)[some])
-        far = posets._packed_rows(sort_m & (size > levels)[size + 1], words).T
-        if not (far & ~reached).any() and not (steps & ~bru_covers).any():
-            return cells, None, np.array_equal(sort_m, bru_m)
     tied = np.triu(sort_m & sort_m.T, 1)
     sort_covers = posets._covers(sort_m)
     bad = tied if tied.any() else sort_covers & ~bru_covers
@@ -263,6 +219,199 @@ def _class_outcomes(sort_m, taken, ground, weak_m, bru_m, bru_covers):
     return cells, None, np.array_equal(sort_covers, bru_covers)
 
 
+class _Interval:
+    """One w of the order pass: ``below``, the table rows of [e, w], and
+    ``blocks``, the blocks of the group's Bruhat relation, weak relation and
+    Bruhat covers on them, stacked in that order; the sorted reduced words
+    of w, the class of each (``of_word``, classes numbered in the order of
+    their first words), and the first word and the number of words of each
+    class.  As the chunks holding its classes are
+    decided (:func:`_decide`) it gains ``meet`` and ``join``, the AND and
+    the OR of their relations, ``equal``, whether each relation is Bruhat's,
+    and ``named``, the k x k outcome of each flagged class; ``open`` counts
+    the classes still undecided."""
+
+    def __init__(self, system: CoxeterSystem, w, below: np.ndarray, relations: np.ndarray):
+        self.w, self.below = w, below
+        self.blocks = relations[:, below][:, :, below]
+        self.words = sorted(hecke.reduced_words(w))
+        self.of_word: list[int] = []
+        self.firsts: list[tuple[int, ...]] = []
+        self.counts: list[int] = []
+        index: dict[tuple, int] = {}
+        for Q in self.words:
+            key = posets._class_key(system, Q)
+            c = index.get(key)
+            if c is None:
+                c = index[key] = len(self.firsts)
+                self.firsts.append(Q)
+                self.counts.append(0)
+            self.counts[c] += 1
+            self.of_word.append(c)
+        self.open = len(self.firsts)
+        k = len(below)
+        self.meet = np.ones((k, k), dtype=bool)
+        self.join = np.zeros((k, k), dtype=bool)
+        self.equal = [False] * self.open
+        self.named: dict[int, tuple[list[dict], dict | None, bool]] = {}
+
+
+def _decided_intervals(system: CoxeterSystem, bru, weak, cov):
+    """Every w of ``system``, in table order, as an :class:`_Interval` with
+    all its classes decided, from the group's Bruhat relation, weak relation
+    and Bruhat covers.  The first word of each class sorts the rows of
+    [e, w] (:func:`hecke._sorting_rows`), and the classes, in that order,
+    are decided a chunk at a time by :func:`_decide`.  A chunk is padded to
+    the largest [e, w] it holds and takes classes while its cells, that
+    side squared per class, stay within ``posets._BLOCK_BYTES``, read at
+    the call; a class larger than that is a chunk alone, and a w's classes
+    may straddle several chunks.  An interval is yielded once its last class
+    is decided."""
+    relations = np.stack((bru, weak, cov))
+    chunk: list = []
+    side = 0
+    waiting: collections.deque = collections.deque()
+    for w in system.elements():
+        interval = _Interval(system, w, np.flatnonzero(bru[:, w.index]), relations)
+        waiting.append(interval)
+        k = len(interval.below)
+        for c, Q in enumerate(interval.firsts):
+            taken = hecke._sorting_rows(system, Q, interval.below)
+            if chunk and (len(chunk) + 1) * max(side, k) ** 2 > posets._BLOCK_BYTES:
+                _decide(chunk)
+                chunk, side = [], 0
+                while waiting[0].open == 0:
+                    yield waiting.popleft()
+            chunk.append((interval, c, taken))
+            side = max(side, k)
+    _decide(chunk)
+    yield from waiting
+
+
+def _decide(chunk: list) -> None:
+    """Decide the classes ``(interval, c, taken)`` of ``chunk``, ``taken``
+    the position rows of the class on [e, w], in arrays stacked along a
+    leading axis, each class padded to the largest [e, w] of the chunk, with
+    padded cells cleared.  A class is flagged, and takes the k x k route of
+    :func:`_named_outcomes`, when it has a sandwich failure cell, or its
+    covers are not found without a relation product, as follows, or one of
+    them is not a Bruhat cover.
+
+    Once the sorting relation is antisymmetric it is inclusion of distinct
+    position sets, so u < v implies |u| < |v|, where |u| is the size of the
+    row of u in ``taken``.  Let G be the pairs u < v with |v| = |u| + 1.
+
+    *Every pair of G is a cover.*  An element strictly between u and v would
+    need a size strictly between |u| and |u| + 1.
+
+    *Every cover lies in G iff each u < v with |v| - |u| >= 2 has some
+    (u, t) in G with t <= v.*  If: a cover (u, v) outside G has a size gap of
+    2 or more, and such a t has |u| < |t| < |v|, so u < t < v and (u, v) is
+    no cover.  Only if: the first step u < t of a maximal chain from u to v
+    is a cover, so it lies in G, and t <= v.
+
+    The condition is tested by OR-ing the rows of the relation, packed 64 to
+    a uint64 word by :func:`posets._packed_rows`, over the pairs of G of
+    each u of every class, one ``np.bitwise_or.reduceat`` for the chunk:
+    |G| * k / 64 word operations, where the cover product takes k**3 / 64.
+    Rows of any length take as many words as they need, so no size of group
+    or word overflows a mask.  When it holds the covers are G, and two
+    finite orders are equal exactly when their covers are (each is the
+    reflexive transitive closure of its covers), so the covers equal
+    Bruhat's iff the relation equals Bruhat's.
+
+    Each interval of the chunk ANDs and ORs its classes' relations into
+    ``meet`` and ``join`` and records ``equal`` for them; Python visits a
+    class of its own only when it is flagged."""
+    sides = [len(interval.below) for interval, _, _ in chunk]
+    n, k = len(chunk), max(sides)
+    taken = np.zeros((n, k, max(t.shape[1] for _, _, t in chunk)), dtype=bool)
+    for i, (_, _, t) in enumerate(chunk):
+        taken[i, :len(t), :t.shape[1]] = t
+    starts = [i for i in range(n) if i == 0 or chunk[i][0] is not chunk[i - 1][0]]
+    segments = list(zip(starts, starts[1:] + [n]))
+    # the Bruhat, weak and Bruhat cover blocks of each class
+    blocks = np.zeros((3, n, k, k), dtype=bool)
+    for start, stop in segments:
+        side = sides[start]
+        blocks[:, start:stop, :side, :side] = chunk[start][0].blocks[:, None]
+    bru_m, weak_m, cov_m = blocks
+    valid = np.arange(k) < np.array(sides)[:, None]
+    sort = ~posets._bool_product(taken, ~taken.transpose(0, 2, 1))
+    sort &= valid[:, :, None] & valid[:, None, :]
+    flagged = ((weak_m > sort) | (sort > bru_m)).any(axis=(1, 2))
+    equal = ~(sort ^ bru_m).any(axis=(1, 2))
+    # a preorder by construction, so reflexive; only antisymmetry can fail,
+    # and u <= v with |u| = |v| are tied, since their sets are then equal;
+    # sizes take the least type that holds them and one more
+    size = taken.sum(axis=2, dtype=np.min_scalar_type(taken.shape[2] + 1))
+    lo, hi = size[:, :, None], size[:, None, :]
+    flagged |= (sort & (lo == hi) & ~np.eye(k, dtype=bool)).any(axis=(1, 2))
+    steps = sort & (hi == lo + 1)
+    flagged |= (steps > cov_m).any(axis=(1, 2))
+    # the pairs of G as flat cells, ascending: the row of (class, u) is
+    # cell // k, that of (class, t) cell // k**2 * k + cell % k; each u's
+    # run starts where its row changes
+    cell = np.flatnonzero(steps)
+    row = cell // k
+    runs = np.flatnonzero(np.diff(row, prepend=-1))
+    words = -(-k // 64)
+    packed = posets._packed_rows(sort.reshape(n * k, k), words).T
+    reached = np.zeros_like(packed)
+    reached[row[runs]] = np.bitwise_or.reduceat(packed[cell // k ** 2 * k + cell % k], runs)
+    far = posets._packed_rows((sort & (hi > lo + 1)).reshape(n * k, k), words).T
+    flagged |= (far & ~reached).reshape(n, -1).any(axis=1)
+    for start, stop in segments:
+        interval, first, _ = chunk[start]
+        side = sides[start]
+        stack = sort[start:stop, :side, :side]
+        interval.meet &= stack.all(axis=0)
+        interval.join |= stack.any(axis=0)
+        interval.equal[first:first + stop - start] = equal[start:stop].tolist()
+        interval.open -= stop - start
+    for i in np.flatnonzero(flagged).tolist():
+        interval, c, _ = chunk[i]
+        side = sides[i]
+        ground = tuple(interval.w.system.elements()[x] for x in interval.below)
+        interval.named[c] = _named_outcomes(sort[i, :side, :side], ground,
+                                            weak_m[i, :side, :side], bru_m[i, :side, :side],
+                                            cov_m[i, :side, :side])
+
+
+def _replay(interval: _Interval, gname: str, sandwich: _Recorder,
+            cover_rec: _Recorder) -> tuple[int, int]:
+    """Record the decided ``interval`` under its words for checks 02 and
+    10, and return how many of its words have sorting covers properly
+    inside Bruhat's and equal to them.  Counts are added once per class; a
+    word's name is built only for a word that a failure or a note records,
+    so the records are those of a replay word by word."""
+    w = interval.w
+    outcomes = [interval.named.get(c, ((), None, same)) for c, same in enumerate(interval.equal)]
+    sandwich.instances += len(interval.below) ** 2 * len(interval.words)
+    cover_rec.instances += len(interval.words)
+    proper = equal = 0
+    for count, (_, failure, same) in zip(interval.counts, outcomes):
+        if failure is None:
+            if same:
+                equal += count
+            else:
+                proper += count
+    w_repr = str(w)
+    for Q, c in zip(interval.words, interval.of_word):
+        cells, failure, same = outcomes[c]
+        note = failure is None and same and w.length >= 3
+        if not cells and failure is None and not note:
+            continue
+        where = dict(group=gname, w=w_repr, Q=word_str(Q))
+        for cell in cells:
+            sandwich.fail(**where, **cell)
+        if failure is not None:
+            cover_rec.fail(**where, **failure)
+        elif note:
+            cover_rec.note(**where, detail="sorting covers equal Bruhat covers")
+    return proper, equal
+
+
 def _order_records(ctx: Context) -> dict[str, _Recorder]:
     """The records of checks 02, 03, 04 and 10, from one pass per Context:
     for each sweep group, w in table order and sorted reduced word Q of w,
@@ -271,9 +420,10 @@ def _order_records(ctx: Context) -> dict[str, _Recorder]:
     column of w in the weak relation (03, 04), and read for antisymmetry
     and covers (10).  The relation depends only on the commutation class
     of Q (see :func:`posets.sorting_order`), so the first word of each
-    class computes it (the greedy core on the rows of [e, w]) and its
-    outcomes (:func:`_class_outcomes`), and every word of the class replays
-    them under its own Q.  A pass that raises stores nothing.
+    class computes it (the greedy core on the rows of [e, w]); the classes
+    are decided in stacked chunks (:func:`_decided_intervals`) and each w's
+    outcomes are replayed under its words (:func:`_replay`).  A pass that
+    raises stores nothing.
 
     The Bruhat relation, its covers and the weak relation are built once
     per group, on [e, w0], the whole group; the Bruhat block is validated
@@ -295,47 +445,17 @@ def _order_records(ctx: Context) -> dict[str, _Recorder]:
         weak = posets.weak_interval(top).leq
         cov = posets._covers(bru)
         proper = equal = 0
-        for w in elements:
-            below = np.flatnonzero(bru[:, w.index])
-            block = np.ix_(below, below)
-            bru_m, weak_m, bru_covers = bru[block], weak[block], cov[block]
-            ground = tuple(elements[x] for x in below)
+        for interval in _decided_intervals(system, bru, weak, cov):
+            counts = _replay(interval, gname, sandwich, cover_rec)
+            proper, equal = proper + counts[0], equal + counts[1]
+            bru_m, weak_m, _ = interval.blocks
             rows = np.flatnonzero(weak_m[:, -1])
             on_weak = np.ix_(rows, rows)
-            meet = np.ones((len(rows),) * 2, dtype=bool)
-            join = np.zeros_like(meet)
-            # class key -> _class_outcomes of the first word of the class
-            outcomes: dict[tuple, tuple[list[dict], dict | None, bool]] = {}
-            w_repr = str(w)
-            for Q in sorted(hecke.reduced_words(w)):
-                key = posets._class_key(system, Q)
-                if key not in outcomes:
-                    taken = hecke._sorting_rows(system, Q, below)
-                    sort_m = posets._sorting_relation(taken)
-                    on_weak_m = sort_m[on_weak]
-                    meet &= on_weak_m
-                    join |= on_weak_m
-                    outcomes[key] = _class_outcomes(sort_m, taken, ground, weak_m, bru_m,
-                                                    bru_covers)
-                cells, cover_failure, covers_equal = outcomes[key]
-                where = dict(group=gname, w=w_repr, Q=word_str(Q))
-                sandwich.instances += len(ground) ** 2
-                for cell in cells:
-                    sandwich.fail(**where, **cell)
-                cover_rec.instances += 1
-                if cover_failure is not None:
-                    cover_rec.fail(**where, **cover_failure)
-                elif covers_equal:
-                    equal += 1
-                    if w.length >= 3:
-                        cover_rec.note(**where, detail="sorting covers equal Bruhat covers")
-                else:
-                    proper += 1
-            weak_ground = [ground[i] for i in rows]
-            _compare_matrices(meet_rec, meet, weak_m[on_weak], weak_ground, gname, w,
-                              "intersection of sorting orders vs weak order")
-            _compare_matrices(join_rec, join, bru_m[on_weak], weak_ground, gname, w,
-                              "union of sorting orders vs Bruhat order")
+            weak_ground = [elements[x] for x in interval.below[rows].tolist()]
+            _compare_matrices(meet_rec, interval.meet[on_weak], weak_m[on_weak], weak_ground,
+                              gname, interval.w, "intersection of sorting orders vs weak order")
+            _compare_matrices(join_rec, interval.join[on_weak], bru_m[on_weak], weak_ground,
+                              gname, interval.w, "union of sorting orders vs Bruhat order")
         cover_rec.note(group=gname, proper=proper, equal=equal)
     ctx._order_records = {"sorting_sandwich": sandwich, "sorting_intersection": meet_rec,
                           "sorting_union": join_rec, "cover_containment": cover_rec}

@@ -283,6 +283,27 @@ def test_bool_product_equals_a_witness_count(density):
             assert np.array_equal(_bool_product(x, y), want), (m, k, n)
 
 
+@pytest.mark.parametrize("density", [0.1, 0.5])
+def test_a_stacked_bool_product_is_the_product_of_each_slice(density):
+    # below and past the step threshold, with witnesses in one byte and in
+    # several, and at each edge of a byte
+    rng = np.random.default_rng(int(density * 100))
+    for c, m, k, n in ((3, 5, 4, 6), (7, 24, 9, 24), (2, 90, 70, 90), (1, 48, 0, 48)):
+        a = rng.random((c, m, k)) < density
+        b = rng.random((c, k, n)) < density
+        got = _bool_product(a, b)
+        assert got.dtype == bool and got.shape == (c, m, n)
+        for i in range(c):
+            assert np.array_equal(got[i], _witness_count_product(a[i], b[i])), (c, m, k, n)
+    for t in (0, 7, 8, 15, 63, 64, 69):
+        a = np.zeros((2, 30, 70), dtype=bool)
+        b = np.zeros((2, 70, 40), dtype=bool)
+        a[1, 3, t] = b[1, t, 39] = True
+        want = np.zeros((2, 30, 40), dtype=bool)
+        want[1, 3, 39] = True
+        assert np.array_equal(_bool_product(a, b), want), t
+
+
 def test_bool_product_finds_a_witness_in_every_word():
     # one witness t per product, placed in each 64-bit word and at its edges
     k = 200

@@ -337,6 +337,27 @@ def test_one_pass_finds_every_cone_and_counts_every_face():
     assert (targets, cones) == (40861, 36318)
 
 
+def test_a_fold_reads_its_targets_off_the_face_counts_and_bruhat_rows_only_for_walks(
+        monkeypatch):
+    # x is below the product of Q exactly when Delta(Q, x) has a face, so
+    # the certificates read no Bruhat row; a walk reads one per distinct
+    # suffix product, once per fold
+    for system, Q in _pass_cases():
+        fold = _fold(system, Q)
+        assert "bounds" not in vars(fold)
+        assert [bool(f) for f in fold.faces] == [bool(b) for b in fold.bounds[0]], Q
+    rows = _spy(monkeypatch, subword, "bruhat_row")
+    assert run_check("ball_sphere_classification", RunConfig()).passed
+    assert run_check("contractible_fibers", RunConfig()).passed
+    assert rows == []
+    b2 = CoxeterSystem.type_b(2)
+    Q = (1, 2, 1, 2, 1)
+    K = subword_complex(b2, Q, b2.element((1,)))
+    assert rows == []
+    assert K.facets == {fs(2, 3, 4, 5), fs(1, 2, 4, 5), fs(1, 2, 3, 4)}
+    assert K.interior_faces() and len(rows) == len(set(K._fold.suffix))
+
+
 def test_one_facet_exactly_when_the_count_is_a_power_of_two_and_one_cone_rule():
     # Delta(Q, u) is pure of dimension len(Q) - l(u) - 1, so it has one
     # facet exactly when it has 2^(len(Q) - l(u)) faces, which is how the

@@ -105,8 +105,9 @@ def test_the_default_sweep_validates_no_order_it_built(monkeypatch):
     # check 05's weak relation is an order by construction, and its union is
     # proved transitive by one product, which as_poset reuses; the order pass
     # validates and takes the covers of one Bruhat relation per group, builds
-    # one sorting relation per commutation class (227 products of position
-    # rows), and finds each sorting order's covers without a product
+    # one sorting relation per commutation class (227 of them, stacked in 17
+    # chunks, one product a chunk), and finds each sorting order's covers
+    # without a product
     counts = dict.fromkeys(("_bool_product", "__init__"), 0)
     for owner, name in ((coxsort.posets, "_bool_product"), (coxsort.posets.Poset, "__init__")):
         real = getattr(owner, name)
@@ -117,7 +118,7 @@ def test_the_default_sweep_validates_no_order_it_built(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     run_verification(RunConfig())
-    assert counts == {"_bool_product": 319, "__init__": 0}
+    assert counts == {"_bool_product": 109, "__init__": 0}
 
 
 def test_context_reuse_and_register():
@@ -580,8 +581,9 @@ def _refused(*args):
 @pytest.mark.parametrize("name", ["H3", "A4", "D4"])
 def test_class_outcomes_equal_the_cover_product_route(name, monkeypatch):
     # the reference builds each [e, w] on its own, not as a block of the
-    # group's relations, and takes the cover product; _class_outcomes decides
-    # every class of a correct sweep without it
+    # group's relations, and takes the cover product; the stacked route
+    # decides every class of a correct sweep without it, and folds the
+    # relations of each w by AND and OR
     system = named_system(name)
     elements = system.elements()
     top = system.longest_element()
@@ -589,34 +591,101 @@ def test_class_outcomes_equal_the_cover_product_route(name, monkeypatch):
     weak = coxsort.posets.weak_interval(top).leq
     cov = coxsort.posets._covers(bru)
     real_covers = coxsort.posets._covers
+    monkeypatch.setattr(coxsort.posets, "_covers", _refused)
+    intervals = list(coxsort.verify._decided_intervals(system, bru, weak, cov))
+    monkeypatch.setattr(coxsort.posets, "_covers", real_covers)
+    assert [interval.w for interval in intervals] == list(elements)
     classes = proper = 0
-    for w in elements:
-        interval = coxsort.posets.bruhat_interval(system.identity, w)
-        ground = interval.ground
+    for interval in intervals:
+        w = interval.w
+        reference = coxsort.posets.bruhat_interval(system.identity, w)
+        ground = reference.ground
         below = np.array([u.index for u in ground])
         block = np.ix_(below, below)
         weak_m = coxsort.posets._weak_matrix(ground)
-        bru_covers = real_covers(interval.leq)
-        assert np.array_equal(bru[block], interval.leq)
+        bru_covers = real_covers(reference.leq)
+        assert np.array_equal(interval.below, below)
+        assert np.array_equal(bru[block], reference.leq)
         assert np.array_equal(weak[block], weak_m)
         assert np.array_equal(cov[block], bru_covers)
-        seen = set()
-        for Q in sorted(coxsort.hecke.reduced_words(w)):
-            key = coxsort.posets._class_key(system, Q)
-            if key in seen:
-                continue
-            seen.add(key)
+        assert interval.open == 0 and interval.named == {}
+        keys = [coxsort.posets._class_key(system, Q) for Q in interval.words]
+        assert interval.words == sorted(coxsort.hecke.reduced_words(w))
+        assert interval.firsts == [Q for i, Q in enumerate(interval.words)
+                                   if keys[i] not in keys[:i]]
+        assert sum(interval.counts) == len(interval.words)
+        meet = np.ones_like(weak_m)
+        join = np.zeros_like(weak_m)
+        for Q, same in zip(interval.firsts, interval.equal):
             taken = coxsort.hecke._sorting_rows(system, Q, below)
             sort_m = coxsort.posets._sorting_relation(taken)
-            want = _cover_product_outcomes(sort_m, ground, weak_m, interval.leq, bru_covers)
-            monkeypatch.setattr(coxsort.posets, "_covers", _refused)
-            got = coxsort.verify._class_outcomes(sort_m, taken, ground, weak_m, interval.leq,
-                                                 bru_covers)
-            monkeypatch.setattr(coxsort.posets, "_covers", real_covers)
-            assert got == want, (w, Q)
+            meet &= sort_m
+            join |= sort_m
+            want = _cover_product_outcomes(sort_m, ground, weak_m, reference.leq, bru_covers)
+            assert want == ([], None, same), (w, Q)
             classes += 1
-            proper += not got[2]
+            proper += not same
+        assert np.array_equal(interval.meet, meet) and np.array_equal(interval.join, join), w
     assert classes > proper > 0
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 24 ** 2])
+def test_the_chunk_budget_leaves_the_order_records_unchanged(budget, monkeypatch):
+    # a budget of 1 makes every class a chunk alone; 3 * 24**2 cells hold
+    # three classes of the 24-element [e, w0] of A3, whose 8 classes then
+    # straddle several chunks; the records, failures included, stay the same
+    config = RunConfig(groups=("A3", "B2"))
+    planted = _b2_top_without_position_2(coxsort.hecke._sorting_rows)
+    want = [run_check(name, config).to_obj() for name in ORDER_CHECKS]
+    monkeypatch.setattr(coxsort.hecke, "_sorting_rows", planted)
+    want_planted = [run_check(name, config).to_obj() for name in ORDER_CHECKS]
+    monkeypatch.undo()
+    seen = []
+    real = coxsort.verify._decide
+
+    def spied(chunk):
+        seen.append([(interval.w, c) for interval, c, _ in chunk])
+        return real(chunk)
+
+    monkeypatch.setattr(coxsort.verify, "_decide", spied)
+    monkeypatch.setattr(coxsort.posets, "_BLOCK_BYTES", budget)
+    ctx = Context(config)
+    assert [run_check(name, ctx=ctx).to_obj() for name in ORDER_CHECKS] == want
+    a3 = ctx.system("A3")
+    spans = {}
+    for number, chunk in enumerate(seen):
+        for w, _ in chunk:
+            spans.setdefault(w, set()).add(number)
+    straddled = len(spans[a3.longest_element()])
+    assert straddled == 8 if budget == 1 else 1 < straddled < 8
+    assert all(len(chunk) == 1 for chunk in seen) == (budget == 1)
+    monkeypatch.setattr(coxsort.hecke, "_sorting_rows", planted)
+    assert [run_check(name, config).to_obj() for name in ORDER_CHECKS] == want_planted
+    assert want_planted != want
+
+
+def test_no_chunk_of_the_order_pass_exceeds_the_cell_budget(monkeypatch):
+    # the (classes, side, side) of every stacked relation product
+    real = coxsort.posets._bool_product
+    shapes = []
+
+    def spied(a, b):
+        if a.ndim == 3:
+            shapes.append((len(a), a.shape[1], b.shape[2]))
+        return real(a, b)
+
+    monkeypatch.setattr(coxsort.posets, "_bool_product", spied)
+    assert run_check("sorting_sandwich", RunConfig()).passed
+    budget = coxsort.posets._BLOCK_BYTES
+    # one stacked product per chunk, 227 classes in all; a chunk past the
+    # budget holds one class
+    assert sum(n for n, _, _ in shapes) == 227
+    assert all(n * side * side <= budget or n == 1 for n, side, _ in shapes)
+    assert all(side == other for _, side, other in shapes)
+    assert max(n for n, _, _ in shapes) > 1
+    shapes.clear()
+    assert run_check("sorting_sandwich", RunConfig(groups=("D4",))).passed
+    assert shapes and all(n * side * side <= budget or n == 1 for n, side, _ in shapes)
 
 
 def _b2_top_without_position_2(real):
