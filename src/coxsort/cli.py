@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, formats: tuple[str, ...]):
-        p.add_argument("--type", help="named group: A<n>, B<n>, D<n>, I2:<m>, H3")
+        p.add_argument("--type", help="named group: A<n>, B<n>, D<n>, I2:<m>, H3, H4, F4")
         p.add_argument("--matrix", help="Coxeter matrix file: first line n, then n rows")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,

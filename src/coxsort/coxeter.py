@@ -263,6 +263,18 @@ class CoxeterSystem:
         """The symmetry group of the icosahedron (order 120)."""
         return cls(((1, 5, 2), (5, 1, 3), (2, 3, 1)), **kwargs)
 
+    @classmethod
+    def type_h4(cls, **kwargs) -> "CoxeterSystem":
+        """The symmetry group of the 600-cell (order 14,400); a chain with
+        m(1, 2) = 5."""
+        return cls(_chain_matrix(4, {(1, 2): 5}), **kwargs)
+
+    @classmethod
+    def type_f4(cls, **kwargs) -> "CoxeterSystem":
+        """The symmetry group of the 24-cell (order 1,152); a chain with
+        m(2, 3) = 4."""
+        return cls(_chain_matrix(4, {(2, 3): 4}), **kwargs)
+
     # ------------------------------------------------------------------
 
     def m(self, i: int, j: int) -> int:

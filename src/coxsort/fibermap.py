@@ -11,8 +11,11 @@ and the homotopy certificate of each upper fiber, read off Delta(Q, u)
 itself; position sets become frozensets only where they leave the module.
 A fiber's certificate is read off the subword certificate of Delta(Q, u),
 whose Betti numbers come from the homotopy type that the fold of Q gives
-(:func:`coxsort.subword.homotopy_types`), with no face built; interval
-spheres are eliminated by the homology module.  Fiber certificates, like
+(:func:`coxsort.subword.homotopy_types`), with no face built.  Every
+open Bruhat interval of a group is proved a sphere by one EL-labelling
+pass, :func:`certify_interval_el`, with no chain built; one interval, or a
+batch, is also certified by eliminating its order complex in the homology
+module, the route each pair the pass leaves takes.  Fiber certificates, like
 interval ones, are one batch route whose single call is a batch of one: a
 sweep over the u below w checks Q once and folds it once, and reads each
 u <= w off the fold.
@@ -20,15 +23,17 @@ u <= w off the fold.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
+from . import posets
 from .coxeter import CoxeterSystem, Element, _integer, word_str
 from .errors import BudgetExceededError
-from .hecke import _require_reduced, bruhat_leq, bruhat_row, demazure
+from .hecke import _left_column, _require_reduced, bruhat_leq, bruhat_row, demazure
 from .homology import BettiProfile, _OrderComplex, _field_index, _shared_profiles
 from .posets import bruhat_interval
 from .subword import _certify, _fold, _positions
@@ -43,6 +48,7 @@ __all__ = [
     "IntervalReport",
     "certify_interval_sphere",
     "certify_interval_spheres",
+    "certify_interval_el",
 ]
 
 _MASK_CAP = 16
@@ -277,3 +283,148 @@ def certify_interval_spheres(pairs: Iterable[tuple[Element, Element]],
         reports.append(IntervalReport(u.word, w.word, expected, profile,
                                       profile.matches_sphere(expected), len(inner.vertices)))
     return reports
+
+
+def _reflection_order(system: CoxeterSystem) -> list[int]:
+    """The table rows of the reflections t_1, ..., t_N that the canonical
+    word s_1 ... s_N of w0 gives, t_k = s_1 ... s_(k-1) s_k s_(k-1) ... s_1,
+    each conjugated over the table one letter at a time.  They are the N
+    reflections of the group, each once, in a reflection order (Dyer,
+    "Hecke algebras and shellings of Bruhat intervals", Compositio 1993)."""
+    w0 = system.longest_element().word
+    right, left = system._right, system._left
+    order = []
+    for k, s in enumerate(w0):
+        t = right[0][s - 1]
+        for r in reversed(w0[:k]):
+            t = left[right[t][r - 1]][r - 1]
+        order.append(t)
+    return order
+
+
+def certify_interval_el(system: CoxeterSystem) -> np.ndarray:
+    """Prove every open Bruhat interval (u, w) of ``system`` with
+    l(w) - l(u) >= 2 a sphere of dimension l(w) - l(u) - 2 by an
+    EL-labelling, with no chain built: a read-only bool matrix over table
+    rows whose ``[u, w]`` is set for each pair it proves.
+
+    *Cited theorem* (Björner & Wachs, "On lexicographically shellable
+    posets", Trans. AMS 1983): if the covers of a bounded poset P are
+    labelled from a total order so that every closed interval [x, y] of P
+    has exactly one increasing maximal chain, and it is lexicographically
+    first, then the order complex of the open part of P is shellable and
+    homotopy equivalent to a wedge of spheres, one for each decreasing
+    maximal chain of P, of dimension its length minus 2.
+
+    *Finite checks* (:func:`_el_proven`), on the relation of
+    ``bruhat_interval(e, w0)``, which is validated as an order there:
+    - a step is a pair x < z with l(z) = l(x) + 1, labelled with the rank of
+      z x^-1 in :func:`_reflection_order`, or with none when z x^-1 is not
+      in it.  Two steps from one element have distinct labels, and so do
+      two consecutive steps (z = t x, y = t z would give y = x), so
+      increasing and decreasing are strict or weak alike;
+    - going down by length, a dynamic programme finds for every pair
+      (x, y) the largest first label of an increasing chain of steps from
+      x to y: the largest label of a step x < z that is below the largest
+      first label from z to y.  It counts the decreasing chains, saturated
+      at 2, as their two smallest first labels, repeats included:
+      x < z < ... < y is decreasing when the label of x < z is above the
+      first label of the rest, and those two labels say how many of the
+      rest's chains, up to two, start below it;
+    - (x, y) with x < y is bad when it has no increasing chain of steps,
+      or when the largest first label of one is not the least label of the
+      steps x < z <= y.  If no pair inside [x, y] is bad, every increasing
+      chain starts with that least step x < z, and by induction on [z, y]
+      there is exactly one, and it is lexicographically first.  A step with
+      no label has no increasing chain, so it is bad;
+    - (u, w) is proved when no bad pair lies inside [u, w], found by two
+      :func:`posets._bool_product` calls, and exactly one decreasing chain
+      of steps goes from u to w.
+    With no bad pair inside [u, w], every cover of [u, w] is a step, since
+    a cover x < y of length difference other than 1 has no chain of steps
+    and is bad; so the maximal chains of [u, w] are its chains of steps, all
+    of l(w) - l(u) covers, and the theorem gives one sphere of dimension
+    l(w) - l(u) - 2.  Dyer ("Hecke algebras and shellings of Bruhat
+    intervals", Compositio 1993) proved that a reflection order labels
+    every Bruhat interval this way; that is why every pair is proved, and
+    no step uses it: a label order that is no reflection order leaves pairs
+    unproved instead of proving them wrongly.
+
+    The upper ends y are taken a chunk at a time, so that a chunk's arrays,
+    one byte a cell while there are fewer than 255 reflections, stay within
+    ``posets._BLOCK_BYTES`` read at the call; the relation, the label of
+    each pair of elements and the result are n x n.
+
+    >>> b2 = CoxeterSystem.type_b(2)
+    >>> int(certify_interval_el(b2).sum())  # 8 pairs at distance 2, 4 at 3, 1 at 4
+    13
+    """
+    n = system.order()
+    interval = bruhat_interval(system.identity, system.longest_element())
+    ground = np.fromiter((v.index for v in interval.ground), dtype=np.intp, count=len(interval))
+    order = _reflection_order(system)
+    label = np.zeros((n, n), dtype=np.min_scalar_type(len(order) + 1))
+    rows = np.arange(n)
+    for k, t in enumerate(order, start=1):
+        tx = rows
+        for s in reversed(system._words[t]):
+            tx = _left_column(system, s - 1)[tx]
+        label[rows, tx] = k
+    proven = np.zeros((n, n), dtype=bool)
+    proven[np.ix_(ground, ground)] = _el_proven(
+        interval.leq, np.array([v.length for v in interval.ground]),
+        label[np.ix_(ground, ground)], len(order) + 1)
+    proven.setflags(write=False)
+    return proven
+
+
+def _el_proven(leq: np.ndarray, length: np.ndarray, label: np.ndarray, none: int) -> np.ndarray:
+    """The finite checks of :func:`certify_interval_el` on the order ``leq``
+    (``[x, y]`` iff x <= y) over a ground sorted by ``length``, the label of
+    a step x < z being ``label[x, z]``, from 1 to ``none`` - 1, or 0 for no
+    label, and the labelled steps from one element carrying distinct labels:
+    ``[u, w]`` is set when no bad pair lies inside [u, w], exactly one
+    decreasing chain of steps goes from u to w, and l(w) - l(u) >= 2."""
+    xs, zs = np.nonzero(leq & (length[:, None] + 1 == length))
+    # the steps from each length L: their ends, labels, and the first step,
+    # the index and the element x of each run of steps from one x
+    steps = []
+    for a, b in itertools.pairwise(np.searchsorted(length[xs], np.arange(length[-1] + 1))):
+        new = np.concatenate(([True], xs[a + 1:b] != xs[a:b - 1]))
+        steps.append((zs[a:b], label[xs[a:b], zs[a:b], None], np.flatnonzero(new),
+                      np.cumsum(new) - 1, xs[a:b][new]) if b > a else None)
+    k = len(leq)
+    # a pair x < y is bad until the pass finds its chains: one with y no
+    # longer than x has none
+    bad = leq & ~np.eye(k, dtype=bool)
+    single = np.zeros((k, k), dtype=bool)
+    widest = max((len(step[0]) for step in steps if step), default=1)
+    width = max(1, posets._BLOCK_BYTES // max(k, widest))
+    for y0 in range(0, k, width):
+        y1 = min(y0 + width, k)
+        cols = np.arange(y1 - y0)
+        # [z, y]: the largest first label of an increasing chain (0 for
+        # none) and the two smallest of decreasing ones (``none`` for none)
+        up = np.zeros((k, len(cols)), dtype=label.dtype)
+        down1, down2 = np.full_like(up, none), np.full_like(up, none)
+        up[y0 + cols, cols], down1[y0 + cols, cols] = none, 0
+        for L in range(length[y1 - 1] - 1, -1, -1):
+            if steps[L] is None:
+                continue
+            ez, m, heads, of, x = steps[L]
+            # the ys longer than x, a suffix of the chunk
+            j = np.searchsorted(length[y0:y1], L, side="right")
+            u = np.maximum.reduceat(np.where(up[ez, j:] > m, m, 0), heads)
+            below = (down1[ez, j:] < m).view(np.uint8) + (down2[ez, j:] < m)
+            first = np.where(below > 0, m, none)
+            d1 = np.minimum.reduceat(first, heads)
+            first[first == d1[of]] = none
+            d2 = np.minimum(np.minimum.reduceat(first, heads),
+                            np.minimum.reduceat(np.where(below > 1, m, none), heads))
+            least = np.minimum.reduceat(np.where(leq[ez, y0 + j:y1], m, none), heads)
+            up[x, j:], down1[x, j:], down2[x, j:] = u, d1, d2
+            bad[x, y0 + j:y1] = (u == 0) | (u != least)
+            single[x, y0 + j:y1] = (d1 < none) & (d2 == none)
+    bad &= leq
+    inside = posets._bool_product(posets._bool_product(leq, bad), leq)
+    return single & ~inside & (length[:, None] + 2 <= length)

@@ -17,8 +17,9 @@ of any Coxeter matrix by nil and braid moves alone, the subword scan tries
 every position set, :func:`bruhat_leq_walk` compares two elements by
 stripping left descents, :func:`element_poset` and
 :func:`inclusion_poset_bruteforce` order elements and sets by a pairwise
-scan, and :func:`faces_bruteforce` lists the faces of a complex as tuples
-from every subset of every facet; all are slow references for tests.
+scan, :func:`faces_bruteforce` lists the faces of a complex as tuples
+from every subset of every facet, and :func:`mobius` runs the defining
+recursion of the Möbius function; all are slow references for tests.
 :func:`contractibility_evidence` (a cone vertex, else vanishing homology)
 is the reference the fiber certificates of :mod:`coxsort.fibermap` are
 tested against.
@@ -51,6 +52,7 @@ __all__ = [
     "element_poset",
     "inclusion_poset_bruteforce",
     "faces_bruteforce",
+    "mobius",
     "cone_vertex",
     "ContractibilityEvidence",
     "contractibility_evidence",
@@ -313,6 +315,23 @@ def inclusion_poset_bruteforce(sets: Iterable[Iterable]) -> Poset:
     by (size, sorted members)."""
     ground = sorted({frozenset(s) for s in sets}, key=lambda s: (len(s), sorted(s)))
     return Poset(ground, [[a <= b for b in ground] for a in ground])
+
+
+def mobius(leq) -> list[list[int]]:
+    """The Möbius function of the order ``leq`` (``leq[x][y]`` iff x <= y)
+    as a matrix of Python ints, 0 where x is not below y, by the plain
+    recursion mu(x, x) = 1, mu(x, y) = -sum of mu(x, z) over x <= z < y.
+    The elements above x are taken by the size of their down-sets, which
+    puts every z < y before y."""
+    leq = [[bool(v) for v in row] for row in leq]
+    n = len(leq)
+    down = [sum(leq[z][y] for z in range(n)) for y in range(n)]
+    mu = [[0] * n for _ in range(n)]
+    for x in range(n):
+        above = sorted((y for y in range(n) if leq[x][y]), key=down.__getitem__)
+        for i, y in enumerate(above):
+            mu[x][y] = 1 if y == x else -sum(mu[x][z] for z in above[:i] if leq[z][y])
+    return mu
 
 
 def faces_bruteforce(K: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:

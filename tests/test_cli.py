@@ -38,6 +38,14 @@ def test_group_json(capsys):
     assert words == ["e", "1"]
 
 
+def test_group_of_a_named_exceptional_type(capsys):
+    code, out, _ = run(capsys, "group", "--type", "f4", "--format", "json")
+    assert code == 0 and json.loads(out)["order"] == 1152
+    with pytest.raises(SystemExit):
+        main(["group", "--help"])
+    assert "I2:<m>, H3, H4, F4" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("command", ["group", "subword", "fibers"])
 def test_only_orders_offers_dot(capsys, command):
     with pytest.raises(SystemExit) as exc:

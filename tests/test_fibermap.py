@@ -1,22 +1,27 @@
 import itertools
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import coxsort.hecke
 import coxsort.homology
+import coxsort.posets
 import coxsort.subword
-from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, fibermap, run_check,
-                     subword_complex, word_str)
+from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, fibermap, named_system,
+                     parse_word, run_check, subword_complex, word_str)
 from coxsort.cli import main
-from coxsort.fibermap import (FiberReport, certify_fiber_contractible,
+from coxsort.fibermap import (FiberReport, certify_fiber_contractible, certify_interval_el,
                               certify_interval_sphere, certify_interval_spheres,
                               check_order_preserving, fiber_open, fiber_up, subset_image)
-from coxsort.hecke import _below, bruhat_leq, demazure, sorting_positions
+from coxsort.hecke import _below, bruhat_leq, bruhat_row, demazure, sorting_positions
 from coxsort.homology import DEFAULT_FACE_BUDGET, SimplicialComplex, order_complex
 from coxsort.oracles import cone_vertex, contractibility_evidence, inclusion_poset_bruteforce
 from coxsort.posets import bruhat_interval
 from coxsort.subword import certify_subword_complex
+from coxsort.verify import report_json
 
 
 def fs(*items):
@@ -517,6 +522,13 @@ def _check_08_pairs():
     return pairs
 
 
+def _no_pair_proven(monkeypatch):
+    """Patch the EL pass to prove no pair, so that check 08 takes the
+    homology route of ``certify_interval_spheres`` on all its pairs."""
+    monkeypatch.setattr(fibermap, "certify_interval_el",
+                        lambda system: np.zeros((system.order(),) * 2, dtype=bool))
+
+
 @pytest.mark.parametrize("field", [2, 0])
 def test_interval_batch_equals_one_pair_calls_on_check_08_pairs(field):
     pairs = _check_08_pairs()
@@ -537,9 +549,19 @@ def test_interval_batch_computes_each_distinct_relation_once(monkeypatch):
         cold.clear()
         certify_interval_spheres(pairs)
         assert {K._key() for K in cold} == inner and len(cold) == 76
+    # check 08 proves every pair by the EL pass, and builds no order complex
+    # and eliminates nothing; with no pair proven, its fallback takes the
+    # batch route on all 652 pairs
+    made = []
+    real_init = coxsort.homology._OrderComplex.__init__
+    monkeypatch.setattr(coxsort.homology._OrderComplex, "__init__",
+                        lambda self, *args: made.append(self) or real_init(self, *args))
     cold.clear()
     assert run_check("open_interval_spheres", RunConfig(field=0)).instances == 652
-    assert len(cold) == 76
+    assert len(cold) == len(made) == 0
+    _no_pair_proven(monkeypatch)
+    assert run_check("open_interval_spheres", RunConfig(field=0)).instances == 652
+    assert len(cold) == 76 and len(made) == 652
     cold.clear()
     certify_interval_sphere(*pairs[0])  # a one-pair call shares nothing
     certify_interval_sphere(*pairs[0])
@@ -579,3 +601,182 @@ def test_interval_batch_raises_at_the_first_pair_over_the_budget(monkeypatch, bu
             want.budget, want.limit, want.spent, want.subject)
         # the pairs before it were certified, some of them by shared hits
         assert len(cold) - 1 < i
+
+
+def _graded_pairs(system):
+    """[u, w]: u <= w with l(w) - l(u) >= 2, over table rows."""
+    elements = system.elements()
+    length = np.array([w.length for w in elements])
+    leq = np.stack([bruhat_row(w) for w in elements]).T
+    return leq & (length[:, None] + 2 <= length)
+
+
+@pytest.mark.parametrize("field", [2, 0])
+def test_el_pass_agrees_with_the_interval_route_on_check_08_pairs(field):
+    pairs = _check_08_pairs()
+    proven = {}
+    for u, w in pairs:
+        if w.system not in proven:
+            proven[w.system] = certify_interval_el(w.system)
+    reports = certify_interval_spheres(pairs, field)
+    assert [bool(proven[w.system][u.index, w.index]) for u, w in pairs] == [
+        r.matches for r in reports] == [True] * 652
+
+
+@pytest.mark.parametrize("system,count", [(CoxeterSystem.type_a(3), 131),
+                                          (CoxeterSystem.type_b(3), 661),
+                                          (CoxeterSystem.type_h3(), 4961)],
+                         ids=["A3", "B3", "H3"])
+def test_el_pass_proves_every_interval(system, count):
+    proven = certify_interval_el(system)
+    assert not proven.flags.writeable and proven.dtype == bool
+    assert np.array_equal(proven, _graded_pairs(system)) and proven.sum() == count
+
+
+def test_el_pass_is_the_same_in_chunks_of_any_size(monkeypatch):
+    h3 = CoxeterSystem.type_h3()
+    whole = certify_interval_el(h3)
+    for budget in (1, 100, 5000):
+        monkeypatch.setattr(coxsort.posets, "_BLOCK_BYTES", budget)
+        assert np.array_equal(certify_interval_el(h3), whole)
+
+
+def _maximal_chains(leq, length, x, y):
+    """The chains of steps x < z (l(z) = l(x) + 1) from x to y, as lists of
+    (x, z) pairs, by brute force."""
+    if x == y:
+        return [[]]
+    return [[(x, z)] + rest for z in np.flatnonzero(leq[x] & (length == length[x] + 1))
+            if leq[z, y] for rest in _maximal_chains(leq, length, z, y)]
+
+
+def _el_bruteforce(system, order):
+    """The matrix of certify_interval_el under the label order ``order``,
+    from every maximal chain of every interval, listed one by one."""
+    elements = system.elements()
+    n = len(elements)
+    length = np.array([w.length for w in elements])
+    leq = np.stack([bruhat_row(w) for w in elements]).T
+    rank = {t: k for k, t in enumerate(order, start=1)}
+    chains = {(x, y): [[rank.get((elements[z] * elements[a].inverse()).index, 0)
+                        for a, z in c] for c in _maximal_chains(leq, length, x, y)]
+              for x in range(n) for y in range(n) if leq[x, y]}
+
+    def good(labels):
+        increasing = [c for c in labels if all(a < b for a, b in zip(c, c[1:]))]
+        return all(c and c[0] for c in labels) and len(increasing) == 1 and (
+            min(labels) == increasing[0])
+
+    fine = {pair: pair[0] == pair[1] or good(labels) for pair, labels in chains.items()}
+    proven = np.zeros((n, n), dtype=bool)
+    for (u, w), labels in chains.items():
+        decreasing = [c for c in labels if all(a > b for a, b in zip(c, c[1:]))]
+        proven[u, w] = length[w] - length[u] >= 2 and len(decreasing) == 1 and all(
+            ok for (x, y), ok in fine.items() if leq[u, x] and leq[y, w])
+    return proven
+
+
+@pytest.mark.parametrize("name", ["B2", "A3", "I2:5"])
+def test_el_pass_equals_the_chain_by_chain_count_under_any_label_order(name, monkeypatch):
+    system = named_system(name)
+    real = fibermap._reflection_order(system)
+    rng = random.Random(0)
+    orders = [real] + [rng.sample(real, len(real)) for _ in range(4)]
+    orders.append(real[:-1])  # the covers of the last reflection unlabelled
+    counts = []
+    for order in orders:
+        monkeypatch.setattr(fibermap, "_reflection_order", lambda system, order=order: order)
+        proven = certify_interval_el(system)
+        assert np.array_equal(proven, _el_bruteforce(system, order)), order
+        counts.append(int(proven.sum()))
+    assert counts[0] == _graded_pairs(system).sum() > max(counts[1:])
+
+
+def test_a_shuffled_label_order_leaves_pairs_to_the_interval_route(monkeypatch):
+    want = report_json({"check": run_check("open_interval_spheres", RunConfig()).to_obj()})
+    real = fibermap._reflection_order
+    shuffled = {}
+
+    def reordered(system):
+        order = real(system)
+        return random.Random(len(order)).sample(order, len(order))
+
+    monkeypatch.setattr(fibermap, "_reflection_order", reordered)
+    for name in ("A3", "B3", "H3"):
+        system = named_system(name)
+        shuffled[name] = (int(certify_interval_el(system).sum()), int(_graded_pairs(system).sum()))
+    assert all(got < every for got, every in shuffled.values()), shuffled
+    sent = []
+    real_route = fibermap.certify_interval_spheres
+    monkeypatch.setattr(fibermap, "certify_interval_spheres",
+                        lambda pairs, field: sent.extend(pairs) or real_route(pairs, field))
+    got = report_json({"check": run_check("open_interval_spheres", RunConfig()).to_obj()})
+    assert got == want and 0 < len(sent) < 652
+
+
+def _row_without(monkeypatch, system, v, x):
+    """Patch ``hecke.bruhat_row`` so that the row of v in ``system`` loses x."""
+    real = coxsort.hecke.bruhat_row
+
+    def dropped(w):
+        row = real(w)
+        if w.system == system and w == v:
+            row = row.copy()
+            row[x.index] = False
+        return row
+
+    monkeypatch.setattr(coxsort.hecke, "bruhat_row", dropped)
+
+
+def test_a_bruhat_row_that_drops_an_element_is_not_proven_and_turns_check_08_red(monkeypatch):
+    # 1,2 leaves the row of 1,2,1 in B2; what is left is still an order, in
+    # which (u, 1,2,1) and (u, 1,2,1,2) are no spheres for 7 pairs
+    b2 = CoxeterSystem.type_b(2)
+    _row_without(monkeypatch, b2, b2.element((1, 2, 1)), b2.element((1, 2)))
+    proven = certify_interval_el(b2)
+    wrong = [("e", "1,2,1", 1), ("1", "1,2,1", 0), ("2", "1,2,1", 0), ("e", "1,2,1,2", 2),
+             ("1", "1,2,1,2", 1), ("2", "1,2,1,2", 1), ("1,2", "1,2,1,2", 0)]
+    for u, w, _ in wrong:
+        assert not proven[b2.element(parse_word(u)).index, b2.element(parse_word(w)).index]
+    r = run_check("open_interval_spheres", RunConfig())
+    assert not r.passed and r.instances == 652
+    # the failures the homology route gave for every pair before the pass
+    assert r.failures == [{"group": "B2", "u": u, "v": w, "detail":
+                           f"betti [GF(2): all zero] does not match S^{d}"} for u, w, d in wrong]
+
+
+@pytest.mark.parametrize("labels,proved", [
+    ([(1, 2), (2, 1)], True),
+    # two decreasing chains, a wedge of two copies of S^0
+    ([(1, 2), (2, 1), (3, 1)], False),
+    # the step 0 < a has no label
+    ([(0, 1), (2, 1)], False),
+])
+def test_el_checks_need_labelled_steps_and_one_decreasing_chain(labels, proved):
+    # 0 < a, b (, c) < 1, the labels of the steps 0 < a and a < 1 first:
+    # 0 < a < 1 with labels (1, 2) is the one increasing chain, and it is
+    # lexicographically first
+    k = len(labels) + 2
+    leq = np.eye(k, dtype=bool)
+    leq[0], leq[:, -1] = True, True
+    label = np.zeros((k, k), dtype=np.uint8)
+    label[0, 1:-1], label[1:-1, -1] = zip(*labels)
+    length = np.array([0] + [1] * len(labels) + [2])
+    proven = fibermap._el_proven(leq, length, label, len(labels) + 1)
+    assert proven.sum() == proved and proven[0, -1] == proved
+
+
+def test_el_pass_stays_small_on_check_08_groups():
+    # one byte a cell, a chunk of upper ends within posets._BLOCK_BYTES; the
+    # homology route of check 08 peaked at 0.33 MB under tracemalloc
+    systems = [named_system(name) for name in ("A3", "B2", "B3")]
+    for system in systems:
+        certify_interval_el(system)  # the rows and the relation, as check 08 finds them
+    tracemalloc.start()
+    try:
+        for system in systems:
+            certify_interval_el(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak

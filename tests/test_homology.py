@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import coxsort.fibermap
 import coxsort.homology
 from coxsort import (BudgetExceededError, CoxeterSystem, certify_subword_complex,
                      subword_complex)
@@ -638,11 +639,17 @@ def test_profiles_of_an_order_complex_build_no_full_levels(monkeypatch):
             built += sum(map(len, K._relative_levels()))
             groups += spy.reads
     assert (counted, built, groups) == (41_194, 4_204, 561)
-    # check 08 walks each distinct open interval once, never with sigma empty
+    # check 08 walks no chain: its EL pass proves every pair; with no pair
+    # proven, its homology route walks each distinct open interval once,
+    # never with sigma empty
     real = _OrderComplex._walk
     sigmas = []
     monkeypatch.setattr(_OrderComplex, "_walk",
                         lambda self, sigma: sigmas.append(sigma) or real(self, sigma))
+    result = run_check("open_interval_spheres", RunConfig())
+    assert result.passed and result.instances == 652 and sigmas == []
+    monkeypatch.setattr(coxsort.fibermap, "certify_interval_el",
+                        lambda system: np.zeros((system.order(),) * 2, dtype=bool))
     result = run_check("open_interval_spheres", RunConfig())
     assert result.passed and result.instances == 652
     assert len(sigmas) == 76 and all(sigmas)

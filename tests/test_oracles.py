@@ -10,10 +10,12 @@ import pytest
 
 from coxsort import CoxeterSystem
 from coxsort.hecke import bruhat_leq
+from coxsort.homology import _OrderComplex
 from coxsort.oracles import (BraidRewriting, bruhat_leq_bruteforce, canonical_word_bruteforce,
                              contains_reduced_word_bruteforce, dihedral_model,
-                             even_signed_permutation_model, permutation_model,
+                             even_signed_permutation_model, mobius, permutation_model,
                              signed_permutation_model, sorting_subword_bruteforce)
+from coxsort.posets import bruhat_interval
 
 FAMILIES = {"A3": lambda: permutation_model(3),
             "B3": lambda: signed_permutation_model(3),
@@ -186,3 +188,32 @@ def test_braid_rewriting_reads_matrix_entries_as_integers():
     with pytest.raises(ValueError, match="Coxeter matrix entry must be an integer, got True"):
         BraidRewriting([[True, 3], [3, True]])
     assert BraidRewriting([[np.int8(1), np.int64(3)], [3, 1]]).matrix == ((1, 3), (3, 1))
+
+
+@pytest.mark.parametrize("system", [CoxeterSystem.type_a(3), CoxeterSystem.type_b(3),
+                                    CoxeterSystem.type_h3()], ids=["A3", "B3", "H3"])
+def test_mobius_of_bruhat_order_is_the_sign_of_the_length_difference(system):
+    # Verma: mu(u, w) = (-1)^(l(w) - l(u)) for u <= w; and Hall's theorem,
+    # mu(u, w) = sum over k of (-1)^(k - 1) times the chains of k elements
+    # of (u, w), from the chain counts of its order complex, in int signs
+    elements = system.elements()
+    leq = bruhat_interval(system.identity, system.longest_element()).leq
+    mu = mobius(leq)
+    for u in elements:
+        for w in elements:
+            d = w.length - u.length
+            assert mu[u.index][w.index] == (leq[u.index, w.index] and (-1) ** d)
+    for u, w in ((u, w) for w in elements for u in elements[:w.index] if leq[u.index, w.index]):
+        closed = bruhat_interval(u, w)
+        counts = _OrderComplex(closed.ground[1:-1], closed.leq[1:-1, 1:-1])._chain_counts(2 ** 64)
+        hall = sum(c if k % 2 else -c for k, c in enumerate(counts))
+        assert type(hall) is int and hall == mu[u.index][w.index], (u, w)
+
+
+def test_mobius_takes_any_linear_extension():
+    # a pentagon 0 < a < b < 1, 0 < c < 1, its ground in no linear order
+    ground = ["b", "1", "c", "0", "a"]
+    below = {("0", x) for x in ground} | {("a", "b"), ("a", "1"), ("b", "1"), ("c", "1")}
+    leq = [[x == y or (x, y) in below for y in ground] for x in ground]
+    mu = dict(zip(ground, mobius(leq)[ground.index("0")]))
+    assert mu == {"0": 1, "a": -1, "b": 0, "c": -1, "1": 1}

@@ -30,9 +30,21 @@ def test_named_system():
     # equal matrices under two names are no repeat; the spellings are kept
     groups = ("I2:4", " b2", "matrix:b2")
     assert RunConfig(groups=groups).sweep_groups == groups
-    for bad in ("X5", "I3:4", "", "A", "I2:x"):
+    for bad in ("X5", "I3:4", "", "A", "I2:x", "H5", "F3", "E6"):
         with pytest.raises(ValueError, match="unknown group"):
             named_system(bad)
+
+
+@pytest.mark.parametrize("spec,order,bonds", [
+    ("F4", 1152, {(1, 2): 3, (2, 3): 4, (3, 4): 3}),
+    (" h4", 14_400, {(1, 2): 5, (2, 3): 3, (3, 4): 3}),
+])
+def test_named_exceptional_groups(spec, order, bonds):
+    system = named_system(spec)
+    assert system.matrix == tuple(tuple(1 if i == j else bonds.get((min(i, j), max(i, j)), 2)
+                                        for j in range(1, 5)) for i in range(1, 5))
+    assert system.order() == order <= system.size_cap
+    assert system.longest_element().length == {1152: 24, 14_400: 60}[order]
 
 
 def test_check_names():
@@ -107,7 +119,7 @@ def test_the_default_sweep_validates_no_order_it_built(monkeypatch):
     # validates and takes the covers of one Bruhat relation per group, builds
     # one sorting relation per commutation class (227 of them, stacked in 17
     # chunks, one product a chunk), and finds each sorting order's covers
-    # without a product
+    # without a product; check 08's EL pass takes two products per group
     counts = dict.fromkeys(("_bool_product", "__init__"), 0)
     for owner, name in ((coxsort.posets, "_bool_product"), (coxsort.posets.Poset, "__init__")):
         real = getattr(owner, name)
@@ -118,7 +130,7 @@ def test_the_default_sweep_validates_no_order_it_built(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     run_verification(RunConfig())
-    assert counts == {"_bool_product": 109, "__init__": 0}
+    assert counts == {"_bool_product": 47, "__init__": 0}
 
 
 def test_context_reuse_and_register():
@@ -333,6 +345,13 @@ def test_fault_injection_in_relation_layer(monkeypatch):
         assert any(f.get("u") == "1" and f.get("v") == "1,2" for f in r.failures), name
 
 
+def _no_pair_proven(monkeypatch):
+    """Patch the EL pass to prove no pair, so that check 08 takes the
+    homology route of ``fibermap.certify_interval_spheres`` on all its pairs."""
+    monkeypatch.setattr(coxsort.fibermap, "certify_interval_el",
+                        lambda system: np.zeros((system.order(),) * 2, dtype=bool))
+
+
 def test_walk_that_prunes_completable_prefixes_breaks_open_interval_spheres(monkeypatch):
     # a chain walk with no look-ahead: it extends a chain only once it holds,
     # for every v in sigma, an element incomparable with v, so a lower part
@@ -348,6 +367,10 @@ def test_walk_that_prunes_completable_prefixes_breaks_open_interval_spheres(monk
         return levels
 
     monkeypatch.setattr(coxsort.homology._OrderComplex, "_walk", eager_walk)
+    # the EL pass proves every pair and walks no chain
+    assert run_check("open_interval_spheres", SMALL).passed
+    # with no pair proven, every pair takes the homology route
+    _no_pair_proven(monkeypatch)
     r = run_check("open_interval_spheres", SMALL)
     assert not r.passed and r.instances == 652
     assert r.failures[0] == {"group": "A3", "u": "e", "v": "1,2,1", "detail":
@@ -358,8 +381,10 @@ def test_walk_that_prunes_completable_prefixes_breaks_open_interval_spheres(monk
 
 
 def test_fault_injection_in_ranks(monkeypatch):
-    # check 08: the first GF(2) rank comes out one too high, a phantom
-    # pivot column -1, which no face can be cleared by
+    # check 08, with no pair proven by the EL pass, so that every pair takes
+    # the homology route: the first GF(2) rank comes out one too high, a
+    # phantom pivot column -1, which no face can be cleared by
+    _no_pair_proven(monkeypatch)
     real = coxsort.homology._pivots_gf2
     calls = []
 
