@@ -219,8 +219,7 @@ def cmd_verify(args) -> int:
         label = f"matrix:{path}"
         ctx_systems[label] = CoxeterSystem(_read_matrix(path), size_cap=args.cap)
         groups.append(label)
-    config = RunConfig(groups=tuple(groups) or None,
-                       field=args.field, seed=args.seed, size_cap=args.cap)
+    config = RunConfig(groups=tuple(groups) or None, seed=args.seed, size_cap=args.cap)
     ctx = Context(config)
     for label, system in ctx_systems.items():
         ctx.register(label, system)
@@ -236,8 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "homotopy checks for finite Coxeter groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    group_names = "A<n>, B<n>, D<n>, I2:<m>, H3, H4, F4"
+
     def add_common(p, formats: tuple[str, ...]):
-        p.add_argument("--type", help="named group: A<n>, B<n>, D<n>, I2:<m>, H3, H4, F4")
+        p.add_argument("--type", help=f"named group: {group_names}")
         p.add_argument("--matrix", help="Coxeter matrix file: first line n, then n rows")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,
@@ -273,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the twelve-check verification suite")
     p.add_argument("--type", action="append",
-                   help="sweep group (repeatable); default: the standard list")
+                   help=f"sweep group, named {group_names} (repeatable); "
+                        "default: the standard list")
     p.add_argument("--matrix", action="append",
                    help="extra sweep group from a Coxeter matrix file (repeatable)")
     p.add_argument("--format", choices=("json",), default="json")
-    p.add_argument("--field", type=int, choices=(2, 0), default=2)
     p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)

@@ -13,12 +13,12 @@ A fiber's certificate is read off the subword certificate of Delta(Q, u),
 whose Betti numbers come from the homotopy type that the fold of Q gives
 (:func:`coxsort.subword.homotopy_types`), with no face built.  Every
 open Bruhat interval of a group is proved a sphere by one EL-labelling
-pass, :func:`certify_interval_el`, with no chain built; one interval, or a
-batch, is also certified by eliminating its order complex in the homology
-module, the route each pair the pass leaves takes.  Fiber certificates, like
-interval ones, are one batch route whose single call is a batch of one: a
-sweep over the u below w checks Q once and folds it once, and reads each
-u <= w off the fold.
+pass, :func:`certify_interval_el`, with no chain built.  One interval, or a
+list of them, is also certified by eliminating its order complex in the
+homology module (:func:`certify_interval_sphere`), the reference the pass
+is tested against.  Fiber certificates are one batch route whose single
+call is a batch of one: a sweep over the u below w checks Q once and folds
+it once, and reads each u <= w off the fold.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from typing import Iterable
 
 import numpy as np
 
-from . import posets
+from . import homology, posets
 from .coxeter import CoxeterSystem, Element, _integer, word_str
 from .errors import BudgetExceededError
 from .hecke import _left_column, _require_reduced, bruhat_leq, bruhat_row, demazure
-from .homology import BettiProfile, _OrderComplex, _field_index, _shared_profiles
+from .homology import BettiProfile, _OrderComplex, _field_index
 from .posets import bruhat_interval
 from .subword import _certify, _fold, _positions
 
@@ -250,13 +250,9 @@ def certify_interval_spheres(pairs: Iterable[tuple[Element, Element]],
                              coefficient_field: int = 2) -> list[IntervalReport]:
     """``certify_interval_sphere(u, w, coefficient_field)`` for every pair
     (u, w) of ``pairs``, in order; the pairs may come from several groups.
-
-    Open intervals with the same relation matrix on their inner block have
-    the same order complex on the same ordered vertices, so within one call
-    they share one homology computation, exact over both fields; nothing is
-    kept once the call returns.  A face budget exceeded raises
-    :class:`BudgetExceededError` at the first pair over it, naming that
-    interval as the one-pair call does.
+    Each pair eliminates its own order complex.  A face budget exceeded
+    raises :class:`BudgetExceededError` at the first pair over it, naming
+    that interval as the one-pair call does.
 
     >>> b2 = CoxeterSystem.type_b(2)
     >>> e, w0 = b2.identity, b2.longest_element()
@@ -265,7 +261,6 @@ def certify_interval_spheres(pairs: Iterable[tuple[Element, Element]],
     [(2, 6, True), (1, 4, True)]
     """
     index = _field_index(coefficient_field)
-    shared: dict = {}
     reports = []
     for u, w in pairs:
         if u.system != w.system:
@@ -277,8 +272,10 @@ def certify_interval_spheres(pairs: Iterable[tuple[Element, Element]],
         # the ground is sorted by table row, so u comes first and w last; the
         # inner block of an order is an order, so it is not validated again
         inner = _OrderComplex(closed.ground[1:-1], closed.leq[1:-1, 1:-1])
-        profile = _shared_profiles(
-            inner, shared, lambda: f"interval ({u!r}, {w!r}) in {w.system!r}")[index]
+        try:
+            profile = homology._profiles(inner)[index]
+        except BudgetExceededError as exc:
+            raise exc.about(f"interval ({u!r}, {w!r}) in {w.system!r}") from exc
         expected = d - 2
         reports.append(IntervalReport(u.word, w.word, expected, profile,
                                       profile.matches_sphere(expected), len(inner.vertices)))

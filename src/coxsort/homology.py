@@ -35,12 +35,12 @@ augmentation, and the boundary is that of Delta with the faces of L
 dropped, zero columns.  Clearing and the count of eliminated rows above
 use only that the rows are boundaries in a finite chain complex with one
 basis per degree, so they hold on C(Delta, L) as they stand.  When some
-vertex lies in every facet (``_cone``, the one cone test), the complex
-is a cone, the closed star of that vertex: L is the whole complex and no
-face is built.  Otherwise a simplicial complex, such as a subword
-complex, which is not flag, has L void.  (The subword certificates read
-their Betti numbers off homotopy types, see :mod:`coxsort.subword`, and
-eliminate nothing.)
+vertex lies in every facet (``_cone``, the one cone test, read off the
+facets once every face is counted), the complex is a cone, the closed
+star of that vertex: L is the whole complex and no face is built.
+Otherwise a simplicial complex, such as a subword complex, which is not
+flag, has L void.  (The subword certificates read their Betti numbers off
+homotopy types, see :mod:`coxsort.subword`, and eliminate nothing.)
 
 An order complex takes L from a maximal chain.  Its faces are the chains of a
 poset, so it is flag: a vertex set is a face as soon as its vertices are
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import and_, or_
-from typing import Callable, Container, Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -167,8 +167,8 @@ class SimplicialComplex:
         complex and no face is left or built, not even the empty one:
         ``[[]]``.  Otherwise L is void and every face is kept: the argument
         for order complexes needs a flag complex (see the module docstring)."""
+        self.num_faces()
         if self._cone:
-            self.num_faces()
             return [[]]
         return self._face_levels()
 
@@ -420,27 +420,6 @@ def _field_index(coefficient_field: int) -> int:
     return int(coefficient_field == 0)
 
 
-def _shared_profiles(K: "_OrderComplex", shared: dict,
-                     subject: Callable[[], str]) -> tuple[BettiProfile, BettiProfile]:
-    """``_profiles(K)`` through ``shared``, a dict that one batch call owns
-    and drops when it returns.  Order complexes with equal ``K._key()``
-    are the same complex on the same ordered vertices, so one result
-    serves them all, exactly, over both fields.  An entry is ``(face
-    count, profiles)``: a hit over the face budget counts the faces of K,
-    so K raises as a cold call would, the one :class:`BudgetExceededError`
-    that names ``subject()``, called only then, what was being certified."""
-    key = K._key()
-    hit = shared.get(key)
-    try:
-        if hit is None:
-            hit = shared[key] = K.num_faces(), _profiles(K)
-        elif hit[0] > DEFAULT_FACE_BUDGET:
-            K.num_faces()
-    except BudgetExceededError as exc:
-        raise exc.about(subject()) from exc
-    return hit[1]
-
-
 class _OrderComplex(SimplicialComplex):
     """The order complex of the order ``leq`` on ``ground``, a relation
     already known to be a partial order.  A face is a chain, as a vertex
@@ -472,11 +451,6 @@ class _OrderComplex(SimplicialComplex):
                 extended.add(g ^ low)
                 rest ^= low
         return frozenset(self._face(m) for m in chain.from_iterable(levels) if m not in extended)
-
-    def _key(self) -> tuple:
-        """Equal keys make the same order, so the same chains, on the same
-        ordered vertices: the vertex count and the packed relation."""
-        return len(self.vertices), np.packbits(self._leq).tobytes()
 
     @cached_property
     def _cone(self) -> bool:

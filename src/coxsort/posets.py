@@ -292,9 +292,10 @@ def weak_interval(w: Element) -> Poset:
 
 def _sorting_relation(taken: np.ndarray) -> np.ndarray:
     """The sorting relation on the rows of a :func:`hecke.sorting_positions`
-    matrix: u <= v iff no position taken by u is missing from v.  A
-    preorder by construction; bool throughout, so exact for any length."""
-    return ~_bool_product(taken, ~taken.T)
+    matrix, or on each of a stack of them: u <= v iff no position taken by u
+    is missing from v.  A preorder by construction; bool throughout, so
+    exact for any length."""
+    return ~_bool_product(taken, ~np.swapaxes(taken, -1, -2))
 
 
 def _class_key(system: CoxeterSystem, Q: tuple[int, ...]) -> tuple:

@@ -14,30 +14,23 @@ Every such complex is homeomorphic to a ball or to a sphere, and the
 sphere case occurs exactly when the Demazure product of Q equals w.
 
 One right-to-left pass over Q (:func:`_spell`) counts the faces of every
-Delta(Q, u) and finds the cones among them, before any facet is listed
-or any face built.  The count rests on a lemma of Knutson and Miller
-("Subword complexes in Coxeter groups", Adv. Math. 2004, section 3): F is
-a face of Delta(Q, u) exactly when the Demazure product of Q minus F is
->= u.  For a letter s and elements x, u, the product s * x of the
-Demazure monoid, max(x, sx), is >= u exactly when x >= min(u, su): if
-x >= u' = min(u, su), then y = max(x, sx) >= u', and s is a left
-descent of y but not of u', so the lifting property (Bjorner and Brenti,
-*Combinatorics of Coxeter Groups*, Prop. 2.2.7) puts su' below y as
-well, and u is one of u', su'; conversely y >= u >= u', and if x = sy the
-lifting property gives u' <= sy.  So with faces_j[u] the number of
-position sets P of Q[j:] whose product is >= u, faces_n[u] = 1 for u = e
-and 0 otherwise, and faces_j[u] = faces_(j+1)[u] + faces_(j+1)[min(u, su)]
-for s = Q[j]; faces_0[u] is the face count of Delta(Q, u), in Python
-ints (a word of 64 letters has 2^64 faces for u = e).  The same pass
-keeps used[x], the positions lying in some reduced subword of Q spelling
-x: used_j[x] = used_(j+1)[x] | bit j | used_(j+1)[sx] when sx < x, for x
-below the product of Q[j:], which by the lemma puts sx below the product
-of Q[j+1:].  The facets are the complements of these subwords, so a
-position outside used[u] lies in every facet: Delta(Q, u) is a cone
-exactly when used[u] is not every position.  (For Q empty, used[e] is
-every position, none, and Delta((), e) = {frozenset()} is no cone.)  The
-complex reads its cone test and its face count (``_cone``, ``_count``)
-off this pass, so a cone is certified with no facet listed.
+Delta(Q, u) before any facet is listed or any face built.  The count
+rests on a lemma of Knutson and Miller ("Subword complexes in Coxeter
+groups", Adv. Math. 2004, section 3): F is a face of Delta(Q, u) exactly
+when the Demazure product of Q minus F is >= u.  For a letter s and
+elements x, u, the product s * x of the Demazure monoid, max(x, sx), is
+>= u exactly when x >= min(u, su): if x >= u' = min(u, su), then
+y = max(x, sx) >= u', and s is a left descent of y but not of u', so the
+lifting property (Bjorner and Brenti, *Combinatorics of Coxeter Groups*,
+Prop. 2.2.7) puts su' below y as well, and u is one of u', su';
+conversely y >= u >= u', and if x = sy the lifting property gives
+u' <= sy.  So with faces_j[u] the number of position sets P of Q[j:]
+whose product is >= u, faces_n[u] = 1 for u = e and 0 otherwise, and
+faces_j[u] = faces_(j+1)[u] + faces_(j+1)[min(u, su)] for s = Q[j];
+faces_0[u] is the face count of Delta(Q, u), in Python
+ints (a word of 64 letters has 2^64 faces for u = e).  The complex
+reads its face count (``_count``) off this pass, so the face budget is
+checked before any facet is listed.
 
 One walk over Q (:func:`_spellings`) lists the complements of the
 position sets that spell u as a reduced word, the facets of Delta(Q, u),
@@ -93,13 +86,14 @@ CONTRACTIBLE = -2
 class SubwordComplex(SimplicialComplex):
     """The subword complex Delta(Q, target) on the positions 1..len(Q) of
     Q, its facets derived from (Q, target) as masks (see the module
-    docstring); Q is folded once, for the void test, the face count, the
-    cone test, ``classify``, the homotopy type and the walks listing the
-    facets and the interior faces.  Raises VoidComplexError when Q carries
-    no reduced subword for the target.  For the identity target the
-    complex is the full simplex on all positions, for the empty word the
-    empty complex.  The face budget is checked on the count, so a complex
-    over it raises before any face is built, and on the facet listing."""
+    docstring); Q is folded once, for the void test, the face count,
+    ``classify``, the homotopy type and the walks listing the facets and
+    the interior faces; its cone test is the base rule, over the facets
+    listed.  Raises VoidComplexError when Q carries no reduced subword for
+    the target.  For the identity target the complex is the full simplex
+    on all positions, for the empty word the empty complex.  The face
+    budget is checked on the count, so a complex over it raises before any
+    face is built, and on the facet listing."""
 
     def __init__(self, system: CoxeterSystem, Q: Iterable[int], target: Element):
         Q = system.check_word(Q)
@@ -130,7 +124,6 @@ class SubwordComplex(SimplicialComplex):
         self.Q = Q
         self.target = target
         self._fold = fold
-        self._cone = fold.used[t] != (1 << len(Q)) - 1
 
     @cached_property
     def _facet_masks(self) -> list[int]:
@@ -181,21 +174,21 @@ def _subject(system: CoxeterSystem, Q: tuple[int, ...], x: int) -> str:
 
 class _Fold:
     """The one fold of a checked word Q, by table row: ``suffix[j]``, the
-    row of the Demazure product of Q[j:]; ``used``, ``faces`` and
-    ``types``, the three lists of :func:`_spell`; and ``bounds[j]``, the
-    Bruhat row of ``suffix[j]`` as a list (readers take single entries),
-    read once per distinct row when a walk (:func:`_spellings`) first asks.
+    row of the Demazure product of Q[j:]; ``faces`` and ``types``, the two
+    lists of :func:`_spell`; and ``bounds[j]``, the Bruhat row of
+    ``suffix[j]`` as a list (readers take single entries), read once per
+    distinct row when a walk (:func:`_spellings`) first asks.
     ``suffix[0]`` is the product of Q, and x is below it exactly when
     ``faces[x]`` is nonzero: the empty set is a face of Delta(Q, x) iff the
     product of Q is >= x, and when it is not, no set is, since the product
     of a subword of Q is below that of Q (the subword property).  So one
-    fold serves the verdict, the targets, the counts, the cone tests, the
-    homotopy types and every walk."""
+    fold serves the verdict, the targets, the counts, the homotopy types
+    and every walk."""
 
-    def __init__(self, system: CoxeterSystem, suffix: list[int], used: list[int],
-                 faces: list[int], types: list[int]):
+    def __init__(self, system: CoxeterSystem, suffix: list[int], faces: list[int],
+                 types: list[int]):
         self.system, self.suffix = system, suffix
-        self.used, self.faces, self.types = used, faces, types
+        self.faces, self.types = faces, types
 
     @cached_property
     def bounds(self) -> list:
@@ -211,26 +204,23 @@ def _fold(system: CoxeterSystem, Q: tuple[int, ...]) -> _Fold:
 
 
 def _spell(system: CoxeterSystem, Q: tuple[int, ...],
-           suffix: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """``(used, faces, types)`` for every table row x, from one
-    right-to-left pass over Q (see the module docstring): ``used[x]``, the
-    mask of the positions lying in some reduced subword of Q that spells
-    x, ``faces[x]``, the number of faces of Delta(Q, x), in Python ints,
-    and ``types[x]``, its homotopy type (:func:`homotopy_types`); they are
-    0, 0 and VOID for the rows not below the product of Q.  Rows are
-    sorted by length, so letter j updates in place the rows up to
-    ``suffix[j]``, from the top down, and the row sx < x that it reads
-    still holds the value for Q[j+1:].  A row x with sx < x is spelled
-    through position j exactly when sx is below the product of Q[j+1:],
-    that is when it has a face count there, and then the deletion of
-    position j, Delta(Q[j+1:], sx), is not void.  Raises RuntimeError,
-    naming Q and x, if the link and the deletion are both spheres."""
+           suffix: list[int]) -> tuple[list[int], list[int]]:
+    """``(faces, types)`` for every table row x, from one right-to-left
+    pass over Q (see the module docstring): ``faces[x]``, the number of
+    faces of Delta(Q, x), in Python ints, and ``types[x]``, its homotopy
+    type (:func:`homotopy_types`); they are 0 and VOID for the rows not
+    below the product of Q.  Rows are sorted by length, so letter j updates
+    in place the rows up to ``suffix[j]``, from the top down, and the row
+    sx < x that it reads still holds the value for Q[j+1:].  For a row x
+    with sx < x, the deletion of position j, Delta(Q[j+1:], sx), is not
+    void exactly when sx is below the product of Q[j+1:], that is when it
+    has a face count there.  Raises RuntimeError, naming Q and x, if the
+    link and the deletion are both spheres."""
     left = system._left
-    used = [0] * len(left)
     faces = [1] + [0] * (len(left) - 1)  # row 0 is e, the product of no letter
     types = [-1] + [VOID] * (len(left) - 1)  # Delta((), e) = {frozenset()}, S^-1
     for j in range(len(Q) - 1, -1, -1):
-        s, bit = Q[j] - 1, 1 << j
+        s = Q[j] - 1
         for x in range(suffix[j], -1, -1):
             sx = left[x][s]
             if sx > x:  # a cone with apex j over the link, or void
@@ -239,7 +229,6 @@ def _spell(system: CoxeterSystem, Q: tuple[int, ...],
                     types[x] = CONTRACTIBLE
             elif faces[sx]:
                 faces[x] += faces[sx]
-                used[x] |= bit | used[sx]
                 link, deletion = types[x], types[sx]
                 if link == VOID or link == CONTRACTIBLE:  # the deletion, or ~ it
                     types[x] = deletion
@@ -249,7 +238,7 @@ def _spell(system: CoxeterSystem, Q: tuple[int, ...],
                     raise RuntimeError(
                         f"the link and the deletion of position {j + 1} are both spheres "
                         f"({_subject(system, Q, x)})")
-    return used, faces, types
+    return faces, types
 
 
 def homotopy_types(system: CoxeterSystem, Q: Iterable[int]) -> list[int]:
@@ -269,7 +258,7 @@ def homotopy_types(system: CoxeterSystem, Q: Iterable[int]) -> list[int]:
     True
     """
     Q = system.check_word(Q)
-    return _spell(system, Q, _suffix_demazure(system, Q))[2]
+    return _spell(system, Q, _suffix_demazure(system, Q))[1]
 
 
 def _spellings(system: CoxeterSystem, Q: tuple[int, ...], target: int, bounds: list,

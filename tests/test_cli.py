@@ -263,6 +263,17 @@ def test_verify_cli(capsys):
     assert code2 == 0 and out2 == out  # byte-identical reruns
 
 
+def test_verify_takes_no_field_and_names_its_groups(capsys):
+    # no check reads a coefficient field
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--field", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --field 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "I2:<m>, H3, H4, F4" in " ".join(capsys.readouterr().out.split())
+
+
 def test_verify_unknown_group(capsys):
     code, _, err = run(capsys, "verify", "--type", "X9")
     assert code == 2

@@ -19,9 +19,7 @@ from coxsort.fibermap import (FiberReport, certify_fiber_contractible, certify_i
 from coxsort.hecke import _below, bruhat_leq, bruhat_row, demazure, sorting_positions
 from coxsort.homology import DEFAULT_FACE_BUDGET, SimplicialComplex, order_complex
 from coxsort.oracles import cone_vertex, contractibility_evidence, inclusion_poset_bruteforce
-from coxsort.posets import bruhat_interval
 from coxsort.subword import certify_subword_complex
-from coxsort.verify import report_json
 
 
 def fs(*items):
@@ -523,8 +521,7 @@ def _check_08_pairs():
 
 
 def _no_pair_proven(monkeypatch):
-    """Patch the EL pass to prove no pair, so that check 08 takes the
-    homology route of ``certify_interval_spheres`` on all its pairs."""
+    """Patch the EL pass to prove no pair."""
     monkeypatch.setattr(fibermap, "certify_interval_el",
                         lambda system: np.zeros((system.order(),) * 2, dtype=bool))
 
@@ -537,35 +534,24 @@ def test_interval_batch_equals_one_pair_calls_on_check_08_pairs(field):
         certify_interval_sphere(u, w, field) for u, w in pairs]
 
 
-def test_interval_batch_computes_each_distinct_relation_once(monkeypatch):
-    pairs = _check_08_pairs()
-    inner = {(len(P) - 2, np.packbits(P.leq[1:-1, 1:-1]).tobytes())
-             for P in (bruhat_interval(u, w) for u, w in pairs)}
-    assert len(inner) == 76
-    cold = []
-    real = coxsort.homology._profiles
-    monkeypatch.setattr(coxsort.homology, "_profiles", lambda K: cold.append(K) or real(K))
-    for _ in range(2):  # nothing outlives a call
-        cold.clear()
-        certify_interval_spheres(pairs)
-        assert {K._key() for K in cold} == inner and len(cold) == 76
-    # check 08 proves every pair by the EL pass, and builds no order complex
-    # and eliminates nothing; with no pair proven, its fallback takes the
-    # batch route on all 652 pairs
-    made = []
+def test_check_08_reads_the_el_pass_alone(monkeypatch):
+    # check 08 builds no order complex and eliminates nothing, and with the
+    # EL pass patched to prove nothing every one of its 652 pairs fails
+    made, cold = [], []
     real_init = coxsort.homology._OrderComplex.__init__
     monkeypatch.setattr(coxsort.homology._OrderComplex, "__init__",
                         lambda self, *args: made.append(self) or real_init(self, *args))
-    cold.clear()
-    assert run_check("open_interval_spheres", RunConfig(field=0)).instances == 652
-    assert len(cold) == len(made) == 0
+    real = coxsort.homology._profiles
+    monkeypatch.setattr(coxsort.homology, "_profiles", lambda K: cold.append(K) or real(K))
+    r = run_check("open_interval_spheres", RunConfig())
+    assert r.passed and r.instances == 652
     _no_pair_proven(monkeypatch)
-    assert run_check("open_interval_spheres", RunConfig(field=0)).instances == 652
-    assert len(cold) == 76 and len(made) == 652
-    cold.clear()
-    certify_interval_sphere(*pairs[0])  # a one-pair call shares nothing
-    certify_interval_sphere(*pairs[0])
-    assert len(cold) == 2
+    r = run_check("open_interval_spheres", RunConfig())
+    assert not r.passed and r.instances == 652
+    assert r.failures[0] == {"group": "A3", "u": "e", "v": "1,2",
+                             "detail": "not proved S^0 by the EL-labelling"}
+    assert r.failures[-1] == {"detail": "627 further failures truncated"}
+    assert made == cold == []
 
 
 def test_interval_batch_checks_its_input():
@@ -599,8 +585,8 @@ def test_interval_batch_raises_at_the_first_pair_over_the_budget(monkeypatch, bu
         assert str(got.value) == str(want)
         assert (got.value.budget, got.value.limit, got.value.spent, got.value.subject) == (
             want.budget, want.limit, want.spent, want.subject)
-        # the pairs before it were certified, some of them by shared hits
-        assert len(cold) - 1 < i
+        # each pair before it eliminated its own complex
+        assert len(cold) == i + 1
 
 
 def _graded_pairs(system):
@@ -692,8 +678,7 @@ def test_el_pass_equals_the_chain_by_chain_count_under_any_label_order(name, mon
     assert counts[0] == _graded_pairs(system).sum() > max(counts[1:])
 
 
-def test_a_shuffled_label_order_leaves_pairs_to_the_interval_route(monkeypatch):
-    want = report_json({"check": run_check("open_interval_spheres", RunConfig()).to_obj()})
+def test_a_shuffled_label_order_turns_check_08_red(monkeypatch):
     real = fibermap._reflection_order
     shuffled = {}
 
@@ -706,12 +691,10 @@ def test_a_shuffled_label_order_leaves_pairs_to_the_interval_route(monkeypatch):
         system = named_system(name)
         shuffled[name] = (int(certify_interval_el(system).sum()), int(_graded_pairs(system).sum()))
     assert all(got < every for got, every in shuffled.values()), shuffled
-    sent = []
-    real_route = fibermap.certify_interval_spheres
-    monkeypatch.setattr(fibermap, "certify_interval_spheres",
-                        lambda pairs, field: sent.extend(pairs) or real_route(pairs, field))
-    got = report_json({"check": run_check("open_interval_spheres", RunConfig()).to_obj()})
-    assert got == want and 0 < len(sent) < 652
+    r = run_check("open_interval_spheres", RunConfig())
+    assert not r.passed and r.instances == 652
+    # 363 of the 652 pairs are left unproved: 25 kept, the rest counted
+    assert r.failures[-1] == {"detail": "338 further failures truncated"}
 
 
 def _row_without(monkeypatch, system, v, x):
@@ -740,9 +723,8 @@ def test_a_bruhat_row_that_drops_an_element_is_not_proven_and_turns_check_08_red
         assert not proven[b2.element(parse_word(u)).index, b2.element(parse_word(w)).index]
     r = run_check("open_interval_spheres", RunConfig())
     assert not r.passed and r.instances == 652
-    # the failures the homology route gave for every pair before the pass
     assert r.failures == [{"group": "B2", "u": u, "v": w, "detail":
-                           f"betti [GF(2): all zero] does not match S^{d}"} for u, w, d in wrong]
+                           f"not proved S^{d} by the EL-labelling"} for u, w, d in wrong]
 
 
 @pytest.mark.parametrize("labels,proved", [

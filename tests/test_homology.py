@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-import coxsort.fibermap
 import coxsort.homology
 from coxsort import (BudgetExceededError, CoxeterSystem, certify_subword_complex,
                      subword_complex)
@@ -17,7 +16,6 @@ from coxsort.homology import (DEFAULT_FACE_BUDGET, BettiProfile, SimplicialCompl
 from coxsort.oracles import (cone_vertex, contractibility_evidence, faces_bruteforce,
                              inclusion_poset_bruteforce)
 from coxsort.posets import Poset, bruhat_interval
-from coxsort.verify import RunConfig, run_check
 
 EMPTY = SimplicialComplex((), [frozenset()])
 POINT = SimplicialComplex("a", [{"a"}])
@@ -639,20 +637,15 @@ def test_profiles_of_an_order_complex_build_no_full_levels(monkeypatch):
             built += sum(map(len, K._relative_levels()))
             groups += spy.reads
     assert (counted, built, groups) == (41_194, 4_204, 561)
-    # check 08 walks no chain: its EL pass proves every pair; with no pair
-    # proven, its homology route walks each distinct open interval once,
-    # never with sigma empty
+    # the interval certificate walks each open interval once, never with
+    # sigma empty
     real = _OrderComplex._walk
     sigmas = []
     monkeypatch.setattr(_OrderComplex, "_walk",
                         lambda self, sigma: sigmas.append(sigma) or real(self, sigma))
-    result = run_check("open_interval_spheres", RunConfig())
-    assert result.passed and result.instances == 652 and sigmas == []
-    monkeypatch.setattr(coxsort.fibermap, "certify_interval_el",
-                        lambda system: np.zeros((system.order(),) * 2, dtype=bool))
-    result = run_check("open_interval_spheres", RunConfig())
-    assert result.passed and result.instances == 652
-    assert len(sigmas) == 76 and all(sigmas)
+    pairs = [(b3.identity, w) for w in b3.elements() if w.length in (6, 7)]
+    assert all(r.matches for r in certify_interval_spheres(pairs))
+    assert len(sigmas) == len(pairs) and all(sigmas)
 
 
 def test_order_complex_face_budget_whatever_the_cache_state(monkeypatch):

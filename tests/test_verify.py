@@ -15,6 +15,7 @@ import coxsort.totalpos
 import coxsort.verify
 from coxsort.verify import (CHECK_NAMES, Context, RunConfig, named_system,
                             report_json, run_check, run_verification)
+from test_fibermap import _check_08_pairs
 
 SMALL = RunConfig(groups=("B2",))
 
@@ -94,23 +95,15 @@ def test_default_report_is_byte_stable():
         "3b7486846228cffe6336359042a108c36dbf370123bc91c0a3d24774f9d1f3c2")
 
 
-def test_rational_report_is_byte_stable():
-    # every interval of check 08 over Q; the report is the default one but
-    # for "field": 0
-    report = report_json(run_verification(RunConfig(field=0)))
-    assert hashlib.sha256(report.encode()).hexdigest() == (
-        "4911fb83bf5686fb5dd5e8c3579988112fafd1eabb2cac1abca6013c08241ee0")
-
-
 def test_run_config_takes_numpy_integers_and_stores_plain_ints():
-    assert RunConfig(field=np.int64(2), seed=np.int64(1), size_cap=np.int64(100)) == RunConfig(
+    assert RunConfig(seed=np.int64(1), size_cap=np.int64(100)) == RunConfig(
         seed=1, size_cap=100)
-    config = RunConfig(field=np.int64(0), seed=np.int32(0), size_cap=np.int64(50_000))
-    assert config == RunConfig(field=0)
-    assert {type(config.field), type(config.seed), type(config.size_cap)} == {int}
+    config = RunConfig(seed=np.int32(0), size_cap=np.int64(50_000))
+    assert config == RunConfig()
+    assert {type(config.seed), type(config.size_cap)} == {int}
     report = report_json(run_verification(config))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "4911fb83bf5686fb5dd5e8c3579988112fafd1eabb2cac1abca6013c08241ee0")
+        "3b7486846228cffe6336359042a108c36dbf370123bc91c0a3d24774f9d1f3c2")
 
 
 def test_the_default_sweep_validates_no_order_it_built(monkeypatch):
@@ -186,8 +179,8 @@ def _types_mapped(monkeypatch, change):
     real = coxsort.subword._spell
 
     def mapped(system, Q, suffix):
-        used, faces, types = real(system, Q, suffix)
-        return used, faces, [change(t) for t in types]
+        faces, types = real(system, Q, suffix)
+        return faces, [change(t) for t in types]
 
     monkeypatch.setattr(coxsort.subword, "_spell", mapped)
 
@@ -345,13 +338,6 @@ def test_fault_injection_in_relation_layer(monkeypatch):
         assert any(f.get("u") == "1" and f.get("v") == "1,2" for f in r.failures), name
 
 
-def _no_pair_proven(monkeypatch):
-    """Patch the EL pass to prove no pair, so that check 08 takes the
-    homology route of ``fibermap.certify_interval_spheres`` on all its pairs."""
-    monkeypatch.setattr(coxsort.fibermap, "certify_interval_el",
-                        lambda system: np.zeros((system.order(),) * 2, dtype=bool))
-
-
 def test_walk_that_prunes_completable_prefixes_breaks_open_interval_spheres(monkeypatch):
     # a chain walk with no look-ahead: it extends a chain only once it holds,
     # for every v in sigma, an element incomparable with v, so a lower part
@@ -367,24 +353,19 @@ def test_walk_that_prunes_completable_prefixes_breaks_open_interval_spheres(monk
         return levels
 
     monkeypatch.setattr(coxsort.homology._OrderComplex, "_walk", eager_walk)
-    # the EL pass proves every pair and walks no chain
+    # check 08 reads the EL pass, which walks no chain
     assert run_check("open_interval_spheres", SMALL).passed
-    # with no pair proven, every pair takes the homology route
-    _no_pair_proven(monkeypatch)
-    r = run_check("open_interval_spheres", SMALL)
-    assert not r.passed and r.instances == 652
-    assert r.failures[0] == {"group": "A3", "u": "e", "v": "1,2,1", "detail":
-                             "betti [GF(2): all zero] does not match S^1"}
-    # 389 of the 652 intervals fail: 25 kept, the rest counted
-    assert len(r.failures) == 26
-    assert r.failures[-1] == {"detail": "364 further failures truncated"}
+    pairs = _check_08_pairs()
+    wrong = [(str(u), str(w)) for (u, w), r
+             in zip(pairs, coxsort.fibermap.certify_interval_spheres(pairs)) if not r.matches]
+    # 389 of the 652 intervals
+    assert len(pairs) == 652 and len(wrong) == 389 and wrong[0] == ("e", "1,2,1")
 
 
 def test_fault_injection_in_ranks(monkeypatch):
-    # check 08, with no pair proven by the EL pass, so that every pair takes
-    # the homology route: the first GF(2) rank comes out one too high, a
-    # phantom pivot column -1, which no face can be cleared by
-    _no_pair_proven(monkeypatch)
+    # the interval certificate on check 08's pairs: the first GF(2) rank
+    # comes out one too high, a phantom pivot column -1, which no face can
+    # be cleared by
     real = coxsort.homology._pivots_gf2
     calls = []
 
@@ -393,6 +374,8 @@ def test_fault_injection_in_ranks(monkeypatch):
         return real(rows) | ({-1} if len(calls) == 1 else set())
 
     monkeypatch.setattr(coxsort.homology, "_pivots_gf2", inflated)
+    reports = coxsort.fibermap.certify_interval_spheres(_check_08_pairs())
+    assert not all(r.matches for r in reports)
     # check 06, which eliminates nothing: the spheres of the first word
     # come out one dimension too high
     real_spell = coxsort.subword._spell
@@ -400,16 +383,15 @@ def test_fault_injection_in_ranks(monkeypatch):
 
     def raised(system, Q, suffix):
         words.append(Q)
-        used, faces, types = real_spell(system, Q, suffix)
+        faces, types = real_spell(system, Q, suffix)
         if len(words) == 1:
             types = [t + 1 if t >= -1 else t for t in types]
-        return used, faces, types
+        return faces, types
 
     monkeypatch.setattr(coxsort.subword, "_spell", raised)
-    for name in ("ball_sphere_classification", "open_interval_spheres"):
-        r = run_check(name, RunConfig())
-        assert not r.passed, name
-        assert any("betti" in f.get("detail", "") for f in r.failures), name
+    r = run_check("ball_sphere_classification", RunConfig())
+    assert not r.passed
+    assert any("betti" in f.get("detail", "") for f in r.failures)
     assert len(calls) > 1 and len(words) > 1
 
 
@@ -775,14 +757,16 @@ def test_a_failed_order_pass_is_run_again():
 
 
 @pytest.mark.parametrize("kwargs", [dict(groups=()), dict(groups=("B2", "B2")),
-                                    dict(field=3), dict(field=1),
+                                    dict(field=0), dict(field=2),
                                     dict(groups=("b2", "B2")), dict(groups=("I2:4", "i2.4")),
-                                    dict(groups=(" A3", "A3")), dict(field=2.0),
-                                    dict(field=0.0), dict(field=False),
+                                    dict(groups=(" A3", "A3")), dict(field=3),
+                                    dict(field=2.0), dict(field=False),
                                     dict(groups="B2"), dict(groups="I2:5"),
                                     dict(groups=["B2"])])
 def test_run_config_rejects_vacuous_repeated_or_unknown_settings(kwargs):
-    with pytest.raises(ValueError, match="groups must|field must"):
+    # no check reads a coefficient field, so RunConfig takes none
+    with pytest.raises((ValueError, TypeError),
+                       match="groups must|unexpected keyword argument 'field'"):
         RunConfig(**kwargs)
 
 
