@@ -7,8 +7,8 @@ that re-proves the package's structural theorems at desk scale.
 from .coxeter import CoxeterSystem, Element, parse_word, word_str
 from .errors import BudgetExceededError, VoidComplexError
 from .fibermap import (FiberReport, IntervalReport, certify_fiber_contractible,
-                       certify_interval_sphere, certify_interval_spheres,
-                       check_order_preserving, fiber_open, fiber_up, subset_image)
+                       certify_interval_sphere, check_order_preserving, fiber_open, fiber_up,
+                       subset_image)
 from .hecke import (bruhat_leq, bruhat_row, demazure, reduced_words, sorting_subword,
                     weak_leq)
 from .homology import BettiProfile, SimplicialComplex, order_complex, reduced_betti
@@ -36,7 +36,7 @@ __all__ = [
     "SimplicialComplex", "BettiProfile", "reduced_betti", "order_complex",
     "subset_image", "check_order_preserving", "fiber_up", "fiber_open",
     "FiberReport", "IntervalReport",
-    "certify_fiber_contractible", "certify_interval_sphere", "certify_interval_spheres",
+    "certify_fiber_contractible", "certify_interval_sphere",
     "RationalMatrix", "chevalley", "verify_additive_identity",
     "verify_braid_identity", "is_totally_nonnegative", "seeded_trials",
     "RunConfig", "CheckResult", "Context", "named_system",

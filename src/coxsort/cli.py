@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from . import fibermap, hecke, subword, totalpos
 from .coxeter import DEFAULT_SIZE_CAP, CoxeterSystem, parse_word, word_str
@@ -166,15 +165,10 @@ def cmd_fibers(args) -> int:
     if args.Q is None:
         raise ValueError("fibers needs --Q (a reduced word)")
     Q, w = hecke._require_reduced(system, parse_word(args.Q))
-    # table row -> masks sent there
-    images = Counter(fibermap._mask_images(system, Q))
     below = hecke._below(w)
     rows = []
     for u, report in zip(below, fibermap._fiber_reports(system, Q, below)):
-        # the open fiber is the upper fiber less the masks sent to u and the
-        # full set, the one mask a reduced Q sends to w
-        open_size = None if u == w else report.poset_size - images[u.index] - 1
-        entry = {"u": str(u), "open_fiber_size": open_size,
+        entry = {"u": str(u), "open_fiber_size": report.open_size,
                  "fiber_up_size": report.poset_size, "complex": report.complex_type}
         if u.is_identity:
             # the fiber of e is the whole boolean lattice; nothing is claimed

@@ -11,14 +11,19 @@ and the homotopy certificate of each upper fiber, read off Delta(Q, u)
 itself; position sets become frozensets only where they leave the module.
 A fiber's certificate is read off the subword certificate of Delta(Q, u),
 whose Betti numbers come from the homotopy type that the fold of Q gives
-(:func:`coxsort.subword.homotopy_types`), with no face built.  Every
-open Bruhat interval of a group is proved a sphere by one EL-labelling
-pass, :func:`certify_interval_el`, with no chain built.  One interval, or a
-list of them, is also certified by eliminating its order complex in the
-homology module (:func:`certify_interval_sphere`), the reference the pass
-is tested against.  Fiber certificates are one batch route whose single
-call is a batch of one: a sweep over the u below w checks Q once and folds
-it once, and reads each u <= w off the fold.
+(:func:`coxsort.subword.homotopy_types`), with no face built and so no
+face budget read; its sizes are the fold's counts, the faces of
+Delta(Q, u) and the position sets sent exactly to u, with no table of f.
+Fiber certificates are one batch route whose single call is a batch of
+one: a sweep over the u below w checks Q once and folds it once, and reads
+each u <= w off the fold.  The table of f on all 2^len(Q) masks, capped
+at 16 letters, is built only where f itself is asked for: ``fiber_up``,
+``fiber_open`` and :func:`check_order_preserving`.  Every open Bruhat
+interval of a group is proved a sphere by one EL-labelling pass,
+:func:`certify_interval_el`, with no chain built.  One interval is also
+certified by eliminating its order complex in the homology module
+(:func:`certify_interval_sphere`), the reference the pass is tested
+against.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ __all__ = [
     "certify_fiber_contractible",
     "IntervalReport",
     "certify_interval_sphere",
-    "certify_interval_spheres",
     "certify_interval_el",
 ]
 
@@ -139,21 +143,25 @@ class FiberReport:
     read off the subword complex Delta(Q, u) of the same target.
 
     ``poset_size`` counts the upper fiber, one element per face of Delta
-    (the empty face included).  ``method`` is ``"singleton"`` when u is the
-    product of Q and the strict fiber is empty; ``"cone"`` when Delta has
-    one facet, which proves contractibility: the complement of that facet
-    is the least element of the strict fiber, so its order complex is a
-    cone; ``"homology"`` when Delta has two facets or more and its reduced
-    Betti numbers over GF(2) and the rationals, listed in ``betti``,
-    vanish; None when they do not.  ``"homology"`` is kept as a label,
-    part of the report's bytes: those trivial numbers are read off the
-    homotopy type of Delta (:func:`coxsort.subword.homotopy_types`), which
-    proves it contractible, with no face built and no elimination.
+    (the empty face included).  ``open_size`` counts the open fiber, the
+    upper fiber less the position sets sent exactly to u and the full set,
+    the one set a reduced Q sends to w; it is None for u = w.  ``method``
+    is ``"singleton"`` when u is the product of Q and the strict fiber is
+    empty; ``"cone"`` when Delta has one facet, which proves
+    contractibility: the complement of that facet is the least element of
+    the strict fiber, so its order complex is a cone; ``"homology"`` when
+    Delta has two facets or more and its reduced Betti numbers over GF(2)
+    and the rationals, listed in ``betti``, vanish; None when they do not.
+    ``"homology"`` is kept as a label, part of the report's bytes: those
+    trivial numbers are read off the homotopy type of Delta
+    (:func:`coxsort.subword.homotopy_types`), which proves it
+    contractible, with no face built and no elimination.
     """
 
     target: tuple[int, ...]
     complex_type: str
     poset_size: int
+    open_size: int | None
     contractible: bool
     method: str | None
     betti: tuple[BettiProfile, ...] = field(default=())
@@ -173,8 +181,8 @@ def certify_fiber_contractible(system: CoxeterSystem, Q: Iterable[int],
     vertex of Delta with two facets (B2, Q = 1,2,1,2, u = s1) keeps the
     label "homology".  The kind and profiles are read off
     :func:`subword.certify_subword_complex` of Delta, from its homotopy
-    type, so a face budget exceeded on the way names Q and u.  The same
-    code as a one-target :func:`_fiber_reports`.
+    type, with no face built, so no face budget applies.  The same code as
+    a one-target :func:`_fiber_reports`.
     """
     return _fiber_reports(system, Q, [u])[0]
 
@@ -183,7 +191,7 @@ def _fiber_reports(system: CoxeterSystem, Q: Iterable[int],
                    targets: Iterable[Element]) -> list[FiberReport]:
     """``certify_fiber_contractible(system, Q, u)`` for every u of
     ``targets``, in order, from one check and one fold of Q: a nonzero
-    face count says that u lies below w, and the count and the subword
+    face count says that u lies below w, and the counts and the subword
     certificate of every Delta(Q, u) are read off the same fold, with no
     complex built.  Raises ValueError as the one-target call does,
     at the first target that fails."""
@@ -204,7 +212,9 @@ def _fiber_reports(system: CoxeterSystem, Q: Iterable[int],
         else:
             contractible = all(p.is_trivial() for p in report.profiles)
             method, betti = "homology" if contractible else None, report.profiles
-        reports.append(FiberReport(u.word, report.kind, faces, contractible, method, betti))
+        open_size = None if u == w else faces - fold.exact[u.index] - 1
+        reports.append(FiberReport(u.word, report.kind, faces, open_size, contractible, method,
+                                   betti))
     return reports
 
 
@@ -240,46 +250,31 @@ def certify_interval_sphere(u: Element, w: Element,
     nonempty and the sphere has dimension at least 0; for length difference
     exactly 2 the open interval is two incomparable points, the 0-sphere.
     A face budget exceeded on the way raises :class:`BudgetExceededError`
-    naming the interval (u, w) and the group.  The same code as a
-    one-pair :func:`certify_interval_spheres`.
-    """
-    return certify_interval_spheres([(u, w)], coefficient_field)[0]
-
-
-def certify_interval_spheres(pairs: Iterable[tuple[Element, Element]],
-                             coefficient_field: int = 2) -> list[IntervalReport]:
-    """``certify_interval_sphere(u, w, coefficient_field)`` for every pair
-    (u, w) of ``pairs``, in order; the pairs may come from several groups.
-    Each pair eliminates its own order complex.  A face budget exceeded
-    raises :class:`BudgetExceededError` at the first pair over it, naming
-    that interval as the one-pair call does.
+    naming the interval (u, w) and the group.
 
     >>> b2 = CoxeterSystem.type_b(2)
     >>> e, w0 = b2.identity, b2.longest_element()
     >>> [(r.expected_dim, r.size, r.matches)
-    ...  for r in certify_interval_spheres([(e, w0), (b2.element((1,)), w0)])]
+    ...  for r in (certify_interval_sphere(u, w0) for u in (e, b2.element((1,))))]
     [(2, 6, True), (1, 4, True)]
     """
     index = _field_index(coefficient_field)
-    reports = []
-    for u, w in pairs:
-        if u.system != w.system:
-            raise ValueError("elements belong to different systems")
-        closed = bruhat_interval(u, w)  # raises ValueError unless u <= w
-        d = w.length - u.length
-        if d < 2:
-            raise ValueError("open-interval homology needs length difference at least 2")
-        # the ground is sorted by table row, so u comes first and w last; the
-        # inner block of an order is an order, so it is not validated again
-        inner = _OrderComplex(closed.ground[1:-1], closed.leq[1:-1, 1:-1])
-        try:
-            profile = homology._profiles(inner)[index]
-        except BudgetExceededError as exc:
-            raise exc.about(f"interval ({u!r}, {w!r}) in {w.system!r}") from exc
-        expected = d - 2
-        reports.append(IntervalReport(u.word, w.word, expected, profile,
-                                      profile.matches_sphere(expected), len(inner.vertices)))
-    return reports
+    if u.system != w.system:
+        raise ValueError("elements belong to different systems")
+    closed = bruhat_interval(u, w)  # raises ValueError unless u <= w
+    d = w.length - u.length
+    if d < 2:
+        raise ValueError("open-interval homology needs length difference at least 2")
+    # the ground is sorted by table row, so u comes first and w last; the
+    # inner block of an order is an order, so it is not validated again
+    inner = _OrderComplex(closed.ground[1:-1], closed.leq[1:-1, 1:-1])
+    try:
+        profile = homology._profiles(inner)[index]
+    except BudgetExceededError as exc:
+        raise exc.about(f"interval ({u!r}, {w!r}) in {w.system!r}") from exc
+    expected = d - 2
+    return IntervalReport(u.word, w.word, expected, profile, profile.matches_sphere(expected),
+                          len(inner.vertices))
 
 
 def _reflection_order(system: CoxeterSystem) -> list[int]:

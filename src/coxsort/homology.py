@@ -61,15 +61,21 @@ empty order has sigma empty and L void, and keeps its one face.)  A cone
 needs no more: an element comparable with all lies in every maximal
 chain, so in sigma, and its star is the whole complex: no chain is left.
 
-There is one face budget, :data:`DEFAULT_FACE_BUDGET`, read at each call.
-Every reading of the faces counts them against it first, cone or not,
-cached or not, in ``num_faces``, on the count of each class's
-``_count``, and a complex that raised keeps no faces.  Facets are
-enumerated, stopping past the budget; an order complex counts its chains
-level by level, and a subword complex reads its count off one pass over
-its word (see :mod:`coxsort.subword`), both before any face is built.
-Only ``num_faces(budget)`` takes another bound, kept for the benchmark
-tracer.
+There is one face budget, :data:`DEFAULT_FACE_BUDGET`, read at each call
+and only where faces or chains are built: ``num_faces``, the gate of
+``faces``, ``facets``, ``interior_faces`` and elimination; the
+enumeration from facets; a subword complex's listings of its facets and
+interior faces; and the chain counts of an order complex.  Every reading
+of the faces counts them against it first, cone or not, cached or not,
+in ``num_faces``, on the count of each class's ``_count``, and a complex
+that raised keeps no faces.  Facets are enumerated, stopping past the
+budget; an order complex counts its chains level by level, and a subword
+complex reads its count off one pass over its word (see
+:mod:`coxsort.subword`), both before any face is built.  A certificate
+that builds nothing reads no budget: the subword and fiber certificates
+read homotopy types off that pass, and the EL-labelling pass of
+:mod:`coxsort.fibermap` builds no chain.  Only ``num_faces(budget)``
+takes another bound, kept for the benchmark tracer.
 
 >>> triangle = SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 >>> reduced_betti(triangle, 2).numbers
@@ -451,13 +457,6 @@ class _OrderComplex(SimplicialComplex):
                 extended.add(g ^ low)
                 rest ^= low
         return frozenset(self._face(m) for m in chain.from_iterable(levels) if m not in extended)
-
-    @cached_property
-    def _cone(self) -> bool:
-        """Whether some element is comparable with all, so in every facet:
-        such an element extends every maximal chain, and an element of every
-        maximal chain is comparable with all, as each lies on one."""
-        return any(c.bit_count() == len(self.vertices) for c in self._comparable)
 
     @cached_property
     def _ups(self) -> list[list[int]]:

@@ -30,7 +30,9 @@ faces_j[u] = faces_(j+1)[u] + faces_(j+1)[min(u, su)] for s = Q[j];
 faces_0[u] is the face count of Delta(Q, u), in Python
 ints (a word of 64 letters has 2^64 faces for u = e).  The complex
 reads its face count (``_count``) off this pass, so the face budget is
-checked before any facet is listed.
+checked before any facet is listed.  The same pass counts, as exact[u],
+the position sets of Q whose Demazure product is exactly u, the sets
+that f of :mod:`coxsort.fibermap` sends to u, with no 2^len(Q) table.
 
 One walk over Q (:func:`_spellings`) lists the complements of the
 position sets that spell u as a reduced word, the facets of Delta(Q, u),
@@ -60,7 +62,10 @@ contractible when u is below it and void otherwise, so lk and del are
 never both spheres: that would need the product of Q' to be u and su.
 :func:`homotopy_types` is the list of these types that the fold keeps,
 and every certificate reads its Betti numbers off it: S^d has one class
-in dimension d over every field, a contractible complex none.
+in dimension d over every field, a contractible complex none.  A
+certificate builds no face, so no face budget applies to it; the budget
+bounds only ``num_faces`` and the listings (``faces``, ``facets``,
+``interior_faces``).
 """
 
 from __future__ import annotations
@@ -174,10 +179,10 @@ def _subject(system: CoxeterSystem, Q: tuple[int, ...], x: int) -> str:
 
 class _Fold:
     """The one fold of a checked word Q, by table row: ``suffix[j]``, the
-    row of the Demazure product of Q[j:]; ``faces`` and ``types``, the two
-    lists of :func:`_spell`; and ``bounds[j]``, the Bruhat row of
-    ``suffix[j]`` as a list (readers take single entries), read once per
-    distinct row when a walk (:func:`_spellings`) first asks.
+    row of the Demazure product of Q[j:]; ``faces``, ``exact`` and
+    ``types``, the three lists of :func:`_spell`; and ``bounds[j]``, the
+    Bruhat row of ``suffix[j]`` as a list (readers take single entries),
+    read once per distinct row when a walk (:func:`_spellings`) first asks.
     ``suffix[0]`` is the product of Q, and x is below it exactly when
     ``faces[x]`` is nonzero: the empty set is a face of Delta(Q, x) iff the
     product of Q is >= x, and when it is not, no set is, since the product
@@ -186,9 +191,9 @@ class _Fold:
     and every walk."""
 
     def __init__(self, system: CoxeterSystem, suffix: list[int], faces: list[int],
-                 types: list[int]):
+                 exact: list[int], types: list[int]):
         self.system, self.suffix = system, suffix
-        self.faces, self.types = faces, types
+        self.faces, self.exact, self.types = faces, exact, types
 
     @cached_property
     def bounds(self) -> list:
@@ -204,20 +209,33 @@ def _fold(system: CoxeterSystem, Q: tuple[int, ...]) -> _Fold:
 
 
 def _spell(system: CoxeterSystem, Q: tuple[int, ...],
-           suffix: list[int]) -> tuple[list[int], list[int]]:
-    """``(faces, types)`` for every table row x, from one right-to-left
-    pass over Q (see the module docstring): ``faces[x]``, the number of
-    faces of Delta(Q, x), in Python ints, and ``types[x]``, its homotopy
-    type (:func:`homotopy_types`); they are 0 and VOID for the rows not
-    below the product of Q.  Rows are sorted by length, so letter j updates
-    in place the rows up to ``suffix[j]``, from the top down, and the row
-    sx < x that it reads still holds the value for Q[j+1:].  For a row x
-    with sx < x, the deletion of position j, Delta(Q[j+1:], sx), is not
-    void exactly when sx is below the product of Q[j+1:], that is when it
-    has a face count there.  Raises RuntimeError, naming Q and x, if the
-    link and the deletion are both spheres."""
+           suffix: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """``(faces, exact, types)`` for every table row x, from one
+    right-to-left pass over Q (see the module docstring): ``faces[x]``, the
+    number of faces of Delta(Q, x), ``exact[x]``, the number of position
+    sets of Q whose Demazure product is exactly x, both in Python ints, and
+    ``types[x]``, the homotopy type of Delta(Q, x) (:func:`homotopy_types`);
+    they are 0, 0 and VOID for the rows not below the product of Q.  Rows
+    are sorted by length, so letter j updates in place the rows up to
+    ``suffix[j]``, from the top down, and the row sx < x that it reads
+    still holds the value for Q[j+1:].  For a row x with sx < x, the
+    deletion of position j, Delta(Q[j+1:], sx), is not void exactly when sx
+    is below the product of Q[j+1:], that is when it has a face count
+    there.  Raises RuntimeError, naming Q and x, if the link and the
+    deletion are both spheres.
+
+    The exact counts: a position set of Q[j:] without j has the product y
+    of its positions in Q[j+1:], and one with j has s * y, s = Q[j].  Since
+    s * y = max(y, sy) has s as a left descent, and then s * y = x forces
+    {y, sy} = {x, sx}, s * y = x exactly when s is a left descent of x and
+    y is x or sx.  So exact_j[x] = exact_(j+1)[x] when sx > x, and
+    exact_j[x] = 2 exact_(j+1)[x] + exact_(j+1)[sx] when sx < x.  Where
+    sx < x has no face count the pass skips x, and both counts are 0:
+    exact[sx] <= faces[sx] = 0, and exact[x] <= faces[x] <= faces[sx],
+    since a product >= x is >= sx."""
     left = system._left
     faces = [1] + [0] * (len(left) - 1)  # row 0 is e, the product of no letter
+    exact = faces[:]  # the empty set, the one position set of no letter
     types = [-1] + [VOID] * (len(left) - 1)  # Delta((), e) = {frozenset()}, S^-1
     for j in range(len(Q) - 1, -1, -1):
         s = Q[j] - 1
@@ -229,6 +247,7 @@ def _spell(system: CoxeterSystem, Q: tuple[int, ...],
                     types[x] = CONTRACTIBLE
             elif faces[sx]:
                 faces[x] += faces[sx]
+                exact[x] += exact[x] + exact[sx]
                 link, deletion = types[x], types[sx]
                 if link == VOID or link == CONTRACTIBLE:  # the deletion, or ~ it
                     types[x] = deletion
@@ -238,7 +257,7 @@ def _spell(system: CoxeterSystem, Q: tuple[int, ...],
                     raise RuntimeError(
                         f"the link and the deletion of position {j + 1} are both spheres "
                         f"({_subject(system, Q, x)})")
-    return faces, types
+    return faces, exact, types
 
 
 def homotopy_types(system: CoxeterSystem, Q: Iterable[int]) -> list[int]:
@@ -258,7 +277,7 @@ def homotopy_types(system: CoxeterSystem, Q: Iterable[int]) -> list[int]:
     True
     """
     Q = system.check_word(Q)
-    return _spell(system, Q, _suffix_demazure(system, Q))[1]
+    return _spell(system, Q, _suffix_demazure(system, Q))[2]
 
 
 def _spellings(system: CoxeterSystem, Q: tuple[int, ...], target: int, bounds: list,
@@ -311,9 +330,8 @@ def certify_subword_complex(complex_: SubwordComplex) -> SubwordReport:
     """Classify ``complex_`` and check the verdict over GF(2) and Q; the
     sphere would have dimension len(Q) - l(target) - 1.  The Betti numbers
     are read off the homotopy type of :func:`homotopy_types`, with no face
-    built.  A face count over the face budget raises
-    :class:`BudgetExceededError` naming Q, the target and the group.  The
-    same code as one instance of :func:`certify_subword_complexes`."""
+    built, so no face budget applies.  The same code as one instance of
+    :func:`certify_subword_complexes`."""
     return _certify(complex_.system, complex_.Q, complex_.target.index, complex_._fold, {})
 
 
@@ -324,11 +342,10 @@ def certify_subword_complexes(system: CoxeterSystem, words: Iterable[Iterable[in
     in word order and then table order.
 
     Each Q is folded once, and the fold gives the product, the u below it,
-    every face count and every homotopy type, so no complex is built.
-    Within one call, instances with the same verdict, top dimension and
-    homotopy type share one report; nothing is kept once the call ends.  A
-    face budget exceeded raises :class:`BudgetExceededError` at the first
-    instance over it, naming its Q and u as the one-instance call does.
+    every face count and every homotopy type, so no complex is built and
+    no face budget applies.  Within one call, instances with the same
+    verdict, top dimension and homotopy type share one report; nothing is
+    kept once the call ends.
 
     >>> a2 = CoxeterSystem.type_a(2)
     >>> [(word_str(Q), str(u), r.kind)
@@ -354,13 +371,8 @@ def _kind(fold: _Fold, x: int) -> str:
 def _certify(system: CoxeterSystem, Q: tuple[int, ...], x: int, fold: _Fold,
              shared: dict) -> SubwordReport:
     """The report of Delta(Q, x), x a row below the product of Q, read off
-    the fold.  Its face count is checked against the face budget, read at
-    the call, before anything else, and a budget error names Q, the target
-    and the group.  Reports with equal verdict, top dimension and homotopy
-    type are one object in ``shared``."""
-    faces, budget = fold.faces[x], homology.DEFAULT_FACE_BUDGET
-    if faces > budget:
-        raise _face_budget_error(budget, faces).about(_subject(system, Q, x))
+    the fold.  Reports with equal verdict, top dimension and homotopy type
+    are one object in ``shared``."""
     kind, top, type_ = _kind(fold, x), len(Q) - len(system._words[x]) - 1, fold.types[x]
     report = shared.get((kind, top, type_))
     if report is None:

@@ -151,13 +151,30 @@ def test_fibers_table(monkeypatch, capsys):
     monkeypatch.setattr(coxsort.fibermap, "_mask_images", counted)
     code, out, _ = run(capsys, "fibers", "--type", "B2", "--Q", "1,2,1,2")
     assert code == 0
-    assert tables == [(1, 2, 1, 2)]  # one table of f for all eight u
+    assert tables == []  # the sizes are the fold's counts, with no table of f
     lines = out.strip().split("\n")
     assert lines[0] == "u\tcomplex\tfiber_up\topen_fiber\tcontractible"
     assert len(lines) == 9
     by_u = {line.split("\t")[0]: line.split("\t") for line in lines[1:]}
     assert by_u["e"][1:] == ["ball", "16", "14", "-"]
     assert by_u["1,2,1,2"][1:] == ["sphere", "1", "-", "True"]
+
+
+F4_W0 = "1,2,1,3,2,1,3,2,3,4,3,2,1,3,2,3,4,3,2,1,3,2,3,4"
+
+
+def test_fibers_of_the_longest_word_of_f4(capsys):
+    # 24 letters, 2^24 position sets: past the 16-letter cap of a table of f,
+    # and 16,252,928 faces for u = s1, far over the face budget, but neither
+    # is read by the survey
+    code, out, _ = run(capsys, "fibers", "--type", "F4", "--Q", F4_W0)
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert len(rows) == 1152
+    assert rows[0] == ["e", "ball", str(2 ** 24), str(2 ** 24 - 2), "-"]
+    assert rows[1][:4] == ["1", "ball", "16252928", "16252896"]
+    assert rows[-1] == [F4_W0, "sphere", "1", "-", "True"]
+    assert all(row[4] == "True" for row in rows[1:])
 
 
 def test_fibers_of_a_long_a4_word(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -14,8 +15,8 @@ from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, fibermap, na
                      parse_word, run_check, subword_complex, word_str)
 from coxsort.cli import main
 from coxsort.fibermap import (FiberReport, certify_fiber_contractible, certify_interval_el,
-                              certify_interval_sphere, certify_interval_spheres,
-                              check_order_preserving, fiber_open, fiber_up, subset_image)
+                              certify_interval_sphere, check_order_preserving, fiber_open,
+                              fiber_up, subset_image)
 from coxsort.hecke import _below, bruhat_leq, bruhat_row, demazure, sorting_positions
 from coxsort.homology import DEFAULT_FACE_BUDGET, SimplicialComplex, order_complex
 from coxsort.oracles import cone_vertex, contractibility_evidence, inclusion_poset_bruteforce
@@ -229,14 +230,16 @@ def test_certify_fiber_contractible_all_strict_a3():
 
 def _certificate_by_order_complex(system, Q, u):
     """The fiber certificate the long way round: the order complex of the
-    strict upper fiber, ordered by a pairwise inclusion scan."""
+    strict upper fiber, ordered by a pairwise inclusion scan, and the open
+    fiber from the table of f."""
     up = fiber_up(system, Q, u)
     kind = subword_complex(system, Q, u).classify()
     if u == demazure(system, Q):
-        return FiberReport(u.word, kind, len(up), True, "singleton")
+        return FiberReport(u.word, kind, len(up), None, True, "singleton")
+    open_size = len(fiber_open(system, Q, u))
     proper = inclusion_poset_bruteforce(up - {fs(*range(1, len(Q) + 1))})
     ev = contractibility_evidence(order_complex(proper))
-    return FiberReport(u.word, kind, len(up), ev.contractible, ev.method, ev.betti)
+    return FiberReport(u.word, kind, len(up), open_size, ev.contractible, ev.method, ev.betti)
 
 
 def test_certificate_agrees_with_the_order_complex_of_the_fiber():
@@ -428,8 +431,10 @@ def test_a_capped_mask_table_names_its_word_and_group(capsys):
         check_order_preserving(a6, Q)
     assert (exc.value.budget, exc.value.limit, exc.value.spent) == ("mask_cap", 16, 17)
     assert exc.value.subject == subject
-    assert main(["fibers", "--type", "A6", "--Q", word_str(Q)]) == 1
-    assert capsys.readouterr().err.rstrip().endswith(f"exceeds the cap of 16 ({subject})")
+    # the fiber survey reads its sizes off the fold and builds no table of f,
+    # so the cap is not its own
+    assert main(["fibers", "--type", "A6", "--Q", word_str(Q)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(_below(a6.element(Q)))
 
 
 def test_certify_interval_sphere():
@@ -490,23 +495,19 @@ def test_face_budget_errors_name_what_was_certified(monkeypatch):
     assert str(err).endswith(f"({err.subject})")
     assert (err.budget, err.limit) == ("face_budget", DEFAULT_FACE_BUDGET)
     assert err.spent > err.limit
-    # Delta(Q, e) of a reduced word of w0 is the 14-simplex, 2**15 faces: a
-    # budget of 1,000 faces, patched in under the certificates, is exceeded
+    # Delta(Q, e) of a reduced word of w0 is the 14-simplex, 2**15 faces, over
+    # a budget of 1,000 faces patched in; the subword and fiber certificates
+    # build no face, so they read no budget and raise nothing
     Q = w0.word
-    with pytest.raises(BudgetExceededError) as bare:
-        subword_complex(h3, Q, e).num_faces(1000)
-    assert bare.value.subject == ""
+    want = (certify_subword_complex(subword_complex(h3, Q, e)),
+            certify_fiber_contractible(h3, Q, e))
     monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 1000)
-    subject = f"Q={','.join(map(str, Q))}, target=<e>{in_h3}"
-    for certify in (lambda: certify_subword_complex(subword_complex(h3, Q, e)),
-                    lambda: certify_fiber_contractible(h3, Q, e)):
-        with pytest.raises(BudgetExceededError) as exc:
-            certify()
-        err = exc.value
-        assert err.subject == subject
-        assert str(err) == f"{bare.value} ({subject})"
-        assert (err.budget, err.limit, err.spent) == (
-            bare.value.budget, bare.value.limit, bare.value.spent)
+    K = subword_complex(h3, Q, e)
+    with pytest.raises(BudgetExceededError) as bare:
+        K.num_faces()
+    assert bare.value.subject == ""
+    assert (bare.value.budget, bare.value.limit, bare.value.spent) == ("face_budget", 1000, 2 ** 15)
+    assert (certify_subword_complex(K), certify_fiber_contractible(h3, Q, e)) == want
 
 
 def _check_08_pairs():
@@ -528,10 +529,15 @@ def _no_pair_proven(monkeypatch):
 
 @pytest.mark.parametrize("field", [2, 0])
 def test_interval_batch_equals_one_pair_calls_on_check_08_pairs(field):
+    # the batch over check 08's pairs is folded into the one-pair call: the
+    # one-pair calls give the reports the batch gave, by the digest of their
+    # JSON lines
     pairs = _check_08_pairs()
     assert len(pairs) == 652
-    assert certify_interval_spheres(pairs, field) == [
-        certify_interval_sphere(u, w, field) for u, w in pairs]
+    lines = "\n".join(certify_interval_sphere(u, w, field).to_json() for u, w in pairs)
+    assert hashlib.sha256(lines.encode()).hexdigest() == {
+        2: "6bea9db1febbe3643b5e36e0ea784f5c5691cc8bc85396465a593012f3925d4e",
+        0: "e388d8cafe58a644c88579f9310c3cf5bf0168915b32c65afe1db3d0ccd232a6"}[field]
 
 
 def test_check_08_reads_the_el_pass_alone(monkeypatch):
@@ -555,38 +561,16 @@ def test_check_08_reads_the_el_pass_alone(monkeypatch):
 
 
 def test_interval_batch_checks_its_input():
+    # the batch's input checks, now the one-pair call's: the field before
+    # the length difference
     b2 = CoxeterSystem.type_b(2)
     e, w0 = b2.identity, b2.longest_element()
-    assert certify_interval_spheres([]) == []
     with pytest.raises(ValueError, match="coefficient field"):
-        certify_interval_spheres([(e, w0)], 3)
+        certify_interval_sphere(e, w0, 3)
+    with pytest.raises(ValueError, match="coefficient field"):
+        certify_interval_sphere(e, b2.element((1,)), 3)
     with pytest.raises(ValueError, match="length difference"):
-        certify_interval_spheres([(e, w0), (e, b2.element((1,)))])
-
-
-@pytest.mark.parametrize("budget", [10, 100, 1000])
-def test_interval_batch_raises_at_the_first_pair_over_the_budget(monkeypatch, budget):
-    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", budget)
-    pairs = _check_08_pairs()
-    for i, (u, w) in enumerate(pairs):
-        try:
-            certify_interval_sphere(u, w)
-        except BudgetExceededError as exc:
-            want = exc
-            break
-    assert want.subject == f"interval ({u!r}, {w!r}) in {w.system!r}"
-    cold = []
-    real = coxsort.homology._profiles
-    monkeypatch.setattr(coxsort.homology, "_profiles", lambda K: cold.append(K) or real(K))
-    for field in (2, 0):
-        cold.clear()
-        with pytest.raises(BudgetExceededError) as got:
-            certify_interval_spheres(pairs, field)
-        assert str(got.value) == str(want)
-        assert (got.value.budget, got.value.limit, got.value.spent, got.value.subject) == (
-            want.budget, want.limit, want.spent, want.subject)
-        # each pair before it eliminated its own complex
-        assert len(cold) == i + 1
+        certify_interval_sphere(e, b2.element((1,)))
 
 
 def _graded_pairs(system):
@@ -604,7 +588,7 @@ def test_el_pass_agrees_with_the_interval_route_on_check_08_pairs(field):
     for u, w in pairs:
         if w.system not in proven:
             proven[w.system] = certify_interval_el(w.system)
-    reports = certify_interval_spheres(pairs, field)
+    reports = [certify_interval_sphere(u, w, field) for u, w in pairs]
     assert [bool(proven[w.system][u.index, w.index]) for u, w in pairs] == [
         r.matches for r in reports] == [True] * 652
 

@@ -4,15 +4,16 @@ import inspect
 import itertools
 import random
 import textwrap
+from collections import Counter
 
 import pytest
 
 import coxsort.homology
-from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, VoidComplexError, run_check,
-                     subword, subword_complex)
+from coxsort import (BudgetExceededError, CoxeterSystem, RunConfig, VoidComplexError, fibermap,
+                     parse_word, run_check, subword, subword_complex)
 from coxsort.fibermap import certify_fiber_contractible
 from coxsort.homology import SimplicialComplex, _profiles
-from coxsort.hecke import _below, bruhat_leq, demazure
+from coxsort.hecke import _below, bruhat_leq, demazure, reduced_words
 from coxsort.oracles import cone_vertex, subword_facets_bruteforce
 from coxsort.verify import _FIBER_CASES, named_system
 from test_homology import (CIRCLE, EMPTY, NON_PURE, OCTAHEDRON, PATH, POINT, PROJECTIVE_PLANE,
@@ -390,17 +391,18 @@ def test_a_64_letter_word_counts_its_2_to_the_64_faces_and_builds_none():
 def test_a_complex_over_the_budget_raises_on_its_count_before_building_a_face(monkeypatch):
     # the 5-simplex Delta((1,) * 6, e) has 64 faces; enumeration used to
     # raise part way through a level, with 64 spent at this budget but 41
-    # at a budget of 40
+    # at a budget of 40; the certificate builds no face and reads no budget
     b2 = CoxeterSystem.type_b(2)
+    want = certify_subword_complex(subword_complex(b2, (1,) * 6, b2.identity))
     searches = _spy(monkeypatch, subword, "_spellings")
     for budget in (40, 63):
         monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", budget)
         K = subword_complex(b2, (1,) * 6, b2.identity)
-        for ask in (K.num_faces, K.faces, K.interior_faces,
-                    lambda: certify_subword_complex(K)):
+        for ask in (K.num_faces, K.faces, K.interior_faces):
             with pytest.raises(BudgetExceededError) as exc:
                 ask()
             assert (exc.value.limit, exc.value.spent) == (budget, 64)
+        assert certify_subword_complex(K) == want
         assert K._levels is None and searches == []
     monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 64)
     assert K.num_faces() == len(K.faces()) == 64 and len(searches) == 1
@@ -435,59 +437,126 @@ def test_batch_takes_any_iterable_and_checks_each_word():
 
 
 def _first_over_budget(system, words):
-    """The first (Q, u) of a batch whose one-instance certificate raises,
-    with that error, or None."""
-    for Q in words:
-        for u in _below(demazure(system, Q)):
-            try:
-                certify_subword_complex(subword_complex(system, Q, u))
-            except BudgetExceededError as exc:
-                return Q, u, exc
+    """The index in batch order of the first (Q, u) whose face count
+    raises at the current face budget, with that complex and error."""
+    instances = [(Q, u) for Q in words for u in _below(demazure(system, Q))]
+    for i, (Q, u) in enumerate(instances):
+        K = subword_complex(system, Q, u)
+        try:
+            K.num_faces()
+        except BudgetExceededError as exc:
+            return i, K, exc
     return None
-
-
-def _same_error(got, want):
-    assert str(got) == str(want)
-    assert (got.budget, got.limit, got.spent, got.subject) == (
-        want.budget, want.limit, want.spent, want.subject)
 
 
 @pytest.mark.parametrize("budget", [20, 40, 63])
 def test_batch_raises_at_the_first_instance_over_the_budget(monkeypatch, budget):
+    # the batch used to raise at the first instance with more faces than
+    # the budget; it builds no face now, so it runs past that instance with
+    # the default budget's reports, while the instance's face count raises
+    systems = _check_06_systems()
+    want = [list(certify_subword_complexes(system, CHECK_06_WORDS)) for system in systems]
     monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", budget)
-    cold = _spy(monkeypatch, coxsort.homology, "_profiles")
-    for system in _check_06_systems():
-        Q, u, want = _first_over_budget(system, CHECK_06_WORDS)
-        assert want.subject.endswith(f"target={u!r} in {system!r}")
-        cold.clear()
-        seen = []
-        with pytest.raises(BudgetExceededError) as exc:
-            for Q_, u_, _ in certify_subword_complexes(system, CHECK_06_WORDS):
-                seen.append((Q_, u_))
-        _same_error(exc.value, want)
-        # every instance before the failing one was certified, most of them
-        # by shared hits
-        order = [(P, x) for P in CHECK_06_WORDS for x in _below(demazure(system, P))]
-        assert seen == order[:order.index((Q, u))]
-        assert len(cold) - 1 < len(seen)
+    route = _spy_complexes(monkeypatch)
+    got = [list(certify_subword_complexes(system, CHECK_06_WORDS)) for system in systems]
+    assert got == want and route == ([], [], [], [])
+    for system, reports in zip(systems, want):
+        i, K, exc = _first_over_budget(system, CHECK_06_WORDS)
+        Q, u, report = reports[i]
+        assert (K.Q, K.target) == (Q, u) and i < len(reports) - 1
+        assert (exc.budget, exc.limit) == ("face_budget", budget) and exc.spent > budget
+        assert certify_subword_complex(K) == report
 
 
-def test_a_shared_hit_over_a_lowered_budget_raises_as_a_cold_call(monkeypatch):
+def test_a_shared_hit_under_a_lowered_budget_is_the_cold_call_report(monkeypatch):
     # both reduced words of w0 in B2 give the full simplex on four
     # positions (16 faces) for u = e: the second is a hit, and the budget
-    # lowered between the two words turns it into the cold call's error
+    # lowered between the two words changes neither it nor a cold call
     b2 = CoxeterSystem.type_b(2)
     words = [(1, 2, 1, 2), (2, 1, 2, 1)]
     batch = certify_subword_complexes(b2, words)
     for _ in b2.elements():
         next(batch)
     monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 10)
-    with pytest.raises(BudgetExceededError) as want:
-        certify_subword_complex(subword_complex(b2, words[1], b2.identity))
-    with pytest.raises(BudgetExceededError) as got:
-        next(batch)
-    _same_error(got.value, want.value)
-    assert got.value.subject == f"Q=2,1,2,1, target=<e> in {b2!r}"
+    K = subword_complex(b2, words[1], b2.identity)
+    with pytest.raises(BudgetExceededError):
+        K.num_faces()
+    assert next(batch) == (words[1], b2.identity, certify_subword_complex(K))
+
+
+def _fiber_sweeps():
+    """Every fiber certificate of check 09's words, e included."""
+    systems = [(named_system(gname), Q) for gname, Q in _FIBER_CASES]
+    return [certify_fiber_contractible(system, Q, u)
+            for system, Q in systems for u in _below(demazure(system, Q))]
+
+
+def test_certificates_read_no_face_budget(monkeypatch):
+    # at a face budget of 0 the subword and fiber certificates and checks 06
+    # and 09 give what they give at the default and build no face, while
+    # the readings of the same complexes' faces raise
+    systems = _check_06_systems()
+    batches = [list(certify_subword_complexes(system, CHECK_06_WORDS)) for system in systems]
+    sweeps = _fiber_sweeps()
+    checks = [run_check(name).to_obj()
+              for name in ("ball_sphere_classification", "contractible_fibers")]
+    monkeypatch.setattr(coxsort.homology, "DEFAULT_FACE_BUDGET", 0)
+    route = _spy_complexes(monkeypatch)
+    assert [list(certify_subword_complexes(system, CHECK_06_WORDS))
+            for system in systems] == batches
+    assert _fiber_sweeps() == sweeps
+    assert [run_check(name).to_obj()
+            for name in ("ball_sphere_classification", "contractible_fibers")] == checks
+    assert route == ([], [], [], [])
+    assert sum(map(len, batches)) == 1386
+    for system, batch in zip(systems, batches):
+        for Q, u, _ in batch:
+            K = subword_complex(system, Q, u)
+            for ask in (K.num_faces, K.faces, lambda: K.facets, K.interior_faces):
+                with pytest.raises(BudgetExceededError) as exc:
+                    ask()
+                assert exc.value.limit == 0 and exc.value.spent >= 1, (Q, u)
+
+
+def _exact_cases():
+    """Every reduced word of w0 in A3 and B3, the canonical word of every
+    element of H3 and D4, and the three fiber words that CI pins."""
+    for system in (CoxeterSystem.type_a(3), CoxeterSystem.type_b(3)):
+        yield from ((system, Q) for Q in reduced_words(system.longest_element()))
+    for system in (CoxeterSystem.type_h3(), named_system("D4")):
+        yield from ((system, w.word) for w in system.elements())
+    for gname, word in (("A4", "1,2,3,4,1,2,3,1,2,1"),
+                        ("H3", "1,2,1,2,1,3,2,1,2,1,3,2,1,2,3"),
+                        ("D4", "1,2,3,1,2,3,4,3,1,2,3,4")):
+        yield named_system(gname), parse_word(word)
+
+
+def _exact_disagreements():
+    """The (system, Q) of :func:`_exact_cases` whose fold's exact counts
+    differ from the images counted over the table of f, and the number of
+    cases."""
+    bad, cases = [], 0
+    for system, Q in _exact_cases():
+        exact = _fold(system, Q).exact
+        images = Counter(fibermap._mask_images(system, Q))
+        if exact != [images[x] for x in range(system.order())]:
+            bad.append((system, Q))
+        cases += 1
+    return bad, cases
+
+
+def test_the_fold_counts_the_sets_sent_to_each_element():
+    # 16 + 42 reduced words of w0, 120 + 192 canonical words, 3 CI words
+    assert _exact_disagreements() == ([], 373)
+
+
+def test_a_planted_fault_in_the_exact_counts_disagrees_with_the_table(monkeypatch):
+    # the fault drops the sets that hold j where s = Q[j] is absorbed, the
+    # rest's product being x already
+    _planted(monkeypatch, "exact[x] += exact[x] + exact[sx]", "exact[x] += exact[sx]")
+    bad, cases = _exact_disagreements()
+    assert (len(bad), cases) == (325, 373)
+    assert bad[0] == (CoxeterSystem.type_a(3), (3, 1, 2, 3, 1, 2))
 
 
 def test_facets_and_repr_of_a_complex_over_the_budget_list_no_more_than_it(monkeypatch):

@@ -179,8 +179,8 @@ def _types_mapped(monkeypatch, change):
     real = coxsort.subword._spell
 
     def mapped(system, Q, suffix):
-        faces, types = real(system, Q, suffix)
-        return faces, [change(t) for t in types]
+        faces, exact, types = real(system, Q, suffix)
+        return faces, exact, [change(t) for t in types]
 
     monkeypatch.setattr(coxsort.subword, "_spell", mapped)
 
@@ -356,8 +356,8 @@ def test_walk_that_prunes_completable_prefixes_breaks_open_interval_spheres(monk
     # check 08 reads the EL pass, which walks no chain
     assert run_check("open_interval_spheres", SMALL).passed
     pairs = _check_08_pairs()
-    wrong = [(str(u), str(w)) for (u, w), r
-             in zip(pairs, coxsort.fibermap.certify_interval_spheres(pairs)) if not r.matches]
+    wrong = [(str(u), str(w)) for u, w in pairs
+             if not coxsort.fibermap.certify_interval_sphere(u, w).matches]
     # 389 of the 652 intervals
     assert len(pairs) == 652 and len(wrong) == 389 and wrong[0] == ("e", "1,2,1")
 
@@ -374,7 +374,7 @@ def test_fault_injection_in_ranks(monkeypatch):
         return real(rows) | ({-1} if len(calls) == 1 else set())
 
     monkeypatch.setattr(coxsort.homology, "_pivots_gf2", inflated)
-    reports = coxsort.fibermap.certify_interval_spheres(_check_08_pairs())
+    reports = [coxsort.fibermap.certify_interval_sphere(u, w) for u, w in _check_08_pairs()]
     assert not all(r.matches for r in reports)
     # check 06, which eliminates nothing: the spheres of the first word
     # come out one dimension too high
@@ -383,10 +383,10 @@ def test_fault_injection_in_ranks(monkeypatch):
 
     def raised(system, Q, suffix):
         words.append(Q)
-        faces, types = real_spell(system, Q, suffix)
+        faces, exact, types = real_spell(system, Q, suffix)
         if len(words) == 1:
             types = [t + 1 if t >= -1 else t for t in types]
-        return faces, types
+        return faces, exact, types
 
     monkeypatch.setattr(coxsort.subword, "_spell", raised)
     r = run_check("ball_sphere_classification", RunConfig())
