@@ -8,8 +8,10 @@ For ``w`` of length ``L`` and an ascent ``s`` of ``w``:
 
 * ``t != s`` is a right descent of ``ws`` exactly when the ``{s, t}``-part
   of ``w`` is the alternating word of length ``m(s, t) - 1`` ending in
-  ``t``; it is found by stripping ``t, s, t, ...`` from ``w`` through rows
-  already built.
+  ``t``.  For ``m(s, t) = 2`` that is ``t`` being a right descent of
+  ``w``, so the bit is copied from ``w``'s mask (the proof is in
+  ``_build_table``); for a braid pair it is found by stripping
+  ``t, s, t, ...`` from ``w`` through rows already built.
 * Only the pair whose ``s`` is the smallest right descent of ``ws``
   creates its row; any other pair reaches that row through the
   ``{s, t}`` coset of its smallest descent ``t``.
@@ -24,6 +26,13 @@ The left table follows from ``t(xs) = (tx)s``, each lexicographically
 minimal reduced word from the smallest left descent, and rows are
 numbered by (length, word).  An :class:`Element` is a system and a row
 index.
+
+The build keeps every row's right descents as a bitmask, ``_desc``, and
+the left descents of a row are the right descents of its inverse.  The
+system holds one shared tuple of letters per mask value, ``_letters``,
+so descent queries, reduced words and down-set walks read a row's
+descents off its mask and never scan the row.  Other modules read them
+through ``_right_descents`` and ``_left_descents``, never the masks.
 
 Generator indices are 1-based everywhere.
 
@@ -109,11 +118,25 @@ def _strip(right: list[list[int]], desc: list[int], x: int, a: int, b: int,
 
 
 def _build_table(matrix: tuple[Word, ...], size_cap: int):
-    """Right and left multiplication, inverses and lex-minimal words of
-    every element, rows numbered by (length, word).  Generator columns
-    are 0-based here."""
+    """Right and left multiplication, inverses, lex-minimal words and
+    right-descent masks of every element, rows numbered by (length,
+    word).  Generator columns are 0-based here, and bit s of a mask is
+    the generator of column s.
+
+    For an ascent s of w, a generator t with m(s, t) = 2 is a right
+    descent of ws exactly when it is one of w, so its bit is copied from
+    w's mask and only the braid pairs (m(s, t) >= 3) are stripped.  With
+    J = {s, t}, write w = w^J v, w^J minimal in its coset wW_J and v in
+    the Klein four-group W_J = {e, s, t, st}; lengths add, here and in
+    ws = w^J (vs), so a letter of J is a right descent of w (of ws)
+    exactly when it is one of v (of vs).  s is an ascent, so v is e or t
+    and vs is s or ts = st: t divides vs exactly when it divides v."""
     rank = len(matrix)
     gens = range(rank)
+    # commuting[s]: the mask of the t with m(s, t) = 2; braids[s]: the other
+    # t != s, each with the m(s, t) - 1 letters stripped to test it
+    commuting = [sum(1 << t for t in gens if matrix[s][t] == 2) for s in gens]
+    braids = [[(t, matrix[s][t] - 1) for t in gens if matrix[s][t] > 2] for s in gens]
     right = [[-1] * rank]   # right[x][s]: the row of x*s, -1 until linked
     desc = [0]              # right descents of each row, as a bitmask
     length = [0]
@@ -126,10 +149,9 @@ def _build_table(matrix: tuple[Word, ...], size_cap: int):
             for s in gens:
                 if dw >> s & 1:
                     continue
-                found = 1 << s  # the right descents of ws
-                for t in gens:
-                    steps = matrix[s][t] - 1
-                    if t != s and _strip(right, desc, w, t, s, steps)[1] == steps:
+                found = 1 << s | dw & commuting[s]  # the right descents of ws
+                for t, steps in braids[s]:
+                    if _strip(right, desc, w, t, s, steps)[1] == steps:
                         found |= 1 << t
                 smallest = (found & -found).bit_length() - 1
                 if smallest != s:
@@ -159,13 +181,22 @@ def _build_table(matrix: tuple[Word, ...], size_cap: int):
             right[y][s] = w
         level = range(first_new, len(right))
 
+    # Rows were made one length at a time, so yd, for d the smallest right
+    # descent of y, and its inverse come before y: sy = (s yd) d and
+    # y^-1 = d (yd)^-1 read rows already filled.  The left descents of y
+    # are the right descents of y^-1, a row of y's length whose mask is
+    # known, and the smallest of them starts y's lex-minimal word.
     n = len(right)
     left = [right[0]]
+    inverse = [0] * n
     words: list[Word] = [()]
     for y in range(1, n):
         d = (desc[y] & -desc[y]).bit_length() - 1
-        left.append([right[z][d] for z in left[right[y][d]]])
-        s = next(s for s in gens if length[left[y][s]] < length[y])
+        yd = right[y][d]
+        left.append([right[z][d] for z in left[yd]])
+        inverse[y] = left[inverse[yd]][d]
+        lefts = desc[inverse[y]]
+        s = (lefts & -lefts).bit_length() - 1
         words.append((s + 1,) + words[left[y][s]])
 
     order = sorted(range(n), key=lambda i: (length[i], words[i]))
@@ -174,11 +205,9 @@ def _build_table(matrix: tuple[Word, ...], size_cap: int):
         pos[old] = new
     right = [tuple(pos[x] for x in right[old]) for old in order]
     left = [tuple(pos[x] for x in left[old]) for old in order]
-    inverse = [0] * n
-    for y in range(1, n):
-        d = next(s for s in gens if right[y][s] < y)
-        inverse[y] = left[inverse[right[y][d]]][d]
-    return right, left, inverse, tuple(words[old] for old in order)
+    inverse = [pos[inverse[old]] for old in order]
+    return (right, left, inverse, tuple(words[old] for old in order),
+            [desc[old] for old in order])
 
 
 class CoxeterSystem:
@@ -217,11 +246,15 @@ class CoxeterSystem:
             raise ValueError("size_cap must be positive")
         self.matrix = rows
         self.rank = n
-        # _right[x][s - 1] is the row of x*s, _left[x][s - 1] that of s*x
+        # _right[x][s - 1] is the row of x*s, _left[x][s - 1] that of s*x;
+        # bit s - 1 of _desc[x] is set iff s is a right descent of x, and
+        # _letters[mask] is the tuple of the letters of a mask
         self._right: list[tuple[int, ...]] | None = None
         self._left: list[tuple[int, ...]] | None = None
         self._inverse: list[int] | None = None
         self._words: tuple[Word, ...] | None = None
+        self._desc: list[int] | None = None
+        self._letters: tuple[Word, ...] | None = None
         self._all_elements: tuple[Element, ...] | None = None
         # memo buckets of hecke and posets, by name
         self._op_cache: dict[str, object] = {}
@@ -314,10 +347,15 @@ class CoxeterSystem:
         """The table row of an already-checked word; builds the table on first use."""
         if self._right is None:
             try:
-                self._right, self._left, self._inverse, self._words = _build_table(
+                right, self._left, self._inverse, self._words, self._desc = _build_table(
                     self.matrix, self.size_cap)
             except BudgetExceededError as exc:
                 raise exc.about(repr(self)) from None
+            # a group of rank r has at least 2^r elements, one per set of
+            # generators, so this is never longer than the table
+            self._letters = tuple(tuple(s + 1 for s in range(self.rank) if mask >> s & 1)
+                                  for mask in range(1 << self.rank))
+            self._right = right  # last: the table is read as built once this is set
         right = self._right
         x = 0
         for s in word:
@@ -332,9 +370,12 @@ class CoxeterSystem:
 
     def reduced_words_of(self, word: Iterable[int]) -> frozenset[Word]:
         """All reduced words of the element spelt by ``word``, by a depth
-        first search over right descents."""
+        first search over right descents: each reduced word of x ending in
+        s is one of xs followed by s, for s a right descent of x.  A row's
+        descents are its stored mask (see :func:`_build_table`), read as
+        the system's shared tuple of letters, so no row is scanned."""
         top = self._index_of(word)
-        right = self._right
+        right, desc, letters = self._right, self._desc, self._letters
         out = []
         stack = [(top, ())]
         while stack:
@@ -342,10 +383,18 @@ class CoxeterSystem:
             if not x:
                 out.append(suffix)
                 continue
-            for s, xs in enumerate(right[x], start=1):
-                if xs < x:
-                    stack.append((xs, (s,) + suffix))
+            row = right[x]
+            for s in letters[desc[x]]:
+                stack.append((row[s - 1], (s,) + suffix))
         return frozenset(out)
+
+    def _right_descents(self, x: int) -> Word:
+        """The right descents of row ``x``, read off its stored mask."""
+        return self._letters[self._desc[x]]
+
+    def _left_descents(self, x: int) -> Word:
+        """The left descents of row ``x``: the right descents of x^-1."""
+        return self._letters[self._desc[self._inverse[x]]]
 
     # ------------------------------------------------------------------
     # elements
@@ -459,12 +508,10 @@ class Element:
         return system._left[self.index][system._column(s)] < self.index
 
     def right_descents(self) -> tuple[int, ...]:
-        x = self.index
-        return tuple(s for s, xs in enumerate(self.system._right[x], start=1) if xs < x)
+        return self.system._right_descents(self.index)
 
     def left_descents(self) -> tuple[int, ...]:
-        x = self.index
-        return tuple(s for s, sx in enumerate(self.system._left[x], start=1) if sx < x)
+        return self.system._left_descents(self.index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):

@@ -93,7 +93,7 @@ def bruhat_row(v: Element) -> np.ndarray:
     chain = []
     x = v.index
     while x not in rows:
-        s = next(s for s, sx in enumerate(left[x]) if sx < x)
+        s = system._left_descents(x)[0] - 1
         chain.append((x, s))
         x = left[x][s]
     for x, s in reversed(chain):

@@ -36,7 +36,8 @@ dropped, zero columns.  Clearing and the count of eliminated rows above
 use only that the rows are boundaries in a finite chain complex with one
 basis per degree, so they hold on C(Delta, L) as they stand.  When some
 vertex lies in every facet (``_cone``, the one cone test, read off the
-facets once every face is counted), the complex is a cone, the closed
+facets once every face is counted, and by an order complex off its
+comparabilities), the complex is a cone, the closed
 star of that vertex: L is the whole complex and no face is built.
 Otherwise a simplicial complex, such as a subword complex, which is not
 flag, has L void.  (The subword certificates read their Betti numbers off
@@ -467,6 +468,15 @@ class _OrderComplex(SimplicialComplex):
         cols = cols.tolist()
         ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
         return [cols[start:end] for start, end in zip([0] + ends, ends)] + [list(range(n))]
+
+    @cached_property
+    def _cone(self) -> bool:
+        """Whether some element is comparable with every element.  Such an
+        element lies in every maximal chain, each a facet; conversely an
+        element in every maximal chain is comparable with all, since each
+        element lies in some maximal chain.  Read off the comparabilities,
+        so no chain is built."""
+        return (1 << len(self.vertices)) - 1 in self._comparable
 
     @cached_property
     def _comparable(self) -> list[int]:

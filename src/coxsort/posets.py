@@ -267,22 +267,25 @@ def _weak_matrix(ground: Sequence[Element]) -> np.ndarray:
     position = {v.index: i for i, v in enumerate(ground)}
     down = np.eye(len(ground), dtype=bool)
     for i, v in enumerate(ground):
-        for vs in v.system._right[v.index]:
-            if vs < v.index:
-                down[i] |= down[position[vs]]
+        system, x = v.system, v.index
+        row = system._right[x]
+        for s in system._right_descents(x):
+            down[i] |= down[position[row[s - 1]]]
     return down.T
 
 
 def weak_interval(w: Element) -> Poset:
     """The right weak order interval [e, w]: everything reached from ``w``
     by walking down right descents; an order by construction, not validated."""
-    right = w.system._right
+    system = w.system
+    right = system._right
     seen = {w.index}
     stack = [w.index]
     while stack:
         x = stack.pop()
-        for xs in right[x]:
-            if xs < x and xs not in seen:
+        for s in system._right_descents(x):
+            xs = right[x][s - 1]
+            if xs not in seen:
                 seen.add(xs)
                 stack.append(xs)
     elements = w.system.elements()

@@ -136,6 +136,14 @@ def test_group_orders(system, order):
     assert elements[0].is_identity
     keys = [(e.length, e.word) for e in elements]
     assert keys == sorted(keys)
+    # the stored descents are those a rescan of each table row finds, and
+    # the left descents of x are the right descents of x^-1
+    right, left = system._right, system._left
+    for e in elements:
+        x = e.index
+        assert e.right_descents() == tuple(s for s, xs in enumerate(right[x], 1) if xs < x)
+        assert e.left_descents() == tuple(s for s, sx in enumerate(left[x], 1) if sx < x)
+        assert e.left_descents() == e.inverse().right_descents()
 
 
 def test_longest_elements():
@@ -194,6 +202,26 @@ def test_table_agrees_with_braid_rewriting(system):
             assert e.mult_left(s).word == oracle.canonical_word((s,) + w)
         assert e.inverse().word == oracle.canonical_word(w[::-1])
         assert reduced_words(e) == oracle.reduced_words(w)
+
+
+def test_a_cleared_descent_bit_loses_reduced_words():
+    # reduced words read the stored masks alone: clearing any one set bit
+    # of any row of B3 makes the words of w0 differ from the braid closure
+    b3 = CoxeterSystem.type_b(3)
+    w0 = b3.longest_element()
+    closure = BraidRewriting(b3.matrix).reduced_words(w0.word)
+    assert reduced_words(w0) == closure and len(closure) == 42
+    stored = b3._desc
+    faults = 0
+    for x, mask in enumerate(stored):
+        for s in range(b3.rank):
+            if mask >> s & 1:
+                b3._desc = stored[:x] + [mask & ~(1 << s)] + stored[x + 1:]
+                assert reduced_words(w0) != closure, (x, s + 1)
+                faults += 1
+    b3._desc = stored
+    assert reduced_words(w0) == closure
+    assert faults == sum(len(e.right_descents()) for e in b3.elements()) == 3 * 48 // 2
 
 
 def test_infinite_group_raises():

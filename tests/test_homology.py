@@ -865,7 +865,8 @@ def test_the_order_complex_cone_rule_is_the_oracle_s():
     # chain sigma leaves no chain exactly when some element is comparable
     # with all, a vertex in every facet, on every closed interval [u, w] of
     # B2 and A3, and on the open interval, the inner block of its order (the
-    # empty order when l(w) - l(u) <= 1)
+    # empty order when l(w) - l(u) <= 1); the order complex's own cone test
+    # reads the same off its comparabilities
     intervals = cones = 0
     for system in (CoxeterSystem.type_b(2), CoxeterSystem.type_a(3)):
         elements = system.elements()
@@ -874,12 +875,13 @@ def test_the_order_complex_cone_rule_is_the_oracle_s():
                 P = bruhat_interval(u, w)
                 for K in (order_complex(P), _OrderComplex(P.ground[1:-1], P.leq[1:-1, 1:-1])):
                     cone = not any(_left(K))
-                    assert cone == (cone_vertex(K) is not None), (u, w)
+                    assert cone == K._cone == (cone_vertex(K) is not None), (u, w)
                     cones += cone
                 intervals += 1
     # every closed interval is a cone, and no open one: each is a sphere or empty
     assert (intervals, cones) == (246, 246)
-    assert any(_left(_OrderComplex((), np.zeros((0, 0), dtype=bool))))
+    empty = _OrderComplex((), np.zeros((0, 0), dtype=bool))
+    assert any(_left(empty)) and not empty._cone and cone_vertex(empty) is None
 
 
 def test_a_cone_still_counts_its_faces_against_the_budget(monkeypatch):
